@@ -198,6 +198,97 @@ def sample_shard_columns(
     )
 
 
+@dataclass(frozen=True)
+class ShardColumnSource:
+    """Shard-seeded Monte Carlo columns, sampled on demand by row range.
+
+    Resolves the sampling ranges, plans the ``shard_rows``-row shards and
+    spawns one ``np.random.SeedSequence`` child per shard exactly once;
+    :meth:`columns` then samples only the shards covering the requested
+    rows.  Every shard's draws depend only on its child seed, so sampling
+    a run wave by wave — or resuming it halfway — yields exactly the
+    columns :func:`sample_parameter_columns_sharded` builds up front,
+    while holding one wave's columns instead of all ``draws`` rows.
+
+    Build with :meth:`create`.
+    """
+
+    base: ActScenario
+    ranges: Mapping[str, tuple[float, float]]
+    distribution: str
+    plan: tuple[tuple[int, int], ...]
+    seeds: tuple[np.random.SeedSequence, ...]
+
+    @classmethod
+    def create(
+        cls,
+        base: ActScenario,
+        parameters: Iterable[str] | None = None,
+        *,
+        draws: int,
+        seed: int,
+        shard_rows: int,
+        distribution: str = TRIANGULAR,
+        ranges: Mapping[str, tuple[float, float]] | None = None,
+    ) -> "ShardColumnSource":
+        require_positive("draws", draws)
+        from repro.parallel.policy import shard_plan
+
+        resolved = resolve_parameter_ranges(parameters, ranges)
+        plan = shard_plan(draws, shard_rows)
+        seeds = tuple(np.random.SeedSequence(seed).spawn(len(plan)))
+        return cls(base, resolved, distribution, plan, seeds)
+
+    @property
+    def draws(self) -> int:
+        return self.plan[-1][1]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The sampled column names, in sampling order."""
+        return tuple(self.ranges)
+
+    def shards(self, start: int = 0, stop: int | None = None) -> range:
+        """Indices of the shards exactly covering rows ``[start, stop)``.
+
+        Raises :class:`~repro.core.errors.ParameterError` unless both
+        bounds fall on shard boundaries (``stop`` may be ``draws``).
+        """
+        stop = self.draws if stop is None else stop
+        shard_rows = self.plan[0][1]
+        if (
+            not 0 <= start < stop <= self.draws
+            or start % shard_rows
+            or (stop % shard_rows and stop != self.draws)
+        ):
+            raise ParameterError(
+                f"rows [{start}, {stop}) are not shard-aligned for "
+                f"{self.draws} draws in {shard_rows}-row shards"
+            )
+        return range(start // shard_rows, -(-stop // shard_rows))
+
+    def columns(
+        self, start: int = 0, stop: int | None = None
+    ) -> dict[str, np.ndarray]:
+        """The sampled columns of rows ``[start, stop)`` (shard-aligned)."""
+        shards = [
+            sample_shard_columns(
+                self.base,
+                self.ranges,
+                self.plan[index][1] - self.plan[index][0],
+                self.seeds[index],
+                self.distribution,
+            )
+            for index in self.shards(start, stop)
+        ]
+        if len(shards) == 1:
+            return shards[0]
+        return {
+            name: np.concatenate([shard[name] for shard in shards])
+            for name in self.ranges
+        }
+
+
 def sample_parameter_columns_sharded(
     base: ActScenario,
     parameters: Iterable[str] | None = None,
@@ -215,29 +306,24 @@ def sample_parameter_columns_sharded(
     ``np.random.SeedSequence`` child per shard, sample each shard from its
     child, and concatenate in shard order.  The parallel runner produces
     bit-identical columns at any worker count because the shard plan and
-    the child seeds depend only on ``(draws, shard_rows, seed)``.
+    the child seeds depend only on ``(draws, shard_rows, seed)``; the
+    chunked driver streams the same columns wave by wave through a
+    :class:`ShardColumnSource`.
 
     Note the stream model differs from :func:`sample_parameter_columns`
     (one global stream): the two paths draw *different* (equally valid)
     samples for the same seed.  ``shard_rows`` is therefore part of the
     result contract wherever this path is used.
     """
-    require_positive("draws", draws)
-    from repro.parallel.policy import shard_plan
-
-    resolved = resolve_parameter_ranges(parameters, ranges)
-    plan = shard_plan(draws, shard_rows)
-    seeds = np.random.SeedSequence(seed).spawn(len(plan))
-    shards = [
-        sample_shard_columns(
-            base, resolved, stop - start, seeds[index], distribution
-        )
-        for index, (start, stop) in enumerate(plan)
-    ]
-    return {
-        name: np.concatenate([shard[name] for shard in shards])
-        for name in resolved
-    }
+    return ShardColumnSource.create(
+        base,
+        parameters,
+        draws=draws,
+        seed=seed,
+        shard_rows=shard_rows,
+        distribution=distribution,
+        ranges=ranges,
+    ).columns()
 
 
 def sample_scenario_batch(

@@ -48,13 +48,20 @@ def batch_key(batch: ScenarioBatch) -> str:
     dtype participates in the digest: a float32 view of a batch hashes
     differently from its float64 original even when the widened bytes
     would compare equal.
+
+    C-contiguous columns are hashed in place through their buffer; only
+    broadcast (zero-stride) or strided columns are materialized with
+    ``tobytes()`` — the digested bytes are the same either way.
     """
     digest = hashlib.sha256()
     digest.update(len(batch).to_bytes(8, "little"))
     digest.update(batch.dtype.name.encode("ascii"))
     for name in FIELD_NAMES:
         digest.update(name.encode("ascii"))
-        digest.update(batch.column(name).tobytes())
+        column = batch.column(name)
+        digest.update(
+            column.data if column.flags.c_contiguous else column.tobytes()
+        )
     return digest.hexdigest()
 
 

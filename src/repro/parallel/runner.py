@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.analysis.montecarlo import (
     TRIANGULAR,
-    resolve_parameter_ranges,
+    ShardColumnSource,
     sample_shard_columns,
 )
 from repro.core.errors import (
@@ -65,7 +65,6 @@ from repro.core.errors import (
     ShardFailedError,
     ValidationError,
 )
-from repro.core.parameters import require_positive
 from repro.dse.pareto import pareto_mask as _serial_pareto_mask
 from repro.engine.backends import current_backend, resolve_backend
 from repro.engine.batch import (
@@ -1122,40 +1121,72 @@ class ParallelRunner:
         :func:`~repro.analysis.montecarlo.sample_parameter_columns_sharded`
         with ``shard_rows=policy.shard_rows``).
         """
-        require_positive("draws", draws)
-        resolved_ranges = resolve_parameter_ranges(parameters, ranges)
-        plan = shard_plan(draws, self.policy.shard_rows)
-        seeds = np.random.SeedSequence(seed).spawn(len(plan))
+        source = ShardColumnSource.create(
+            base,
+            parameters,
+            draws=draws,
+            seed=seed,
+            shard_rows=self.policy.shard_rows,
+            distribution=distribution,
+            ranges=ranges,
+        )
+        return self.evaluate_source(source, guard=guard)
+
+    def evaluate_source(
+        self,
+        source: ShardColumnSource,
+        start: int = 0,
+        stop: int | None = None,
+        *,
+        guard: "GuardedEngine | None" = None,
+    ) -> ParallelEvaluation:
+        """Sample and evaluate rows ``[start, stop)`` of a sharded stream.
+
+        One task per source shard in the (shard-aligned) range, each
+        carrying that shard's child seed rather than sampled columns, so
+        the workers sample their own shards.  The
+        evaluation's rows (and any quarantined ranges) are relative to
+        ``start`` — the chunked Monte Carlo driver evaluates one wave of
+        a long run per call.
+        """
+        indices = source.shards(start, stop)
+        plan = tuple(
+            (source.plan[index][0] - start, source.plan[index][1] - start)
+            for index in indices
+        )
+        rows = plan[-1][1]
         guard_spec = _guard_spec(guard)
         backend_name = self._backend_name()
         output_store: SharedArrayStore | None = None
         try:
             if self.policy.transport == SHM:
-                output_store = self._output_store(draws)
+                output_store = self._output_store(rows)
                 output_spec: tuple = (SHM, output_store.handle())
             else:
                 output_spec = (PICKLE,)
             payloads = [
                 {
                     "kind": "montecarlo",
-                    "shard": index,
-                    "start": start,
-                    "stop": stop,
-                    "base": base,
-                    "ranges": resolved_ranges,
-                    "seed": seeds[index],
-                    "distribution": distribution,
+                    "shard": shard,
+                    "start": shard_start,
+                    "stop": shard_stop,
+                    "base": source.base,
+                    "ranges": source.ranges,
+                    "seed": source.seeds[index],
+                    "distribution": source.distribution,
                     "output": output_spec,
                     "guard": guard_spec,
                     "backend": backend_name,
                 }
-                for index, (start, stop) in enumerate(plan)
+                for shard, (index, (shard_start, shard_stop)) in enumerate(
+                    zip(indices, plan)
+                )
             ]
             context = current_context()
             with context.span(
                 "parallel.evaluate",
                 kind="montecarlo",
-                rows=draws,
+                rows=rows,
                 shards=len(plan),
                 workers=self.policy.workers,
                 transport=self.policy.transport,
@@ -1163,7 +1194,7 @@ class ParallelRunner:
                 outcomes, report = self._execute(payloads)
                 report = self._heal_quarantined(payloads, outcomes, report)
                 return self._merge(
-                    draws,
+                    rows,
                     plan,
                     outcomes,
                     output_store,

@@ -10,15 +10,18 @@ checkpoint can cost at most the uncommitted tail; on resume the salvage
 path recovers the longest valid committed prefix and recomputes only what
 was actually lost.
 
-Resumption is **bit-for-bit**: the full sample/grid columns are generated
-deterministically up front from the seed, so the values a resumed run
-evaluates are exactly the values the uninterrupted run would have — the
-chunk boundaries only decide *when* a row is evaluated, never *what* it
-is.  A content fingerprint (the SHA-256 of the generated columns plus the
-run configuration, including the resolved kernel backend and — for sweeps
-— the resolved planner mode) is stored in the checkpoint and verified on
-resume, so a checkpoint can never silently continue a *different* run
-(:class:`~repro.core.errors.CheckpointError` otherwise).
+Resumption is **bit-for-bit**: every row's inputs are a pure function of
+the run configuration — grid columns by construction, Monte Carlo draws
+through their seed (the sharded stream samples each chunk from its own
+``SeedSequence`` child when that chunk is evaluated) — so the values a
+resumed run evaluates are exactly the values the uninterrupted run would
+have; the chunk boundaries only decide *when* a row is evaluated, never
+*what* it is.  A content fingerprint (the SHA-256 of the run
+configuration, including the resolved kernel backend and — for sweeps —
+the grid columns and the resolved planner mode) is stored in the
+checkpoint and verified on resume, so a checkpoint can never silently
+continue a *different* run (:class:`~repro.core.errors.CheckpointError`
+otherwise).
 
 Cooperative cancellation goes through :class:`CancelToken` — a deadline
 or an explicit ``cancel()`` makes the runner stop at the next chunk
@@ -40,8 +43,9 @@ import numpy as np
 from repro.analysis.montecarlo import (
     TRIANGULAR,
     MonteCarloResult,
+    ShardColumnSource,
     sample_parameter_columns,
-    sample_parameter_columns_sharded,
+    sample_parameter_columns_sharded,  # noqa: F401 - perfbench wraps it here
 )
 from repro.analysis.scenario import ActScenario
 from repro.core.errors import CheckpointError, RunInterrupted
@@ -444,14 +448,22 @@ def run_monte_carlo_chunked(
     checkpoint after every chunk, an optional guard per chunk, and
     cooperative cancellation between chunks.
 
+    Under a resolved policy the draws are *streamed*: each wave samples
+    only its own chunks, each from its ``SeedSequence(seed).spawn(n)[i]``
+    child, just before evaluating them (in the workers, for a parallel
+    policy), so sampling memory is ``O(chunk_rows × parameters ×
+    workers)`` rather than ``O(draws × parameters)`` and a resumed run
+    never samples the chunks it already committed.  The legacy
+    ``policy=None`` single stream still samples every draw up front.
+
     Chunked runs compose with graceful degradation: under a
     ``failure_policy="degrade"`` policy, shards quarantined in a wave are
     recorded (as global row ranges) in the checkpoint, and a later
     ``resume=True`` re-attempts **only** those quarantined ranges — every
     healthy row is taken from the checkpoint untouched — converging to
-    the bit-identical full result once the fault is gone (the sample
-    columns are pure functions of the seed, so when a row is evaluated
-    never changes what it evaluates to).
+    the bit-identical full result once the fault is gone (each chunk's
+    draws are a pure function of its child seed, so when a row is
+    evaluated never changes what it evaluates to).
 
     Args:
         chunk_rows: Rows per evaluation chunk (and checkpoint cadence).
@@ -486,8 +498,11 @@ def run_monte_carlo_chunked(
 
     resolved_policy = resolve_policy(policy)
     context = current_context()
+    source: ShardColumnSource | None = None
     if resolved_policy is not None:
-        columns = sample_parameter_columns_sharded(
+        # Streamed: each wave samples only its own chunks, from their
+        # child seeds, just before evaluating them.
+        source = ShardColumnSource.create(
             base,
             parameters,
             draws=draws,
@@ -496,6 +511,8 @@ def run_monte_carlo_chunked(
             distribution=distribution,
             ranges=ranges,
         )
+        names = source.names
+        draw = source.columns
     else:
         columns = sample_parameter_columns(
             base,
@@ -505,6 +522,11 @@ def run_monte_carlo_chunked(
             distribution=distribution,
             ranges=ranges,
         )
+        names = tuple(columns)
+
+        def draw(start: int, stop: int) -> dict[str, np.ndarray]:
+            return {name: col[start:stop] for name, col in columns.items()}
+
     guard_tag = guard.policy if guard is not None else "off"
     # The sampled columns are a pure function of the entries below, so
     # the fingerprint hashes the configuration, not the (potentially
@@ -519,7 +541,7 @@ def run_monte_carlo_chunked(
             distribution,
             guard_tag,
             f"backend={_checkpoint_backend_token(resolved_policy)}",
-            f"columns={','.join(sorted(columns))}",
+            f"columns={','.join(sorted(names))}",
             f"ranges={sorted(ranges.items()) if ranges else None}",
             f"sharded={chunk_rows if resolved_policy is not None else None}",
             sorted(base.as_dict().items()),
@@ -554,10 +576,32 @@ def run_monte_carlo_chunked(
     if parallel:
         from repro.parallel.runner import ParallelRunner
 
-        runner = ParallelRunner(
-            resolved_policy.replace(shard_rows=chunk_rows),
-            fault_plan=fault_plan,
-        )
+        runner = ParallelRunner(resolved_policy, fault_plan=fault_plan)
+
+    def evaluate(start: int, stop: int) -> list[tuple[int, int]]:
+        """Evaluate rows [start, stop) into ``samples``; return the global
+        row ranges lost to quarantined shards."""
+        if runner is not None:
+            # Workers sample their own chunks from the shipped seeds.
+            evaluation = runner.evaluate_source(
+                source, start, stop, guard=guard
+            )
+            samples[start:stop] = evaluation.full_series("total_g")
+            if evaluation.partial is None:
+                return []
+            return [
+                (start + lo, start + hi)
+                for lo, hi in evaluation.partial.ranges
+            ]
+        chunk = draw(start, stop)
+        if guard is not None:
+            guarded = guard.evaluate_columns(base, stop - start, chunk)
+            samples[start:stop] = guarded.full_series("total_g")
+        else:
+            batch = ScenarioBatch.from_columns(base, stop - start, chunk)
+            samples[start:stop] = evaluate_cached(batch, cache).total_g
+        return []
+
     try:
         with context.span(
             "analysis.montecarlo_chunked",
@@ -585,34 +629,9 @@ def run_monte_carlo_chunked(
                     ]
                     raise error
                 stop = min(completed + wave_rows, draws)
-                chunk = {
-                    name: column[completed:stop]
-                    for name, column in columns.items()
-                }
-                if runner is not None:
-                    evaluation = runner.evaluate_columns(
-                        base, stop - completed, chunk, guard=guard
-                    )
-                    samples[completed:stop] = evaluation.full_series("total_g")
-                    if evaluation.partial is not None:
-                        # Shard-local ranges → global rows; the holes are
-                        # checkpointed so a resume can target them.
-                        quarantined_ranges.extend(
-                            (completed + start, completed + stop_local)
-                            for start, stop_local in evaluation.partial.ranges
-                        )
-                elif guard is not None:
-                    guarded = guard.evaluate_columns(
-                        base, stop - completed, chunk
-                    )
-                    samples[completed:stop] = guarded.full_series("total_g")
-                else:
-                    batch = ScenarioBatch.from_columns(
-                        base, stop - completed, chunk
-                    )
-                    samples[completed:stop] = evaluate_cached(
-                        batch, cache
-                    ).total_g
+                # Shard-local holes → global rows, checkpointed so a
+                # resume can target them.
+                quarantined_ranges.extend(evaluate(completed, stop))
                 wave_start = completed
                 completed = stop
                 if context.enabled:
@@ -637,34 +656,8 @@ def run_monte_carlo_chunked(
                 # so re-evaluation timing cannot change values).
                 still: list[tuple[int, int]] = []
                 for start, stop in quarantined_ranges:
-                    chunk = {
-                        name: column[start:stop]
-                        for name, column in columns.items()
-                    }
-                    if runner is not None:
-                        evaluation = runner.evaluate_columns(
-                            base, stop - start, chunk, guard=guard
-                        )
-                        samples[start:stop] = evaluation.full_series(
-                            "total_g"
-                        )
-                        if evaluation.partial is not None:
-                            still.extend(
-                                (start + lo, start + hi)
-                                for lo, hi in evaluation.partial.ranges
-                            )
-                    elif guard is not None:
-                        guarded = guard.evaluate_columns(
-                            base, stop - start, chunk
-                        )
-                        samples[start:stop] = guarded.full_series("total_g")
-                    else:
-                        batch = ScenarioBatch.from_columns(
-                            base, stop - start, chunk
-                        )
-                        samples[start:stop] = evaluate_cached(
-                            batch, cache
-                        ).total_g
+                    lost = evaluate(start, stop)
+                    still.extend(lost)
                     if context.enabled:
                         context.count("checkpoint.quarantine_retries")
                         context.event(
@@ -672,7 +665,7 @@ def run_monte_carlo_chunked(
                             kind="montecarlo",
                             start=int(start),
                             stop=int(stop),
-                            healed=(start, stop) not in still,
+                            healed=not lost,
                         )
                     # Write-ahead the re-attempted rows: the record
                     # overlays the already-committed chunk on replay.
@@ -685,7 +678,7 @@ def run_monte_carlo_chunked(
             runner.close()
 
     # Guarded runs mark masked rows NaN — and so do quarantined shards;
-    # drop them like the one-shot path.
+    # drop them like the one-shot path.  Boolean indexing already copies.
     holes = bool(quarantined_ranges)
     finished = (
         samples[np.isfinite(samples)]
@@ -703,7 +696,7 @@ def run_monte_carlo_chunked(
             failures=(),
         )
     return MonteCarloResult(
-        samples=np.array(finished, copy=True),
+        samples=finished,
         base_response=base.total_g(),
         partial=partial,
     )

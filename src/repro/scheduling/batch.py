@@ -3,13 +3,13 @@
 One :class:`ScheduleBatch` row is one *scenario* — a trace window offset,
 a policy, a fleet profile, and a fixed-size job set — and the evaluator
 simulates every row simultaneously as numpy columns.  Candidate start
-hours are priced with **prefix sums** over the window's carbon intensity
-(one subtraction per candidate instead of the pinned simulator's
-O(window²) per-hour rescans), while the *chosen* placement's emissions
-are re-accumulated chronologically with exactly the scalar reference's
+hours are priced for every hour of the window at once, offset by offset
+in the scalar reference's chronological order (instead of the pinned
+simulator's per-candidate Python loops), and the *chosen* placement's
+emissions are re-accumulated with exactly the scalar reference's
 association, so a vectorized scenario reproduces
-:func:`repro.scheduling.policies.simulate_fleet` bit for bit on
-exact-arithmetic inputs.
+:func:`repro.scheduling.policies.simulate_fleet` bit for bit — cost
+ties included.
 
 The evaluator dispatches through the kernel-backend registry: the
 backend's dtype selects the compute precision (``float32`` drifts within
@@ -486,18 +486,11 @@ def _simulate_columns(
         if waiting_idx.size
         else np.empty(0, dtype=dtype)
     )
-    # Edge-padded CI prefix / CI for the carbon_lowest rows: pricing a
-    # start hour h with s slots reads column h + s - 1, so padding lets
-    # every slots-group use plain slices instead of gathers.  The padded
-    # tail only feeds hours the deadline mask rejects.
+    # Edge-padded CI for the carbon_lowest rows: pricing a start hour h
+    # with s slots reads columns h .. h + s - 1, so padding lets every
+    # slots-group use plain slices instead of gathers.  The padded tail
+    # only feeds hours the deadline mask rejects.
     n_lowest = lowest_idx.shape[0]
-    prefix_lowest_pad = _scratch(
-        pool, "prefix_lowest_pad", (n_lowest, horizon + max_slots), dtype
-    )
-    prefix_lowest_pad[:, : horizon + 1] = ci_prefix[lowest_idx]
-    prefix_lowest_pad[:, horizon + 1 :] = prefix_lowest_pad[
-        :, horizon : horizon + 1
-    ]
     ci_lowest_pad = _scratch(
         pool, "ci_lowest_pad", (n_lowest, horizon + max_slots), dtype
     )
@@ -516,7 +509,6 @@ def _simulate_columns(
         ci_waiting=ci_waiting,
         threshold_waiting=threshold_waiting,
         lowest_idx=lowest_idx,
-        prefix_lowest_pad=prefix_lowest_pad,
         ci_lowest_pad=ci_lowest_pad,
         free_pad=(
             None if bits is not None
@@ -669,7 +661,6 @@ class _ColumnContext:
     ci_waiting: np.ndarray
     threshold_waiting: np.ndarray
     lowest_idx: np.ndarray
-    prefix_lowest_pad: np.ndarray
     ci_lowest_pad: np.ndarray
     free_pad: "np.ndarray | None"
     feasible_buf: "np.ndarray | None"
@@ -905,11 +896,14 @@ def _price_lowest_starts(
 ) -> np.ndarray:
     """Cheapest feasible start hour for every ``carbon_lowest`` row.
 
-    Prefix-sum pricing: the s-1 full hours starting at h cost the CI
-    prefix difference, the partial final slot its shifted CI — one
-    subtraction per candidate hour, sliced from the edge-padded arrays.
-    Split rows compute a cost too but get overwritten by the caller —
-    they are a small minority.
+    Each candidate hour is priced with the scalar reference's own
+    arithmetic — ``cost += (weight * fraction) * ci[h + offset]`` over
+    the offsets in chronological order, the final slot at its fraction —
+    so exact CI ties round, and break, exactly as
+    :func:`~repro.scheduling.policies._choose_hours` breaks them (a
+    prefix-sum difference rounds differently, and one different start
+    cascades through every later placement).  Split rows compute a cost
+    too but get overwritten by the caller — they are a small minority.
     """
     horizon = ctx.horizon
     idx = ctx.lowest_idx
@@ -920,12 +914,14 @@ def _price_lowest_starts(
     for s in range(1, ctx.max_slots + 1):
         group = np.flatnonzero(slots_l == s)
         if group.size:
-            prefix = ctx.prefix_lowest_pad[group]
-            full_sum = prefix[:, s - 1 : s - 1 + horizon] - prefix[:, :horizon]
-            final_ci = ctx.ci_lowest_pad[group, s - 1 : s - 1 + horizon]
-            cost[group] = weight_l[group, None] * (
-                full_sum + frac_l[group, None] * final_ci
-            )
+            ci_group = ctx.ci_lowest_pad[group]
+            weight = weight_l[group, None]
+            final = weight * frac_l[group, None]
+            total = (final if s == 1 else weight) * ci_group[:, :horizon]
+            for offset in range(1, s):
+                scale = final if offset == s - 1 else weight
+                total += scale * ci_group[:, offset : offset + horizon]
+            cost[group] = total
     cost[~feasible_l] = np.inf
     return np.argmin(cost, axis=1)
 
@@ -1054,10 +1050,8 @@ def verify_schedule_batch(
     The scheduling twin of the engine's guarded cross-check: evenly
     sampled rows are re-simulated with
     :func:`~repro.scheduling.policies.simulate_fleet` and compared within
-    the backend's documented tolerance (floored at 1e-9 relative, since
-    prefix-sum candidate selection may legitimately differ from the
-    chronological reference by an ulp on near-tied costs).  Returns the
-    number of rows checked; raises
+    the backend's documented tolerance (floored at 1e-9 relative).
+    Returns the number of rows checked; raises
     :class:`~repro.core.errors.ValidationError` on any disagreement.
     """
     if sample < 1:

@@ -29,10 +29,8 @@ This module is the *pinned scalar reference*: placements and emissions
 are computed with plain Python loops in chronological order, one scenario
 at a time.  The vectorized evaluator (:mod:`repro.scheduling.batch`)
 reproduces these semantics as numpy columns and is cross-checked against
-this path in the tests; its candidate *selection* uses prefix sums, so on
-floating-point near-ties the two paths may pick different (equal-cost)
-start hours — the exact-equivalence tests therefore use integer-valued
-inputs where ties are exact.
+this path in the tests; it prices candidate starts with this module's
+chronological arithmetic, so cost ties break identically on both paths.
 
 Failure semantics: an infeasible job (no placement satisfies arrival,
 deadline, and capacity) raises

@@ -15,6 +15,7 @@ error                                  status  meaning
 malformed body / wrong shape           400     ``ValidationError``
 unknown parameter / bad value          422     ``UnknownEntryError`` (with
                                                suggestion) / ``ParameterError``
+result overflows float64               422     ``NonFiniteResult``
 rate limit or queue full               429     shed; ``Retry-After`` set
 breaker open, draining                 503     degraded / unavailable
 deadline expired, run cancelled        504     ``DeadlineExceeded`` /
@@ -22,6 +23,12 @@ deadline expired, run cancelled        504     ``DeadlineExceeded`` /
 engine/reference divergence            500     ``DivergenceError`` + diagnostics
 anything unexpected                    500     opaque internal error
 =====================================  ======  =================================
+
+Success bodies are strict JSON: a 2xx payload carrying an ``inf`` or
+``nan`` (inputs whose Eq. 1-8 result overflows float64) is turned into a
+422 ``NonFiniteResult`` naming the offending fields, and kernel overflow
+inside the service is computed silently and judged by that check rather
+than surfacing as a 500.
 """
 
 from __future__ import annotations
@@ -66,10 +73,18 @@ from repro.service.config import ServiceConfig
 RESPONSE_SERIES: tuple[str, ...] = tuple(BatchResult.__dataclass_fields__)
 
 
+class NonFiniteResult(ValidationError):
+    """A well-formed query whose result is not finite (422).
+
+    Its ``diagnostics`` are the payload paths holding ``inf`` or ``nan``
+    — values JSON cannot carry.
+    """
+
+
 class Response:
     """One HTTP-shaped answer: status, JSON payload, extra headers."""
 
-    __slots__ = ("status", "payload", "headers")
+    __slots__ = ("status", "payload", "headers", "_body")
 
     def __init__(
         self,
@@ -80,9 +95,59 @@ class Response:
         self.status = status
         self.payload = dict(payload)
         self.headers = dict(headers or {})
+        self._body: bytes | None = None
 
     def body(self) -> bytes:
-        return json.dumps(self.payload).encode("utf-8")
+        """The payload as strict JSON (``ValueError`` on ``inf``/``nan``),
+        encoded once."""
+        if self._body is None:
+            self._body = json.dumps(self.payload, allow_nan=False).encode(
+                "utf-8"
+            )
+        return self._body
+
+
+def _non_finite_paths(value: object, path: str) -> list[str]:
+    """Payload paths (``scores.EDP.a``, ``values[3]``) of non-finite floats."""
+    if isinstance(value, float):
+        return [] if np.isfinite(value) else [path]
+    if isinstance(value, dict):
+        return [
+            found
+            for key, item in value.items()
+            for found in _non_finite_paths(
+                item, f"{path}.{key}" if path else str(key)
+            )
+        ]
+    if isinstance(value, (list, tuple)):
+        return [
+            found
+            for index, item in enumerate(value)
+            for found in _non_finite_paths(item, f"{path}[{index}]")
+        ]
+    return []
+
+
+def _require_finite(response: Response) -> Response:
+    """``response`` once its body encodes as strict JSON.
+
+    Raises :class:`NonFiniteResult` (422) when the payload holds a
+    non-finite number — a 200 carrying ``Infinity`` is invalid JSON and
+    a silently wrong answer at once.
+    """
+    try:
+        response.body()
+    except ValueError:
+        paths = _non_finite_paths(response.payload, "")
+        shown = ", ".join(paths[:4]) + (
+            f" and {len(paths) - 4} more" if len(paths) > 4 else ""
+        )
+        raise NonFiniteResult(
+            f"the result is not finite at {shown}: the query's inputs "
+            "overflow float64",
+            paths,
+        ) from None
+    return response
 
 
 def _require_mapping(value: object, what: str) -> dict:
@@ -161,6 +226,15 @@ def error_response(error: BaseException, config: ServiceConfig) -> Response:
                 "message": str(error),
                 "completed": error.completed,
                 "total": error.total,
+            },
+        )
+    if isinstance(error, NonFiniteResult):
+        return Response(
+            422,
+            {
+                "error": "non_finite_result",
+                "message": str(error),
+                "diagnostics": list(error.diagnostics),
             },
         )
     if isinstance(error, ValidationError):
@@ -295,6 +369,8 @@ class CarbonQueryService:
                 response = self._endpoint_statz()
             else:
                 response = self._handle_query(method, route, body, client)
+            if response.status < 300:
+                response = _require_finite(response)
         except Exception as error:  # noqa: BLE001 - mapped, never silent
             response = error_response(error, self.config)
         elapsed = time.perf_counter() - started
@@ -349,7 +425,11 @@ class CarbonQueryService:
             )
         context = current_context()
         try:
-            with context.span("service.request", route=route):
+            # Overflowing inputs evaluate to inf/nan, judged afterwards by
+            # _require_finite — not a RuntimeWarning escaping as a 500.
+            with context.span("service.request", route=route), np.errstate(
+                over="ignore", invalid="ignore"
+            ):
                 request = parse_body(body)
                 return endpoint(request)
         finally:

@@ -40,6 +40,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.analysis.scenario import ActScenario
 from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import EvaluationCache, scenario_key
@@ -346,7 +348,11 @@ class MicroBatcher:
             coalesced = ScenarioBatch.from_scenarios(
                 tuple(item.scenario for item in items)
             )
-            result = evaluate_batch(coalesced, backend=self.backend)
+            # One overflowing query must not fail its co-batched
+            # neighbours: its row comes back non-finite and the service
+            # answers it with a 422 (errstate is per thread).
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = evaluate_batch(coalesced, backend=self.backend)
         except Exception as error:  # noqa: BLE001 - forwarded per query
             with self._cond:
                 self.stats.failed += rows

@@ -1,11 +1,13 @@
 """EvaluationCache: LRU mechanics, caller-cache routing, and guard purity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.analysis import ActScenario
 from repro.core.errors import ParameterError
-from repro.engine.batch import ScenarioBatch
+from repro.engine.batch import FIELD_NAMES, ScenarioBatch
 from repro.engine.cache import (
     DEFAULT_CACHE,
     EvaluationCache,
@@ -13,9 +15,14 @@ from repro.engine.cache import (
     evaluate_cached,
     scenario_key,
 )
+from repro.engine.plan import plan_product
 from repro.robustness import SKIP, GuardedEngine, RobustnessWarning
 
 BASE = ActScenario()
+PRODUCT_GRIDS = {
+    "energy_kwh": [1.0, 2.0, 3.0],
+    "ci_use_g_per_kwh": [50.0, 400.0],
+}
 
 
 def batch_of(energy):
@@ -34,6 +41,33 @@ class TestBatchKey:
 
     def test_different_content_hashes_differently(self):
         assert batch_key(batch_of([1.0, 2.0])) != batch_key(batch_of([1.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: batch_of(np.linspace(1.0, 9.0, 257)),
+            # The planner's dense batch keeps constant columns as
+            # zero-stride broadcast views of the base values.
+            lambda: plan_product(BASE, PRODUCT_GRIDS).batch(),
+            lambda: batch_of(np.linspace(1.0, 9.0, 33)).astype(np.float32),
+        ],
+        ids=["contiguous-float64", "zero-stride-from-product", "float32"],
+    )
+    def test_digest_matches_the_tobytes_layout(self, build):
+        batch = build()
+        digest = hashlib.sha256()
+        digest.update(len(batch).to_bytes(8, "little"))
+        digest.update(batch.dtype.name.encode("ascii"))
+        for name in FIELD_NAMES:
+            digest.update(name.encode("ascii"))
+            digest.update(batch.column(name).tobytes())
+        assert batch_key(batch) == digest.hexdigest()
+
+    def test_zero_stride_columns_key_like_their_dense_copies(self):
+        planned = plan_product(BASE, PRODUCT_GRIDS).batch()
+        assert planned.column("dram_gb").strides == (0,)
+        dense = ScenarioBatch.from_product(BASE, PRODUCT_GRIDS)
+        assert batch_key(planned) == batch_key(dense)
 
 
 class TestLru:

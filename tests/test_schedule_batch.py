@@ -237,6 +237,26 @@ class TestExactEquivalence:
     def test_verify_passes_on_every_row(self, batch):
         assert verify_schedule_batch(batch, sample=len(batch)) == len(batch)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_solar_sweep_agrees_with_scalar_reference_on_every_row(
+        self, seed
+    ):
+        # Regression: prefix-sum start pricing broke exact CI ties
+        # differently from the scalar chronological sum, and one
+        # different carbon_lowest start cascaded through every later
+        # placement of the row.
+        from repro.core.intensity import solar_diurnal_trace
+        from repro.scheduling.sweep import (
+            ScheduleSweepSpec,
+            build_schedule_batch,
+        )
+
+        spec = ScheduleSweepSpec(
+            trace=solar_diurnal_trace(400.0), windows=200, seed=seed
+        )
+        batch = build_schedule_batch(spec)
+        assert verify_schedule_batch(batch, sample=len(batch)) == len(batch)
+
     def test_verify_detects_corruption(self, batch):
         honest = evaluate_schedule_batch(batch)
         series = {

@@ -268,6 +268,68 @@ class TestMonteCarloEndpoint:
             svc.drain(5.0)
 
 
+def strict_json(body):
+    """Parse ``body`` as strict JSON: ``Infinity``/``NaN`` are errors."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(body, parse_constant=reject)
+
+
+class TestNonFiniteResults:
+    OVERFLOW = {"energy_kwh": 1e308, "ci_use_g_per_kwh": 1e308}
+
+    def test_overflowing_footprint_is_422_not_a_200_with_infinity(
+        self, service
+    ):
+        response = post(service, "/v1/footprint", {"params": self.OVERFLOW})
+        assert response.status == 422
+        payload = strict_json(response.body())
+        assert payload["error"] == "non_finite_result"
+        assert "total_g" in payload["diagnostics"]
+        # Client-shaped: the breaker stays closed and the next query is fine.
+        assert service.breaker.state == "closed"
+        assert post(service, "/v1/footprint", {"params": {}}).status == 200
+
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/v1/sweep", {"grids": {"energy_kwh": [1.0, 1e308]},
+                           "params": {"ci_use_g_per_kwh": 1e308}}),
+            ("/v1/metric", {"designs": [{"name": "a",
+                                         "embodied_carbon_g": 1e308,
+                                         "energy_kwh": 1e308,
+                                         "delay_s": 1e308}]}),
+        ],
+    )
+    def test_other_endpoints_reject_non_finite_results(
+        self, service, path, payload
+    ):
+        response = post(service, path, payload)
+        assert response.status == 422
+        assert strict_json(response.body())["error"] == "non_finite_result"
+
+    def test_every_success_body_is_strict_json(self, service):
+        requests = [
+            ("/v1/footprint", {"params": {"energy_kwh": 7.0}}),
+            ("/v1/metric", {"designs": [{"name": "a",
+                                         "embodied_carbon_g": 1.0,
+                                         "energy_kwh": 2.0,
+                                         "delay_s": 3.0}]}),
+            ("/v1/sweep", {"grids": {"lifetime_hours": [17520.0, 35040.0]}}),
+            ("/v1/montecarlo", {"draws": 200, "seed": 3}),
+        ]
+        for path, payload in requests:
+            response = post(service, path, payload)
+            assert response.status == 200, path
+            strict_json(response.body())
+        for path in ("/healthz", "/readyz", "/statz"):
+            response = service.handle("GET", path)
+            assert response.status == 200, path
+            strict_json(response.body())
+
+
 class TestDeadlines:
     def test_deadline_expired_while_queued_is_504(self):
         # A batcher that waits far longer than the request's deadline:
