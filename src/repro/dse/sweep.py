@@ -32,7 +32,7 @@ from typing import (
 import numpy as np
 
 from repro.analysis.scenario import ActScenario
-from repro.core.errors import ConstraintError
+from repro.core.errors import ConstraintError, ValidationError
 from repro.engine.batch import ScenarioBatch, product_columns, product_params
 from repro.engine.cache import EvaluationCache, evaluate_cached
 from repro.engine.kernels import BatchResult
@@ -180,8 +180,25 @@ class BatchSweepResult:
         }
 
     def argmin(self, series: str = "total_g") -> int:
-        """Row index minimizing one result series (default: Eq. 1 total)."""
-        return int(np.argmin(getattr(self.result, series)))
+        """Row index minimizing one result series (default: Eq. 1 total).
+
+        ``NaN`` rows — those a degraded run lost to quarantined shards —
+        never win.
+
+        Raises:
+            ValidationError: Every row of the series is ``NaN``.
+        """
+        values = getattr(self.result, series)
+        index = int(np.argmin(values))
+        if np.isnan(values[index]):
+            # np.argmin stops at the first NaN; only then pay for the
+            # NaN-aware scan.
+            if np.isnan(values).all():
+                raise ValidationError(
+                    f"no minimum: every row of series {series!r} is NaN"
+                )
+            index = int(np.nanargmin(values))
+        return index
 
     def min_record(self, series: str = "total_g") -> SweepRecord[ActScenario]:
         """The minimizing grid point as a scalar-compatible sweep record."""

@@ -76,7 +76,6 @@ from repro.engine.batch import (
 from repro.engine.kernels import BatchResult, evaluate_batch
 from repro.obs.context import current_context
 from repro.parallel.policy import (
-    DEGRADE,
     FAIL_FAST,
     PICKLE,
     SHM,
@@ -90,7 +89,7 @@ from repro.parallel.supervisor import (
     ERROR,
     LOST,
     PartialResult,
-    ShardFailure,
+    RetryLedger,
     ShardSupervisor,
     SupervisionReport,
     final_failures,
@@ -246,9 +245,20 @@ def _shard_input_columns(task: dict) -> tuple[dict[str, np.ndarray], SharedArray
     return dict(payload), None
 
 
+#: One evaluated shard: full-shard series, validity mask, globally-indexed
+#: diagnostics, the repair flag, and captured robustness-warning messages.
+_ShardResult = tuple[
+    dict[str, np.ndarray],
+    np.ndarray,
+    tuple[ColumnDiagnostic, ...],
+    bool,
+    tuple[str, ...],
+]
+
+
 def _evaluate_shard_guarded(
     task: dict, columns: Mapping[str, np.ndarray], count: int
-) -> tuple[dict[str, np.ndarray], np.ndarray, tuple, bool, tuple[str, ...]]:
+) -> _ShardResult:
     """Run one shard through a locally-reconstructed guarded engine.
 
     Returns NaN-scattered full-shard series, the shard validity mask,
@@ -292,15 +302,7 @@ def _evaluate_shard_guarded(
     return series, valid, diagnostics, repaired, messages
 
 
-def _evaluate_shard(
-    task: dict, count: int
-) -> tuple[
-    dict[str, np.ndarray],
-    np.ndarray,
-    tuple[ColumnDiagnostic, ...],
-    bool,
-    tuple[str, ...],
-]:
+def _evaluate_shard(task: dict, count: int) -> _ShardResult:
     """Build one shard's columns, evaluate them, and return fresh arrays.
 
     Scoped so every reference into the input shared-memory segment (the
@@ -393,10 +395,11 @@ def _run_shard(task: dict) -> _ShardOutcome:
     """Worker entry point: evaluate one shard of one workload.
 
     Must stay module-level (pickled by reference under both ``fork`` and
-    ``spawn``).  Handles four task kinds — ``"columns"`` (pre-built
+    ``spawn``).  Handles five task kinds — ``"columns"`` (pre-built
     column slices), ``"montecarlo"`` (sample this shard from its own
     SeedSequence child, then evaluate), ``"planned"`` (gather this
-    shard's rows from parent-evaluated factor tables), and ``"pareto"``
+    shard's rows from parent-evaluated factor tables), ``"schedule"``
+    (rebuild and evaluate this shard's scheduling rows), and ``"pareto"``
     (non-dominance of this shard's rows against the full objective
     matrix).
 
@@ -418,6 +421,8 @@ def _run_shard(task: dict) -> _ShardOutcome:
 
         apply_process_faults(fault_spec, shard, task, "start")
 
+    series_out = valid_out = mask = None
+    diagnostics, repaired, messages = (), False, ()
     if kind == "pareto":
         transport, payload = task["input"]
         store = None
@@ -438,51 +443,35 @@ def _run_shard(task: dict) -> _ShardOutcome:
             matrix = block = None  # noqa: F841
             if store is not None:
                 store.close()
-        if fault_spec is not None:
-            apply_process_faults(fault_spec, shard, task, "finish")
-        return _ShardOutcome(
-            shard=shard,
-            start=start,
-            stop=stop,
-            seconds=time.perf_counter() - started,
-            series=None,
-            valid=None,
-            mask=mask,
-            diagnostics=(),
-            repaired=False,
-            messages=(),
-        )
-
-    output_store: SharedArrayStore | None = None
-    try:
-        # The input-side shm views must all be dead before the input store
-        # closes (an mmap with exported pointers cannot unmap), so column
-        # construction and evaluation live in a helper whose locals — the
-        # column views, the batch built over them — die on return.  Every
-        # array it returns is a fresh kernel output or an explicit copy.
-        series, valid, diagnostics, repaired, messages = _evaluate_shard(
-            task, count
-        )
-
-        transport = task["output"][0]
-        if transport == SHM:
-            output_store = SharedArrayStore.attach(task["output"][1])
-            # Iterate the evaluated series' own keys — scenario shards
-            # carry the Eq. 1-8 names, schedule shards the scheduling
-            # names; the parent sized the output store to match.
-            for name in series:
-                output_store.array(name)[start:stop] = series[name]
-            output_store.array(_VALID)[start:stop] = valid
-            series_out = None
-            valid_out = None
-        else:
-            series_out = {
-                name: np.ascontiguousarray(series[name]) for name in series
-            }
-            valid_out = valid
-    finally:
-        if output_store is not None:
-            output_store.close()
+    else:
+        output_store: SharedArrayStore | None = None
+        try:
+            # The input-side shm views must all be dead before the input
+            # store closes (an mmap with exported pointers cannot unmap),
+            # so column construction and evaluation live in a helper whose
+            # locals — the column views, the batch built over them — die
+            # on return.  Every array it returns is a fresh kernel output
+            # or an explicit copy.
+            series, valid, diagnostics, repaired, messages = _evaluate_shard(
+                task, count
+            )
+            if task["output"][0] == SHM:
+                output_store = SharedArrayStore.attach(task["output"][1])
+                # Iterate the evaluated series' own keys — scenario shards
+                # carry the Eq. 1-8 names, schedule shards the scheduling
+                # names; the parent sized the output store to match.
+                for name in series:
+                    output_store.array(name)[start:stop] = series[name]
+                output_store.array(_VALID)[start:stop] = valid
+            else:
+                series_out = {
+                    name: np.ascontiguousarray(values)
+                    for name, values in series.items()
+                }
+                valid_out = valid
+        finally:
+            if output_store is not None:
+                output_store.close()
     if fault_spec is not None:
         apply_process_faults(fault_spec, shard, task, "finish")
     return _ShardOutcome(
@@ -492,11 +481,27 @@ def _run_shard(task: dict) -> _ShardOutcome:
         seconds=time.perf_counter() - started,
         series=series_out,
         valid=valid_out,
-        mask=None,
+        mask=mask,
         diagnostics=diagnostics,
         repaired=repaired,
         messages=messages,
     )
+
+
+def _run_shard_in_process(task: dict) -> "_ShardOutcome | BaseException":
+    """Run one shard in the parent, returning (not raising) a failure that
+    another attempt might survive: a transport error or a chaos-dropped
+    result.  Model errors and genuine interrupts propagate."""
+    try:
+        return _run_shard(task)
+    except ReproError:
+        raise  # deterministic model error: retrying cannot help
+    except BaseException as exc:  # noqa: BLE001 - chaos included
+        if isinstance(exc, (KeyboardInterrupt, SystemExit)) and not getattr(
+            exc, "repro_dropped_result", False
+        ):
+            raise
+        return exc
 
 
 @dataclass(frozen=True)
@@ -666,82 +671,22 @@ class ParallelRunner:
         copy so a fault that mutates the task (shm-handle corruption)
         cannot leak into the retry.
         """
-        policy = self.policy
-        context = current_context()
         outcomes: list[tuple[int, _ShardOutcome] | None] = [None] * len(payloads)
-        failures: list[ShardFailure] = []
-        quarantined: list[int] = []
-        retries = 0
-        backoff_total = 0.0
+        ledger = RetryLedger(self.policy)
         for index, payload in enumerate(payloads):
-            attempt = 1
             while True:
-                try:
-                    outcomes[index] = (0, _run_shard(dict(payload)))
+                outcome = _run_shard_in_process(dict(payload))
+                if not isinstance(outcome, BaseException):
+                    outcomes[index] = (0, outcome)
                     break
-                except ReproError:
-                    raise  # deterministic model error: retrying cannot help
-                except BaseException as exc:  # noqa: BLE001 - chaos included
-                    dropped = getattr(exc, "repro_dropped_result", False)
-                    if isinstance(
-                        exc, (KeyboardInterrupt, SystemExit)
-                    ) and not dropped:
-                        raise
-                    cause = LOST if dropped else ERROR
-                    failures.append(
-                        ShardFailure(
-                            shard=index,
-                            attempt=attempt,
-                            cause=cause,
-                            detail=repr(exc),
-                            worker=0,
-                        )
-                    )
-                    if attempt <= policy.max_retries:
-                        delay = policy.backoff_seconds * (2 ** (attempt - 1))
-                        attempt += 1
-                        retries += 1
-                        backoff_total += delay
-                        context.count("parallel.retries")
-                        context.event(
-                            "shard_retry",
-                            shard=index,
-                            attempt=attempt,
-                            cause=cause,
-                            backoff_seconds=round(delay, 6),
-                            detail=repr(exc),
-                        )
-                        if delay:
-                            time.sleep(delay)
-                        continue
-                    if policy.failure_policy == DEGRADE:
-                        quarantined.append(index)
-                        context.count("parallel.quarantined")
-                        context.event(
-                            "shard_quarantined",
-                            shard=index,
-                            attempts=attempt,
-                            cause=cause,
-                            detail=repr(exc),
-                        )
-                        break
-                    raise ShardFailedError(
-                        f"shard {index} failed {attempt} attempt(s); "
-                        f"last cause: {cause} ({exc!r})",
-                        worker=0,
-                        shard=index,
-                        original=repr(exc),
-                        attempts=attempt,
-                        cause=cause,
-                    ) from exc
-        report = SupervisionReport(
-            retries=retries,
-            respawns=0,
-            quarantined=tuple(quarantined),
-            failures=tuple(failures),
-            backoff_seconds=backoff_total,
-        )
-        return outcomes, report
+                dropped = getattr(outcome, "repro_dropped_result", False)
+                cause = LOST if dropped else ERROR
+                delay = ledger.fail(index, cause, repr(outcome), 0, outcome)
+                if delay is None:
+                    break  # quarantined
+                if delay:
+                    time.sleep(delay)
+        return outcomes, ledger.report()
 
     def _heal_quarantined(
         self,
@@ -764,40 +709,103 @@ class ParallelRunner:
         ):
             return report
         context = current_context()
-        healed: list[int] = []
+        stubborn: list[int] = []
         for shard in report.quarantined:
             payload = dict(payloads[shard])
             payload.pop("fault", None)
-            try:
-                outcome = _run_shard(payload)
-            except ReproError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - stays quarantined
-                if isinstance(
-                    exc, (KeyboardInterrupt, SystemExit)
-                ) and not getattr(exc, "repro_dropped_result", False):
-                    raise
+            outcome = _run_shard_in_process(payload)
+            if isinstance(outcome, BaseException):
+                stubborn.append(shard)
                 continue
             outcomes[shard] = (-1, outcome)  # -1: evaluated by the parent
-            healed.append(shard)
             context.event("shard_healed", shard=shard)
-        if healed:
-            report = dataclasses.replace(
-                report,
-                quarantined=tuple(
-                    shard
-                    for shard in report.quarantined
-                    if shard not in healed
-                ),
-            )
-        return report
+        return dataclasses.replace(report, quarantined=tuple(stubborn))
 
-    def _output_store(
-        self, rows: int, names: Sequence[str] = SERIES_NAMES
-    ) -> SharedArrayStore:
-        shapes = {name: (rows,) for name in names}
-        shapes[_VALID] = (rows,)
-        return SharedArrayStore.zeros(shapes)
+    def _map(
+        self,
+        kind: str,
+        plan: Sequence[tuple[int, int]],
+        task: Mapping[str, Any],
+        *,
+        guard: "GuardedEngine | None" = None,
+        inputs: Mapping[str, np.ndarray] | None = None,
+        series_names: Sequence[str] = SERIES_NAMES,
+        per_shard: Sequence[Mapping[str, Any]] | None = None,
+    ) -> ParallelEvaluation:
+        """The shard-map core: fan one workload out over ``plan``, merge it.
+
+        Each payload is ``task`` plus the shard's row range, its
+        ``per_shard`` fields, the guard spec, backend name and transport
+        handles.  ``inputs`` (full-length columns) travel as one shared
+        segment or pickled per-shard slices; ``series_names`` come back
+        the same way.  Shards execute, quarantined ones get the optional
+        serial fallback, and the outcomes merge in shard order.
+        """
+        rows = plan[-1][1] if plan else 0
+        guard_spec = _guard_spec(guard)
+        backend_name = self._backend_name()
+        input_store: SharedArrayStore | None = None
+        output_store: SharedArrayStore | None = None
+        try:
+            if self.policy.transport == SHM:
+                if inputs is not None:
+                    input_store = SharedArrayStore.create(inputs)
+                output_store = SharedArrayStore.zeros(
+                    {name: (rows,) for name in (*series_names, _VALID)}
+                )
+                output_spec: tuple = (SHM, output_store.handle())
+            else:
+                output_spec = (PICKLE,)
+            payloads = []
+            for index, (start, stop) in enumerate(plan):
+                payload = dict(
+                    task,
+                    kind=kind,
+                    shard=index,
+                    start=start,
+                    stop=stop,
+                    output=output_spec,
+                    guard=guard_spec,
+                    backend=backend_name,
+                )
+                if input_store is not None:
+                    payload["input"] = (SHM, input_store.handle())
+                elif inputs is not None:
+                    payload["input"] = (
+                        PICKLE,
+                        {
+                            name: np.ascontiguousarray(column[start:stop])
+                            for name, column in inputs.items()
+                        },
+                    )
+                if per_shard is not None:
+                    payload.update(per_shard[index])
+                payloads.append(payload)
+            context = current_context()
+            with context.span(
+                "parallel.evaluate",
+                kind=kind,
+                rows=rows,
+                shards=len(plan),
+                workers=self.policy.workers,
+                transport=self.policy.transport,
+            ):
+                outcomes, report = self._execute(payloads)
+                report = self._heal_quarantined(payloads, outcomes, report)
+                return self._merge(
+                    rows,
+                    plan,
+                    outcomes,
+                    output_store,
+                    guard.policy if guard is not None else None,
+                    report,
+                    series_names,
+                )
+        finally:
+            if input_store is not None:
+                input_store.unlink()
+            if output_store is not None:
+                output_store.unlink()
 
     def _merge(
         self,
@@ -812,7 +820,8 @@ class ParallelRunner:
         quarantined = (
             tuple(supervision.quarantined) if supervision is not None else ()
         )
-        ordered = [entry[1] for entry in outcomes if entry is not None]
+        placed = [entry for entry in outcomes if entry is not None]
+        ordered = [outcome for _, outcome in placed]
         if output_store is not None:
             series = {
                 name: np.array(output_store.array(name), copy=True)
@@ -835,11 +844,12 @@ class ParallelRunner:
         # The shm output store starts zeroed, so quarantined rows must be
         # NaN-masked explicitly — a silent zero is a wrong answer; a NaN
         # plus a False validity bit is a flagged missing one.
+        kept = np.ones(rows, dtype=bool)
         for shard in quarantined:
             start, stop = plan[shard]
             for name in series_names:
                 series[name][start:stop] = np.nan
-            valid[start:stop] = False
+            valid[start:stop] = kept[start:stop] = False
         diagnostics = _merge_diagnostics(ordered)
         partial: PartialResult | None = None
         if quarantined:
@@ -881,9 +891,7 @@ class ParallelRunner:
                 worker=worker,
                 seconds=outcome.seconds,
             )
-            for worker, outcome in (
-                entry for entry in outcomes if entry is not None
-            )
+            for worker, outcome in placed
         )
         context = current_context()
         if context.enabled:
@@ -902,12 +910,8 @@ class ParallelRunner:
                 )
                 context.observe("parallel.shard_seconds", report.seconds)
         if guard_policy is not None:
-            # Judge the guard on the rows that actually evaluated; rows
-            # lost to quarantine are accounted by the PartialResult.
-            kept = np.ones(rows, dtype=bool)
-            for shard in quarantined:
-                start, stop = plan[shard]
-                kept[start:stop] = False
+            # Judge the guard on the rows that actually evaluated (`kept`);
+            # rows lost to quarantine are accounted by the PartialResult.
             guard_diagnostics = tuple(
                 d for d in diagnostics if d.reason != QUARANTINED
             )
@@ -955,77 +959,13 @@ class ParallelRunner:
         validation preserves the serial error behavior unless
         ``prevalidated`` asserts the columns were already validated.
         """
-        full = broadcast_columns(base, size, columns)
-        plan = shard_plan(size, self.policy.shard_rows)
-        guard_spec = _guard_spec(guard)
-        backend_name = self._backend_name()
-        input_store: SharedArrayStore | None = None
-        output_store: SharedArrayStore | None = None
-        try:
-            if self.policy.transport == SHM:
-                input_store = SharedArrayStore.create(full)
-                output_store = self._output_store(size)
-                payloads = [
-                    {
-                        "kind": "columns",
-                        "shard": index,
-                        "start": start,
-                        "stop": stop,
-                        "base": base,
-                        "input": (SHM, input_store.handle()),
-                        "output": (SHM, output_store.handle()),
-                        "guard": guard_spec,
-                        "prevalidated": prevalidated,
-                        "backend": backend_name,
-                    }
-                    for index, (start, stop) in enumerate(plan)
-                ]
-            else:
-                payloads = [
-                    {
-                        "kind": "columns",
-                        "shard": index,
-                        "start": start,
-                        "stop": stop,
-                        "base": base,
-                        "input": (
-                            PICKLE,
-                            {
-                                name: np.ascontiguousarray(column[start:stop])
-                                for name, column in full.items()
-                            },
-                        ),
-                        "output": (PICKLE,),
-                        "guard": guard_spec,
-                        "prevalidated": prevalidated,
-                        "backend": backend_name,
-                    }
-                    for index, (start, stop) in enumerate(plan)
-                ]
-            context = current_context()
-            with context.span(
-                "parallel.evaluate",
-                kind="columns",
-                rows=size,
-                shards=len(plan),
-                workers=self.policy.workers,
-                transport=self.policy.transport,
-            ):
-                outcomes, report = self._execute(payloads)
-                report = self._heal_quarantined(payloads, outcomes, report)
-                return self._merge(
-                    size,
-                    plan,
-                    outcomes,
-                    output_store,
-                    guard.policy if guard is not None else None,
-                    report,
-                )
-        finally:
-            if input_store is not None:
-                input_store.unlink()
-            if output_store is not None:
-                output_store.unlink()
+        return self._map(
+            "columns",
+            shard_plan(size, self.policy.shard_rows),
+            {"base": base, "prevalidated": prevalidated},
+            guard=guard,
+            inputs=broadcast_columns(base, size, columns),
+        )
 
     def evaluate_batch(
         self,
@@ -1056,51 +996,17 @@ class ParallelRunner:
         outer product.  Results merge shard-ordered, so the evaluation
         is bit-identical to the serial planned path at any worker count.
         """
-        size = len(plan)
-        backend_name = self._backend_name()
         factors = {
             name: np.ascontiguousarray(np.asarray(factor))
-            for name, factor in plan.partial_series(backend_name).items()
+            for name, factor in plan.partial_series(
+                self._backend_name()
+            ).items()
         }
-        shards = shard_plan(size, self.policy.shard_rows)
-        output_store: SharedArrayStore | None = None
-        try:
-            if self.policy.transport == SHM:
-                output_store = self._output_store(size)
-                output = (SHM, output_store.handle())
-            else:
-                output = (PICKLE,)
-            payloads = [
-                {
-                    "kind": "planned",
-                    "shard": index,
-                    "start": start,
-                    "stop": stop,
-                    "shape": plan.shape,
-                    "factors": factors,
-                    "guard": None,
-                    "output": output,
-                    "backend": backend_name,
-                }
-                for index, (start, stop) in enumerate(shards)
-            ]
-            context = current_context()
-            with context.span(
-                "parallel.evaluate",
-                kind="planned",
-                rows=size,
-                shards=len(shards),
-                workers=self.policy.workers,
-                transport=self.policy.transport,
-            ):
-                outcomes, report = self._execute(payloads)
-                report = self._heal_quarantined(payloads, outcomes, report)
-                return self._merge(
-                    size, shards, outcomes, output_store, None, report
-                )
-        finally:
-            if output_store is not None:
-                output_store.unlink()
+        return self._map(
+            "planned",
+            shard_plan(len(plan), self.policy.shard_rows),
+            {"shape": plan.shape, "factors": factors},
+        )
 
     def run_monte_carlo(
         self,
@@ -1150,60 +1056,20 @@ class ParallelRunner:
         a long run per call.
         """
         indices = source.shards(start, stop)
-        plan = tuple(
-            (source.plan[index][0] - start, source.plan[index][1] - start)
-            for index in indices
+        return self._map(
+            "montecarlo",
+            tuple(
+                (lo - start, hi - start)
+                for lo, hi in (source.plan[index] for index in indices)
+            ),
+            {
+                "base": source.base,
+                "ranges": source.ranges,
+                "distribution": source.distribution,
+            },
+            guard=guard,
+            per_shard=[{"seed": source.seeds[index]} for index in indices],
         )
-        rows = plan[-1][1]
-        guard_spec = _guard_spec(guard)
-        backend_name = self._backend_name()
-        output_store: SharedArrayStore | None = None
-        try:
-            if self.policy.transport == SHM:
-                output_store = self._output_store(rows)
-                output_spec: tuple = (SHM, output_store.handle())
-            else:
-                output_spec = (PICKLE,)
-            payloads = [
-                {
-                    "kind": "montecarlo",
-                    "shard": shard,
-                    "start": shard_start,
-                    "stop": shard_stop,
-                    "base": source.base,
-                    "ranges": source.ranges,
-                    "seed": source.seeds[index],
-                    "distribution": source.distribution,
-                    "output": output_spec,
-                    "guard": guard_spec,
-                    "backend": backend_name,
-                }
-                for shard, (index, (shard_start, shard_stop)) in enumerate(
-                    zip(indices, plan)
-                )
-            ]
-            context = current_context()
-            with context.span(
-                "parallel.evaluate",
-                kind="montecarlo",
-                rows=rows,
-                shards=len(plan),
-                workers=self.policy.workers,
-                transport=self.policy.transport,
-            ):
-                outcomes, report = self._execute(payloads)
-                report = self._heal_quarantined(payloads, outcomes, report)
-                return self._merge(
-                    rows,
-                    plan,
-                    outcomes,
-                    output_store,
-                    guard.policy if guard is not None else None,
-                    report,
-                )
-        finally:
-            if output_store is not None:
-                output_store.unlink()
 
     def evaluate_schedule(
         self,
@@ -1244,53 +1110,12 @@ class ParallelRunner:
                 f"invalid schedule row range [{start}, {stop}) for a "
                 f"{total}-row sweep"
             )
-        rows = stop - start
-        plan = shard_plan(rows, self.policy.shard_rows)
-        backend_name = self._backend_name()
-        output_store: SharedArrayStore | None = None
-        try:
-            if self.policy.transport == SHM:
-                output_store = self._output_store(rows, SCHEDULE_SERIES)
-                output_spec: tuple = (SHM, output_store.handle())
-            else:
-                output_spec = (PICKLE,)
-            payloads = [
-                {
-                    "kind": "schedule",
-                    "shard": index,
-                    "start": shard_start,
-                    "stop": shard_stop,
-                    "spec": spec,
-                    "row_offset": start,
-                    "output": output_spec,
-                    "guard": None,
-                    "backend": backend_name,
-                }
-                for index, (shard_start, shard_stop) in enumerate(plan)
-            ]
-            context = current_context()
-            with context.span(
-                "parallel.evaluate",
-                kind="schedule",
-                rows=rows,
-                shards=len(plan),
-                workers=self.policy.workers,
-                transport=self.policy.transport,
-            ):
-                outcomes, report = self._execute(payloads)
-                report = self._heal_quarantined(payloads, outcomes, report)
-                return self._merge(
-                    rows,
-                    plan,
-                    outcomes,
-                    output_store,
-                    None,
-                    report,
-                    series_names=SCHEDULE_SERIES,
-                )
-        finally:
-            if output_store is not None:
-                output_store.unlink()
+        return self._map(
+            "schedule",
+            shard_plan(stop - start, self.policy.shard_rows),
+            {"spec": spec, "row_offset": start},
+            series_names=SCHEDULE_SERIES,
+        )
 
     def pareto_mask(self, objectives: np.ndarray) -> np.ndarray:
         """Sharded non-dominated mask over an ``(n, m)`` objective matrix.

@@ -166,6 +166,93 @@ class PartialResult:
         return "; ".join(parts)
 
 
+class RetryLedger:
+    """The one retry decision: back off and retry, then quarantine or raise.
+
+    The pool :class:`ShardSupervisor` and the runner's in-process
+    ``workers=1`` path both route every failed shard attempt through
+    :meth:`fail`, so they spend one budget on one backoff schedule, emit
+    the same events and counters, and report through one
+    :class:`SupervisionReport`.
+    """
+
+    def __init__(self, policy: ExecutionPolicy):
+        self.policy = policy
+        self.context = current_context()
+        self.attempts: dict[int, int] = {}  # shard -> executions started
+        self.failures: list[ShardFailure] = []
+        self.quarantined: list[int] = []
+        self.retries = 0
+        self.respawns = 0
+        self.backoff_seconds = 0.0
+
+    def fail(
+        self,
+        shard: int,
+        cause: str,
+        detail: str,
+        worker: int,
+        error: BaseException | None = None,
+    ) -> float | None:
+        """Record the failure of ``shard``'s current attempt and decide.
+
+        Returns the backoff (seconds) to wait before the next attempt
+        while the budget lasts, or ``None`` once the shard is quarantined
+        (``degrade``).  Raises :class:`ShardFailedError` (chained to
+        ``error``) when the budget is spent under ``retry``.
+        """
+        policy, context = self.policy, self.context
+        attempt = self.attempts.get(shard, 1)
+        self.failures.append(
+            ShardFailure(shard, attempt, cause, detail=detail, worker=worker)
+        )
+        if attempt <= policy.max_retries:
+            delay = policy.backoff_seconds * (2 ** (attempt - 1))
+            self.attempts[shard] = attempt + 1
+            self.retries += 1
+            self.backoff_seconds += delay
+            context.count("parallel.retries")
+            context.event(
+                "shard_retry",
+                shard=shard,
+                attempt=attempt + 1,
+                cause=cause,
+                backoff_seconds=round(delay, 6),
+                detail=detail,
+            )
+            return delay
+        if policy.failure_policy == DEGRADE:
+            self.quarantined.append(shard)
+            context.count("parallel.quarantined")
+            context.event(
+                "shard_quarantined",
+                shard=shard,
+                attempts=attempt,
+                cause=cause,
+                detail=detail,
+            )
+            return None
+        raise ShardFailedError(
+            f"shard {shard} failed {attempt} attempt(s); "
+            f"last cause: {cause} ({detail})",
+            worker=worker,
+            shard=shard,
+            original=detail,
+            attempts=attempt,
+            cause=cause,
+        ) from error
+
+    def report(self) -> SupervisionReport:
+        """Everything recorded so far, as a :class:`SupervisionReport`."""
+        return SupervisionReport(
+            retries=self.retries,
+            respawns=self.respawns,
+            quarantined=tuple(sorted(self.quarantined)),
+            failures=tuple(self.failures),
+            backoff_seconds=self.backoff_seconds,
+        )
+
+
 class ShardSupervisor:
     """Executes one task batch on a pool under a failure policy.
 
@@ -202,15 +289,10 @@ class ShardSupervisor:
         total = len(payloads)
         outcomes: list[tuple[int, Any] | None] = [None] * total
         done = [False] * total
-        attempts = [1] * total  # executions started, per shard
         lost_resubmits = [0] * total  # stall-backstop resubmissions
         in_flight: set[int] = set(range(total))
         waiting: dict[int, float] = {}  # shard -> monotonic ready-at
-        quarantined: list[int] = []
-        failures: list[ShardFailure] = []
-        retries = 0
-        respawns = 0
-        backoff_total = 0.0
+        ledger = RetryLedger(policy)
         completed = 0
         last_progress = time.monotonic()
 
@@ -219,66 +301,24 @@ class ShardSupervisor:
 
         def fail(index: int, cause: str, detail: str, worker: int) -> None:
             """Route one failed attempt: retry, quarantine, or raise."""
-            nonlocal retries, backoff_total
             in_flight.discard(index)
             if done[index]:
                 return  # stale duplicate of a shard that already finished
-            failure = ShardFailure(
-                shard=index,
-                attempt=attempts[index],
-                cause=cause,
-                detail=detail,
-                worker=worker,
-            )
-            failures.append(failure)
-            if attempts[index] <= policy.max_retries:
-                delay = policy.backoff_seconds * (2 ** (attempts[index] - 1))
-                attempts[index] += 1
-                retries += 1
-                backoff_total += delay
-                waiting[index] = time.monotonic() + delay
-                context.count("parallel.retries")
-                context.event(
-                    "shard_retry",
-                    shard=index,
-                    attempt=attempts[index],
-                    cause=cause,
-                    backoff_seconds=round(delay, 6),
-                    detail=detail,
-                )
-                return
-            if policy.failure_policy == DEGRADE:
+            delay = ledger.fail(index, cause, detail, worker)
+            if delay is None:
                 done[index] = True
-                quarantined.append(index)
-                context.count("parallel.quarantined")
-                context.event(
-                    "shard_quarantined",
-                    shard=index,
-                    attempts=attempts[index],
-                    cause=cause,
-                    detail=detail,
-                )
-                return
-            raise ShardFailedError(
-                f"shard {index} failed {attempts[index]} attempt(s); "
-                f"last cause: {cause} ({detail})",
-                worker=worker,
-                shard=index,
-                original=detail,
-                attempts=attempts[index],
-                cause=cause,
-            )
+            else:
+                waiting[index] = time.monotonic() + delay
 
         def revive(worker_id: int, reason: str) -> None:
-            nonlocal respawns
             pool.respawn(worker_id)
-            respawns += 1
+            ledger.respawns += 1
             context.count("parallel.respawns")
             context.event(
                 "worker_respawn", worker=worker_id, reason=reason
             )
 
-        while completed + len(quarantined) < total:
+        while completed + len(ledger.quarantined) < total:
             now = time.monotonic()
 
             # Launch retries whose backoff has elapsed.
@@ -375,21 +415,14 @@ class ShardSupervisor:
                     context.event(
                         "shard_retry",
                         shard=index,
-                        attempt=attempts[index],
+                        attempt=ledger.attempts.get(index, 1),
                         cause=LOST,
                         backoff_seconds=0.0,
                         detail="result message lost; resubmitted",
                     )
                 last_progress = time.monotonic()
 
-        report = SupervisionReport(
-            retries=retries,
-            respawns=respawns,
-            quarantined=tuple(sorted(quarantined)),
-            failures=tuple(failures),
-            backoff_seconds=backoff_total,
-        )
-        return outcomes, report
+        return outcomes, ledger.report()
 
 
 def final_failures(

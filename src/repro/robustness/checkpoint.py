@@ -31,12 +31,13 @@ boundary, checkpoint what it has, and raise
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +59,8 @@ from repro.obs.context import current_context
 from repro.robustness.durability import DurableChunkStore, load_store_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parallel.policy import ExecutionPolicy
+    from repro.parallel.runner import ParallelEvaluation, ParallelRunner
     from repro.robustness.guard import GuardedEngine
 
 #: Checkpoint schema version; bumped on incompatible layout changes.
@@ -139,18 +142,22 @@ def _fingerprint(
     return digest.hexdigest()
 
 
-def _checkpoint_backend_token(resolved_policy: "object | None") -> str:
+def _checkpoint_backend_token(
+    resolved_policy: "object | None", backend: "object | str | None" = None
+) -> str:
     """The backend name a checkpoint must be bound to.
 
-    The policy's explicit backend wins; otherwise the process-wide
-    default — the same resolution order the serial chunk evaluation and
-    the worker processes use, so serial and parallel runs of one
-    configuration still share a fingerprint while a run evaluated under
-    ``--backend fused`` can never silently resume a reference-backend
-    checkpoint.
+    An explicit ``backend`` argument wins, then the policy's explicit
+    backend, then the process-wide default — the same resolution order
+    the serial chunk evaluation and the worker processes use, so serial
+    and parallel runs of one configuration still share a fingerprint
+    while a run evaluated under ``--backend fused`` can never silently
+    resume a reference-backend checkpoint.
     """
     from repro.engine.backends import resolve_backend
 
+    if backend is not None:
+        return resolve_backend(backend).name
     name = getattr(resolved_policy, "backend", None)
     if name:
         return str(name)
@@ -198,10 +205,6 @@ class _Checkpointer:
         self.context = current_context()
         self._store: "DurableChunkStore | None" = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.path is not None
-
     def _meta(
         self, completed: int, quarantined: Iterable[tuple[int, int]]
     ) -> dict:
@@ -223,10 +226,11 @@ class _Checkpointer:
             reason="io",
         )
 
-    def begin(self) -> None:
-        """Start a fresh store (commits an empty generation immediately)."""
-        if not self.enabled:
-            return
+    def begin(self) -> tuple[int, list[tuple[int, int]]]:
+        """Start a fresh store (commits an empty generation immediately);
+        returns the empty ``(completed, quarantined_ranges)``."""
+        if self.path is None:
+            return 0, []
         self._store = DurableChunkStore(
             self.path, kind=self.kind, fingerprint=self.fingerprint
         )
@@ -234,6 +238,7 @@ class _Checkpointer:
             self._store.create(self._meta(0, ()))
         except OSError as error:
             raise self._io_error("create", error) from error
+        return 0, []
 
     def resume(self) -> tuple[int, list[tuple[int, int]]]:
         """Load (salvaging if needed) and reopen the store for appending.
@@ -244,7 +249,7 @@ class _Checkpointer:
         summary in the message — when nothing usable was recovered or the
         store belongs to a different run configuration.
         """
-        if not self.enabled:
+        if self.path is None:
             raise CheckpointError(
                 "resume requested without a checkpoint path", reason="missing"
             )
@@ -324,8 +329,7 @@ class _Checkpointer:
             for start, stop in meta.get("quarantined", [])
             if int(stop) <= completed
         ]
-        lossy = report.lossy or completed < committed
-        if lossy:
+        if report.lossy or completed < committed:
             from repro.robustness.guard import RobustnessWarning
 
             warnings.warn(
@@ -335,28 +339,26 @@ class _Checkpointer:
                 RobustnessWarning,
                 stacklevel=3,
             )
-            if self.context.enabled:
-                self.context.count("checkpoint.salvages")
-                self.context.event(
-                    "checkpoint_salvage",
-                    kind=self.kind,
-                    path=self.path,
-                    chunks_kept=report.chunks_kept,
-                    chunks_quarantined=len(report.chunks_quarantined),
-                    generation=report.generation,
-                    completed=completed,
-                    committed=committed,
-                    summary=salvage,
-                )
-        if self.context.enabled:
-            self.context.count("checkpoint.restores")
+            self.context.count("checkpoint.salvages")
             self.context.event(
-                "checkpoint_restore",
+                "checkpoint_salvage",
                 kind=self.kind,
                 path=self.path,
+                chunks_kept=report.chunks_kept,
+                chunks_quarantined=len(report.chunks_quarantined),
+                generation=report.generation,
                 completed=completed,
-                total=self.total,
+                committed=committed,
+                summary=salvage,
             )
+        self.context.count("checkpoint.restores")
+        self.context.event(
+            "checkpoint_restore",
+            kind=self.kind,
+            path=self.path,
+            completed=completed,
+            total=self.total,
+        )
         self._store = DurableChunkStore(
             self.path, kind=self.kind, fingerprint=self.fingerprint
         )
@@ -378,24 +380,8 @@ class _Checkpointer:
         except OSError as error:
             raise self._io_error("append", error) from error
 
-    def save(
-        self,
-        start: int,
-        stop: int,
-        *,
-        completed: int,
-        quarantined: Iterable[tuple[int, int]] = (),
-    ) -> None:
-        """Append rows [start, stop) and commit the new generation."""
-        if not self.enabled:
-            return
-        self.append_range(start, stop)
-        self.commit(completed, quarantined)
-
     def commit(
-        self,
-        completed: int,
-        quarantined: Iterable[tuple[int, int]] = (),
+        self, completed: int, quarantined: Iterable[tuple[int, int]]
     ) -> None:
         """Commit every appended record under updated run metadata."""
         if self._store is None:
@@ -404,21 +390,157 @@ class _Checkpointer:
             self._store.commit(self._meta(completed, quarantined))
         except OSError as error:
             raise self._io_error("commit", error) from error
-        if self.context.enabled:
-            self.context.count("checkpoint.saves")
-            self.context.event(
-                "checkpoint_save",
-                kind=self.kind,
-                path=self.path,
-                completed=int(completed),
-                total=self.total,
-            )
+        self.context.count("checkpoint.saves")
+        self.context.event(
+            "checkpoint_save",
+            kind=self.kind,
+            path=self.path,
+            completed=int(completed),
+            total=self.total,
+        )
 
     def close(self) -> None:
         """Release the append handle (safe when persistence is off)."""
         if self._store is not None:
             self._store.close()
             self._store = None
+
+
+# --- the chunked driver --------------------------------------------------
+
+
+def _absorb(
+    evaluation: "ParallelEvaluation",
+    start: int,
+    series: Mapping[str, np.ndarray],
+) -> list[tuple[int, int]]:
+    """Copy a wave evaluated from row ``start`` into ``series`` (keyed by
+    evaluation series name) and return the wave's quarantined shard
+    ranges, shifted to global rows."""
+    for name, values in series.items():
+        values[start : start + evaluation.rows] = evaluation.full_series(name)
+    if evaluation.partial is None:
+        return []
+    return [(start + lo, start + hi) for lo, hi in evaluation.partial.ranges]
+
+
+def _run_chunked(
+    *,
+    kind: str,
+    span: str,
+    size_field: str,
+    counter: str,
+    label: str,
+    unit: str,
+    total: int,
+    chunk_rows: int,
+    fingerprint: str,
+    series: Mapping[str, np.ndarray],
+    evaluate: "Callable[[ParallelRunner | None, int, int], list[tuple]]",
+    policy: "ExecutionPolicy | None",
+    checkpoint: str | os.PathLike | None,
+    resume: bool,
+    cancel: CancelToken | None,
+    partial: "Callable[[int], object] | None" = None,
+    fault_plan: object = None,
+) -> list[tuple[int, int]]:
+    """The one wave / cancel / checkpoint / quarantine loop of every
+    chunked runner; returns the row ranges still quarantined at the end.
+
+    ``evaluate(runner, start, stop)`` fills rows ``[start, stop)`` of
+    ``series`` (through ``runner`` under a parallel policy, in-process
+    when it is ``None``) and returns the global row ranges it lost to
+    quarantined shards.  Those ranges are committed with every wave, and
+    a ``resume=True`` run re-attempts only them.  A cancelled run commits
+    what it has and raises ``RunInterrupted`` carrying
+    ``partial(completed)``.  The remaining names label the checkpoint,
+    span, chunk counter and interrupt message of the workload.
+    """
+    context = current_context()
+    ckpt = _Checkpointer(
+        checkpoint,
+        kind=kind,
+        fingerprint=fingerprint,
+        total=total,
+        series=series,
+    )
+    # Global (start, stop) row ranges lost to quarantined shards; persisted
+    # with the checkpoint so a resume knows exactly which completed rows
+    # are holes to re-attempt (older checkpoints simply lack the key).
+    completed, quarantined = ckpt.resume() if resume else ckpt.begin()
+
+    wave_rows = chunk_rows
+    runner_scope = contextlib.nullcontext()
+    if policy is not None and policy.parallel:
+        from repro.parallel.runner import ParallelRunner
+
+        # One wave dispatches `workers` chunks at once; `completed` always
+        # stays a whole-chunk prefix, so a checkpoint written mid-run at
+        # one worker count resumes cleanly at any other.
+        wave_rows *= policy.workers
+        runner_scope = ParallelRunner(
+            policy.replace(shard_rows=chunk_rows), fault_plan=fault_plan
+        )
+    try:
+        with runner_scope as runner, context.span(
+            span,
+            **{size_field: total},
+            chunk_rows=chunk_rows,
+            workers=policy.workers if policy else 0,
+        ):
+            while completed < total:
+                if cancel is not None and cancel.should_stop():
+                    ckpt.commit(completed, quarantined)
+                    error = RunInterrupted(
+                        f"{label} interrupted at {completed}/{total} {unit}"
+                        + (
+                            f"; resume from {os.fspath(checkpoint)!r}"
+                            if checkpoint is not None
+                            else " (no checkpoint path — partial results not "
+                            "persisted)"
+                        ),
+                        completed=completed,
+                        total=total,
+                        checkpoint=checkpoint,
+                    )
+                    if partial is not None:
+                        error.partial = partial(completed)
+                    raise error
+                start, completed = completed, min(completed + wave_rows, total)
+                quarantined.extend(evaluate(runner, start, completed))
+                context.count(counter)
+                context.event(
+                    "chunk", kind=kind, completed=completed, total=total
+                )
+                ckpt.append_range(start, completed)
+                ckpt.commit(completed, quarantined)
+            if resume and quarantined:
+                # A resumed partial run re-attempts ONLY the quarantined
+                # holes — every healthy row rides along from the
+                # checkpoint — and converges bit-identically once the
+                # fault is cleared (every row's inputs are a pure function
+                # of the run configuration, so re-evaluation timing cannot
+                # change values).
+                still: list[tuple[int, int]] = []
+                for start, stop in quarantined:
+                    lost = evaluate(runner, start, stop)
+                    still.extend(lost)
+                    context.count("checkpoint.quarantine_retries")
+                    context.event(
+                        "quarantine_retry",
+                        kind=kind,
+                        start=int(start),
+                        stop=int(stop),
+                        healed=not lost,
+                    )
+                    # Write-ahead the re-attempted rows: the record
+                    # overlays the already-committed chunk on replay.
+                    ckpt.append_range(start, stop)
+                quarantined = still
+                ckpt.commit(completed, quarantined)
+    finally:
+        ckpt.close()
+    return quarantined
 
 
 # --- Monte Carlo ---------------------------------------------------------
@@ -497,7 +619,6 @@ def run_monte_carlo_chunked(
     from repro.parallel.policy import resolve_policy
 
     resolved_policy = resolve_policy(policy)
-    context = current_context()
     source: ShardColumnSource | None = None
     if resolved_policy is not None:
         # Streamed: each wave samples only its own chunks, from their
@@ -511,7 +632,6 @@ def run_monte_carlo_chunked(
             distribution=distribution,
             ranges=ranges,
         )
-        names = source.names
         draw = source.columns
     else:
         columns = sample_parameter_columns(
@@ -522,7 +642,6 @@ def run_monte_carlo_chunked(
             distribution=distribution,
             ranges=ranges,
         )
-        names = tuple(columns)
 
         def draw(start: int, stop: int) -> dict[str, np.ndarray]:
             return {name: col[start:stop] for name, col in columns.items()}
@@ -541,58 +660,25 @@ def run_monte_carlo_chunked(
             distribution,
             guard_tag,
             f"backend={_checkpoint_backend_token(resolved_policy)}",
-            f"columns={','.join(sorted(names))}",
+            f"columns={','.join(sorted(source.names if source else columns))}",
             f"ranges={sorted(ranges.items()) if ranges else None}",
             f"sharded={chunk_rows if resolved_policy is not None else None}",
             sorted(base.as_dict().items()),
         ),
     )
     samples = np.full(draws, np.nan)
-    completed = 0
-    ckpt = _Checkpointer(
-        checkpoint,
-        kind="montecarlo",
-        fingerprint=fingerprint,
-        total=draws,
-        series={"samples": samples},
-    )
-    # Global (start, stop) row ranges lost to quarantined shards; persisted
-    # with the checkpoint so a resume knows exactly which completed rows
-    # are holes to re-attempt (older checkpoints simply lack the key).
-    quarantined_ranges: list[tuple[int, int]] = []
-    if resume:
-        completed, quarantined_ranges = ckpt.resume()
-    else:
-        ckpt.begin()
 
-    parallel = resolved_policy is not None and resolved_policy.parallel
-    # One wave dispatches `workers` chunks at once; `completed` always
-    # stays a whole-chunk prefix, so a checkpoint written mid-run at one
-    # worker count resumes cleanly at any other.
-    wave_rows = (
-        chunk_rows * resolved_policy.workers if parallel else chunk_rows
-    )
-    runner = None
-    if parallel:
-        from repro.parallel.runner import ParallelRunner
-
-        runner = ParallelRunner(resolved_policy, fault_plan=fault_plan)
-
-    def evaluate(start: int, stop: int) -> list[tuple[int, int]]:
-        """Evaluate rows [start, stop) into ``samples``; return the global
-        row ranges lost to quarantined shards."""
+    def evaluate(
+        runner: "ParallelRunner | None", start: int, stop: int
+    ) -> list[tuple[int, int]]:
+        """Fill ``samples[start:stop]``; return the rows lost to quarantine."""
         if runner is not None:
             # Workers sample their own chunks from the shipped seeds.
-            evaluation = runner.evaluate_source(
-                source, start, stop, guard=guard
+            return _absorb(
+                runner.evaluate_source(source, start, stop, guard=guard),
+                start,
+                {"total_g": samples},
             )
-            samples[start:stop] = evaluation.full_series("total_g")
-            if evaluation.partial is None:
-                return []
-            return [
-                (start + lo, start + hi)
-                for lo, hi in evaluation.partial.ranges
-            ]
         chunk = draw(start, stop)
         if guard is not None:
             guarded = guard.evaluate_columns(base, stop - start, chunk)
@@ -602,89 +688,35 @@ def run_monte_carlo_chunked(
             samples[start:stop] = evaluate_cached(batch, cache).total_g
         return []
 
-    try:
-        with context.span(
-            "analysis.montecarlo_chunked",
-            draws=draws,
-            chunk_rows=chunk_rows,
-            workers=resolved_policy.workers if resolved_policy else 0,
-        ):
-            while completed < draws:
-                if cancel is not None and cancel.should_stop():
-                    ckpt.commit(completed, quarantined_ranges)
-                    error = RunInterrupted(
-                        f"Monte Carlo interrupted at {completed}/{draws} draws"
-                        + (
-                            f"; resume from {os.fspath(checkpoint)!r}"
-                            if checkpoint is not None
-                            else " (no checkpoint path — partial results not "
-                            "persisted)"
-                        ),
-                        completed=completed,
-                        total=draws,
-                        checkpoint=checkpoint,
-                    )
-                    error.partial = samples[:completed][
-                        np.isfinite(samples[:completed])
-                    ]
-                    raise error
-                stop = min(completed + wave_rows, draws)
-                # Shard-local holes → global rows, checkpointed so a
-                # resume can target them.
-                quarantined_ranges.extend(evaluate(completed, stop))
-                wave_start = completed
-                completed = stop
-                if context.enabled:
-                    context.count("analysis.montecarlo.chunks")
-                    context.event(
-                        "chunk",
-                        kind="montecarlo",
-                        completed=completed,
-                        total=draws,
-                    )
-                ckpt.save(
-                    wave_start,
-                    completed,
-                    completed=completed,
-                    quarantined=quarantined_ranges,
-                )
-            if resume and quarantined_ranges:
-                # A resumed partial run re-attempts ONLY the quarantined
-                # holes — every healthy row rides along from the
-                # checkpoint — and converges bit-identically once the
-                # fault is cleared (sample columns are seed-determined,
-                # so re-evaluation timing cannot change values).
-                still: list[tuple[int, int]] = []
-                for start, stop in quarantined_ranges:
-                    lost = evaluate(start, stop)
-                    still.extend(lost)
-                    if context.enabled:
-                        context.count("checkpoint.quarantine_retries")
-                        context.event(
-                            "quarantine_retry",
-                            kind="montecarlo",
-                            start=int(start),
-                            stop=int(stop),
-                            healed=not lost,
-                        )
-                    # Write-ahead the re-attempted rows: the record
-                    # overlays the already-committed chunk on replay.
-                    ckpt.append_range(start, stop)
-                quarantined_ranges = still
-                ckpt.commit(completed, quarantined_ranges)
-    finally:
-        ckpt.close()
-        if runner is not None:
-            runner.close()
+    quarantined_ranges = _run_chunked(
+        kind="montecarlo",
+        span="analysis.montecarlo_chunked",
+        size_field="draws",
+        counter="analysis.montecarlo.chunks",
+        label="Monte Carlo",
+        unit="draws",
+        total=draws,
+        chunk_rows=chunk_rows,
+        fingerprint=fingerprint,
+        series={"samples": samples},
+        evaluate=evaluate,
+        partial=lambda completed: samples[:completed][
+            np.isfinite(samples[:completed])
+        ],
+        policy=resolved_policy,
+        checkpoint=checkpoint,
+        resume=resume,
+        cancel=cancel,
+        fault_plan=fault_plan,
+    )
 
     # Guarded runs mark masked rows NaN — and so do quarantined shards;
-    # drop them like the one-shot path.  Boolean indexing already copies.
+    # drop them like the one-shot path.  ``samples`` is this call's own
+    # array, so it is returned as is when nothing was dropped: copying it
+    # would hold a second draws-long array at the run's memory peak.
     holes = bool(quarantined_ranges)
-    finished = (
-        samples[np.isfinite(samples)]
-        if (guard is not None or holes)
-        else samples
-    )
+    finite = np.isfinite(samples) if (guard is not None or holes) else None
+    finished = samples if finite is None or finite.all() else samples[finite]
     partial = None
     if holes:
         from repro.parallel.supervisor import PartialResult
@@ -722,7 +754,10 @@ def sweep_grid_batched_chunked(
     Evaluates the Cartesian grid ``chunk_rows`` rows at a time and
     reassembles a :class:`~repro.dse.sweep.BatchSweepResult` bit-identical
     to the one-shot sweep (the kernels are elementwise, so chunk
-    boundaries cannot change any value).
+    boundaries cannot change any value).  Rows a ``"degrade"`` policy
+    loses to quarantined shards are ``NaN``, recorded in the checkpoint,
+    and re-attempted by the next ``resume=True`` run, exactly as in
+    :func:`run_monte_carlo_chunked`.
 
     Args:
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
@@ -752,7 +787,6 @@ def sweep_grid_batched_chunked(
 
     resolved_policy = resolve_policy(policy)
     planner_mode = resolve_planner_mode(planner)
-    context = current_context()
     size, columns = product_columns(base, grids)
     names = tuple(grids)
     fingerprint = _fingerprint(
@@ -768,31 +802,8 @@ def sweep_grid_batched_chunked(
     )
     series_names = tuple(BatchResult.__dataclass_fields__)
     series = {name: np.full(size, np.nan) for name in series_names}
-    completed = 0
-    ckpt = _Checkpointer(
-        checkpoint,
-        kind="sweep",
-        fingerprint=fingerprint,
-        total=size,
-        series=series,
-    )
-    if resume:
-        completed, _ = ckpt.resume()
-    else:
-        ckpt.begin()
-
-    parallel = resolved_policy is not None and resolved_policy.parallel
-    wave_rows = (
-        chunk_rows * resolved_policy.workers if parallel else chunk_rows
-    )
-    runner = None
-    if parallel:
-        from repro.parallel.runner import ParallelRunner
-
-        runner = ParallelRunner(
-            resolved_policy.replace(shard_rows=chunk_rows)
-        )
     plan = factor_tables = None
+    parallel = resolved_policy is not None and resolved_policy.parallel
     if not parallel and planner_engaged(planner_mode, size):
         # Factor Eq. 1-8 once up front; each chunk below then only
         # gathers its row range out of the broadcasted outer product.
@@ -801,72 +812,52 @@ def sweep_grid_batched_chunked(
         # can never silently cross planner settings.
         plan = plan_product(base, grids)
         factor_tables = plan.partial_series()
-    try:
-        with context.span(
-            "dse.sweep_grid_chunked",
-            points=size,
-            chunk_rows=chunk_rows,
-            workers=resolved_policy.workers if resolved_policy else 0,
-        ):
-            while completed < size:
-                if cancel is not None and cancel.should_stop():
-                    ckpt.commit(completed)
-                    raise RunInterrupted(
-                        f"grid sweep interrupted at {completed}/{size} rows"
-                        + (
-                            f"; resume from {os.fspath(checkpoint)!r}"
-                            if checkpoint is not None
-                            else " (no checkpoint path — partial results not "
-                            "persisted)"
-                        ),
-                        completed=completed,
-                        total=size,
-                        checkpoint=checkpoint,
-                    )
-                stop = min(completed + wave_rows, size)
-                if runner is not None:
-                    chunk = {
-                        name: column[completed:stop]
-                        for name, column in columns.items()
-                    }
-                    evaluation = runner.evaluate_columns(
-                        base, stop - completed, chunk
-                    )
-                    for name in series_names:
-                        series[name][completed:stop] = evaluation.full_series(
-                            name
-                        )
-                elif factor_tables is not None:
-                    chunk_series = plan.gather_rows(
-                        factor_tables, completed, stop
-                    )
-                    for name in series_names:
-                        series[name][completed:stop] = chunk_series[name]
-                else:
-                    chunk_batch = ScenarioBatch(
-                        **{
-                            name: np.ascontiguousarray(column[completed:stop])
-                            for name, column in columns.items()
-                        }
-                    )
-                    chunk_result = evaluate_cached(chunk_batch, cache)
-                    for name in series_names:
-                        series[name][completed:stop] = getattr(
-                            chunk_result, name
-                        )
-                wave_start = completed
-                completed = stop
-                if context.enabled:
-                    context.count("dse.sweep.chunks")
-                    context.event(
-                        "chunk", kind="sweep", completed=completed, total=size
-                    )
-                ckpt.save(wave_start, completed, completed=completed)
-    finally:
-        ckpt.close()
-        if runner is not None:
-            runner.close()
 
+    def evaluate(
+        runner: "ParallelRunner | None", start: int, stop: int
+    ) -> list[tuple[int, int]]:
+        """Fill ``series`` rows [start, stop); return the rows lost."""
+        if runner is not None:
+            chunk = {name: col[start:stop] for name, col in columns.items()}
+            return _absorb(
+                runner.evaluate_columns(base, stop - start, chunk),
+                start,
+                series,
+            )
+        if factor_tables is not None:
+            chunk_series = plan.gather_rows(factor_tables, start, stop)
+        else:
+            chunk_batch = ScenarioBatch(
+                **{
+                    name: np.ascontiguousarray(column[start:stop])
+                    for name, column in columns.items()
+                }
+            )
+            chunk_result = evaluate_cached(chunk_batch, cache)
+            chunk_series = {
+                name: getattr(chunk_result, name) for name in series_names
+            }
+        for name in series:
+            series[name][start:stop] = chunk_series[name]
+        return []
+
+    _run_chunked(
+        kind="sweep",
+        span="dse.sweep_grid_chunked",
+        size_field="points",
+        counter="dse.sweep.chunks",
+        label="grid sweep",
+        unit="rows",
+        total=size,
+        chunk_rows=chunk_rows,
+        fingerprint=fingerprint,
+        series=series,
+        evaluate=evaluate,
+        policy=resolved_policy,
+        checkpoint=checkpoint,
+        resume=resume,
+        cancel=cancel,
+    )
     batch = ScenarioBatch(**columns)
     result = BatchResult(**series)
     return BatchSweepResult(names=names, batch=batch, result=result)
@@ -901,6 +892,8 @@ def run_schedule_sweep_chunked(
     identity plus the resolved backend name — no materialized columns to
     hash — and a checkpoint written at one worker count or chunk size
     resumes bit-identically at any other (but never across backends).
+    Rows a ``"degrade"`` policy loses to quarantined shards are ``NaN``,
+    recorded in the checkpoint, and re-attempted on ``resume=True``.
 
     Args:
         chunk_rows: Rows per evaluation chunk (and checkpoint cadence).
@@ -923,7 +916,6 @@ def run_schedule_sweep_chunked(
             name → array mapping.
     """
     require_positive("chunk_rows", chunk_rows)
-    from repro.engine.backends import resolve_backend
     from repro.parallel.policy import resolve_policy
     from repro.scheduling.batch import (
         SCHEDULE_SERIES,
@@ -938,19 +930,12 @@ def run_schedule_sweep_chunked(
             reason="mismatch",
         )
     resolved_policy = resolve_policy(policy)
-    backend_name = (
-        resolve_backend(backend).name if backend is not None else None
-    )
-    # The explicit backend argument wins; otherwise the policy's backend
-    # or the process-wide default — the same resolution the evaluation
-    # paths use, folded into the fingerprint so a sweep evaluated under
-    # one backend cannot silently resume another's checkpoint.
-    backend_token = (
-        backend_name
-        if backend_name is not None
-        else _checkpoint_backend_token(resolved_policy)
-    )
-    context = current_context()
+    # Folded into the fingerprint so a sweep evaluated under one backend
+    # cannot silently resume another's checkpoint.
+    backend_token = _checkpoint_backend_token(resolved_policy, backend)
+    if backend is not None and resolved_policy is not None:
+        # Workers receive the explicit backend by name.
+        resolved_policy = resolved_policy.replace(backend=backend_token)
     rows = spec.rows
     fingerprint = _fingerprint(
         "schedule",
@@ -962,90 +947,43 @@ def run_schedule_sweep_chunked(
         + (f"backend={backend_token}",),
     )
     series = {name: np.full(rows, np.nan) for name in SCHEDULE_SERIES}
-    completed = 0
-    ckpt = _Checkpointer(
-        checkpoint_path,
-        kind="schedule",
-        fingerprint=fingerprint,
-        total=rows,
-        series=series,
-    )
-    if resume:
-        completed, _ = ckpt.resume()
-    else:
-        ckpt.begin()
 
-    parallel = resolved_policy is not None and resolved_policy.parallel
-    wave_rows = (
-        chunk_rows * resolved_policy.workers if parallel else chunk_rows
-    )
-    runner = None
-    if parallel:
-        from repro.parallel.runner import ParallelRunner
-
-        runner_policy = resolved_policy.replace(shard_rows=chunk_rows)
-        if backend_name is not None:
-            runner_policy = runner_policy.replace(backend=backend_name)
-        runner = ParallelRunner(runner_policy)
-    try:
-        with context.span(
-            "scheduling.sweep_chunked",
-            rows=rows,
-            chunk_rows=chunk_rows,
-            workers=resolved_policy.workers if resolved_policy else 0,
-        ):
-            while completed < rows:
-                if cancel is not None and cancel.should_stop():
-                    ckpt.commit(completed)
-                    error = RunInterrupted(
-                        f"schedule sweep interrupted at {completed}/{rows} "
-                        "rows"
-                        + (
-                            f"; resume from {os.fspath(checkpoint_path)!r}"
-                            if checkpoint_path is not None
-                            else " (no checkpoint path — partial results not "
-                            "persisted)"
-                        ),
-                        completed=completed,
-                        total=rows,
-                        checkpoint=checkpoint_path,
-                    )
-                    error.partial = {
-                        name: np.array(series[name][:completed], copy=True)
-                        for name in SCHEDULE_SERIES
-                    }
-                    raise error
-                stop = min(completed + wave_rows, rows)
-                if runner is not None:
-                    evaluation = runner.evaluate_schedule(
-                        spec, start=completed, stop=stop
-                    )
-                    for name in SCHEDULE_SERIES:
-                        series[name][completed:stop] = evaluation.full_series(
-                            name
-                        )
-                else:
-                    chunk_batch = build_schedule_batch(spec, completed, stop)
-                    chunk_result = evaluate_schedule_cached(
-                        chunk_batch, cache, backend_name
-                    )
-                    for name in SCHEDULE_SERIES:
-                        series[name][completed:stop] = getattr(
-                            chunk_result, name
-                        )
-                wave_start = completed
-                completed = stop
-                if context.enabled:
-                    context.count("scheduling.sweep.chunks")
-                    context.event(
-                        "chunk",
-                        kind="schedule",
-                        completed=completed,
-                        total=rows,
-                    )
-                ckpt.save(wave_start, completed, completed=completed)
-    finally:
-        ckpt.close()
+    def evaluate(
+        runner: "ParallelRunner | None", start: int, stop: int
+    ) -> list[tuple[int, int]]:
+        """Fill ``series`` rows [start, stop); return the rows lost."""
         if runner is not None:
-            runner.close()
+            return _absorb(
+                runner.evaluate_schedule(spec, start=start, stop=stop),
+                start,
+                series,
+            )
+        chunk_result = evaluate_schedule_cached(
+            build_schedule_batch(spec, start, stop), cache, backend
+        )
+        for name in SCHEDULE_SERIES:
+            series[name][start:stop] = getattr(chunk_result, name)
+        return []
+
+    _run_chunked(
+        kind="schedule",
+        span="scheduling.sweep_chunked",
+        size_field="rows",
+        counter="scheduling.sweep.chunks",
+        label="schedule sweep",
+        unit="rows",
+        total=rows,
+        chunk_rows=chunk_rows,
+        fingerprint=fingerprint,
+        series=series,
+        evaluate=evaluate,
+        partial=lambda completed: {
+            name: np.array(series[name][:completed], copy=True)
+            for name in SCHEDULE_SERIES
+        },
+        policy=resolved_policy,
+        checkpoint=checkpoint_path,
+        resume=resume,
+        cancel=cancel,
+    )
     return series

@@ -289,7 +289,11 @@ def build_schedule_batch(
 
 @dataclass(frozen=True)
 class PolicyPoint:
-    """Aggregate outcome of one policy over its feasible windows."""
+    """Aggregate outcome of one policy over its feasible windows.
+
+    ``windows`` counts the windows that were evaluated: a degraded run's
+    quarantined windows are excluded, not counted as infeasible.
+    """
 
     policy: str
     mean_emissions_g: float
@@ -337,6 +341,10 @@ def summarize_sweep(
         }
         feasible = rows["feasible"] >= 0.5
         count = int(feasible.sum())
+        # Windows a degraded run lost to quarantine are NaN in every
+        # series: they were never evaluated, so they count neither as
+        # feasible nor as windows.
+        windows = int(np.isfinite(rows["feasible"]).sum())
         if count:
             point = PolicyPoint(
                 policy=name,
@@ -352,7 +360,7 @@ def summarize_sweep(
                     rows["preemptions"][feasible].sum()
                 ),
                 feasible_windows=count,
-                windows=spec.windows,
+                windows=windows,
             )
         else:
             point = PolicyPoint(
@@ -363,7 +371,7 @@ def summarize_sweep(
                 mean_energy_kwh=float("nan"),
                 total_preemptions=0.0,
                 feasible_windows=0,
-                windows=spec.windows,
+                windows=windows,
             )
         points.append(point)
     comparable = [

@@ -7,7 +7,9 @@ import pytest
 
 from repro.analysis import ActScenario, run_monte_carlo
 from repro.core.errors import CheckpointError, RunInterrupted
+from repro.core.intensity import solar_diurnal_trace
 from repro.dse import sweep_grid_batched
+from repro.engine.backends import use_backend
 from repro.engine.cache import EvaluationCache
 from repro.robustness import (
     SKIP,
@@ -19,6 +21,8 @@ from repro.robustness import (
     run_monte_carlo_chunked,
     sweep_grid_batched_chunked,
 )
+from repro.robustness.checkpoint import run_schedule_sweep_chunked
+from repro.scheduling.sweep import ScheduleSweepSpec
 
 BASE = ActScenario()
 GRIDS = {"fab_yield": [0.6, 0.75, 0.875, 1.0], "energy_kwh": list(range(1, 9))}
@@ -215,3 +219,48 @@ class TestSweepChunked:
         replayed = {"total_g": np.full(len(result), np.nan)}
         assert state.replay(replayed) == len(result)
         np.testing.assert_array_equal(replayed["total_g"], result.result.total_g)
+
+
+class TestFingerprintPins:
+    """The sweep and schedule checkpoint fingerprints, pinned to the values
+    the per-kind drivers wrote before they shared one chunked driver, so
+    no driver refactor can silently orphan existing checkpoints.  (The
+    Monte Carlo pin lives in ``tests/test_mc_streaming.py``.)"""
+
+    SWEEP = "740e14630ff021c060ffb1942d355c437c2b7accd869e13e0ac5403368272ad2"
+    SCHEDULE = (
+        "b37015560d0f61156b34f6000be193119ddcd4a051fdd106e3c822e8fc38eaea"
+    )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_sweep_fingerprint(self, tmp_path, workers):
+        path = tmp_path / "sweep.ckpt"
+        with use_backend("reference"):
+            sweep_grid_batched_chunked(
+                BASE,
+                GRIDS,
+                chunk_rows=8,
+                checkpoint=path,
+                planner="auto",
+                policy=workers,
+            )
+        assert load_store_state(path).meta["fingerprint"] == self.SWEEP
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("backend", [None, "reference"])
+    def test_schedule_fingerprint(self, tmp_path, workers, backend):
+        path = tmp_path / "schedule.ckpt"
+        spec = ScheduleSweepSpec(
+            trace=solar_diurnal_trace(500.0, solar_share_at_noon=0.7),
+            windows=60,
+            seed=7,
+        )
+        with use_backend("reference"):
+            run_schedule_sweep_chunked(
+                spec,
+                chunk_rows=50,
+                checkpoint_path=path,
+                policy=workers,
+                backend=backend,
+            )
+        assert load_store_state(path).meta["fingerprint"] == self.SCHEDULE

@@ -36,6 +36,7 @@ from repro.parallel import (
     SharedArrayStore,
     WorkerPool,
 )
+from repro.parallel.supervisor import RetryLedger
 from repro.robustness.checkpoint import run_monte_carlo_chunked
 from repro.robustness.faultinject import (
     CORRUPT_SHM_NAME,
@@ -422,6 +423,59 @@ class TestDegradeRecovery:
         with ParallelRunner(policy, fault_plan=plan) as runner:
             with pytest.raises(ShardFailedError, match="pareto"):
                 runner.pareto_mask(objectives)
+
+
+# --- one retry decision for the pool and the in-process path --------------
+
+
+class TestRetryLedger:
+    def test_budget_backoff_and_events(self):
+        """Retries back off exponentially, then the policy decides."""
+        policy = fast_policy(
+            failure_policy=DEGRADE, max_retries=2, backoff_seconds=0.5
+        )
+        context = RunContext.create(describe_git=False)
+        with use_context(context):
+            ledger = RetryLedger(policy)
+            assert ledger.fail(3, "error", "boom", 0) == 0.5
+            assert ledger.fail(3, "error", "boom", 0) == 1.0
+            assert ledger.fail(3, "error", "boom", 0) is None
+        report = ledger.report()
+        assert report.retries == 2
+        assert report.backoff_seconds == 1.5
+        assert report.quarantined == (3,)
+        assert [failure.attempt for failure in report.failures] == [1, 2, 3]
+        assert [
+            event["attempt"] for event in context.sink.of_type("shard_retry")
+        ] == [2, 3]
+        assert [
+            event["attempts"]
+            for event in context.sink.of_type("shard_quarantined")
+        ] == [3]
+
+    def test_exhausted_retry_budget_raises_chained(self):
+        ledger = RetryLedger(fast_policy(max_retries=0))
+        cause = OSError("dangling handle")
+        with pytest.raises(ShardFailedError) as info:
+            ledger.fail(1, "error", repr(cause), 0, cause)
+        assert info.value.shard == 1
+        assert info.value.attempts == 1
+        assert info.value.__cause__ is cause
+
+    def test_in_process_path_spends_the_same_budget(self, tmp_path):
+        """workers=1 under "retry": a fault that outlives the budget
+        raises the same ShardFailedError the pool would."""
+        plan = ProcessFaultPlan.create(
+            tmp_path, [ProcessFault("corrupt_shm", shard=1, times=3)]
+        )
+        policy = fast_policy(workers=1, max_retries=1)
+        with ParallelRunner(policy, fault_plan=plan) as runner:
+            with pytest.raises(ShardFailedError) as info:
+                runner.run_monte_carlo(BASE, draws=600, seed=7)
+        assert info.value.shard == 1
+        assert info.value.attempts == 2
+        assert info.value.cause == "error"
+        assert isinstance(info.value.__cause__, FileNotFoundError)
 
 
 # --- observability ---------------------------------------------------------
