@@ -14,10 +14,9 @@ shard sizes, and both transports.  Every figure is best-of-N with the
 repeat count recorded alongside it; overhead fractions are stored raw
 (negative = timer noise) and clamped to zero only in the printed summary.
 
-A ``backends`` section records kernel-only throughput per registered
-:class:`~repro.engine.backends.KernelBackend` on the same two workloads,
-and gates the fused float64 path against the reference (fewer
-allocations must not be slower).
+A ``backends`` section records the kernel-only throughput of the one
+float64 kernel on the same two workloads, under the ``reference`` key
+the perf-regression guard compares.
 """
 
 from __future__ import annotations
@@ -266,67 +265,58 @@ def test_perf_engine():
 
 
 def test_perf_backends():
-    """Kernel-only throughput of every registered backend.
+    """Kernel-only throughput of the float64 kernel.
 
     Evaluates the same prebuilt batches — the 10k-draw Monte Carlo sample
-    and the 1200-point sweep product — through each backend's raw
-    ``evaluate`` path, interleaving the backends each round so clock
-    drift hits all of them equally.  Merges a ``backends`` section into
-    ``BENCH_engine.json`` keyed by backend name (so the perf guard can
-    compare only backends present in both payloads) and gates the fused
-    float64 path: fewer allocations must not be slower than the
-    reference on the Monte Carlo batch.
+    and the 1200-point sweep product — through the raw kernel pass,
+    interleaving the two workloads each round so clock drift hits both
+    equally.  Merges a ``backends`` section into ``BENCH_engine.json``
+    with one ``reference`` entry (the key the perf guard compares).
     """
     from repro.analysis.montecarlo import sample_scenario_batch
-    from repro.engine import ScenarioBatch, available_backends, get_backend
+    from repro.engine import ScenarioBatch
+    from repro.engine.kernels import _evaluate_batch_arrays
 
     base = ActScenario()
     mc_batch = sample_scenario_batch(base, draws=MC_DRAWS, seed=2022)
     sweep_batch = ScenarioBatch.from_product(base, SWEEP_GRIDS)
     sweep_points = len(sweep_batch)
-    backends = {name: get_backend(name) for name in available_backends()}
 
     calls = 20
     rounds = 7
 
-    def _loop(backend, batch):
+    def _loop(batch):
         def run() -> None:
             for _ in range(calls):
-                backend.evaluate(batch)
+                _evaluate_batch_arrays(batch)
 
         return run
 
-    for backend in backends.values():  # warm-up: JIT compilation, caches
-        backend.evaluate(mc_batch)
-        backend.evaluate(sweep_batch)
+    _evaluate_batch_arrays(mc_batch)  # warm-up
+    _evaluate_batch_arrays(sweep_batch)
 
-    mc_seconds = {name: float("inf") for name in backends}
-    sweep_seconds = {name: float("inf") for name in backends}
+    mc_seconds = sweep_seconds = float("inf")
     for _ in range(rounds):
-        for name, backend in backends.items():
-            mc_seconds[name] = min(
-                mc_seconds[name],
-                _best_seconds(_loop(backend, mc_batch), repeats=1) / calls,
-            )
-            sweep_seconds[name] = min(
-                sweep_seconds[name],
-                _best_seconds(_loop(backend, sweep_batch), repeats=1) / calls,
-            )
+        mc_seconds = min(
+            mc_seconds, _best_seconds(_loop(mc_batch), repeats=1) / calls
+        )
+        sweep_seconds = min(
+            sweep_seconds, _best_seconds(_loop(sweep_batch), repeats=1) / calls
+        )
 
     section = {
-        name: {
-            "dtype": str(backends[name].dtype),
-            "tolerance": float(backends[name].tolerance),
+        "reference": {
+            "dtype": "float64",
+            "tolerance": 0.0,
             "repeats": rounds,
             "calls_per_repeat": calls,
             "monte_carlo_rows": MC_DRAWS,
-            "monte_carlo_seconds": mc_seconds[name],
-            "monte_carlo_points_per_sec": MC_DRAWS / mc_seconds[name],
+            "monte_carlo_seconds": mc_seconds,
+            "monte_carlo_points_per_sec": MC_DRAWS / mc_seconds,
             "grid_sweep_rows": sweep_points,
-            "grid_sweep_seconds": sweep_seconds[name],
-            "grid_sweep_points_per_sec": sweep_points / sweep_seconds[name],
+            "grid_sweep_seconds": sweep_seconds,
+            "grid_sweep_points_per_sec": sweep_points / sweep_seconds,
         }
-        for name in backends
     }
 
     payload = {}
@@ -347,16 +337,6 @@ def test_perf_backends():
             f"sweep {entry['grid_sweep_points_per_sec']:,.0f}/s"
             for name, entry in section.items()
         )
-    )
-
-    fused_gain = (
-        section["fused"]["monte_carlo_points_per_sec"]
-        / section["reference"]["monte_carlo_points_per_sec"]
-    )
-    assert fused_gain > 1.0, (
-        f"fused backend is {fused_gain:.2f}x the reference on the "
-        f"{MC_DRAWS}-draw Monte Carlo batch — the allocation-minimal "
-        "pass must not be slower"
     )
 
 

@@ -111,18 +111,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         help="re-executions granted per shard beyond its first attempt "
         "under retry/degrade (default: 2)",
     )
-    # Deliberately not argparse `choices`: the registry is open (numba
-    # registers itself when installed), so names resolve at runtime and an
-    # unknown one raises ParameterError (exit 2) listing what exists.
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend evaluating the batches (reference = pinned "
-        "float64 path, fused = same results with fewer allocations, "
-        "float32 = reduced precision, numba = JIT loop when installed; "
-        "default: the ACT_REPRO_BACKEND env var, else reference)",
-    )
     parser.add_argument(
         "--planner",
         choices=("auto", "on", "off"),
@@ -550,12 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="longest a SIGTERM drain waits for in-flight requests",
     )
     serve.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend for every evaluation (default: process-wide "
-        "selection)",
-    )
-    serve.add_argument(
         "--access-log",
         default=None,
         metavar="FILE",
@@ -702,7 +684,6 @@ def _workers_policy(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.engine.backends import use_backend
     from repro.engine.plan import use_planner
     from repro.parallel import use_execution_policy
 
@@ -714,11 +695,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         args.failure_policy,
         args.max_retries,
     )
-    # use_backend(None) / use_planner(None) re-install the current
-    # process-wide selections, so invocations without --backend or
-    # --planner are exactly the historical behavior.
-    with use_backend(args.backend), use_planner(args.planner), \
-            use_execution_policy(policy):
+    # use_planner(None) re-installs the current process-wide selection,
+    # so invocations without --planner are exactly the historical behavior.
+    with use_planner(args.planner), use_execution_policy(policy):
         results = _run_experiment_set(args.id)
     failures = [c for r in results for c in r.failed_checks()]
     if args.json:
@@ -818,7 +797,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.analysis import ActScenario, run_monte_carlo, tornado
-    from repro.engine.backends import use_backend
     from repro.engine.plan import use_planner
 
     base = ActScenario()
@@ -836,7 +814,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    with use_backend(args.backend), use_planner(args.planner):
+    with use_planner(args.planner):
         result = run_monte_carlo(
             base,
             draws=args.draws,
@@ -860,7 +838,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     import time
 
     from repro.analysis import ActScenario, run_monte_carlo
-    from repro.engine.backends import use_backend
     from repro.engine.plan import use_planner
 
     try:
@@ -912,7 +889,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             if args.max_seconds is not None
             else None
         )
-        with use_backend(args.backend), use_planner(args.planner):
+        with use_planner(args.planner):
             result = run_monte_carlo_chunked(
                 base,
                 draws=args.draws,
@@ -927,7 +904,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
                 policy=policy,
             )
     else:
-        with use_backend(args.backend), use_planner(args.planner):
+        with use_planner(args.planner):
             result = run_monte_carlo(
                 base,
                 draws=args.draws,
@@ -980,7 +957,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.intensity import constant_trace, solar_diurnal_trace
-    from repro.engine.backends import use_backend
     from repro.scheduling import (
         POLICY_NAMES,
         ScheduleSweepSpec,
@@ -1015,16 +991,15 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
         cancel = CancelToken(deadline_seconds=args.max_seconds)
     started = time.perf_counter()
-    with use_backend(args.backend):
-        result = run_policy_sweep(
-            spec,
-            policy=policy,
-            chunk_rows=args.chunk_rows,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            cancel=cancel,
-            verify_sample=args.verify_sample,
-        )
+    result = run_policy_sweep(
+        spec,
+        policy=policy,
+        chunk_rows=args.chunk_rows,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        cancel=cancel,
+        verify_sample=args.verify_sample,
+    )
     elapsed = time.perf_counter() - started
     print(
         f"Carbon-aware scheduling sweep — {spec.windows} windows x "
@@ -1170,7 +1145,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         breaker_cooldown_s=args.breaker_cooldown_s,
         cache_capacity=args.cache_capacity,
         drain_timeout_s=args.drain_timeout_s,
-        backend=args.backend,
     )
     access_log = (
         JsonlEventSink(args.access_log) if args.access_log else None

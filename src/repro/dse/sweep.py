@@ -292,7 +292,7 @@ def _planned_sweep(
 ) -> BatchSweepResult:
     """The factored serial sweep (see :mod:`repro.engine.plan`).
 
-    Bit-identical to the dense path on the active backend: the plan
+    Bit-identical to the dense path: the plan
     evaluates each Eq. 1-8 partial once on its marginal grid and
     broadcasts the outer products out, the sampled cross-check re-derives
     up to 32 rows densely, and the result batch is the same grid with
@@ -331,7 +331,7 @@ def _parallel_planned_sweep(
     with ParallelRunner(policy) as runner:
         evaluation = runner.evaluate_planned(plan)
     result = evaluation.batch_result()
-    verify_plan(plan, result, getattr(policy, "backend", None))
+    verify_plan(plan, result)
     return PlannedSweepResult(names=plan.names, result=result, plan=plan)
 
 
@@ -442,8 +442,8 @@ def sweep_grid_batched(
             factored into per-axis partial terms evaluated once on their
             marginal grids (:mod:`repro.engine.plan`) — bit-identical
             results, orders of magnitude less arithmetic on separable
-            grids.  Guarded sweeps and non-plannable backends always use
-            the dense path; ``"off"`` reproduces it unconditionally.
+            grids.  Guarded sweeps always use the dense path; ``"off"``
+            reproduces it unconditionally.
     """
     if not grids:
         raise ConstraintError("at least one parameter grid is required")
@@ -460,9 +460,7 @@ def sweep_grid_batched(
         workers=resolved_policy.workers if resolved_policy is not None else 0,
     ):
         if resolved_policy is not None and resolved_policy.parallel:
-            if guard is None and planner_engaged(
-                mode, _grid_size(grids), getattr(resolved_policy, "backend", None)
-            ):
+            if guard is None and planner_engaged(mode, _grid_size(grids)):
                 return _parallel_planned_sweep(base, grids, resolved_policy)
             return _parallel_sweep(base, grids, resolved_policy, guard)
         if guard is not None:

@@ -14,32 +14,10 @@ Use the scalar path for single designs and rich per-component reports; use
 the engine whenever the same question is asked across a grid, a sample, or
 a design space.
 
-*How* a batch is evaluated is a pluggable :class:`KernelBackend`
-(:mod:`repro.engine.backends`): the default ``reference`` backend is the
-pinned float64 path above, ``fused`` collapses the pipeline into
-allocation-minimal in-place passes (bit-identical results), ``float32``
-trades precision for bandwidth under a documented drift envelope, and a
-``numba`` backend registers when the optional dependency is installed.
-Select one per call (``evaluate_batch(batch, backend="fused")``) or
-process-wide (``with use_backend("fused"): ...``).
+There is one float64 kernel body; the scalar ``core/`` model is its
+oracle.
 """
 
-from repro.engine.backends import (
-    BACKEND_ENV_VAR,
-    FLOAT32,
-    FUSED,
-    NUMBA,
-    REFERENCE,
-    KernelBackend,
-    available_backends,
-    backend_summary,
-    current_backend,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-    use_backend,
-)
 from repro.engine.batch import FIELD_NAMES, ScenarioBatch, product_params
 from repro.engine.cache import (
     DEFAULT_CACHE,
@@ -77,7 +55,6 @@ from repro.engine.plan import (
     PLANNER_ON,
     DedupPlan,
     SweepPlan,
-    backend_plannable,
     current_planner_mode,
     dedup_rows,
     evaluate_batch_deduped,
@@ -90,40 +67,29 @@ from repro.engine.plan import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BatchResult",
     "CacheStats",
     "DEFAULT_CACHE",
     "DedupPlan",
     "EvaluationCache",
     "FIELD_NAMES",
-    "FLOAT32",
-    "FUSED",
-    "KernelBackend",
     "METRIC_INPUTS",
-    "NUMBA",
     "PLANNER_AUTO",
     "PLANNER_ENV_VAR",
     "PLANNER_OFF",
     "PLANNER_ON",
-    "REFERENCE",
     "ScenarioBatch",
     "SweepPlan",
-    "available_backends",
-    "backend_plannable",
-    "backend_summary",
     "batch_key",
     "best_index",
     "canonical_metric",
     "cpa_g_per_cm2",
-    "current_backend",
     "current_planner_mode",
     "dedup_rows",
     "evaluate_batch",
     "evaluate_batch_deduped",
     "evaluate_cached",
     "evaluate_plan_cached",
-    "get_backend",
     "metric_columns",
     "metric_table_entry",
     "operational_g",
@@ -131,8 +97,6 @@ __all__ = [
     "plan_product",
     "planner_engaged",
     "product_params",
-    "register_backend",
-    "resolve_backend",
     "resolve_planner_mode",
     "row_key",
     "score_table_batched",
@@ -140,8 +104,6 @@ __all__ = [
     "stack_design_points",
     "storage_embodied_g",
     "total_g",
-    "unregister_backend",
-    "use_backend",
     "use_planner",
     "verify_plan",
     "winners_batched",

@@ -57,24 +57,6 @@ FIELD_NAMES: tuple[str, ...] = (
     "packaging_g_per_ic",
 )
 
-#: Float dtypes a batch may carry.  float64 is the reference (and the
-#: default everywhere); float32 exists for the reduced-precision backend.
-#: Anything else coerces to float64 at construction, as it always has.
-SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-def _column_dtype(columns: "Sequence[np.ndarray]") -> np.dtype:
-    """The dtype a batch/result should carry for these raw columns.
-
-    Reduced precision is honored only when *every* column carries it —
-    a single float64 column widens the whole batch back to the
-    reference dtype, so precision is never silently mixed.
-    """
-    if all(np.asarray(c).dtype == np.float32 for c in columns):
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
-
-
 #: Columns that must be strictly positive (denominators in Eq. 1 / Eq. 5).
 POSITIVE_FIELDS = frozenset({"lifetime_hours"})
 
@@ -180,10 +162,9 @@ def prevalidated_batch(columns: Mapping[str, np.ndarray]) -> "ScenarioBatch":
             f"prevalidated batch is missing columns: {', '.join(sorted(missing))}"
         )
     batch = object.__new__(ScenarioBatch)
-    dtype = _column_dtype([columns[name] for name in FIELD_NAMES])
     size: int | None = None
     for name in FIELD_NAMES:
-        column = np.ascontiguousarray(columns[name], dtype=dtype)
+        column = np.ascontiguousarray(columns[name], dtype=np.float64)
         if column.ndim != 1:
             raise ParameterError(
                 f"batch column {name} must be 1-D, got shape {column.shape}"
@@ -205,12 +186,10 @@ def prevalidated_batch(columns: Mapping[str, np.ndarray]) -> "ScenarioBatch":
 class ScenarioBatch:
     """N complete assignments of the ACT model inputs, one array per field.
 
-    Every attribute is a 1-D float array of the same length and one
-    uniform dtype; row ``i`` across all columns is one scenario.  The
-    dtype is float64 (the reference precision) unless *every* column was
-    supplied as float32 — the reduced-precision backend builds such
-    batches via :meth:`astype`.  Instances are immutable: the arrays are
-    marked read-only at construction so cached results stay valid.
+    Every attribute is a 1-D float64 array of the same length; row ``i``
+    across all columns is one scenario.  Instances are immutable: the
+    arrays are marked read-only at construction so cached results stay
+    valid.
     """
 
     # Operational side (Eq. 1-2).
@@ -237,10 +216,9 @@ class ScenarioBatch:
     packaging_g_per_ic: np.ndarray
 
     def __post_init__(self) -> None:
-        dtype = _column_dtype([getattr(self, name) for name in FIELD_NAMES])
         size: int | None = None
         for name in FIELD_NAMES:
-            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            column = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if column.ndim != 1:
                 raise ParameterError(
                     f"batch column {name} must be 1-D, got shape {column.shape}"
@@ -311,35 +289,6 @@ class ScenarioBatch:
 
     def __len__(self) -> int:
         return int(self.energy_kwh.size)
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The uniform dtype of every parameter column."""
-        return self.energy_kwh.dtype
-
-    def astype(self, dtype: "np.dtype | type") -> "ScenarioBatch":
-        """This batch with every column cast to ``dtype`` (no-op if equal).
-
-        Only :data:`SUPPORTED_DTYPES` are accepted.  Narrowing casts skip
-        re-validation: the values were validated at float64 construction,
-        and the domain bounds (0 and 1) are exactly representable in both
-        dtypes, so rounding keeps non-negative values non-negative and
-        fractions in range.  Positive columns whose values underflow
-        float32 (< ~1e-38) would round to zero — far outside Table 1
-        magnitudes, so no guard is spent on it.
-        """
-        dtype = np.dtype(dtype)
-        if dtype not in SUPPORTED_DTYPES:
-            supported = ", ".join(d.name for d in SUPPORTED_DTYPES)
-            raise ParameterError(
-                f"unsupported batch dtype {dtype.name!r}; expected one of: "
-                f"{supported}"
-            )
-        if dtype == self.dtype:
-            return self
-        return prevalidated_batch(
-            {name: getattr(self, name).astype(dtype) for name in FIELD_NAMES}
-        )
 
     def column(self, name: str) -> np.ndarray:
         """One parameter column by name."""

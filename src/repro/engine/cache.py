@@ -8,13 +8,6 @@ revisits a region of the design space.  Since a
 :class:`~repro.engine.kernels.BatchResult` so identical batches are never
 recomputed, regardless of how they were constructed.
 
-Entries are additionally namespaced by the evaluating backend's
-``cache_token`` (name + dtype): the same batch evaluated under the
-``float32`` backend and the reference backend produces *different*
-results, and the cache must never serve one to a caller expecting the
-other.  The batch's own dtype is folded into the content hash too, so a
-float32-cast batch never aliases its float64 original.
-
 Results are stored with read-only arrays (enforced by ``BatchResult``
 itself), so handing the same object to multiple callers is safe.
 """
@@ -30,7 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import ParameterError
 from repro.core.parameters import require_positive
-from repro.engine.backends import KernelBackend, resolve_backend
 from repro.engine.batch import FIELD_NAMES, ScenarioBatch
 from repro.engine.kernels import BatchResult, evaluate_batch
 from repro.obs.context import current_context
@@ -44,10 +36,9 @@ def batch_key(batch: ScenarioBatch) -> str:
 
     Two batches with equal columns hash identically even when built by
     different constructors (``from_product`` vs ``from_scenarios``), so a
-    re-swept grid hits the cache of its first evaluation.  The column
-    dtype participates in the digest: a float32 view of a batch hashes
-    differently from its float64 original even when the widened bytes
-    would compare equal.
+    re-swept grid hits the cache of its first evaluation.  The digest
+    starts with the row count and the literal column dtype tag
+    ``float64``.
 
     C-contiguous columns are hashed in place through their buffer; only
     broadcast (zero-stride) or strided columns are materialized with
@@ -55,7 +46,7 @@ def batch_key(batch: ScenarioBatch) -> str:
     """
     digest = hashlib.sha256()
     digest.update(len(batch).to_bytes(8, "little"))
-    digest.update(batch.dtype.name.encode("ascii"))
+    digest.update(b"float64")
     for name in FIELD_NAMES:
         digest.update(name.encode("ascii"))
         column = batch.column(name)
@@ -182,11 +173,6 @@ class EvaluationCache:
         with self._lock:
             return len(self._store)
 
-    def _key(
-        self, batch: ScenarioBatch, backend: "KernelBackend | str | None"
-    ) -> str:
-        return f"{resolve_backend(backend).cache_token}:{batch_key(batch)}"
-
     def _get(self, key: str, rows: int) -> "BatchResult | None":
         """Look up ``key`` under the lock, counting the hit or miss."""
         context = current_context()
@@ -216,27 +202,17 @@ class EvaluationCache:
         if evicted and context.enabled:
             context.count("engine.cache.evictions", evicted)
 
-    def evaluate(
-        self,
-        batch: ScenarioBatch,
-        backend: "KernelBackend | str | None" = None,
-    ) -> BatchResult:
+    def evaluate(self, batch: ScenarioBatch) -> BatchResult:
         """Eq. 1-8 over ``batch``, reusing any previous identical evaluation.
-
-        Entries are keyed by backend identity *and* batch content, so an
-        entry computed by one backend (or at one precision) is never
-        served to a request for another.
 
         Hits, misses, and evictions are mirrored to the active
         :class:`~repro.obs.context.RunContext` as ``engine.cache.*``
         counters; the null context makes that a no-op.
         """
-        return self.evaluate_with_origin(batch, backend)[0]
+        return self.evaluate_with_origin(batch)[0]
 
     def evaluate_with_origin(
-        self,
-        batch: ScenarioBatch,
-        backend: "KernelBackend | str | None" = None,
+        self, batch: ScenarioBatch, backend: None = None
     ) -> "tuple[BatchResult, bool]":
         """:meth:`evaluate`, additionally reporting where the result came
         from: ``(result, True)`` for a cache hit, ``(result, False)`` for
@@ -246,21 +222,24 @@ class EvaluationCache:
         distinction — a hit proves nothing about backend health, so
         recording it as a success would close a half-open breaker
         against a still-broken backend.
+
+        ``backend`` survives only for subclasses that forward it
+        positionally; anything but ``None`` raises
+        :class:`~repro.core.errors.ParameterError`.
         """
-        resolved = resolve_backend(backend)
-        key = self._key(batch, resolved)
+        if backend is not None:
+            raise ParameterError(
+                f"there is one float64 kernel; backend must be None, got {backend!r}"
+            )
+        key = batch_key(batch)
         cached = self._get(key, len(batch))
         if cached is not None:
             return cached, True
-        result = evaluate_batch(batch, backend=resolved)
+        result = evaluate_batch(batch)
         self._insert(key, result)
         return result, False
 
-    def peek(
-        self,
-        batch: ScenarioBatch,
-        backend: "KernelBackend | str | None" = None,
-    ) -> "BatchResult | None":
+    def peek(self, batch: ScenarioBatch) -> "BatchResult | None":
         """The cached result for ``batch``, or ``None`` — never computes.
 
         The cache-only lookup behind the service's degraded serving mode:
@@ -268,14 +247,9 @@ class EvaluationCache:
         still served while nothing new touches the failing backend.
         Counts as a hit or miss like :meth:`evaluate`.
         """
-        return self._get(self._key(batch, backend), len(batch))
+        return self._get(batch_key(batch), len(batch))
 
-    def put(
-        self,
-        batch: ScenarioBatch,
-        result: BatchResult,
-        backend: "KernelBackend | str | None" = None,
-    ) -> None:
+    def put(self, batch: ScenarioBatch, result: BatchResult) -> None:
         """Store an externally computed ``result`` for ``batch``.
 
         Lets the micro-batcher populate per-query entries from one
@@ -288,13 +262,10 @@ class EvaluationCache:
                 f"cached result has {len(result)} rows for a "
                 f"{len(batch)}-row batch"
             )
-        self._insert(self._key(batch, backend), result)
+        self._insert(batch_key(batch), result)
 
     def peek_by_key(
-        self,
-        content_key: str,
-        rows: int = 1,
-        backend: "KernelBackend | str | None" = None,
+        self, content_key: str, rows: int = 1
     ) -> "BatchResult | None":
         """:meth:`peek` by a precomputed content key (see
         :func:`scenario_key`) — the service's per-query fast path, which
@@ -306,41 +277,28 @@ class EvaluationCache:
         :func:`~repro.scheduling.batch.schedule_batch_key` layout is
         domain-prefixed, so schedule and Eq. 1-8 entries cannot
         collide)."""
-        resolved = resolve_backend(backend)
-        return self._get(f"{resolved.cache_token}:{content_key}", rows)
+        return self._get(content_key, rows)
 
-    def put_by_key(
-        self,
-        content_key: str,
-        result: BatchResult,
-        backend: "KernelBackend | str | None" = None,
-    ) -> None:
+    def put_by_key(self, content_key: str, result: BatchResult) -> None:
         """:meth:`put` by a precomputed content key.  The caller vouches
         that ``content_key`` identifies exactly the inputs that produced
         ``result`` (the micro-batcher hashes each scenario at submit and
         stores its row slice under that same key)."""
-        resolved = resolve_backend(backend)
-        self._insert(f"{resolved.cache_token}:{content_key}", result)
+        self._insert(content_key, result)
 
-    def put_many_by_key(
-        self,
-        entries: "list[tuple[str, BatchResult]]",
-        backend: "KernelBackend | str | None" = None,
-    ) -> None:
+    def put_many_by_key(self, entries: "list[tuple[str, BatchResult]]") -> None:
         """:meth:`put_by_key` for a whole tick's rows in one lock hold.
 
         The micro-batcher stores every row of a coalesced evaluation at
-        once; resolving the backend and taking the lock per row would
-        dominate the per-row cost at service rates.
+        once; taking the lock per row would dominate the per-row cost at
+        service rates.
         """
-        token = resolve_backend(backend).cache_token
         context = current_context()
         with self._lock:
             store = self._store
             for content_key, result in entries:
-                key = f"{token}:{content_key}"
-                store[key] = result
-                store.move_to_end(key)
+                store[content_key] = result
+                store.move_to_end(content_key)
             evicted = 0
             while len(store) > self.capacity:
                 store.popitem(last=False)
@@ -386,11 +344,9 @@ DEFAULT_CACHE = EvaluationCache()
 
 
 def evaluate_cached(
-    batch: ScenarioBatch,
-    cache: EvaluationCache | None = None,
-    backend: "KernelBackend | str | None" = None,
+    batch: ScenarioBatch, cache: EvaluationCache | None = None
 ) -> BatchResult:
     """Evaluate a batch through ``cache`` (default: the process-wide one)."""
     if cache is None:
         cache = DEFAULT_CACHE
-    return cache.evaluate(batch, backend=backend)
+    return cache.evaluate(batch)

@@ -9,12 +9,8 @@ order, so batched and scalar results agree to floating-point reproducibility
 The kernels accept plain arrays (or scalars — numpy broadcasting applies),
 and :func:`evaluate_batch` runs the whole pipeline over a
 :class:`~repro.engine.batch.ScenarioBatch`, returning every intermediate
-series in a :class:`BatchResult`.  *How* that pipeline executes is a
-pluggable :class:`~repro.engine.backends.KernelBackend` — the functions in
-this module are the reference backend's kernels; ``evaluate_batch``
-dispatches to whichever backend is selected (explicitly via ``backend=``
-or process-wide via :func:`~repro.engine.backends.use_backend`), defaulting
-to the reference path so existing callers see identical behavior.
+series in a :class:`BatchResult`.  There is one float64 body,
+:func:`_evaluate_batch_arrays`; the scalar ``core/`` model is its oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.backends import KernelBackend, resolve_backend
 from repro.engine.batch import ScenarioBatch
 from repro.obs.context import current_context
 
@@ -79,11 +74,8 @@ def total_g(
 class BatchResult:
     """Every Eq. 1-8 output series for one evaluated batch.
 
-    All attributes are arrays of one uniform float dtype aligned with
-    the batch's rows — float64 everywhere except results produced by a
-    reduced-precision backend (e.g. ``float32``), whose dtype is
-    preserved rather than silently widened.  Columns are marked
-    read-only so cached results cannot be corrupted.
+    All attributes are float64 arrays aligned with the batch's rows.
+    Columns are marked read-only so cached results cannot be corrupted.
     """
 
     operational_g: np.ndarray
@@ -98,30 +90,13 @@ class BatchResult:
     total_g: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = {
-            name: np.asarray(getattr(self, name))
-            for name in self.__dataclass_fields__
-        }
-        # Honor a backend's reduced precision only when *every* series
-        # carries it; anything mixed or non-float coerces to the float64
-        # reference dtype, preserving the historical guarantee.
-        dtype = (
-            np.dtype(np.float32)
-            if all(c.dtype == np.float32 for c in columns.values())
-            else np.dtype(np.float64)
-        )
-        for name, column in columns.items():
-            column = np.ascontiguousarray(column, dtype=dtype)
+        for name in self.__dataclass_fields__:
+            column = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return int(self.total_g.size)
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The uniform dtype of every output series."""
-        return self.total_g.dtype
 
     @property
     def amortized_embodied_g(self) -> np.ndarray:
@@ -143,34 +118,21 @@ class BatchResult:
         return share
 
 
-def evaluate_batch(
-    batch: ScenarioBatch,
-    backend: "KernelBackend | str | None" = None,
-) -> BatchResult:
+def evaluate_batch(batch: ScenarioBatch) -> BatchResult:
     """Run Eq. 1-8 over every row of ``batch`` in one vectorized pass.
 
-    Args:
-        batch: The scenario batch to evaluate.
-        backend: Which :class:`~repro.engine.backends.KernelBackend`
-            executes the pass — an instance, a registered name, or
-            ``None`` to use the process-wide selection
-            (:func:`~repro.engine.backends.current_backend`, default
-            ``reference``).
-
     Under an active :class:`~repro.obs.context.RunContext` the pass is
-    recorded as an ``engine.evaluate_batch`` span (tagged with the
-    backend name) and the registry accrues ``engine.rows_evaluated`` and
-    ``engine.kernel_seconds``; under the default null context the only
-    cost is one attribute check and one backend lookup.
+    recorded as an ``engine.evaluate_batch`` span and the registry
+    accrues ``engine.rows_evaluated`` and ``engine.kernel_seconds``;
+    under the default null context the only cost is one attribute check.
     """
-    resolved = resolve_backend(backend)
     context = current_context()
     if not context.enabled:
-        return resolved.evaluate(batch)
+        return _evaluate_batch_arrays(batch)
     rows = len(batch)
     started = time.perf_counter()
-    with context.span("engine.evaluate_batch", rows=rows, backend=resolved.name):
-        result = resolved.evaluate(batch)
+    with context.span("engine.evaluate_batch", rows=rows):
+        result = _evaluate_batch_arrays(batch)
     context.count("engine.batches_evaluated")
     context.count("engine.rows_evaluated", rows)
     context.observe("engine.kernel_seconds", time.perf_counter() - started)
@@ -178,7 +140,7 @@ def evaluate_batch(
 
 
 def _evaluate_batch_arrays(batch: ScenarioBatch) -> BatchResult:
-    """The uninstrumented Eq. 1-8 kernel pass (the reference backend)."""
+    """The uninstrumented Eq. 1-8 kernel pass."""
     cpa = cpa_g_per_cm2(
         batch.ci_fab_g_per_kwh,
         batch.epa_kwh_per_cm2,

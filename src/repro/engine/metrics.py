@@ -5,14 +5,8 @@ The scalar registry in :mod:`repro.core.metrics` evaluates one
 under every metric.  This module computes each metric as a single numpy
 expression over stacked (C, E, D, A) columns, and re-exposes the results in
 the exact shapes the scalar helpers produce (``score_table`` /
-``winners``-compatible dicts) so experiments can swap the backend without
-changing their downstream reporting.
-
-The metric *expressions* themselves are supplied by the active
-:class:`~repro.engine.backends.KernelBackend` — the reference backend uses
-one plain numpy expression per metric, the fused backends evaluate the
-squared-term metrics into a single output buffer.  Name canonicalization
-and the EDAP area requirement live here, identical across backends.
+``winners``-compatible dicts) so experiments can swap the scalar helpers
+for these without changing their downstream reporting.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ import numpy as np
 
 from repro.core.errors import UnknownEntryError
 from repro.core.metrics import METRICS, DesignPoint
-from repro.engine.backends import KernelBackend, resolve_backend
 
 _CANONICAL = tuple(METRICS)
 
@@ -58,7 +51,6 @@ def metric_columns(
     delay_s: np.ndarray,
     area_mm2: np.ndarray | None = None,
     metric_names: Iterable[str] | None = None,
-    backend: "KernelBackend | str | None" = None,
 ) -> dict[str, np.ndarray]:
     """All requested Table 2 metrics over stacked design columns.
 
@@ -69,14 +61,10 @@ def metric_columns(
         area_mm2: Area ``A`` per design; required only for EDAP.
         metric_names: Metrics to compute (default: all of Table 2;
             EDAP is skipped automatically when no area is given).
-        backend: Which :class:`~repro.engine.backends.KernelBackend`
-            evaluates the expressions — an instance, a registered name,
-            or ``None`` for the process-wide selection.
 
     Returns:
         ``{metric: scores array}`` with lower-is-better scores.
     """
-    resolved = resolve_backend(backend)
     carbon = np.asarray(embodied_carbon_g, dtype=np.float64)
     energy = np.asarray(energy_kwh, dtype=np.float64)
     delay = np.asarray(delay_s, dtype=np.float64)
@@ -87,7 +75,21 @@ def metric_columns(
         names = tuple(_canonical_name(name) for name in metric_names)
     if "EDAP" in names and area is None:
         raise UnknownEntryError("design point area (required by EDAP)", "(batch)")
-    return resolved.metric_columns(carbon, energy, delay, area, names)
+    columns: dict[str, np.ndarray] = {}
+    for name in names:
+        if name == "EDP":
+            columns[name] = energy * delay
+        elif name == "EDAP":
+            columns[name] = energy * delay * area
+        elif name == "CDP":
+            columns[name] = carbon * delay
+        elif name == "CEP":
+            columns[name] = carbon * energy
+        elif name == "C2EP":
+            columns[name] = carbon**2 * energy
+        elif name == "CE2P":
+            columns[name] = carbon * energy**2
+    return columns
 
 
 def stack_design_points(

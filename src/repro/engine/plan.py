@@ -9,7 +9,7 @@ instead of re-deriving it per row.
 
 :func:`plan_product` analyzes which batch columns vary along which grid
 axes and builds a :class:`SweepPlan`.  Evaluation then runs the exact
-Eq. 5→4→3→1 operation DAG of the reference backend over *axis-shaped
+Eq. 5→4→3→1 operation DAG of the float64 kernel over *axis-shaped
 marginal arrays*: each swept column is reshaped so its values lie along
 its own grid axis (singleton everywhere else) and each constant column
 collapses to a scalar.  Numpy broadcasting keeps every intermediate at
@@ -20,9 +20,7 @@ via broadcasted outer products.  Because every elementwise IEEE
 operation is a deterministic function of its operand *values*, and each
 full-grid element sees exactly the operand values the dense row-wise
 pass sees, the planned result is **bit-identical** to the dense batched
-path on the same backend: float64 plans match ``reference``/``fused``
-exactly, and the float32 plan applies the fused backend's one-time input
-cast before running the same DAG in single precision.
+path.
 
 Three cooperating mechanisms live here:
 
@@ -35,17 +33,15 @@ Three cooperating mechanisms live here:
   Carlo draws over discrete axes, optimizer revisits — pay one kernel
   pass per *distinct* row, composing with the content-hash cache via
   per-unique-row keys;
-* a sampled planned-vs-dense cross-check (:func:`verify_plan`,
-  mirroring the guarded engine's backend verification) so a planner bug
-  is caught on its first sweep instead of silently corrupting results.
+* a sampled planned-vs-dense cross-check (:func:`verify_plan`) so a
+  planner bug is caught on its first sweep instead of silently
+  corrupting results.
 
-Planner selection uses the same process-wide stack idiom as backends:
-install a mode for a block with :func:`use_planner` (``"auto"``,
-``"on"``, ``"off"``); the stack bottoms out at the
-``ACT_REPRO_PLANNER`` environment variable (default ``auto``).  The
-planned path engages only for backends it can factor
-(``reference``/``fused``/``float32``); anything else — custom backends,
-guarded sweeps — falls back to the dense path with identical results.
+Planner selection uses a process-wide stack: install a mode for a block
+with :func:`use_planner` (``"auto"``, ``"on"``, ``"off"``); the stack
+bottoms out at the ``ACT_REPRO_PLANNER`` environment variable (default
+``auto``).  Guarded sweeps fall back to the dense path with identical
+results.
 """
 
 from __future__ import annotations
@@ -63,13 +59,6 @@ from repro.core.errors import (
     DivergenceError,
     ParameterError,
     UnknownEntryError,
-)
-from repro.engine.backends import (
-    FLOAT32,
-    FUSED,
-    REFERENCE,
-    KernelBackend,
-    resolve_backend,
 )
 from repro.engine.batch import (
     FIELD_NAMES,
@@ -105,16 +94,7 @@ PLANNER_ENV_VAR = "ACT_REPRO_PLANNER"
 #: cross-check) only amortize on grids with real fan-out.
 AUTO_MIN_ROWS = 512
 
-#: Backends whose dense pass the factored evaluator reproduces
-#: bit-identically: the float64 reference DAG (``reference`` and
-#: ``fused`` are mutually bit-identical by construction) and the fused
-#: float32 pass (same DAG after a one-time input cast).  Any other
-#: backend — including externally registered ones — falls back to the
-#: dense path.
-PLANNABLE_BACKENDS = frozenset({REFERENCE, FUSED, FLOAT32})
-
-#: Sampled rows for the planned-vs-dense cross-check, matching the
-#: guarded engine's backend-verification budget.
+#: Sampled rows for the planned-vs-dense cross-check.
 VERIFY_SAMPLE_ROWS = 32
 
 _MAX_SHOWN = 8
@@ -175,9 +155,8 @@ def resolve_planner_mode(mode: str | None) -> str:
 def use_planner(mode: str | None) -> Iterator[str | None]:
     """Install a planner mode process-wide for the block.
 
-    Mirrors :func:`repro.engine.backends.use_backend`: installing
-    ``None`` is transparent (the current selection stays in effect), so
-    CLI code can write ``with use_planner(args.planner)``
+    Installing ``None`` is transparent (the current selection stays in
+    effect), so CLI code can write ``with use_planner(args.planner)``
     unconditionally.  Unknown modes fail at the ``with`` statement.
     """
     resolved = _validated_mode(mode) if mode is not None else None
@@ -188,28 +167,14 @@ def use_planner(mode: str | None) -> Iterator[str | None]:
         _ACTIVE_MODES.pop()
 
 
-def backend_plannable(backend: "KernelBackend | str | None" = None) -> bool:
-    """Whether the factored evaluator reproduces ``backend`` bit-for-bit."""
-    return resolve_backend(backend).name in PLANNABLE_BACKENDS
-
-
-def planner_engaged(
-    mode: str,
-    rows: int,
-    backend: "KernelBackend | str | None" = None,
-) -> bool:
+def planner_engaged(mode: str, rows: int) -> bool:
     """Whether a sweep of ``rows`` points takes the planned path.
 
-    The fallback matrix in one predicate: ``off`` never engages; any
-    backend outside :data:`PLANNABLE_BACKENDS` never engages (results
-    must stay bit-identical, and only the built-in float DAGs are
-    reproduced exactly); ``auto`` additionally requires at least
+    ``off`` never engages; ``auto`` requires at least
     :data:`AUTO_MIN_ROWS` grid points so small sweeps skip the planner's
     fixed costs.
     """
     if mode == PLANNER_OFF:
-        return False
-    if not backend_plannable(backend):
         return False
     if mode == PLANNER_AUTO and rows < AUTO_MIN_ROWS:
         return False
@@ -283,49 +248,36 @@ class SweepPlan:
 
     # --- factored evaluation --------------------------------------------
 
-    def _factors(self, dtype: np.dtype) -> dict[str, np.ndarray | np.floating]:
-        """Each batch column as its marginal factor in ``dtype``.
+    def _factors(self) -> dict[str, np.ndarray | np.floating]:
+        """Each batch column as its marginal factor.
 
         Swept columns come back axis-shaped (their values along their own
         grid dimension, singleton elsewhere); constant columns collapse
-        to 0-d scalars.  The cast to ``dtype`` mirrors the dense pass:
-        the reference/fused float64 backends read float64 columns, the
-        float32 backend casts each column once before evaluating.
+        to 0-d float64 scalars.
         """
         rank = len(self.names)
         factors: dict[str, np.ndarray | np.floating] = {}
         for position, (name, axis) in enumerate(zip(self.names, self.axes)):
             shape = [1] * rank
             shape[position] = axis.size
-            factors[name] = np.asarray(axis, dtype=dtype).reshape(shape)
+            factors[name] = axis.reshape(shape)
         for name in FIELD_NAMES:
             if name not in factors:
-                factors[name] = dtype.type(getattr(self.base, name))
+                factors[name] = np.float64(getattr(self.base, name))
         return factors
 
-    def partial_series(
-        self, backend: "KernelBackend | str | None" = None
-    ) -> dict[str, np.ndarray]:
+    def partial_series(self) -> dict[str, np.ndarray]:
         """Every output series as a broadcast-shaped marginal factor table.
 
-        Runs the reference Eq. 5→4→3→1 DAG over the axis-shaped column
+        Runs the kernel's Eq. 5→4→3→1 DAG over the axis-shaped column
         factors; each returned array's shape is the marginal grid of the
         axes that series actually depends on (singleton dimensions
         elsewhere, 0-d for axis-invariant series).  Broadcasting any
         table to :attr:`shape` and flattening C-order yields the dense
         series bit-for-bit.
         """
-        resolved = resolve_backend(backend)
-        # Name check in place of backend_plannable(resolved): re-resolving
-        # an already-resolved backend pays a runtime-checkable Protocol
-        # isinstance (~10us) on every planned evaluation.
-        if resolved.name not in PLANNABLE_BACKENDS:
-            raise ParameterError(
-                f"backend {resolved.name!r} is not plannable "
-                f"(plannable: {', '.join(sorted(PLANNABLE_BACKENDS))})"
-            )
-        f = self._factors(np.dtype(resolved.dtype))
-        # The reference backend's exact operation order (kernels.py):
+        f = self._factors()
+        # The kernel's exact operation order (kernels.py):
         # any reordering could break bit-identity with the dense pass.
         cpa = (
             f["ci_fab_g_per_kwh"] * f["epa_kwh_per_cm2"]
@@ -382,27 +334,23 @@ class SweepPlan:
             for name, factor in factors.items()
         }
 
-    def evaluate(
-        self, backend: "KernelBackend | str | None" = None
-    ) -> BatchResult:
+    def evaluate(self) -> BatchResult:
         """The full :class:`BatchResult` of this sweep, factored-first.
 
         Bit-identical to evaluating the dense
-        :meth:`~repro.engine.batch.ScenarioBatch.from_product` batch on
-        the same (plannable) backend: each partial is computed once on
+        :meth:`~repro.engine.batch.ScenarioBatch.from_product` batch:
+        each partial is computed once on
         its marginal grid, then broadcast out to full length — the only
         O(rows) work is the ten final series copies.
         """
-        factors = self.partial_series(backend)
+        factors = self.partial_series()
         shape = self.shape
         size = self.size
         # One block allocation for all ten series: a single large buffer
         # plus broadcast assignment per row is ~2x faster than ten
         # separate allocations, and the values are bit-identical (each
         # assignment is a plain IEEE copy of the factor's outer product).
-        # The DAG runs in one dtype, so result_type is that dtype.
-        dtype = np.result_type(*(factor.dtype for factor in factors.values()))
-        block = np.empty((len(factors), size), dtype=dtype)
+        block = np.empty((len(factors), size), dtype=np.float64)
         columns = {}
         for position, (name, factor) in enumerate(factors.items()):
             row = block[position]
@@ -492,25 +440,22 @@ def plan_product(
 
 
 def evaluate_plan_cached(
-    plan: SweepPlan,
-    cache: EvaluationCache | None = None,
-    backend: "KernelBackend | str | None" = None,
+    plan: SweepPlan, cache: EvaluationCache | None = None
 ) -> BatchResult:
     """Evaluate a plan through ``cache`` (default: the process-wide one).
 
-    Entries are keyed by the plan's content hash (base values + axes)
-    under the backend's cache token, so re-sweeping an identical grid is
-    a cache hit without materializing — or hashing — the dense columns.
+    Entries are keyed by the plan's content hash (base values + axes),
+    so re-sweeping an identical grid is a cache hit without
+    materializing — or hashing — the dense columns.
     """
     if cache is None:
         cache = DEFAULT_CACHE
-    resolved = resolve_backend(backend)
     key = plan.content_key
-    cached = cache.peek_by_key(key, plan.size, resolved)
+    cached = cache.peek_by_key(key, plan.size)
     if cached is not None:
         return cached
-    result = plan.evaluate(resolved)
-    cache.put_by_key(key, result, resolved)
+    result = plan.evaluate()
+    cache.put_by_key(key, result)
     return result
 
 
@@ -520,7 +465,6 @@ def evaluate_plan_cached(
 def verify_plan(
     plan: SweepPlan,
     result: BatchResult,
-    backend: "KernelBackend | str | None" = None,
     *,
     tolerance: float = 0.0,
     sample_rows: int = VERIFY_SAMPLE_ROWS,
@@ -529,18 +473,15 @@ def verify_plan(
 
     Up to ``sample_rows`` evenly-strided grid rows are materialized as a
     dense sub-batch and re-evaluated through the ordinary
-    :func:`~repro.engine.kernels.evaluate_batch` on the same backend;
-    every output series must agree within ``max(tolerance,
-    backend.tolerance)`` (exactly-equal and NaN-on-both-sides rows agree
-    by definition — for a correct plan the comparison is exact, so even
-    a zero tolerance passes).  The same sampling discipline as
-    ``GuardedEngine._verify_backend``: bounded cost, first-batch
+    :func:`~repro.engine.kernels.evaluate_batch`; every output series
+    must agree within ``tolerance`` (exactly-equal and NaN-on-both-sides
+    rows agree by definition — for a correct plan the comparison is
+    exact, so even a zero tolerance passes).  Bounded cost, first-batch
     detection.
 
     Raises:
         DivergenceError: A sampled row disagrees beyond tolerance.
     """
-    resolved = resolve_backend(backend)
     rows = plan.size
     stride = max(1, rows // sample_rows)
     sample = np.arange(0, rows, stride, dtype=np.intp)[:sample_rows]
@@ -560,23 +501,15 @@ def verify_plan(
             )
     sub_batch = prevalidated_batch(columns)
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = evaluate_batch(sub_batch, backend=resolved)
-    bound = max(float(tolerance), float(resolved.tolerance))
+        dense = evaluate_batch(sub_batch)
+    bound = float(tolerance)
     # All ten series stacked into one (series, sample) comparison: the
     # sampled matrices are tiny, so one vectorized pass beats a per-series
     # loop of small kernel launches and errstate context switches.
     planned_rows = np.stack(
-        [
-            np.asarray(getattr(result, name), dtype=np.float64)[sample]
-            for name in SERIES_NAMES
-        ]
+        [getattr(result, name)[sample] for name in SERIES_NAMES]
     )
-    expected_rows = np.stack(
-        [
-            np.asarray(getattr(dense, name), dtype=np.float64)
-            for name in SERIES_NAMES
-        ]
-    )
+    expected_rows = np.stack([getattr(dense, name) for name in SERIES_NAMES])
     with np.errstate(invalid="ignore", over="ignore"):
         scale = np.maximum(1.0, np.abs(expected_rows))
         disagree = ~(np.abs(planned_rows - expected_rows) <= bound * scale)
@@ -591,7 +524,7 @@ def verify_plan(
         indices = [int(sample[i]) for i in bad]
         raise DivergenceError(
             f"planned {series} diverges from the dense "
-            f"{resolved.name!r} pass at sampled row(s) "
+            f"pass at sampled row(s) "
             f"{indices[:_MAX_SHOWN]} (tolerance {bound:g})",
             series=series,
             indices=indices,
@@ -691,7 +624,6 @@ ROW_KEY_LIMIT = 4096
 def evaluate_batch_deduped(
     batch: ScenarioBatch,
     cache: EvaluationCache | None = None,
-    backend: "KernelBackend | str | None" = None,
     *,
     row_keys: bool = False,
 ) -> BatchResult:
@@ -703,7 +635,7 @@ def evaluate_batch_deduped(
     original row order.  Bit-identical to the plain pass: every output
     row is exactly the kernel's value for its input row.
 
-    With ``row_keys=True`` (and a float64 batch of at most
+    With ``row_keys=True`` (and a batch of at most
     :data:`ROW_KEY_LIMIT` unique rows) each unique row composes with the
     content-hash cache individually: rows are looked up under their
     single-row batch keys (the :func:`~repro.engine.cache.scenario_key`
@@ -715,20 +647,18 @@ def evaluate_batch_deduped(
         {name: batch.column(name) for name in FIELD_NAMES}, len(batch)
     )
     if dedup.unique_count == len(batch):
-        return evaluate_cached(batch, cache, backend)
+        return evaluate_cached(batch, cache)
     unique_batch = prevalidated_batch(
         {name: dedup.gather(batch.column(name)) for name in FIELD_NAMES}
     )
     use_row_keys = (
         row_keys
         and cache is not None
-        and batch.dtype == np.dtype(np.float64)
         and dedup.unique_count <= ROW_KEY_LIMIT
     )
     if not use_row_keys:
-        unique_result = evaluate_cached(unique_batch, cache, backend)
+        unique_result = evaluate_cached(unique_batch, cache)
     else:
-        resolved = resolve_backend(backend)
         keys = [
             row_key(
                 [
@@ -740,7 +670,7 @@ def evaluate_batch_deduped(
         ]
         hits: dict[int, BatchResult] = {}
         for row, key in enumerate(keys):
-            cached = cache.peek_by_key(key, 1, resolved)
+            cached = cache.peek_by_key(key, 1)
             if cached is not None:
                 hits[row] = cached
         misses = [row for row in range(dedup.unique_count) if row not in hits]
@@ -755,7 +685,7 @@ def evaluate_batch_deduped(
                     for name in FIELD_NAMES
                 }
             )
-            fresh = evaluate_batch(miss_batch, backend=resolved)
+            fresh = evaluate_batch(miss_batch)
             cache.put_many_by_key(
                 [
                     (
@@ -768,8 +698,7 @@ def evaluate_batch_deduped(
                         ),
                     )
                     for position, row in enumerate(misses)
-                ],
-                resolved,
+                ]
             )
         series: dict[str, np.ndarray] = {}
         miss_position = {row: position for position, row in enumerate(misses)}
@@ -793,7 +722,6 @@ def evaluate_batch_deduped(
 __all__ = [
     "AUTO_MIN_ROWS",
     "DedupPlan",
-    "PLANNABLE_BACKENDS",
     "PLANNER_AUTO",
     "PLANNER_ENV_VAR",
     "PLANNER_MODES",
@@ -802,7 +730,6 @@ __all__ = [
     "ROW_KEY_LIMIT",
     "SweepPlan",
     "VERIFY_SAMPLE_ROWS",
-    "backend_plannable",
     "current_planner_mode",
     "dedup_rows",
     "evaluate_batch_deduped",

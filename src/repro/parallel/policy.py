@@ -103,12 +103,6 @@ class ExecutionPolicy:
         serial_fallback: Under ``degrade``, re-run quarantined shards
             once in the parent process before declaring them lost —
             heals faults confined to the worker fleet.
-        backend: Name of the kernel backend workers evaluate shards
-            with, or ``None`` to inherit the process-wide selection
-            (:func:`repro.engine.backends.current_backend`) at dispatch
-            time.  Always a *name*, never a backend instance — workers
-            re-resolve it from their own registry, so backend objects
-            are never pickled across the process boundary.
     """
 
     workers: int = 1
@@ -122,7 +116,6 @@ class ExecutionPolicy:
     join_timeout_seconds: float = 10.0
     term_timeout_seconds: float = 5.0
     serial_fallback: bool = False
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
@@ -174,16 +167,6 @@ class ExecutionPolicy:
             value = getattr(self, name)
             if not value > 0.0:
                 raise ParameterError(f"{name} must be > 0, got {value!r}")
-        if self.backend is not None:
-            if not isinstance(self.backend, str):
-                raise ParameterError(
-                    "backend must be a registered backend name or None, "
-                    f"got {self.backend!r}"
-                )
-            # Raises ParameterError on unknown names, listing what exists.
-            from repro.engine.backends import get_backend
-
-            get_backend(self.backend)
 
     @property
     def parallel(self) -> bool:

@@ -82,6 +82,7 @@ def _worker_loop(
     worker_id: int,
     tasks: Any,
     results: Any,
+    results_lock: Any,
     heartbeats: Any,
     claim_tasks: Any,
     claim_runs: Any,
@@ -93,8 +94,18 @@ def _worker_loop(
     heartbeat — so the parent can attribute a lost shard to the worker
     that died holding it, and can spot a worker stalled past its shard
     deadline (the heartbeat only advances between tasks).
+
+    Results are written to the result pipe synchronously, before the
+    next task is taken: a worker killed mid-task loses only the task it
+    was running, never an earlier result still buffered for a background
+    writer (nor that writer's lock, which every other worker shares).
     """
     pin_blas_threads()
+
+    def send(message: tuple) -> None:
+        with results_lock:
+            results.send(message)
+
     for item in iter(tasks.get, None):
         run_id, index, fn, payload = item
         claim_tasks[worker_id] = index
@@ -106,11 +117,9 @@ def _worker_loop(
             # A chaos-injected dropped result: the work happened but the
             # message never reaches the parent (see robustness.faultinject).
             if not getattr(exc, "repro_dropped_result", False):
-                results.put(
-                    (run_id, index, worker_id, False, _encode_error(exc))
-                )
+                send((run_id, index, worker_id, False, _encode_error(exc)))
         else:
-            results.put((run_id, index, worker_id, True, out))
+            send((run_id, index, worker_id, True, out))
         finally:
             claim_tasks[worker_id] = _IDLE
             heartbeats[worker_id] = time.monotonic()
@@ -147,6 +156,8 @@ class WorkerPool:
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._tasks: Any = None
         self._results: Any = None
+        self._results_writer: Any = None
+        self._results_lock: Any = None
         self._heartbeats: Any = None
         self._claim_tasks: Any = None
         self._claim_runs: Any = None
@@ -174,7 +185,8 @@ class WorkerPool:
             args=(
                 worker_id,
                 self._tasks,
-                self._results,
+                self._results_writer,
+                self._results_lock,
                 self._heartbeats,
                 self._claim_tasks,
                 self._claim_runs,
@@ -198,12 +210,15 @@ class WorkerPool:
         # Pin in the parent before forking/spawning so children inherit
         # the single-threaded BLAS configuration from their environment.
         pin_blas_threads()
-        # Full Queues, not SimpleQueues: their feeder threads make put()
+        # A full Queue for tasks: its feeder thread makes put()
         # non-blocking, so submitting every task before draining results
         # cannot deadlock on a full pipe when payloads are large (pickle
-        # transport ships whole column slices through these queues).
+        # transport ships whole column slices through it).  Results go
+        # through a plain pipe that workers write synchronously under
+        # one lock (see _worker_loop); the parent is its only reader.
         self._tasks = self._context.Queue()
-        self._results = self._context.Queue()
+        self._results, self._results_writer = self._context.Pipe(duplex=False)
+        self._results_lock = self._context.Lock()
         # Lock-free shared scalars: each slot has exactly one writer (its
         # worker) and one reader (the parent); aligned word-sized loads
         # and stores need no lock.
@@ -271,12 +286,9 @@ class WorkerPool:
         deadline = time.monotonic() + timeout
         while True:
             remaining = max(0.0, deadline - time.monotonic())
-            try:
-                run_id, index, worker_id, ok, out = self._results.get(
-                    timeout=remaining
-                )
-            except queue.Empty:
+            if not self._results.poll(remaining):
                 return None
+            run_id, index, worker_id, ok, out = self._results.recv()
             if run_id == self._run_id:
                 return (index, worker_id, ok, out)
 
@@ -418,11 +430,12 @@ class WorkerPool:
                     process.kill()
                     process.join(timeout=self.term_timeout)
             self._processes.clear()
-            for q in (self._tasks, self._results):
-                q.close()
-                # The feeder thread may still hold buffered sentinels for
-                # workers that already exited; never block shutdown on it.
-                q.cancel_join_thread()
+            self._tasks.close()
+            # The feeder thread may still hold buffered sentinels for
+            # workers that already exited; never block shutdown on it.
+            self._tasks.cancel_join_thread()
+            self._results.close()
+            self._results_writer.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

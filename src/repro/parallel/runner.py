@@ -25,15 +25,6 @@ straight into a shared output segment); ``"pickle"`` ships sliced column
 arrays through the task queue — simpler, measurably slower for large
 batches (the benchmark's ``parallel`` section quantifies the gap).
 
-Kernel backends travel **by name**: each shard payload carries the
-resolved backend name (``policy.backend`` if set, else the dispatching
-process's :func:`~repro.engine.backends.current_backend`), and workers
-re-resolve it from their own registry — backend objects are never
-pickled.  Merged output series are always float64 (the shm output
-segment and :class:`ParallelEvaluation` both coerce), so a float32
-backend's shard results are upcast on write; the precision already lost
-to float32 arithmetic is of course not recovered.
-
 Guarded evaluation works per shard: each worker reconstructs the
 :class:`~repro.robustness.guard.GuardedEngine` from its config, evaluates
 its shard, translates diagnostic indices from shard-local to global, and
@@ -66,7 +57,6 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.dse.pareto import pareto_mask as _serial_pareto_mask
-from repro.engine.backends import current_backend, resolve_backend
 from repro.engine.batch import (
     FIELD_NAMES,
     ScenarioBatch,
@@ -116,23 +106,13 @@ _VALID = "valid"
 
 
 def _guard_spec(guard: "GuardedEngine | None") -> dict[str, Any] | None:
-    """A guard's picklable configuration (caches never cross processes).
-
-    The guard's backend travels as a resolved *name* (``None`` when the
-    guard defers to the process-wide selection — the worker then uses the
-    backend name shipped on the task itself).
-    """
+    """A guard's picklable configuration (caches never cross processes)."""
     if guard is None:
         return None
     return {
         "policy": guard.policy,
         "ranges": dict(guard.ranges) if guard.ranges is not None else None,
         "tolerance": guard.tolerance,
-        "backend": (
-            None
-            if guard.backend is None
-            else resolve_backend(guard.backend).name
-        ),
     }
 
 
@@ -273,7 +253,6 @@ def _evaluate_shard_guarded(
         ranges=spec["ranges"],
         cache=None,
         tolerance=spec["tolerance"],
-        backend=spec.get("backend") or task.get("backend"),
     )
     start = task["start"]
     with warnings.catch_warnings(record=True) as caught:
@@ -326,13 +305,8 @@ def _evaluate_shard(task: dict, count: int) -> _ShardResult:
         batch = build_schedule_batch(
             task["spec"], offset + task["start"], offset + task["stop"]
         )
-        result = evaluate_schedule_batch(batch, backend=task.get("backend"))
-        series = {
-            name: np.ascontiguousarray(
-                getattr(result, name), dtype=np.float64
-            )
-            for name in SCHEDULE_SERIES
-        }
+        result = evaluate_schedule_batch(batch)
+        series = {name: getattr(result, name) for name in SCHEDULE_SERIES}
         return series, np.ones(count, dtype=bool), (), False, ()
     if kind == "planned":
         # The parent already ran Eq. 1-8 once per marginal grid
@@ -346,8 +320,7 @@ def _evaluate_shard(task: dict, count: int) -> _ShardResult:
         )
         series = {
             name: np.ascontiguousarray(
-                np.broadcast_to(np.asarray(factor), shape)[indices],
-                dtype=np.float64,
+                np.broadcast_to(np.asarray(factor), shape)[indices]
             )
             for name, factor in task["factors"].items()
         }
@@ -379,7 +352,7 @@ def _evaluate_shard(task: dict, count: int) -> _ShardResult:
                     for name, column in columns.items()
                 }
             )
-        result = evaluate_batch(batch, backend=task.get("backend"))
+        result = evaluate_batch(batch)
         series = {name: getattr(result, name) for name in SERIES_NAMES}
         return series, np.ones(count, dtype=bool), (), False, ()
     finally:
@@ -616,18 +589,6 @@ class ParallelRunner:
 
     # --- execution core -------------------------------------------------
 
-    def _backend_name(self) -> str:
-        """The backend name shipped on every shard payload.
-
-        Resolved at dispatch time in the parent — ``policy.backend``
-        when set, else the process-wide selection — so workers evaluate
-        with the backend the *caller* sees, not whatever happens to be
-        active in the worker process.
-        """
-        if self.policy.backend is not None:
-            return self.policy.backend
-        return current_backend().name
-
     def _execute(
         self, payloads: Sequence[dict]
     ) -> tuple[list[tuple[int, _ShardOutcome] | None], SupervisionReport | None]:
@@ -735,15 +696,14 @@ class ParallelRunner:
         """The shard-map core: fan one workload out over ``plan``, merge it.
 
         Each payload is ``task`` plus the shard's row range, its
-        ``per_shard`` fields, the guard spec, backend name and transport
-        handles.  ``inputs`` (full-length columns) travel as one shared
-        segment or pickled per-shard slices; ``series_names`` come back
-        the same way.  Shards execute, quarantined ones get the optional
-        serial fallback, and the outcomes merge in shard order.
+        ``per_shard`` fields, the guard spec and transport handles.
+        ``inputs`` (full-length columns) travel as one shared segment or
+        pickled per-shard slices; ``series_names`` come back the same
+        way.  Shards execute, quarantined ones get the optional serial
+        fallback, and the outcomes merge in shard order.
         """
         rows = plan[-1][1] if plan else 0
         guard_spec = _guard_spec(guard)
-        backend_name = self._backend_name()
         input_store: SharedArrayStore | None = None
         output_store: SharedArrayStore | None = None
         try:
@@ -766,7 +726,6 @@ class ParallelRunner:
                     stop=stop,
                     output=output_spec,
                     guard=guard_spec,
-                    backend=backend_name,
                 )
                 if input_store is not None:
                     payload["input"] = (SHM, input_store.handle())
@@ -998,9 +957,7 @@ class ParallelRunner:
         """
         factors = {
             name: np.ascontiguousarray(np.asarray(factor))
-            for name, factor in plan.partial_series(
-                self._backend_name()
-            ).items()
+            for name, factor in plan.partial_series().items()
         }
         return self._map(
             "planned",

@@ -22,7 +22,7 @@ return plausible-but-wrong CO2 numbers:
 * :mod:`repro.robustness.checkpoint` — chunked Monte Carlo, grid sweeps,
   and schedule sweeps persisted through the durable store, fingerprint-
   verified resume (bit-for-bit identical to an uninterrupted run, bound
-  to the exact backend and planner settings), and cooperative
+  to the exact planner setting), and cooperative
   timeout/cancellation that salvages partial results.
 
 The :mod:`repro.robustness.torture` harness closes the loop: it kills a

@@ -17,11 +17,10 @@ through their seed (the sharded stream samples each chunk from its own
 resumed run evaluates are exactly the values the uninterrupted run would
 have; the chunk boundaries only decide *when* a row is evaluated, never
 *what* it is.  A content fingerprint (the SHA-256 of the run
-configuration, including the resolved kernel backend and — for sweeps —
-the grid columns and the resolved planner mode) is stored in the
-checkpoint and verified on resume, so a checkpoint can never silently
-continue a *different* run (:class:`~repro.core.errors.CheckpointError`
-otherwise).
+configuration, including — for sweeps — the grid columns and the
+resolved planner mode) is stored in the checkpoint and verified on
+resume, so a checkpoint can never silently continue a *different* run
+(:class:`~repro.core.errors.CheckpointError` otherwise).
 
 Cooperative cancellation goes through :class:`CancelToken` — a deadline
 or an explicit ``cancel()`` makes the runner stop at the next chunk
@@ -65,7 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Checkpoint schema version; bumped on incompatible layout changes.
 #: Version 2: the durable chunk-store format (write-ahead CRC-framed
-#: records + manifest) with backend/planner folded into fingerprints.
+#: records + manifest) with the kernel entry (:data:`_BACKEND_TOKEN`) and
+#: the planner mode folded into fingerprints.
 CHECKPOINT_VERSION = 2
 
 #: Default rows evaluated between two checkpoint writes.
@@ -142,26 +142,10 @@ def _fingerprint(
     return digest.hexdigest()
 
 
-def _checkpoint_backend_token(
-    resolved_policy: "object | None", backend: "object | str | None" = None
-) -> str:
-    """The backend name a checkpoint must be bound to.
-
-    An explicit ``backend`` argument wins, then the policy's explicit
-    backend, then the process-wide default — the same resolution order
-    the serial chunk evaluation and the worker processes use, so serial
-    and parallel runs of one configuration still share a fingerprint
-    while a run evaluated under ``--backend fused`` can never silently
-    resume a reference-backend checkpoint.
-    """
-    from repro.engine.backends import resolve_backend
-
-    if backend is not None:
-        return resolve_backend(backend).name
-    name = getattr(resolved_policy, "backend", None)
-    if name:
-        return str(name)
-    return resolve_backend(None).name
+#: The kernel entry every fingerprint carries.  There is one float64
+#: kernel; the entry keeps the value earlier versions wrote by default,
+#: so their checkpoints still resume.
+_BACKEND_TOKEN = "backend=reference"
 
 
 def _coverage(spans: Iterable[tuple[int, int]]) -> int:
@@ -300,7 +284,7 @@ class _Checkpointer:
             raise CheckpointError(
                 f"cannot resume: checkpoint {self.path!r} was written by a "
                 "different run configuration (seed, draws, parameters, "
-                "backend, planner, or policy differ)",
+                "planner, or policy differ)",
                 path=self.path,
                 reason="mismatch",
                 salvage=salvage,
@@ -659,7 +643,7 @@ def run_monte_carlo_chunked(
             seed,
             distribution,
             guard_tag,
-            f"backend={_checkpoint_backend_token(resolved_policy)}",
+            _BACKEND_TOKEN,
             f"columns={','.join(sorted(source.names if source else columns))}",
             f"ranges={sorted(ranges.items()) if ranges else None}",
             f"sharded={chunk_rows if resolved_policy is not None else None}",
@@ -776,6 +760,13 @@ def sweep_grid_batched_chunked(
             ``"mismatch"``) to resume under another — re-run with the
             original mode instead.  Parallel waves always evaluate
             densely.
+
+    Raises:
+        CheckpointError: ``resume`` without a usable, matching checkpoint.
+        RunInterrupted: ``cancel`` fired; completed rows are checkpointed
+            and carried on the exception's ``partial`` attribute as a
+            :class:`~repro.engine.kernels.BatchResult` of the first
+            ``completed`` rows.
     """
     require_positive("chunk_rows", chunk_rows)
     from repro.engine.plan import (
@@ -795,7 +786,7 @@ def sweep_grid_batched_chunked(
         (
             size,
             names,
-            f"backend={_checkpoint_backend_token(resolved_policy)}",
+            _BACKEND_TOKEN,
             f"planner={planner_mode}",
             sorted(base.as_dict().items()),
         ),
@@ -853,6 +844,9 @@ def sweep_grid_batched_chunked(
         fingerprint=fingerprint,
         series=series,
         evaluate=evaluate,
+        partial=lambda completed: BatchResult(
+            **{name: series[name][:completed].copy() for name in series_names}
+        ),
         policy=resolved_policy,
         checkpoint=checkpoint,
         resume=resume,
@@ -874,7 +868,6 @@ def run_schedule_sweep_chunked(
     resume: bool = False,
     cancel: CancelToken | None = None,
     policy: "object | int | None" = None,
-    backend: "object | str | None" = None,
     cache: EvaluationCache | None = None,
 ) -> dict[str, np.ndarray]:
     """A scheduling policy sweep, chunked, checkpointed, and cancellable.
@@ -889,9 +882,9 @@ def run_schedule_sweep_chunked(
     Scenario rows are *regenerated* per chunk from the spec's seed
     (:func:`~repro.scheduling.sweep.build_schedule_batch` is pure in
     ``(spec, row)``), so the checkpoint fingerprint is the spec's own
-    identity plus the resolved backend name — no materialized columns to
-    hash — and a checkpoint written at one worker count or chunk size
-    resumes bit-identically at any other (but never across backends).
+    identity — no materialized columns to hash — and a checkpoint
+    written at one worker count or chunk size resumes bit-identically at
+    any other.
     Rows a ``"degrade"`` policy loses to quarantined shards are ``NaN``,
     recorded in the checkpoint, and re-attempted on ``resume=True``.
 
@@ -904,8 +897,6 @@ def run_schedule_sweep_chunked(
             count, or ``None`` to pick up an installed process-wide
             policy; a parallel policy dispatches ``workers`` chunks per
             wave through :meth:`ParallelRunner.evaluate_schedule`.
-        backend: Kernel backend (name or instance) for the vectorized
-            evaluator; threaded to workers by name on the parallel path.
         cache: Schedule-batch evaluation cache (serial path only — worker
             processes keep their own).
 
@@ -930,12 +921,6 @@ def run_schedule_sweep_chunked(
             reason="mismatch",
         )
     resolved_policy = resolve_policy(policy)
-    # Folded into the fingerprint so a sweep evaluated under one backend
-    # cannot silently resume another's checkpoint.
-    backend_token = _checkpoint_backend_token(resolved_policy, backend)
-    if backend is not None and resolved_policy is not None:
-        # Workers receive the explicit backend by name.
-        resolved_policy = resolved_policy.replace(backend=backend_token)
     rows = spec.rows
     fingerprint = _fingerprint(
         "schedule",
@@ -944,7 +929,7 @@ def run_schedule_sweep_chunked(
             f"{key}={value}"
             for key, value in sorted(spec.fingerprint_metadata().items())
         )
-        + (f"backend={backend_token}",),
+        + (_BACKEND_TOKEN,),
     )
     series = {name: np.full(rows, np.nan) for name in SCHEDULE_SERIES}
 
@@ -959,7 +944,7 @@ def run_schedule_sweep_chunked(
                 series,
             )
         chunk_result = evaluate_schedule_cached(
-            build_schedule_batch(spec, start, stop), cache, backend
+            build_schedule_batch(spec, start, stop), cache
         )
         for name in SCHEDULE_SERIES:
             series[name][start:stop] = getattr(chunk_result, name)

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.analysis.scenario import PARAMETER_RANGES
 from repro.core.errors import DivergenceError, ParameterError, ValidationError
-from repro.engine.backends import REFERENCE, KernelBackend, resolve_backend
 from repro.engine.batch import (
     FIELD_NAMES,
     FRACTION_FIELDS,
@@ -44,7 +43,7 @@ from repro.engine.batch import (
     prevalidated_batch,
 )
 from repro.engine.cache import EvaluationCache, evaluate_cached
-from repro.engine.kernels import BatchResult, evaluate_batch
+from repro.engine.kernels import BatchResult
 from repro.obs.context import RunContext, current_context
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,11 +67,6 @@ QUARANTINED = "quarantined"
 
 #: Batched/scalar agreement tolerance for the divergence cross-check.
 CROSS_CHECK_TOLERANCE = 1e-9
-
-#: Most rows the fast-path verifier re-evaluates on the reference backend
-#: per guarded pass.  A deterministic stride keeps the sample spread over
-#: the whole batch at a fixed cost regardless of batch size.
-VERIFY_SAMPLE_ROWS = 32
 
 #: How many offending indices a diagnostic renders before truncating.
 _MAX_SHOWN = 8
@@ -292,16 +286,6 @@ class GuardedEngine:
             masked batches are compacted first, so masking cannot poison
             cache keys.
         tolerance: Batched/scalar agreement tolerance for the cross-check.
-            When a non-reference backend runs the kernels, the *effective*
-            tolerance is ``max(tolerance, backend.tolerance)`` so each
-            backend is held to its own documented drift envelope.
-        backend: Which kernel backend evaluates batches — an instance, a
-            registered name, or ``None`` for the process-wide selection.
-            Non-reference backends additionally get a sampled fast-path
-            verification: up to :data:`VERIFY_SAMPLE_ROWS` strided rows
-            are re-evaluated on the reference backend and every output
-            series must agree within the effective tolerance, else
-            :class:`~repro.core.errors.DivergenceError` is raised.
     """
 
     policy: str = STRICT
@@ -310,17 +294,12 @@ class GuardedEngine:
     )
     cache: EvaluationCache | None = None
     tolerance: float = CROSS_CHECK_TOLERANCE
-    backend: "KernelBackend | str | None" = None
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ParameterError(
                 f"unknown guard policy {self.policy!r}; use one of {POLICIES}"
             )
-        if isinstance(self.backend, str):
-            # Fail fast on a typo'd name; None stays lazy so the engine
-            # honors the process-wide selection at evaluation time.
-            resolve_backend(self.backend)
 
     # --- public entry points --------------------------------------------
 
@@ -407,10 +386,8 @@ class GuardedEngine:
                     for name, column in raw.items()
                 }
             )
-        backend = resolve_backend(self.backend)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = evaluate_cached(batch, self.cache, backend=backend)
-        self._verify_backend(batch, result, backend)
+            result = evaluate_cached(batch, self.cache)
         return self._cross_checked(
             base_size=size,
             valid=valid,
@@ -418,7 +395,6 @@ class GuardedEngine:
             result=result,
             diagnostics=tuple(diagnostics),
             repaired=repaired,
-            backend=backend,
         )
 
     def evaluate(self, batch: ScenarioBatch) -> GuardedResult:
@@ -474,10 +450,8 @@ class GuardedEngine:
                 repaired_columns = self._repair(base, dict(columns), diagnostics)
                 batch = ScenarioBatch(**repaired_columns)
                 self._warn("repaired out-of-range value(s)", diagnostics)
-        backend = resolve_backend(self.backend)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = evaluate_cached(batch, self.cache, backend=backend)
-        self._verify_backend(batch, result, backend)
+            result = evaluate_cached(batch, self.cache)
         return self._cross_checked(
             base_size=int(valid.size),
             valid=valid,
@@ -485,7 +459,6 @@ class GuardedEngine:
             result=result,
             diagnostics=tuple(diagnostics),
             repaired=self.policy == REPAIR and bool(diagnostics),
-            backend=backend,
         )
 
     # --- internals ------------------------------------------------------
@@ -551,96 +524,18 @@ class GuardedEngine:
             return np.finfo(np.float64).tiny, np.finfo(np.float64).max
         return 0.0, np.finfo(np.float64).max
 
-    def _effective_tolerance(self, backend: "KernelBackend") -> float:
-        """The agreement bound actually enforced for ``backend``."""
-        return max(self.tolerance, float(backend.tolerance))
-
-    def _verify_backend(
-        self,
-        batch: ScenarioBatch,
-        result: BatchResult,
-        backend: "KernelBackend",
-    ) -> None:
-        """Spot-check a fast path's output against the reference backend.
-
-        The reference backend *is* the baseline, so it skips this.  For
-        any other backend, up to :data:`VERIFY_SAMPLE_ROWS` evenly-strided
-        rows are re-evaluated at float64 on the reference path; every
-        output series must agree within the effective tolerance.  The
-        cost is bounded (a ≤32-row kernel pass) while a corrupted or
-        drifting backend is caught on its *first* guarded batch.
-
-        Raises:
-            DivergenceError: A sampled row disagrees beyond tolerance.
-        """
-        if backend.name == REFERENCE:
-            return
-        rows = len(batch)
-        stride = max(1, rows // VERIFY_SAMPLE_ROWS)
-        sample = np.arange(0, rows, stride, dtype=np.intp)[:VERIFY_SAMPLE_ROWS]
-        sub_batch = prevalidated_batch(
-            {
-                name: batch.column(name)[sample].astype(np.float64)
-                for name in FIELD_NAMES
-            }
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            reference = evaluate_batch(sub_batch, backend=REFERENCE)
-        tolerance = self._effective_tolerance(backend)
-        for series in BatchResult.__dataclass_fields__:
-            batched = np.asarray(
-                getattr(result, series), dtype=np.float64
-            )[sample]
-            expected = getattr(reference, series)
-            with np.errstate(invalid="ignore", over="ignore"):
-                scale = np.maximum(1.0, np.abs(expected))
-                disagree = ~(np.abs(batched - expected) <= tolerance * scale)
-                # Exactly-equal values (including matching ±Inf) and
-                # NaN-on-both-sides rows agree by definition.
-                disagree &= ~(batched == expected)
-                disagree &= ~(np.isnan(batched) & np.isnan(expected))
-            if disagree.any():
-                bad = np.flatnonzero(disagree)
-                indices = [int(sample[i]) for i in bad]
-                raise DivergenceError(
-                    f"backend {backend.name!r} {series} diverges from the "
-                    f"reference backend at sampled row(s) "
-                    f"{indices[:_MAX_SHOWN]} (tolerance {tolerance:g})",
-                    series=series,
-                    indices=indices,
-                    batched=[float(batched[i]) for i in bad],
-                    reference=[float(expected[i]) for i in bad],
-                    tolerance=tolerance,
-                )
-
-    def verify_planned(
-        self,
-        plan: "object",
-        result: BatchResult,
-        backend: "KernelBackend | str | None" = None,
-    ) -> None:
+    def verify_planned(self, plan: "object", result: BatchResult) -> None:
         """Spot-check a factored sweep plan's output, guard-style.
 
-        The planned twin of :meth:`_verify_backend`: up to 32
-        evenly-strided rows of ``plan`` are rebuilt densely and
-        re-evaluated through ``backend`` (default: the guard's own),
-        then compared against ``result`` under the guard's effective
+        Up to 32 evenly-strided rows of ``plan`` are rebuilt densely and
+        re-evaluated, then compared against ``result`` under the guard's
         tolerance.  Delegates to :func:`repro.engine.plan.verify_plan`,
         which raises :class:`~repro.core.errors.DivergenceError` on the
         first sampled disagreement.
         """
-        from repro.engine.backends import resolve_backend
         from repro.engine.plan import verify_plan
 
-        resolved = resolve_backend(
-            backend if backend is not None else self.backend
-        )
-        verify_plan(
-            plan,
-            result,
-            resolved,
-            tolerance=self._effective_tolerance(resolved),
-        )
+        verify_plan(plan, result, tolerance=self.tolerance)
 
     def _cross_checked(
         self,
@@ -651,7 +546,6 @@ class GuardedEngine:
         result: BatchResult,
         diagnostics: tuple[ColumnDiagnostic, ...],
         repaired: bool,
-        backend: "KernelBackend",
     ) -> GuardedResult:
         """Re-derive kernel anomalies on the scalar path, policing overflow.
 
@@ -687,7 +581,7 @@ class GuardedEngine:
             )
 
         rows = np.flatnonzero(anomalous)
-        tolerance = self._effective_tolerance(backend)
+        tolerance = self.tolerance
         for series, scalar_fn in _SCALAR_SERIES.items():
             batched_series = getattr(result, series)
             disagreements: list[int] = []

@@ -13,8 +13,8 @@ Layers (bottom up):
   (``fifo`` / ``edf`` / ``carbon_waiting`` / ``carbon_lowest``) emitting
   emissions *and* per-job waiting time.
 * :mod:`repro.scheduling.batch` — the vectorized evaluator: many
-  (window, job set, policy) scenarios as numpy columns, dispatched
-  through the kernel-backend registry and cacheable.
+  (window, job set, policy) scenarios as numpy columns, cacheable in
+  the engine's evaluation cache.
 * :mod:`repro.scheduling.sweep` — reproducible policy sweeps with
   emissions-vs-waiting Pareto fronts.
 """

@@ -11,11 +11,8 @@ association, so a vectorized scenario reproduces
 :func:`repro.scheduling.policies.simulate_fleet` bit for bit — cost
 ties included.
 
-The evaluator dispatches through the kernel-backend registry: the
-backend's dtype selects the compute precision (``float32`` drifts within
-its documented tolerance; ``reference``/``fused`` are float64 and
-bit-identical), and its ``cache_token`` namespaces cached results, so
-:func:`evaluate_schedule_cached` can share the engine's
+The evaluator computes in float64, and
+:func:`evaluate_schedule_cached` shares the engine's
 :class:`~repro.engine.cache.EvaluationCache` without ever colliding with
 Eq. 1-8 entries (schedule keys hash a disjoint, domain-prefixed layout).
 
@@ -38,7 +35,6 @@ import numpy as np
 
 from repro.core.errors import ConstraintError, ParameterError, ValidationError
 from repro.core.intensity import CarbonIntensityTrace
-from repro.engine.backends import KernelBackend, resolve_backend
 from repro.engine.cache import DEFAULT_CACHE, EvaluationCache
 from repro.obs.context import current_context
 from repro.scheduling.fleet import FleetJob, FleetSpec, Machine
@@ -372,48 +368,41 @@ def schedule_batch_key(batch: ScheduleBatch) -> str:
     return digest.hexdigest()
 
 
-def evaluate_schedule_batch(
-    batch: ScheduleBatch,
-    backend: "KernelBackend | str | None" = None,
-) -> ScheduleBatchResult:
+def evaluate_schedule_batch(batch: ScheduleBatch) -> ScheduleBatchResult:
     """Simulate every scenario of ``batch`` under its row's policy.
 
-    The backend's dtype selects the compute precision.  Emits a
-    ``scheduling.evaluate_batch`` span plus ``scheduling.windows`` /
-    ``scheduling.preemptions`` counters on an active run context.
+    Emits a ``scheduling.evaluate_batch`` span plus
+    ``scheduling.windows`` / ``scheduling.preemptions`` counters on an
+    active run context.
     """
-    resolved = resolve_backend(backend)
     context = current_context()
     if context.enabled:
         with context.span(
             "scheduling.evaluate_batch",
             rows=len(batch),
             jobs=batch.jobs_per_scenario,
-            backend=resolved.name,
         ):
-            result = _simulate_columns(batch, np.dtype(resolved.dtype))
+            result = _simulate_columns(batch)
         context.count("scheduling.windows", len(batch))
         preemptions = result.preemptions
         finite = preemptions[np.isfinite(preemptions)]
         if finite.size:
             context.count("scheduling.preemptions", float(finite.sum()))
         return result
-    return _simulate_columns(batch, np.dtype(resolved.dtype))
+    return _simulate_columns(batch)
 
 
-def _simulate_columns(
-    batch: ScheduleBatch, dtype: np.dtype
-) -> ScheduleBatchResult:
+def _simulate_columns(batch: ScheduleBatch) -> ScheduleBatchResult:
     """The vectorized simulation over every row at once."""
     rows = len(batch)
     jobs = batch.jobs_per_scenario
     horizon = int(batch.horizon_hours)
     row_index = np.arange(rows)
-    zero = dtype.type(0.0)
-    one = dtype.type(1.0)
-    pool = _scratch_pool((rows, jobs, horizon, dtype.str))
+    zero = np.float64(0.0)
+    one = np.float64(1.0)
+    pool = _scratch_pool((rows, jobs, horizon))
 
-    trace = np.asarray(batch.trace_g_per_kwh, dtype=dtype)
+    trace = np.asarray(batch.trace_g_per_kwh, dtype=np.float64)
     offsets = batch.window_offset.astype(np.int64)
     period = trace.shape[0]
     # Each row's CI view is a contiguous window of the tiled trace, so a
@@ -427,25 +416,25 @@ def _simulate_columns(
         windows,
         offsets % period,
         axis=0,
-        out=_scratch(pool, "ci", (rows, horizon), dtype),
+        out=_scratch(pool, "ci", (rows, horizon), np.float64),
     )
-    ci_prefix = _scratch(pool, "ci_prefix", (rows, horizon + 1), dtype)
+    ci_prefix = _scratch(pool, "ci_prefix", (rows, horizon + 1), np.float64)
     ci_prefix[:, 0] = zero
     np.cumsum(ci, axis=1, out=ci_prefix[:, 1:])
 
     capacity = batch.capacity.astype(np.int16)
     policy_id = batch.policy_id.astype(np.int64)
-    idle_kw = (batch.idle_power_w / WATTS_PER_KW).astype(dtype)
-    active_kw = (batch.active_power_w / WATTS_PER_KW).astype(dtype)
+    idle_kw = batch.idle_power_w / WATTS_PER_KW
+    active_kw = batch.active_power_w / WATTS_PER_KW
 
     arrival = batch.arrival_hour.astype(np.int64)
     deadline = batch.deadline_hour.astype(np.int64)
     slots = np.ceil(batch.duration_hours).astype(np.int64)
-    duration = batch.duration_hours.astype(dtype)
-    energy = batch.energy_kwh.astype(dtype)
-    fraction = duration - (slots - 1).astype(dtype)
+    duration = batch.duration_hours
+    energy = batch.energy_kwh
+    fraction = duration - (slots - 1).astype(np.float64)
     weight = energy / duration + active_kw[:, None]
-    overhead = batch.overhead_kwh.astype(dtype)
+    overhead = batch.overhead_kwh
     preemptible = batch.preemptible.astype(bool)
     max_slots = int(slots.max())
 
@@ -477,14 +466,14 @@ def _simulate_columns(
         ci,
         waiting_idx,
         axis=0,
-        out=_scratch(pool, "ci_waiting", (waiting_idx.shape[0], horizon), dtype),
+        out=_scratch(
+            pool, "ci_waiting", (waiting_idx.shape[0], horizon), np.float64
+        ),
     )
     threshold_waiting = (
-        np.quantile(ci_waiting, batch.threshold_quantile, axis=1).astype(
-            dtype
-        )
+        np.quantile(ci_waiting, batch.threshold_quantile, axis=1)
         if waiting_idx.size
-        else np.empty(0, dtype=dtype)
+        else np.empty(0, dtype=np.float64)
     )
     # Edge-padded CI for the carbon_lowest rows: pricing a start hour h
     # with s slots reads columns h .. h + s - 1, so padding lets every
@@ -492,7 +481,7 @@ def _simulate_columns(
     # only feeds hours the deadline mask rejects.
     n_lowest = lowest_idx.shape[0]
     ci_lowest_pad = _scratch(
-        pool, "ci_lowest_pad", (n_lowest, horizon + max_slots), dtype
+        pool, "ci_lowest_pad", (n_lowest, horizon + max_slots), np.float64
     )
     ci_lowest_pad[:, :horizon] = ci[lowest_idx]
     ci_lowest_pad[:, horizon:] = ci_lowest_pad[:, horizon - 1 : horizon]
@@ -518,7 +507,7 @@ def _simulate_columns(
             None if bits is not None
             else _scratch(pool, "feasible_buf", (rows, horizon), bool)
         ),
-        cost_buf=_scratch(pool, "cost_buf", (n_lowest, horizon), dtype),
+        cost_buf=_scratch(pool, "cost_buf", (n_lowest, horizon), np.float64),
         bits=bits,
     )
 
@@ -526,9 +515,9 @@ def _simulate_columns(
     occupancy = _scratch(pool, "occupancy", (rows, horizon), np.int16)
     occupancy.fill(0)
     emissions_total = idle_kw * ci_prefix[:, horizon]
-    energy_total = idle_kw * dtype.type(horizon)
-    wait_sum = np.zeros(rows, dtype=dtype)
-    wait_max = np.full(rows, -np.inf, dtype=dtype)
+    energy_total = idle_kw * np.float64(horizon)
+    wait_sum = np.zeros(rows, dtype=np.float64)
+    wait_max = np.full(rows, -np.inf, dtype=np.float64)
     preempt_total = np.zeros(rows, dtype=np.int64)
 
     slot_grid = np.arange(max_slots, dtype=np.int32)[None, :]
@@ -572,7 +561,7 @@ def _simulate_columns(
             valid, (weight_k[:, None] * f_mat) * ci_hours, zero
         )
         over = np.where(gap, overhead_k[:, None] * ci_hours, zero)
-        job_acc = np.zeros(rows, dtype=dtype)
+        job_acc = np.zeros(rows, dtype=np.float64)
         for s in range(max_slots):
             if s > 0:
                 job_acc = job_acc + over[:, s]
@@ -580,8 +569,8 @@ def _simulate_columns(
         job_preempts = gap.sum(axis=1)
 
         last_hour = chosen[row_index, np.maximum(slots_k - 1, 0)]
-        completion = last_hour.astype(dtype) + frac_k
-        wait = completion - (arr_k.astype(dtype) + dur_k)
+        completion = last_hour.astype(np.float64) + frac_k
+        wait = completion - (arr_k.astype(np.float64) + dur_k)
 
         emissions_total = emissions_total + np.where(active, job_acc, zero)
         energy_total = energy_total + np.where(
@@ -595,16 +584,16 @@ def _simulate_columns(
         )
         preempt_total += np.where(active, job_preempts, 0)
 
-    nan = dtype.type(np.nan)
+    nan = np.float64(np.nan)
     feasible = alive.astype(np.float64)
     return ScheduleBatchResult(
         emissions_g=np.where(alive, emissions_total, nan),
         energy_kwh=np.where(alive, energy_total, nan),
         mean_wait_hours=np.where(
-            alive, wait_sum / dtype.type(jobs), nan
+            alive, wait_sum / np.float64(jobs), nan
         ),
         max_wait_hours=np.where(alive, wait_max, nan),
-        preemptions=np.where(alive, preempt_total.astype(dtype), nan),
+        preemptions=np.where(alive, preempt_total.astype(np.float64), nan),
         feasible=feasible,
     )
 
@@ -1015,26 +1004,23 @@ def _choose_hours_bitset(
 
 
 def evaluate_schedule_cached(
-    batch: ScheduleBatch,
-    cache: "EvaluationCache | None" = None,
-    backend: "KernelBackend | str | None" = None,
+    batch: ScheduleBatch, cache: "EvaluationCache | None" = None
 ) -> ScheduleBatchResult:
     """Evaluate through an :class:`~repro.engine.cache.EvaluationCache`.
 
-    Entries are keyed by :func:`schedule_batch_key` content and the
-    backend's ``cache_token`` (via the cache's generic by-key interface),
-    so repeated sweeps over identical windows are served without
-    recomputation and never collide with Eq. 1-8 entries.
+    Entries are keyed by :func:`schedule_batch_key` content (via the
+    cache's generic by-key interface), so repeated sweeps over identical
+    windows are served without recomputation and never collide with
+    Eq. 1-8 entries.
     """
     if cache is None:
         cache = DEFAULT_CACHE
-    resolved = resolve_backend(backend)
     key = schedule_batch_key(batch)
-    cached = cache.peek_by_key(key, rows=len(batch), backend=resolved)
+    cached = cache.peek_by_key(key, rows=len(batch))
     if cached is not None:
         return cached
-    result = evaluate_schedule_batch(batch, backend=resolved)
-    cache.put_by_key(key, result, backend=resolved)
+    result = evaluate_schedule_batch(batch)
+    cache.put_by_key(key, result)
     return result
 
 
@@ -1043,27 +1029,25 @@ def verify_schedule_batch(
     result: ScheduleBatchResult | None = None,
     *,
     sample: int = 8,
-    backend: "KernelBackend | str | None" = None,
 ) -> int:
     """Cross-check sampled rows against the scalar reference path.
 
     The scheduling twin of the engine's guarded cross-check: evenly
     sampled rows are re-simulated with
     :func:`~repro.scheduling.policies.simulate_fleet` and compared within
-    the backend's documented tolerance (floored at 1e-9 relative).
+    a 1e-9 relative tolerance.
     Returns the number of rows checked; raises
     :class:`~repro.core.errors.ValidationError` on any disagreement.
     """
     if sample < 1:
         raise ParameterError(f"sample must be >= 1, got {sample}")
-    resolved = resolve_backend(backend)
     if result is None:
-        result = evaluate_schedule_batch(batch, backend=resolved)
+        result = evaluate_schedule_batch(batch)
     if len(result) != len(batch):
         raise ParameterError(
             f"result has {len(result)} rows for a {len(batch)}-row batch"
         )
-    tolerance = max(float(resolved.tolerance), 1e-9)
+    tolerance = 1e-9
     trace = CarbonIntensityTrace("verify", batch.trace_g_per_kwh)
     checked = np.unique(
         np.linspace(0, len(batch) - 1, min(sample, len(batch))).astype(int)

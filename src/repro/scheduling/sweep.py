@@ -31,7 +31,6 @@ from repro.core.errors import ParameterError
 from repro.core.intensity import CarbonIntensityTrace
 from repro.core.parameters import require_fraction, require_non_negative
 from repro.dse.pareto import pareto_front
-from repro.engine.backends import KernelBackend
 from repro.engine.cache import EvaluationCache
 from repro.obs.context import current_context
 from repro.scheduling.batch import (
@@ -396,7 +395,6 @@ def run_policy_sweep(
     spec: ScheduleSweepSpec,
     *,
     policy: "ExecutionPolicy | None" = None,
-    backend: "KernelBackend | str | None" = None,
     cache: "EvaluationCache | None" = None,
     chunk_rows: int | None = None,
     checkpoint: "str | None" = None,
@@ -424,7 +422,6 @@ def run_policy_sweep(
             return _run_policy_sweep(
                 spec,
                 policy=policy,
-                backend=backend,
                 cache=cache,
                 chunk_rows=chunk_rows,
                 checkpoint=checkpoint,
@@ -435,7 +432,6 @@ def run_policy_sweep(
     return _run_policy_sweep(
         spec,
         policy=policy,
-        backend=backend,
         cache=cache,
         chunk_rows=chunk_rows,
         checkpoint=checkpoint,
@@ -449,7 +445,6 @@ def _run_policy_sweep(
     spec: ScheduleSweepSpec,
     *,
     policy: "ExecutionPolicy | None",
-    backend: "KernelBackend | str | None",
     cache: "EvaluationCache | None",
     chunk_rows: int | None,
     checkpoint: "str | None",
@@ -476,16 +471,12 @@ def _run_policy_sweep(
             resume=resume,
             cancel=cancel,
             policy=policy,
-            backend=backend,
             cache=cache,
         )
     else:
         batch = build_schedule_batch(spec)
-        result = evaluate_schedule_cached(batch, cache, backend)
-        series = {
-            name: getattr(result, name).astype(np.float64)
-            for name in SCHEDULE_SERIES
-        }
+        result = evaluate_schedule_cached(batch, cache)
+        series = {name: getattr(result, name).copy() for name in SCHEDULE_SERIES}
     if verify_sample > 0:
         rows = np.unique(
             np.linspace(
@@ -494,5 +485,5 @@ def _run_policy_sweep(
         )
         for row in rows:
             sample_batch = build_schedule_batch(spec, int(row), int(row) + 1)
-            verify_schedule_batch(sample_batch, sample=1, backend=backend)
+            verify_schedule_batch(sample_batch, sample=1)
     return summarize_sweep(spec, series)

@@ -317,7 +317,6 @@ class CarbonQueryService:
             self.cache,
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_s,
-            backend=self.config.backend,
             on_success=self.breaker.record_success,
             on_failure=self._backend_failure,
         )
@@ -453,9 +452,7 @@ class CarbonQueryService:
         deadline_s = self._deadline_s(request)
         lease = self.breaker.allow_backend()
         if lease is None:
-            cached = self.cache.peek_by_key(
-                scenario_key(scenario), 1, self.config.backend
-            )
+            cached = self.cache.peek_by_key(scenario_key(scenario), 1)
             if cached is None:
                 raise ServiceUnavailable(
                     "backend circuit breaker is open and this query is "
@@ -629,7 +626,7 @@ class CarbonQueryService:
         """
         lease = self.breaker.allow_backend()
         if lease is None:
-            cached = self.cache.peek(batch, self.config.backend)
+            cached = self.cache.peek(batch)
             if cached is None:
                 raise ServiceUnavailable(
                     "backend circuit breaker is open and this sweep is "
@@ -638,9 +635,7 @@ class CarbonQueryService:
                 )
             return cached
         try:
-            result, from_cache = self.cache.evaluate_with_origin(
-                batch, self.config.backend
-            )
+            result, from_cache = self.cache.evaluate_with_origin(batch)
         except Exception as error:
             self._backend_failure(error)
             # No-op when the failure tripped/re-opened the breaker; frees

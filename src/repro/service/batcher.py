@@ -214,8 +214,6 @@ class MicroBatcher:
         max_batch: Most queries evaluated in one kernel call.
         max_wait_s: Longest the first query of a tick waits for
             co-travelers.
-        backend: Kernel backend name for every evaluation (``None`` =
-            process-wide selection).
         on_success / on_failure: Hooks reporting each kernel call's
             outcome — the circuit breaker's sensors.
     """
@@ -226,14 +224,12 @@ class MicroBatcher:
         *,
         max_batch: int = 256,
         max_wait_s: float = 0.002,
-        backend: str | None = None,
         on_success: Callable[[], None] | None = None,
         on_failure: Callable[[BaseException], None] | None = None,
     ) -> None:
         self.cache = cache
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.backend = backend
         self.on_success = on_success
         self.on_failure = on_failure
         self.stats = BatcherStats()
@@ -262,7 +258,7 @@ class MicroBatcher:
         key = scenario_key(scenario)
         deadline = time.monotonic() + timeout_s
         query = PendingQuery(scenario, key, deadline)
-        cached = self.cache.peek_by_key(key, 1, self.backend)
+        cached = self.cache.peek_by_key(key, 1)
         if cached is not None:
             query._complete(cached, "cache", 1)
             with self._cond:
@@ -352,7 +348,7 @@ class MicroBatcher:
             # neighbours: its row comes back non-finite and the service
             # answers it with a 422 (errstate is per thread).
             with np.errstate(over="ignore", invalid="ignore"):
-                result = evaluate_batch(coalesced, backend=self.backend)
+                result = evaluate_batch(coalesced)
         except Exception as error:  # noqa: BLE001 - forwarded per query
             with self._cond:
                 self.stats.failed += rows
@@ -371,8 +367,7 @@ class MicroBatcher:
             for index in range(rows)
         ]
         self.cache.put_many_by_key(
-            [(item.key, row) for item, row in zip(items, row_of)],
-            self.backend,
+            [(item.key, row) for item, row in zip(items, row_of)]
         )
         # Success is recorded before waiters wake for the same reason as
         # the failure path: a half-open probe's lease release must find

@@ -51,7 +51,6 @@ class ServiceConfig:
             deadline-poll granularity of cooperative cancellation.
         drain_timeout_s: Longest a SIGTERM drain waits for in-flight
             requests before giving up on stragglers.
-        backend: Kernel backend name (``None`` = process-wide selection).
         retry_after_s: Hint sent with 429/503 responses.
     """
 
@@ -71,7 +70,6 @@ class ServiceConfig:
     max_draws: int = 1_000_000
     mc_chunk_rows: int = 8192
     drain_timeout_s: float = 10.0
-    backend: str | None = None
     retry_after_s: float = 1.0
 
     def __post_init__(self) -> None:

@@ -9,8 +9,8 @@ from repro.analysis import ActScenario, run_monte_carlo
 from repro.core.errors import CheckpointError, RunInterrupted
 from repro.core.intensity import solar_diurnal_trace
 from repro.dse import sweep_grid_batched
-from repro.engine.backends import use_backend
 from repro.engine.cache import EvaluationCache
+from repro.engine.kernels import BatchResult
 from repro.robustness import (
     SKIP,
     CancelToken,
@@ -192,6 +192,28 @@ class TestSweepChunked:
             uninterrupted.result.embodied_g, resumed.result.embodied_g
         )
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_interrupt_carries_completed_rows_as_partial(self, workers):
+        policy = workers or None
+        uninterrupted = sweep_grid_batched_chunked(
+            BASE, GRIDS, chunk_rows=6, policy=policy
+        )
+        with pytest.raises(RunInterrupted) as excinfo:
+            sweep_grid_batched_chunked(
+                BASE, GRIDS, chunk_rows=6, policy=policy,
+                cancel=CountingCancelToken(stop_after_checks=2),
+            )
+        completed = excinfo.value.completed
+        partial = excinfo.value.partial
+        assert 0 < completed < len(uninterrupted)
+        assert isinstance(partial, BatchResult)
+        assert len(partial) == completed
+        for name in BatchResult.__dataclass_fields__:
+            np.testing.assert_array_equal(
+                getattr(partial, name),
+                getattr(uninterrupted.result, name)[:completed],
+            )
+
     def test_resume_with_different_grid_raises_mismatch(self, tmp_path):
         path = tmp_path / "sweep.npz"
         with pytest.raises(RunInterrupted):
@@ -235,32 +257,28 @@ class TestFingerprintPins:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_sweep_fingerprint(self, tmp_path, workers):
         path = tmp_path / "sweep.ckpt"
-        with use_backend("reference"):
-            sweep_grid_batched_chunked(
-                BASE,
-                GRIDS,
-                chunk_rows=8,
-                checkpoint=path,
-                planner="auto",
-                policy=workers,
-            )
+        sweep_grid_batched_chunked(
+            BASE,
+            GRIDS,
+            chunk_rows=8,
+            checkpoint=path,
+            planner="auto",
+            policy=workers,
+        )
         assert load_store_state(path).meta["fingerprint"] == self.SWEEP
 
     @pytest.mark.parametrize("workers", [None, 2])
-    @pytest.mark.parametrize("backend", [None, "reference"])
-    def test_schedule_fingerprint(self, tmp_path, workers, backend):
+    def test_schedule_fingerprint(self, tmp_path, workers):
         path = tmp_path / "schedule.ckpt"
         spec = ScheduleSweepSpec(
             trace=solar_diurnal_trace(500.0, solar_share_at_noon=0.7),
             windows=60,
             seed=7,
         )
-        with use_backend("reference"):
-            run_schedule_sweep_chunked(
-                spec,
-                chunk_rows=50,
-                checkpoint_path=path,
-                policy=workers,
-                backend=backend,
-            )
+        run_schedule_sweep_chunked(
+            spec,
+            chunk_rows=50,
+            checkpoint_path=path,
+            policy=workers,
+        )
         assert load_store_state(path).meta["fingerprint"] == self.SCHEDULE

@@ -322,20 +322,6 @@ class TestCheckpointIntegration:
         assert error.salvage
         assert "salvage" in str(error)
 
-    def test_fingerprint_folds_backend_name(self, tmp_path):
-        path = tmp_path / "mc.ckpt"
-        self._interrupted(path)
-        from repro.engine.backends import resolve_backend
-
-        current = resolve_backend(None).name
-        other = "fused" if current != "fused" else "reference"
-        with pytest.raises(CheckpointError) as excinfo:
-            run_monte_carlo_chunked(
-                BASE, draws=512, seed=5, chunk_rows=64,
-                checkpoint=path, resume=True, policy=_policy(other),
-            )
-        assert excinfo.value.reason == "mismatch"
-
     def test_fingerprint_folds_sharded_chunk_rows(self, tmp_path):
         # Under a resolved policy the chunk is the sampling unit, so a
         # different chunk_rows is a different run: resume must refuse.
@@ -364,8 +350,3 @@ class TestCheckpointIntegration:
             )
         np.testing.assert_array_equal(uninterrupted.samples, resumed.samples)
 
-
-def _policy(backend: str):
-    from repro.parallel import ExecutionPolicy
-
-    return ExecutionPolicy(workers=1, backend=backend)

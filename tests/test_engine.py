@@ -30,6 +30,8 @@ from repro.engine import (
     score_table_batched,
     winners_batched,
 )
+from repro.engine.kernels import _evaluate_batch_arrays
+from repro.obs.context import RunContext, use_context
 
 TOLERANCE = 1e-9
 
@@ -144,6 +146,47 @@ class TestDegenerateCases:
         result = evaluate_batch(batch)
         np.testing.assert_array_equal(result.total_g, 0.0)
         np.testing.assert_array_equal(result.embodied_share, 0.0)
+
+
+class TestKernelParity:
+    """The one float64 kernel body: ``evaluate_batch`` is exactly the
+    uninstrumented pass, and corner rows agree with the scalar oracle."""
+
+    def test_evaluate_batch_is_the_kernel_pass(self):
+        batch = sample_scenario_batch(ActScenario(), draws=512, seed=7)
+        dispatched = evaluate_batch(batch)
+        direct = _evaluate_batch_arrays(batch)
+        for name in dataclasses.fields(dispatched):
+            assert np.array_equal(
+                getattr(dispatched, name.name), getattr(direct, name.name)
+            ), name.name
+
+    def test_instrumented_dispatch_is_the_kernel_pass(self):
+        """Recording the pass under an active context changes no bit."""
+        batch = sample_scenario_batch(ActScenario(), draws=64, seed=11)
+        with use_context(RunContext()):
+            instrumented = evaluate_batch(batch)
+        direct = _evaluate_batch_arrays(batch)
+        for name in dataclasses.fields(instrumented):
+            assert np.array_equal(
+                getattr(instrumented, name.name), getattr(direct, name.name)
+            ), name.name
+
+    def test_corner_batch_matches_scalar_model(self):
+        """Zeros, tiny and large magnitudes, and yield edges."""
+        base = ActScenario()
+        batch = ScenarioBatch.from_scenarios(
+            [
+                base,
+                base.replace(hdd_gb=0.0, ssd_gb=0.0, dram_gb=0.0),
+                base.replace(fab_yield=1.0),
+                base.replace(fab_yield=0.1, energy_kwh=1e-6),
+                base.replace(
+                    energy_kwh=1e6, lifetime_hours=1.0, duration_hours=1.0
+                ),
+            ]
+        )
+        assert_matches_scalar(batch)
 
 
 class TestTable2Metrics:

@@ -49,15 +49,14 @@ class TestBatchKey:
             # The planner's dense batch keeps constant columns as
             # zero-stride broadcast views of the base values.
             lambda: plan_product(BASE, PRODUCT_GRIDS).batch(),
-            lambda: batch_of(np.linspace(1.0, 9.0, 33)).astype(np.float32),
         ],
-        ids=["contiguous-float64", "zero-stride-from-product", "float32"],
+        ids=["contiguous-float64", "zero-stride-from-product"],
     )
     def test_digest_matches_the_tobytes_layout(self, build):
         batch = build()
         digest = hashlib.sha256()
         digest.update(len(batch).to_bytes(8, "little"))
-        digest.update(batch.dtype.name.encode("ascii"))
+        digest.update(b"float64")
         for name in FIELD_NAMES:
             digest.update(name.encode("ascii"))
             digest.update(batch.column(name).tobytes())
@@ -68,6 +67,16 @@ class TestBatchKey:
         assert planned.column("dram_gb").strides == (0,)
         dense = ScenarioBatch.from_product(BASE, PRODUCT_GRIDS)
         assert batch_key(planned) == batch_key(dense)
+
+
+class TestOneKernel:
+    def test_evaluate_with_origin_accepts_only_a_none_backend(self):
+        cache = EvaluationCache()
+        batch = batch_of([1.0, 2.0])
+        result, from_cache = cache.evaluate_with_origin(batch, None)
+        assert not from_cache and len(result) == 2
+        with pytest.raises(ParameterError):
+            cache.evaluate_with_origin(batch, "reference")
 
 
 class TestLru:

@@ -74,7 +74,7 @@ def up_front_reference(draws=DRAWS, seed=SEED, chunk_rows=CHUNK):
 
 
 def policy(workers, **overrides):
-    return ExecutionPolicy(workers=workers, backend="reference", **overrides)
+    return ExecutionPolicy(workers=workers, **overrides)
 
 
 class TestShardColumnSource:

@@ -4,12 +4,11 @@ Five contracts are pinned here:
 
 * **Bit-identity** — the planned path (factored per-axis partials,
   combined by broadcast) produces *exactly* the dense batched result —
-  ``==`` per element, same dtype — on every plannable backend
-  (reference, fused, float32), through every integration point (one-shot
-  sweeps, parallel sweeps at any worker count, chunked+resumed sweeps).
+  ``==`` per element, same dtype — through every integration point
+  (one-shot sweeps, parallel sweeps at any worker count, chunked+resumed
+  sweeps).
 * **Fallback matrix** — ``off`` never plans, ``auto`` skips small grids,
-  non-plannable custom backends always fall back to the dense path, and
-  guarded sweeps stay dense; error behavior (empty grids, unknown
+  and guarded sweeps stay dense; error behavior (empty grids, unknown
   parameters, malformed axes) is identical on both paths.
 * **Memory discipline** — a planned batch materializes only the swept
   columns; constant columns stay zero-stride broadcast views (the
@@ -53,20 +52,12 @@ from repro.dse.pareto import (
 from repro.dse.sweep import FrozenParams, sweep_grid_batched
 from repro.engine import (
     FIELD_NAMES,
-    FLOAT32,
-    FUSED,
-    REFERENCE,
     BatchResult,
     EvaluationCache,
     ScenarioBatch,
     evaluate_batch,
-    register_backend,
-    unregister_backend,
-    use_backend,
 )
-from repro.engine.backends.reference import BackendBase
 from repro.engine.batch import prevalidated_batch, product_columns
-from repro.engine.kernels import _evaluate_batch_arrays
 from repro.engine.plan import (
     AUTO_MIN_ROWS,
     PLANNER_AUTO,
@@ -76,7 +67,6 @@ from repro.engine.plan import (
     PLANNER_ON,
     SERIES_NAMES,
     SweepPlan,
-    backend_plannable,
     current_planner_mode,
     dedup_rows,
     evaluate_batch_deduped,
@@ -172,10 +162,6 @@ class TestPlannerModes:
         assert planner_engaged(PLANNER_AUTO, many)
         assert not planner_engaged(PLANNER_AUTO, few)
 
-    def test_plannable_backends(self):
-        for name in (REFERENCE, FUSED, FLOAT32):
-            assert backend_plannable(name)
-
 
 class TestPlanConstruction:
     def test_plan_mirrors_dense_grid_shape(self):
@@ -226,15 +212,13 @@ class TestPlanConstruction:
 
 
 class TestPlannedBitIdentity:
-    @pytest.mark.parametrize("backend", (REFERENCE, FUSED, FLOAT32))
-    def test_planned_equals_dense_per_backend(self, backend):
-        with use_backend(backend):
-            dense = sweep_grid_batched(
-                BASE, BIG_GRIDS, cache=EvaluationCache(), planner="off"
-            )
-            planned = sweep_grid_batched(
-                BASE, BIG_GRIDS, cache=EvaluationCache(), planner="on"
-            )
+    def test_planned_equals_dense(self):
+        dense = sweep_grid_batched(
+            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="off"
+        )
+        planned = sweep_grid_batched(
+            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="on"
+        )
         assert planned.names == dense.names
         assert_results_identical(dense.result, planned.result)
         for name in FIELD_NAMES:
@@ -242,15 +226,13 @@ class TestPlannedBitIdentity:
                 dense.batch.column(name), planned.batch.column(name)
             )
 
-    @pytest.mark.parametrize("backend", (REFERENCE, FUSED, FLOAT32))
-    def test_mixed_grid_planned_equals_dense(self, backend):
-        with use_backend(backend):
-            dense = sweep_grid_batched(
-                BASE, MIXED_GRIDS, cache=EvaluationCache(), planner="off"
-            )
-            planned = sweep_grid_batched(
-                BASE, MIXED_GRIDS, cache=EvaluationCache(), planner="on"
-            )
+    def test_mixed_grid_planned_equals_dense(self):
+        dense = sweep_grid_batched(
+            BASE, MIXED_GRIDS, cache=EvaluationCache(), planner="off"
+        )
+        planned = sweep_grid_batched(
+            BASE, MIXED_GRIDS, cache=EvaluationCache(), planner="on"
+        )
         assert_results_identical(dense.result, planned.result)
 
     def test_single_axis_degenerate_grid(self):
@@ -286,12 +268,7 @@ class TestPlannedBitIdentity:
         cache = EvaluationCache()
         sweep_grid_batched(BASE, BIG_GRIDS, cache=cache)  # auto: planned
         plan = plan_product(BASE, BIG_GRIDS)
-        from repro.engine import current_backend
-
-        assert (
-            cache.peek_by_key(plan.content_key, plan.size, current_backend())
-            is not None
-        )
+        assert cache.peek_by_key(plan.content_key, plan.size) is not None
 
     def test_gathered_chunks_match_full_evaluation(self):
         plan = plan_product(BASE, MIXED_GRIDS)
@@ -368,57 +345,8 @@ class TestPlanCache:
         stats = cache.stats()
         assert stats.misses == 1 and stats.hits == 1
 
-    def test_cache_isolated_per_backend(self):
-        cache = EvaluationCache()
-        plan = plan_product(BASE, BIG_GRIDS)
-        ref = evaluate_plan_cached(plan, cache, backend=REFERENCE)
-        f32 = evaluate_plan_cached(plan, cache, backend=FLOAT32)
-        assert ref.total_g.dtype == np.float64
-        assert f32.total_g.dtype == np.float32
-        assert evaluate_plan_cached(plan, cache, backend=REFERENCE) is ref
-        assert evaluate_plan_cached(plan, cache, backend=FLOAT32) is f32
-
-
-class _UnplannableBackend(BackendBase):
-    """Registered fine, but not in PLANNABLE_BACKENDS -> dense fallback."""
-
-    name = "unplannable-test"
-    tolerance = 0.0
-
-    def evaluate(self, batch):
-        return _evaluate_batch_arrays(batch)
-
 
 class TestFallbacks:
-    def test_custom_backend_falls_back_to_dense(self):
-        register_backend(_UnplannableBackend())
-        try:
-            with use_backend("unplannable-test"):
-                assert not backend_plannable(None)
-                assert not planner_engaged(PLANNER_ON, 10**6)
-                cache = EvaluationCache()
-                result = sweep_grid_batched(
-                    BASE, BIG_GRIDS, cache=cache, planner="on"
-                )
-                # Served densely: the dense batch key is in the cache.
-                batch = ScenarioBatch.from_product(BASE, BIG_GRIDS)
-                assert cache.peek(batch) is not None
-        finally:
-            unregister_backend("unplannable-test")
-        reference = sweep_grid_batched(
-            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="off"
-        )
-        assert_results_identical(reference.result, result.result)
-
-    def test_partial_series_rejects_unplannable_backend(self):
-        register_backend(_UnplannableBackend())
-        try:
-            plan = plan_product(BASE, BIG_GRIDS)
-            with pytest.raises(ParameterError):
-                plan.partial_series("unplannable-test")
-        finally:
-            unregister_backend("unplannable-test")
-
     def test_guarded_sweeps_stay_dense_and_identical(self):
         # In-range axes only: the guard validates against Table 1.
         grids = {
@@ -464,8 +392,6 @@ class TestVerifyPlan:
         plan = plan_product(BASE, BIG_GRIDS)
         guard = GuardedEngine()
         guard.verify_planned(plan, plan.evaluate())
-        with use_backend(FUSED):
-            guard.verify_planned(plan, plan.evaluate(FUSED), FUSED)
 
 
 class TestParallelPlanned:

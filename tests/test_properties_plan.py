@@ -6,7 +6,7 @@ Two families of properties:
   random axis lengths including degenerate singletons, random finite
   values in each field's domain), the planned evaluation equals the
   dense ``ScenarioBatch.from_product`` pass exactly — ``==`` per element
-  on every output series, on the reference and fused backends.  This is
+  on every output series of the float64 kernel.  This is
   the load-bearing claim behind every planner integration: broadcasting
   the Eq. 1-8 DAG over axis-shaped marginal factors performs the same
   IEEE operations on the same operand values as the row-wise pass.
@@ -33,8 +33,6 @@ from repro.dse.pareto import (
     update_dominance_counts,
 )
 from repro.engine import (
-    FUSED,
-    REFERENCE,
     EvaluationCache,
     ScenarioBatch,
     evaluate_batch,
@@ -109,27 +107,12 @@ class TestPlannedEqualsDense:
     @given(grids=random_grids())
     def test_planned_bit_identical_on_reference(self, grids):
         plan = plan_product(BASE, grids)
-        dense = evaluate_batch(
-            ScenarioBatch.from_product(BASE, grids), backend=REFERENCE
-        )
-        planned = plan.evaluate(REFERENCE)
+        dense = evaluate_batch(ScenarioBatch.from_product(BASE, grids))
+        planned = plan.evaluate()
         for name in SERIES_NAMES:
             left, right = getattr(dense, name), getattr(planned, name)
             assert left.dtype == right.dtype
             np.testing.assert_array_equal(left, right, err_msg=name)
-
-    @settings(max_examples=25, deadline=None)
-    @given(grids=random_grids())
-    def test_planned_bit_identical_on_fused(self, grids):
-        plan = plan_product(BASE, grids)
-        dense = evaluate_batch(
-            ScenarioBatch.from_product(BASE, grids), backend=FUSED
-        )
-        planned = plan.evaluate(FUSED)
-        for name in SERIES_NAMES:
-            np.testing.assert_array_equal(
-                getattr(dense, name), getattr(planned, name), err_msg=name
-            )
 
     @settings(max_examples=25, deadline=None)
     @given(grids=random_grids())

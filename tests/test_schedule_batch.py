@@ -280,39 +280,12 @@ class TestExactEquivalence:
             )
 
 
-class TestBackends:
-    def test_fused_is_bit_identical(self, batch):
-        reference = evaluate_schedule_batch(batch, backend="reference")
-        fused = evaluate_schedule_batch(batch, backend="fused")
-        for name in SCHEDULE_SERIES:
-            np.testing.assert_array_equal(
-                getattr(reference, name), getattr(fused, name)
-            )
-
-    def test_float32_within_tolerance(self, batch):
-        reference = evaluate_schedule_batch(batch, backend="reference")
-        low = evaluate_schedule_batch(batch, backend="float32")
-        feasible = reference.feasible >= 0.5
-        np.testing.assert_array_equal(low.feasible, reference.feasible)
-        np.testing.assert_allclose(
-            low.emissions_g[feasible],
-            reference.emissions_g[feasible],
-            rtol=1e-4,
-        )
-
-
 class TestCaching:
     def test_cache_hit_returns_same_object(self, batch):
         cache = EvaluationCache()
         first = evaluate_schedule_cached(batch, cache)
         second = evaluate_schedule_cached(batch, cache)
         assert second is first
-
-    def test_backend_namespaces_entries(self, batch):
-        cache = EvaluationCache()
-        reference = evaluate_schedule_cached(batch, cache, "reference")
-        fused = evaluate_schedule_cached(batch, cache, "fused")
-        assert fused is not reference
 
     def test_key_tracks_content(self, batch):
         key = schedule_batch_key(batch)

@@ -35,11 +35,11 @@ class FlakyKernel:
         self.broken = threading.Event()
         self.calls = 0
 
-    def __call__(self, batch, backend=None):
+    def __call__(self, batch):
         self.calls += 1
         if self.broken.is_set():
             raise RuntimeError("injected backend outage")
-        return evaluate_batch(batch, backend=backend)
+        return evaluate_batch(batch)
 
 
 class TestFlakyBackend:

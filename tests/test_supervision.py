@@ -341,7 +341,12 @@ class TestDegradeRecovery:
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("kill", shard=2, times=5)]
         )
-        policy = fast_policy(failure_policy=DEGRADE, max_retries=2)
+        # Only the killed shard may fail: a deadline far above the run
+        # time also lifts the stall backstop, so a slow worker respawn on
+        # a loaded host cannot get healthy shards resubmitted or lost.
+        policy = fast_policy(
+            failure_policy=DEGRADE, max_retries=2, shard_deadline_seconds=600.0
+        )
         with pytest.warns(RobustnessWarning, match="quarantined"):
             with ParallelRunner(policy, fault_plan=plan) as runner:
                 out = runner.run_monte_carlo(BASE, draws=600, seed=7)
@@ -486,7 +491,10 @@ class TestSupervisionObservability:
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("kill", shard=2, times=5)]
         )
-        policy = fast_policy(failure_policy=DEGRADE, max_retries=1)
+        # As in TestDegradeRecovery: only the killed shard may fail.
+        policy = fast_policy(
+            failure_policy=DEGRADE, max_retries=1, shard_deadline_seconds=600.0
+        )
         context = RunContext.create(describe_git=False)
         with use_context(context):
             with warnings.catch_warnings():

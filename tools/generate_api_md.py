@@ -24,7 +24,6 @@ SUBPACKAGES = (
     "repro.reliability",
     "repro.lifetime",
     "repro.engine",
-    "repro.engine.backends",
     "repro.obs",
     "repro.parallel",
     "repro.dse",
