@@ -7,12 +7,14 @@ scenario parameters from those ranges (independently, uniform or
 triangular around the base value) and propagates them through Eq. 1-8,
 yielding a footprint distribution instead of a single number.
 
-Sampling goes straight into a :class:`~repro.engine.batch.ScenarioBatch`
-(one column per sampled parameter, the base scenario broadcast across the
-rest) and the batched engine evaluates all draws in one vectorized, cached
-pass.  A custom scalar ``response`` callable falls back to per-draw
-evaluation over the batch's scenario view — the reference path the
-equivalence suite checks the engine against.
+There is one draw stream (:class:`ShardColumnSource`): the draws are
+split into blocks of ``shard_rows`` rows, and each block is sampled from
+its own ``np.random.SeedSequence(seed).spawn(n)`` child.  The batched
+path runs through the chunked driver
+(:func:`~repro.robustness.checkpoint.run_monte_carlo_chunked`), which
+samples and evaluates one block at a time.  A custom scalar ``response``
+callable is evaluated per draw over the same draws: the reference path
+the equivalence suite checks the engine against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.core.errors import ParameterError
 from repro.core.parameters import require_positive
 from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import EvaluationCache, evaluate_cached
-from repro.obs.context import current_context
 
 if TYPE_CHECKING:  # pragma: no cover - robustness sits above this module
     from repro.robustness.guard import GuardedEngine
@@ -125,19 +126,23 @@ def resolve_parameter_ranges(
     return resolved
 
 
-def _sample_columns(
-    rng: np.random.Generator,
+def sample_shard_columns(
     base: ActScenario,
     resolved_ranges: Mapping[str, tuple[float, float]],
-    distribution: str,
     count: int,
+    seed: np.random.SeedSequence,
+    distribution: str = TRIANGULAR,
 ) -> dict[str, np.ndarray]:
-    """Draw ``count`` rows of every resolved parameter from one stream.
+    """Sample one shard's columns from its own SeedSequence child stream.
 
-    The single sampling routine shared by the legacy one-stream path and
-    the per-shard path — sharded and unsharded sampling can only differ in
-    *which generator* they pass, never in how draws are consumed.
+    The one place draws are consumed: :class:`ShardColumnSource` spawns
+    one child per shard and samples each shard here, in the parent or in
+    a worker, column by column in ``resolved_ranges`` order, so a shard's
+    draws depend only on its child seed — never on which process runs it
+    or in what order.
     """
+    require_positive("count", count)
+    rng = np.random.default_rng(seed)
     columns: dict[str, np.ndarray] = {}
     for name, (low, high) in resolved_ranges.items():
         columns[name] = _sample_parameter(
@@ -154,61 +159,18 @@ def _sample_columns(
     return columns
 
 
-def sample_parameter_columns(
-    base: ActScenario,
-    parameters: Iterable[str] | None = None,
-    *,
-    draws: int = 2000,
-    seed: int = 2022,
-    distribution: str = TRIANGULAR,
-    ranges: Mapping[str, tuple[float, float]] | None = None,
-) -> dict[str, np.ndarray]:
-    """The raw sampled columns a Monte Carlo batch is built from.
-
-    Exposed separately from :func:`sample_scenario_batch` so the guarded
-    and chunked runners can validate (and repair or mask) the samples
-    *before* the strict batch constructor sees them.  Draw order is
-    reproducible — the same seed yields the same columns, column by
-    column, regardless of how they are later chunked.
-    """
-    require_positive("draws", draws)
-    resolved = resolve_parameter_ranges(parameters, ranges)
-    return _sample_columns(
-        np.random.default_rng(seed), base, resolved, distribution, draws
-    )
-
-
-def sample_shard_columns(
-    base: ActScenario,
-    resolved_ranges: Mapping[str, tuple[float, float]],
-    count: int,
-    seed: np.random.SeedSequence,
-    distribution: str = TRIANGULAR,
-) -> dict[str, np.ndarray]:
-    """Sample one shard's columns from its own SeedSequence child stream.
-
-    The worker-side half of the sharded sampling contract: the parent
-    spawns one child per shard (:func:`sample_parameter_columns_sharded`
-    is the serial reference), and each shard's draws depend only on its
-    child seed — never on which worker runs it or in what order.
-    """
-    require_positive("count", count)
-    return _sample_columns(
-        np.random.default_rng(seed), base, resolved_ranges, distribution, count
-    )
-
-
 @dataclass(frozen=True)
 class ShardColumnSource:
-    """Shard-seeded Monte Carlo columns, sampled on demand by row range.
+    """The Monte Carlo draw stream, sampled on demand by row range.
 
     Resolves the sampling ranges, plans the ``shard_rows``-row shards and
-    spawns one ``np.random.SeedSequence`` child per shard exactly once;
-    :meth:`columns` then samples only the shards covering the requested
-    rows.  Every shard's draws depend only on its child seed, so sampling
-    a run wave by wave — or resuming it halfway — yields exactly the
-    columns :func:`sample_parameter_columns_sharded` builds up front,
-    while holding one wave's columns instead of all ``draws`` rows.
+    spawns one ``np.random.SeedSequence(seed)`` child per shard exactly
+    once; :meth:`columns` then samples only the shards covering the
+    requested rows.  Every shard's draws depend only on its child seed,
+    so a run sampled all at once, wave by wave, across any number of
+    workers, or resumed halfway yields the same columns, while a wave
+    holds only its own rows.  A sample is therefore a pure function of
+    (base, ranges, distribution, seed, draws, shard_rows).
 
     Build with :meth:`create`.
     """
@@ -289,38 +251,33 @@ class ShardColumnSource:
         }
 
 
-def sample_parameter_columns_sharded(
+def sample_parameter_columns(
     base: ActScenario,
     parameters: Iterable[str] | None = None,
     *,
     draws: int = 2000,
     seed: int = 2022,
-    shard_rows: int,
     distribution: str = TRIANGULAR,
     ranges: Mapping[str, tuple[float, float]] | None = None,
+    shard_rows: int | None = None,
 ) -> dict[str, np.ndarray]:
-    """Shard-seeded Monte Carlo columns, assembled serially in shard order.
+    """Every draw of a Monte Carlo run's sampled columns, in row order.
 
-    The reference implementation of the parallel sampling model: split
-    ``draws`` into ``shard_rows``-row shards, spawn one
-    ``np.random.SeedSequence`` child per shard, sample each shard from its
-    child, and concatenate in shard order.  The parallel runner produces
-    bit-identical columns at any worker count because the shard plan and
-    the child seeds depend only on ``(draws, shard_rows, seed)``; the
-    chunked driver streams the same columns wave by wave through a
-    :class:`ShardColumnSource`.
-
-    Note the stream model differs from :func:`sample_parameter_columns`
-    (one global stream): the two paths draw *different* (equally valid)
-    samples for the same seed.  ``shard_rows`` is therefore part of the
-    result contract wherever this path is used.
+    The columns are :class:`ShardColumnSource`'s stream: one
+    ``SeedSequence(seed).spawn(n)`` child per ``shard_rows`` rows, so the
+    same (seed, draws, shard_rows) yields the same columns however a run
+    later chunks, shards or resumes them.  ``shard_rows`` defaults to
+    :data:`~repro.parallel.policy.DEFAULT_SHARD_ROWS`, the block size of
+    a run without a policy.
     """
+    from repro.parallel.policy import DEFAULT_SHARD_ROWS
+
     return ShardColumnSource.create(
         base,
         parameters,
         draws=draws,
         seed=seed,
-        shard_rows=shard_rows,
+        shard_rows=DEFAULT_SHARD_ROWS if shard_rows is None else shard_rows,
         distribution=distribution,
         ranges=ranges,
     ).columns()
@@ -374,9 +331,16 @@ def run_monte_carlo(
     cache: EvaluationCache | None = None,
     guard: "GuardedEngine | None" = None,
     policy: "object | int | None" = None,
-    dedup: bool = False,
 ) -> MonteCarloResult:
     """Propagate parameter uncertainty through the ACT model.
+
+    The total footprint runs through the chunked driver
+    (:func:`~repro.robustness.checkpoint.run_monte_carlo_chunked`)
+    without a checkpoint, in ``shard_rows`` chunks of the one draw stream
+    (:class:`ShardColumnSource`).  The samples therefore depend only on
+    (base, ranges, distribution, seed, draws, shard_rows): never on the
+    worker count, the transport, the failure policy, the guard, or
+    whether a policy was given at all.
 
     Args:
         base: Scenario providing the untouched parameters (and triangular
@@ -388,98 +352,58 @@ def run_monte_carlo(
             peaked at the base value.
         ranges: Optional per-parameter (low, high) overrides.
         response: Scalar to record per draw.  When omitted, the total
-            footprint runs on the batched engine (vectorized and cached);
-            a custom response is evaluated per draw on the scalar path.
-        cache: Optional evaluation cache for the batched path.
+            footprint runs on the batched engine; a custom response is
+            evaluated per draw on the scalar path (the oracle the batched
+            path is checked against), over the same draws.
+        cache: Optional evaluation cache for the in-process batched path.
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`.
-            When given, the sampled columns are validated (and repaired
+            When given, each chunk's columns are validated (and repaired
             or masked, per policy) before evaluation, and the samples are
             the guard's valid rows.  Ignored on the custom-``response``
             scalar path, which validates per scenario anyway.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
             count, or ``None`` to pick up a policy installed with
-            :func:`~repro.parallel.use_execution_policy`.  Any resolved
-            policy (even ``workers=1``) switches sampling to the sharded
-            per-shard SeedSequence streams, whose draws are bit-identical
-            at every worker count but differ from the legacy single-stream
-            path — with no policy anywhere, behavior is exactly as before.
-            Ignored (like ``guard``) on the custom-``response`` path.
-        dedup: Collapse duplicate draws before kernel dispatch
-            (:func:`repro.engine.plan.evaluate_batch_deduped`).  Draws
-            over continuous ranges are almost surely distinct, but
-            discrete or ranges-overridden axes can repeat heavily; the
-            gather–scatter preserves draw order, so results are
-            bit-identical either way.  Serial unguarded path only.
+            :func:`~repro.parallel.use_execution_policy`.  Its
+            ``shard_rows`` (default 65,536) is the stream's block size;
+            a parallel policy spreads the blocks over its workers in one
+            shard map.
+            Ignored (like ``guard``) on the custom-``response`` path,
+            except for ``shard_rows``.
     """
     from repro.parallel.policy import resolve_policy
 
     resolved_policy = resolve_policy(policy)
-    context = current_context()
-    with context.span(
-        "analysis.montecarlo",
-        draws=draws,
-        seed=seed,
-        distribution=distribution,
-        guarded=guard is not None,
-        workers=resolved_policy.workers if resolved_policy is not None else 0,
-    ):
-        if context.enabled:
-            context.count("analysis.montecarlo.draws", draws)
-        if response is None and resolved_policy is not None:
-            from repro.parallel.runner import ParallelRunner
+    if response is None:
+        from repro.robustness.checkpoint import run_monte_carlo_chunked
 
-            with ParallelRunner(resolved_policy) as runner:
-                evaluation = runner.run_monte_carlo(
-                    base,
-                    tuple(parameters) if parameters is not None else None,
-                    draws=draws,
-                    seed=seed,
-                    distribution=distribution,
-                    ranges=ranges,
-                    guard=guard,
-                )
-            return MonteCarloResult(
-                samples=evaluation.samples(),
-                base_response=base.total_g(),
-                partial=evaluation.partial,
-            )
-        if response is None and guard is not None:
-            columns = sample_parameter_columns(
-                base,
-                parameters,
-                draws=draws,
-                seed=seed,
-                distribution=distribution,
-                ranges=ranges,
-            )
-            guarded = guard.evaluate_columns(base, draws, columns)
-            return MonteCarloResult(
-                samples=guarded.samples(), base_response=base.total_g()
-            )
-        batch = sample_scenario_batch(
+        return run_monte_carlo_chunked(
             base,
             parameters,
             draws=draws,
             seed=seed,
             distribution=distribution,
             ranges=ranges,
+            cache=cache,
+            guard=guard,
+            policy=resolved_policy,
         )
-        if response is None:
-            if dedup:
-                from repro.engine.plan import evaluate_batch_deduped
-
-                result = evaluate_batch_deduped(batch, cache)
-            else:
-                result = evaluate_cached(batch, cache)
-            samples = np.array(result.total_g, copy=True)
-            return MonteCarloResult(
-                samples=samples, base_response=base.total_g()
-            )
-
-        samples = np.empty(draws)
-        for index, scenario in enumerate(batch.scenarios()):
-            samples[index] = response(scenario)
-        return MonteCarloResult(samples=samples, base_response=response(base))
+    batch = ScenarioBatch.from_columns(
+        base,
+        draws,
+        sample_parameter_columns(
+            base,
+            parameters,
+            draws=draws,
+            seed=seed,
+            distribution=distribution,
+            ranges=ranges,
+            shard_rows=resolved_policy.shard_rows if resolved_policy else None,
+        ),
+    )
+    samples = np.empty(draws)
+    for index, scenario in enumerate(batch.scenarios()):
+        samples[index] = response(scenario)
+    return MonteCarloResult(samples=samples, base_response=response(base))
 
 
 def embodied_share_distribution(

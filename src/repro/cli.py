@@ -76,9 +76,9 @@ from repro.reporting.tables import ascii_table
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     """The shard-geometry and failure-policy flags shared by the
     parallel-capable subcommands (``montecarlo``/``sensitivity``/
-    ``experiment``); ``--workers`` stays per-command (its help text
-    differs).  Values are validated by ``ExecutionPolicy`` so bad input
-    exits 2 exactly like an invalid ``--workers``."""
+    ``experiment``/``schedule``); ``--workers`` stays per-command (its
+    help text differs).  Values are validated by ``ExecutionPolicy`` so
+    bad input exits 2 exactly like an invalid ``--workers``."""
     parser.add_argument(
         "--shard-rows",
         type=int,
@@ -110,16 +110,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="re-executions granted per shard beyond its first attempt "
         "under retry/degrade (default: 2)",
-    )
-    parser.add_argument(
-        "--planner",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="structure-aware sweep planner: factor Eq. 1-8 into "
-        "per-axis partial terms and combine marginal grids by broadcast "
-        "instead of evaluating every Cartesian row (bit-identical "
-        "results; auto = engage on grids of 512+ rows, off = always the "
-        "dense path; default: the ACT_REPRO_PLANNER env var, else auto)",
     )
 
 
@@ -207,6 +197,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 1 = serial; results are bit-identical at any count)",
     )
     _add_parallel_arguments(experiment)
+    experiment.add_argument(
+        "--planner",
+        choices=("auto", "on", "off"),
+        default=None,
+        help="structure-aware sweep planner: factor Eq. 1-8 into "
+        "per-axis partial terms and combine marginal grids by broadcast "
+        "instead of evaluating every Cartesian row (bit-identical "
+        "results; auto = engage on grids of 512+ rows, off = always the "
+        "dense path; default: the ACT_REPRO_PLANNER env var, else auto)",
+    )
 
     profile = sub.add_parser(
         "profile",
@@ -302,16 +302,16 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="draws evaluated between checkpoint writes (default: 4096)",
+        help="draws per chunk: the sample stream's block size and the "
+        "checkpoint cadence (default: the shard size, 65536)",
     )
     montecarlo.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes sharding the draws (default: 1 = the serial "
-        "legacy sample stream; N > 1 uses sharded per-shard seed streams, "
-        "bit-identical across worker counts)",
+        help="worker processes sharding the draws (default: 1; the "
+        "samples are bit-identical at any worker count)",
     )
     _add_parallel_arguments(montecarlo)
     montecarlo.add_argument(
@@ -663,10 +663,7 @@ def _workers_policy(
     Always constructs an :class:`~repro.parallel.ExecutionPolicy` so any
     invalid value fails with :class:`~repro.core.errors.ParameterError`
     (exit code 2).  A plain ``--workers 1`` with no other flag resolves
-    to ``None`` so existing serial invocations are untouched (the legacy
-    sample stream); explicitly setting shard geometry, transport, or a
-    failure policy opts into the policy-driven (sharded-stream) path
-    even at one worker.
+    to ``None``, the plain serial path; results never depend on which.
     """
     from repro.parallel import ExecutionPolicy
 
@@ -797,7 +794,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.analysis import ActScenario, run_monte_carlo, tornado
-    from repro.engine.plan import use_planner
 
     base = ActScenario()
     records = tornado(base)[: args.top]
@@ -814,18 +810,17 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    with use_planner(args.planner):
-        result = run_monte_carlo(
-            base,
-            draws=args.draws,
-            policy=_workers_policy(
-                args.workers,
-                args.shard_rows,
-                args.transport,
-                args.failure_policy,
-                args.max_retries,
-            ),
-        )
+    result = run_monte_carlo(
+        base,
+        draws=args.draws,
+        policy=_workers_policy(
+            args.workers,
+            args.shard_rows,
+            args.transport,
+            args.failure_policy,
+            args.max_retries,
+        ),
+    )
     print()
     print(
         f"Monte Carlo ({args.draws} draws): mean {result.mean / 1000.0:.2f} kg, "
@@ -837,8 +832,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     import time
 
-    from repro.analysis import ActScenario, run_monte_carlo
-    from repro.engine.plan import use_planner
+    from repro.analysis import ActScenario
+    from repro.robustness import CancelToken, run_monte_carlo_chunked
 
     try:
         percentiles = [
@@ -870,50 +865,25 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         args.failure_policy,
         args.max_retries,
     )
-    started = time.perf_counter()
-    chunked = (
-        args.checkpoint is not None
-        or args.resume
-        or args.chunk_rows is not None
-        or args.max_seconds is not None
+    cancel = (
+        CancelToken(deadline_seconds=args.max_seconds)
+        if args.max_seconds is not None
+        else None
     )
-    if chunked:
-        from repro.robustness import (
-            DEFAULT_CHUNK_ROWS,
-            CancelToken,
-            run_monte_carlo_chunked,
-        )
-
-        cancel = (
-            CancelToken(deadline_seconds=args.max_seconds)
-            if args.max_seconds is not None
-            else None
-        )
-        with use_planner(args.planner):
-            result = run_monte_carlo_chunked(
-                base,
-                draws=args.draws,
-                seed=args.seed,
-                distribution=args.distribution,
-                chunk_rows=args.chunk_rows or DEFAULT_CHUNK_ROWS,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                cancel=cancel,
-                guard=guard,
-                cache=cache,
-                policy=policy,
-            )
-    else:
-        with use_planner(args.planner):
-            result = run_monte_carlo(
-                base,
-                draws=args.draws,
-                seed=args.seed,
-                distribution=args.distribution,
-                guard=guard,
-                cache=cache,
-                policy=policy,
-            )
+    started = time.perf_counter()
+    result = run_monte_carlo_chunked(
+        base,
+        draws=args.draws,
+        seed=args.seed,
+        distribution=args.distribution,
+        chunk_rows=args.chunk_rows,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        cancel=cancel,
+        guard=guard,
+        cache=cache,
+        policy=policy,
+    )
     elapsed = time.perf_counter() - started
     print(
         f"Monte Carlo over the Table 1 ranges — batched engine, "

@@ -25,7 +25,6 @@ from repro.engine.cache import (
     EvaluationCache,
     batch_key,
     evaluate_cached,
-    row_key,
 )
 from repro.engine.kernels import (
     BatchResult,
@@ -53,11 +52,8 @@ from repro.engine.plan import (
     PLANNER_ENV_VAR,
     PLANNER_OFF,
     PLANNER_ON,
-    DedupPlan,
     SweepPlan,
     current_planner_mode,
-    dedup_rows,
-    evaluate_batch_deduped,
     evaluate_plan_cached,
     plan_product,
     planner_engaged,
@@ -70,7 +66,6 @@ __all__ = [
     "BatchResult",
     "CacheStats",
     "DEFAULT_CACHE",
-    "DedupPlan",
     "EvaluationCache",
     "FIELD_NAMES",
     "METRIC_INPUTS",
@@ -85,9 +80,7 @@ __all__ = [
     "canonical_metric",
     "cpa_g_per_cm2",
     "current_planner_mode",
-    "dedup_rows",
     "evaluate_batch",
-    "evaluate_batch_deduped",
     "evaluate_cached",
     "evaluate_plan_cached",
     "metric_columns",
@@ -98,7 +91,6 @@ __all__ = [
     "planner_engaged",
     "product_params",
     "resolve_planner_mode",
-    "row_key",
     "score_table_batched",
     "soc_embodied_g",
     "stack_design_points",

@@ -19,7 +19,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ParameterError
 from repro.core.parameters import require_positive
@@ -64,25 +64,6 @@ _FIELD_NAME_BYTES = tuple(name.encode("ascii") for name in FIELD_NAMES)
 #: ``=d`` packs a native-order IEEE double — byte-identical to a one-row
 #: float64 column's ``tobytes()``.
 _PACK_DOUBLE = struct.Struct("=d").pack
-
-
-def row_key(values: Sequence[float]) -> str:
-    """:func:`batch_key` of a one-row float64 batch given its raw field
-    values in :data:`~repro.engine.batch.FIELD_NAMES` order.
-
-    The array-side twin of :func:`scenario_key` — same digest layout, so
-    per-unique-row entries written by the dedup path
-    (:func:`repro.engine.plan.evaluate_batch_deduped`) interoperate with
-    the service's per-query scenario entries and with whole single-row
-    batch keys.
-    """
-    digest = hashlib.sha256()
-    digest.update(_SINGLE_ROW_PREFIX)
-    pack = _PACK_DOUBLE
-    for name_bytes, value in zip(_FIELD_NAME_BYTES, values):
-        digest.update(name_bytes)
-        digest.update(pack(value))
-    return digest.hexdigest()
 
 
 def scenario_key(scenario: "ActScenario") -> str:

@@ -22,17 +22,12 @@ full-grid element sees exactly the operand values the dense row-wise
 pass sees, the planned result is **bit-identical** to the dense batched
 path.
 
-Three cooperating mechanisms live here:
+Two cooperating mechanisms live here:
 
 * the factored evaluator itself (:meth:`SweepPlan.evaluate`, with
   :meth:`SweepPlan.partial_series` / :meth:`SweepPlan.gather_rows` for
   chunked runners and parallel shards that want the small factor tables
   instead of full series);
-* unique-row deduplication (:func:`dedup_rows`,
-  :func:`evaluate_batch_deduped`) so batches with repeated rows — Monte
-  Carlo draws over discrete axes, optimizer revisits — pay one kernel
-  pass per *distinct* row, composing with the content-hash cache via
-  per-unique-row keys;
 * a sampled planned-vs-dense cross-check (:func:`verify_plan`) so a
   planner bug is caught on its first sweep instead of silently
   corrupting results.
@@ -66,12 +61,7 @@ from repro.engine.batch import (
     _require_column,
     prevalidated_batch,
 )
-from repro.engine.cache import (
-    DEFAULT_CACHE,
-    EvaluationCache,
-    evaluate_cached,
-    row_key,
-)
+from repro.engine.cache import DEFAULT_CACHE, EvaluationCache
 from repro.engine.kernels import BatchResult, evaluate_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -534,205 +524,16 @@ def verify_plan(
         )
 
 
-# --- unique-row deduplication --------------------------------------------
-
-
-@dataclass(frozen=True)
-class DedupPlan:
-    """A gather–scatter over a batch's unique rows.
-
-    Attributes:
-        rows: Rows in the original batch.
-        index: Original-row index of each unique row (sorted unique
-            order, as ``np.unique`` produces).
-        inverse: For each original row, its position in the unique set —
-            ``gathered[inverse]`` reconstructs any per-row array in the
-            **original row order**.
-    """
-
-    rows: int
-    index: np.ndarray
-    inverse: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("index", "inverse"):
-            array = np.ascontiguousarray(getattr(self, name), dtype=np.intp)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    @property
-    def unique_count(self) -> int:
-        """How many distinct rows the batch holds."""
-        return int(self.index.size)
-
-    @property
-    def duplicate_fraction(self) -> float:
-        """Fraction of rows that are repeats of an earlier-sorted row."""
-        return 1.0 - self.unique_count / self.rows if self.rows else 0.0
-
-    def gather(self, column: np.ndarray) -> np.ndarray:
-        """``column`` restricted to one representative per unique row."""
-        return np.ascontiguousarray(np.asarray(column)[self.index])
-
-    def scatter(self, unique_values: np.ndarray) -> np.ndarray:
-        """Per-unique-row values expanded back to original row order.
-
-        Preserves row order and per-row flags exactly: row ``i`` of the
-        output is ``unique_values[inverse[i]]``, so boolean ``valid``
-        masks round-trip through gather/scatter unchanged.
-        """
-        return np.asarray(unique_values)[self.inverse]
-
-
-def dedup_rows(
-    columns: Mapping[str, np.ndarray], rows: int | None = None
-) -> DedupPlan:
-    """Find the unique rows of a column set, byte-exact.
-
-    Rows are compared by their packed column bytes (a lexsorted
-    ``np.unique`` over the row records), so two rows deduplicate only
-    when every column matches bit-for-bit — ``-0.0`` vs ``0.0`` and
-    distinct NaN payloads stay separate, which is conservative but can
-    never merge rows a kernel would treat differently.
-    """
-    names = [name for name in FIELD_NAMES if name in columns]
-    if not names:
-        names = list(columns)
-    if not names:
-        raise ParameterError("dedup_rows needs at least one column")
-    first = np.asarray(columns[names[0]])
-    if rows is None:
-        rows = int(first.size)
-    stacked = np.column_stack(
-        [np.broadcast_to(np.asarray(columns[name]), (rows,)) for name in names]
-    )
-    records = np.ascontiguousarray(stacked).view(
-        np.dtype((np.void, stacked.dtype.itemsize * stacked.shape[1]))
-    ).reshape(rows)
-    _, index, inverse = np.unique(
-        records, return_index=True, return_inverse=True
-    )
-    return DedupPlan(rows=rows, index=index, inverse=inverse.reshape(rows))
-
-
-#: Beyond this many unique rows, per-row cache keys cost more than the
-#: kernel pass they might save; the deduplicated batch is cached whole
-#: under its ordinary content hash instead.
-ROW_KEY_LIMIT = 4096
-
-
-def evaluate_batch_deduped(
-    batch: ScenarioBatch,
-    cache: EvaluationCache | None = None,
-    *,
-    row_keys: bool = False,
-) -> BatchResult:
-    """Evaluate ``batch`` paying one kernel pass per *distinct* row.
-
-    Duplicate rows — Monte Carlo draws over discrete axes, optimizer
-    revisits — are detected with a lexsorted unique pass, the unique
-    rows are evaluated once, and the results are scattered back to the
-    original row order.  Bit-identical to the plain pass: every output
-    row is exactly the kernel's value for its input row.
-
-    With ``row_keys=True`` (and a batch of at most
-    :data:`ROW_KEY_LIMIT` unique rows) each unique row composes with the
-    content-hash cache individually: rows are looked up under their
-    single-row batch keys (the :func:`~repro.engine.cache.scenario_key`
-    layout, so entries interoperate with the service's per-query cache),
-    only the misses are evaluated, and the fresh rows are stored back
-    per key.  Otherwise the deduplicated batch caches whole.
-    """
-    dedup = dedup_rows(
-        {name: batch.column(name) for name in FIELD_NAMES}, len(batch)
-    )
-    if dedup.unique_count == len(batch):
-        return evaluate_cached(batch, cache)
-    unique_batch = prevalidated_batch(
-        {name: dedup.gather(batch.column(name)) for name in FIELD_NAMES}
-    )
-    use_row_keys = (
-        row_keys
-        and cache is not None
-        and dedup.unique_count <= ROW_KEY_LIMIT
-    )
-    if not use_row_keys:
-        unique_result = evaluate_cached(unique_batch, cache)
-    else:
-        keys = [
-            row_key(
-                [
-                    unique_batch.column(name)[row]
-                    for name in FIELD_NAMES
-                ]
-            )
-            for row in range(dedup.unique_count)
-        ]
-        hits: dict[int, BatchResult] = {}
-        for row, key in enumerate(keys):
-            cached = cache.peek_by_key(key, 1)
-            if cached is not None:
-                hits[row] = cached
-        misses = [row for row in range(dedup.unique_count) if row not in hits]
-        fresh: BatchResult | None = None
-        if misses:
-            miss_index = np.asarray(misses, dtype=np.intp)
-            miss_batch = prevalidated_batch(
-                {
-                    name: np.ascontiguousarray(
-                        unique_batch.column(name)[miss_index]
-                    )
-                    for name in FIELD_NAMES
-                }
-            )
-            fresh = evaluate_batch(miss_batch)
-            cache.put_many_by_key(
-                [
-                    (
-                        keys[row],
-                        BatchResult(
-                            **{
-                                name: getattr(fresh, name)[position : position + 1]
-                                for name in SERIES_NAMES
-                            }
-                        ),
-                    )
-                    for position, row in enumerate(misses)
-                ]
-            )
-        series: dict[str, np.ndarray] = {}
-        miss_position = {row: position for position, row in enumerate(misses)}
-        for name in SERIES_NAMES:
-            column = np.empty(dedup.unique_count, dtype=np.float64)
-            for row in range(dedup.unique_count):
-                if row in hits:
-                    column[row] = getattr(hits[row], name)[0]
-                else:
-                    column[row] = getattr(fresh, name)[miss_position[row]]
-            series[name] = column
-        unique_result = BatchResult(**series)
-    return BatchResult(
-        **{
-            name: dedup.scatter(getattr(unique_result, name))
-            for name in SERIES_NAMES
-        }
-    )
-
-
 __all__ = [
     "AUTO_MIN_ROWS",
-    "DedupPlan",
     "PLANNER_AUTO",
     "PLANNER_ENV_VAR",
     "PLANNER_MODES",
     "PLANNER_OFF",
     "PLANNER_ON",
-    "ROW_KEY_LIMIT",
     "SweepPlan",
     "VERIFY_SAMPLE_ROWS",
     "current_planner_mode",
-    "dedup_rows",
-    "evaluate_batch_deduped",
     "evaluate_plan_cached",
     "planner_engaged",
     "plan_product",

@@ -199,7 +199,7 @@ _ACTIVE: list[ExecutionPolicy | None] = [None]
 
 
 def current_policy() -> ExecutionPolicy | None:
-    """The innermost installed policy, or ``None`` (serial legacy paths)."""
+    """The innermost installed policy, or ``None`` (the serial paths)."""
     return _ACTIVE[-1]
 
 
@@ -211,7 +211,7 @@ def use_execution_policy(
 
     Entry points called with ``policy=None`` resolve to the installed
     policy; installing ``None`` explicitly shadows an outer policy back to
-    the serial legacy paths.  Activations nest like
+    the serial paths.  Activations nest like
     :func:`~repro.obs.context.use_context`.
     """
     _ACTIVE.append(policy)

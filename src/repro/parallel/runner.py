@@ -13,9 +13,10 @@ Determinism contract (pinned by ``tests/test_parallel.py``):
   it covers.
 * Monte Carlo sampling derives one ``np.random.SeedSequence`` child per
   shard (``SeedSequence(seed).spawn(n_shards)``), so shard ``i`` draws
-  the same values whether one worker or eight evaluate the plan.  The
-  serial reference is
-  :func:`~repro.analysis.montecarlo.sample_parameter_columns_sharded`.
+  the same values whether one worker or eight evaluate the plan.  This is
+  the one draw stream,
+  :class:`~repro.analysis.montecarlo.ShardColumnSource`; the serial
+  driver samples the same blocks in-process.
 * Shard outputs are written by absolute row range, so completion order
   cannot reorder anything.
 
@@ -30,9 +31,10 @@ Guarded evaluation works per shard: each worker reconstructs the
 its shard, translates diagnostic indices from shard-local to global, and
 captures any :class:`~repro.robustness.guard.RobustnessWarning` messages
 for the parent to re-emit.  The parent merges validity masks and
-diagnostics, and raises the same all-rows-masked
-:class:`~repro.core.errors.ValidationError` the serial guard would when
-*no* shard kept a row.
+diagnostics; a fully masked shard is ``NaN`` rows, and a whole run
+raises the guard's all-rows-masked
+:class:`~repro.core.errors.ValidationError` only when *no* shard kept a
+row.
 """
 
 from __future__ import annotations
@@ -87,11 +89,12 @@ from repro.parallel.supervisor import (
 from repro.robustness.guard import (
     OUTPUT,
     QUARANTINED,
-    SKIP,
     STRICT,
     ColumnDiagnostic,
     GuardedEngine,
     RobustnessWarning,
+    offset_diagnostics,
+    require_survivors,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,24 +117,6 @@ def _guard_spec(guard: "GuardedEngine | None") -> dict[str, Any] | None:
         "ranges": dict(guard.ranges) if guard.ranges is not None else None,
         "tolerance": guard.tolerance,
     }
-
-
-def _offset_diagnostics(
-    diagnostics: Sequence[ColumnDiagnostic], start: int
-) -> tuple[ColumnDiagnostic, ...]:
-    """Translate shard-local diagnostic row indices to global batch rows."""
-    if start == 0:
-        return tuple(diagnostics)
-    return tuple(
-        ColumnDiagnostic(
-            column=diagnostic.column,
-            reason=diagnostic.reason,
-            indices=tuple(index + start for index in diagnostic.indices),
-            values=diagnostic.values,
-            detail=diagnostic.detail,
-        )
-        for diagnostic in diagnostics
-    )
 
 
 def _merge_diagnostics(
@@ -199,6 +184,20 @@ def _warn_merged(
         )
 
 
+def _survivors_required(
+    evaluation: "ParallelEvaluation", guard: "GuardedEngine | None"
+) -> "ParallelEvaluation":
+    """``evaluation`` after the guard's whole-run all-masked verdict."""
+    if guard is not None:
+        require_survivors(
+            guard.policy,
+            evaluation.valid,
+            evaluation.partial.rows if evaluation.partial else 0,
+            (d for d in evaluation.diagnostics if d.reason != QUARANTINED),
+        )
+    return evaluation
+
+
 @dataclass(frozen=True)
 class _ShardOutcome:
     """What one worker hands back for one shard."""
@@ -264,14 +263,14 @@ def _evaluate_shard_guarded(
                 raise
             series = {name: np.full(count, np.nan) for name in SERIES_NAMES}
             valid = np.zeros(count, dtype=bool)
-            diagnostics = _offset_diagnostics(
+            diagnostics = offset_diagnostics(
                 getattr(error, "diagnostics", ()), start
             )
             repaired = False
         else:
             series = {name: guarded.full_series(name) for name in SERIES_NAMES}
             valid = np.array(guarded.valid, dtype=bool)
-            diagnostics = _offset_diagnostics(guarded.diagnostics, start)
+            diagnostics = offset_diagnostics(guarded.diagnostics, start)
             repaired = guarded.repaired
     messages = tuple(
         str(warning.message)
@@ -595,9 +594,10 @@ class ParallelRunner:
         """Run the shard payloads under the policy's failure semantics.
 
         Returns ``(outcomes, report)`` — ``outcomes[i]`` is the
-        ``(worker, _ShardOutcome)`` pair for shard ``i`` or ``None`` when
-        the shard was quarantined; ``report`` is ``None`` on the
-        fail-fast path (no supervision ran).
+        ``(worker, _ShardOutcome)`` pair for payload ``i`` or ``None``
+        when it was quarantined; ``report`` is ``None`` on the fail-fast
+        path (no supervision ran) and names shards by their payloads'
+        ``"shard"`` numbers.
         """
         if self._fault_spec is not None:
             payloads = [
@@ -618,7 +618,9 @@ class ParallelRunner:
             # The historical fast path: no supervision bookkeeping at all.
             return self._pool.run(_run_shard, payloads), None
         supervisor = ShardSupervisor(self._pool, self.policy)
-        return supervisor.run(_run_shard, payloads)
+        return supervisor.run(
+            _run_shard, payloads, [payload["shard"] for payload in payloads]
+        )
 
     def _execute_serial_supervised(
         self, payloads: Sequence[dict]
@@ -642,7 +644,9 @@ class ParallelRunner:
                     break
                 dropped = getattr(outcome, "repro_dropped_result", False)
                 cause = LOST if dropped else ERROR
-                delay = ledger.fail(index, cause, repr(outcome), 0, outcome)
+                delay = ledger.fail(
+                    payload["shard"], cause, repr(outcome), 0, outcome
+                )
                 if delay is None:
                     break  # quarantined
                 if delay:
@@ -670,15 +674,18 @@ class ParallelRunner:
         ):
             return report
         context = current_context()
+        position = {
+            payload["shard"]: index for index, payload in enumerate(payloads)
+        }
         stubborn: list[int] = []
         for shard in report.quarantined:
-            payload = dict(payloads[shard])
+            payload = dict(payloads[position[shard]])
             payload.pop("fault", None)
             outcome = _run_shard_in_process(payload)
             if isinstance(outcome, BaseException):
                 stubborn.append(shard)
                 continue
-            outcomes[shard] = (-1, outcome)  # -1: evaluated by the parent
+            outcomes[position[shard]] = (-1, outcome)  # -1: the parent
             context.event("shard_healed", shard=shard)
         return dataclasses.replace(report, quarantined=tuple(stubborn))
 
@@ -692,6 +699,7 @@ class ParallelRunner:
         inputs: Mapping[str, np.ndarray] | None = None,
         series_names: Sequence[str] = SERIES_NAMES,
         per_shard: Sequence[Mapping[str, Any]] | None = None,
+        shards: Sequence[int] | None = None,
     ) -> ParallelEvaluation:
         """The shard-map core: fan one workload out over ``plan``, merge it.
 
@@ -700,9 +708,14 @@ class ParallelRunner:
         ``inputs`` (full-length columns) travel as one shared segment or
         pickled per-shard slices; ``series_names`` come back the same
         way.  Shards execute, quarantined ones get the optional serial
-        fallback, and the outcomes merge in shard order.
+        fallback, and the outcomes merge in shard order.  ``shards``
+        numbers the plan's shards for fault plans, supervision, reports
+        and spans (default ``0..len(plan)-1``); a map over one wave of a
+        longer run passes the run-wide numbers.
         """
         rows = plan[-1][1] if plan else 0
+        if shards is None:
+            shards = range(len(plan))
         guard_spec = _guard_spec(guard)
         input_store: SharedArrayStore | None = None
         output_store: SharedArrayStore | None = None
@@ -721,7 +734,7 @@ class ParallelRunner:
                 payload = dict(
                     task,
                     kind=kind,
-                    shard=index,
+                    shard=shards[index],
                     start=start,
                     stop=stop,
                     output=output_spec,
@@ -753,7 +766,7 @@ class ParallelRunner:
                 report = self._heal_quarantined(payloads, outcomes, report)
                 return self._merge(
                     rows,
-                    plan,
+                    dict(zip(shards, plan)),
                     outcomes,
                     output_store,
                     guard.policy if guard is not None else None,
@@ -769,7 +782,7 @@ class ParallelRunner:
     def _merge(
         self,
         rows: int,
-        plan: Sequence[tuple[int, int]],
+        plan: Mapping[int, tuple[int, int]],
         outcomes: Sequence[tuple[int, _ShardOutcome] | None],
         output_store: SharedArrayStore | None,
         guard_policy: str | None,
@@ -871,22 +884,15 @@ class ParallelRunner:
         if guard_policy is not None:
             # Judge the guard on the rows that actually evaluated (`kept`);
             # rows lost to quarantine are accounted by the PartialResult.
-            guard_diagnostics = tuple(
-                d for d in diagnostics if d.reason != QUARANTINED
-            )
-            if kept.any() and not valid[kept].any():
-                raise ValidationError(
-                    "skip policy masked every row of the batch"
-                    if guard_policy == SKIP
-                    else "every row of the batch overflowed",
-                    guard_diagnostics,
-                )
+            # A fully masked evaluation warns like any other: whether the
+            # whole run kept a row (`require_survivors`) is the caller's
+            # verdict.
             _warn_merged(
                 guard_policy,
                 int(np.count_nonzero(kept)),
                 int(np.count_nonzero(kept & ~valid)),
                 any(outcome.repaired for outcome in ordered),
-                guard_diagnostics,
+                tuple(d for d in diagnostics if d.reason != QUARANTINED),
             )
         return ParallelEvaluation(
             rows=rows,
@@ -918,12 +924,15 @@ class ParallelRunner:
         validation preserves the serial error behavior unless
         ``prevalidated`` asserts the columns were already validated.
         """
-        return self._map(
-            "columns",
-            shard_plan(size, self.policy.shard_rows),
-            {"base": base, "prevalidated": prevalidated},
-            guard=guard,
-            inputs=broadcast_columns(base, size, columns),
+        return _survivors_required(
+            self._map(
+                "columns",
+                shard_plan(size, self.policy.shard_rows),
+                {"base": base, "prevalidated": prevalidated},
+                guard=guard,
+                inputs=broadcast_columns(base, size, columns),
+            ),
+            guard,
         )
 
     def evaluate_batch(
@@ -976,13 +985,15 @@ class ParallelRunner:
         ranges: Mapping[str, tuple[float, float]] | None = None,
         guard: "GuardedEngine | None" = None,
     ) -> ParallelEvaluation:
-        """Sample and evaluate a Monte Carlo workload, shard by shard.
+        """Sample and evaluate a whole Monte Carlo run in one shard map.
 
-        Workers sample their own shards from per-shard SeedSequence child
-        streams, so sampling parallelizes with evaluation and the samples
-        are bit-identical at any worker count (reference:
-        :func:`~repro.analysis.montecarlo.sample_parameter_columns_sharded`
-        with ``shard_rows=policy.shard_rows``).
+        Workers sample their own shards from the one draw stream
+        (:class:`~repro.analysis.montecarlo.ShardColumnSource` with
+        ``shard_rows=policy.shard_rows``), so the samples equal
+        :func:`~repro.analysis.montecarlo.run_monte_carlo`'s under the
+        same policy.  Returns the full evaluation (validity, diagnostics,
+        supervision report), which the supervision suites inspect;
+        analysis code calls ``run_monte_carlo`` instead.
         """
         source = ShardColumnSource.create(
             base,
@@ -993,7 +1004,9 @@ class ParallelRunner:
             distribution=distribution,
             ranges=ranges,
         )
-        return self.evaluate_source(source, guard=guard)
+        return _survivors_required(
+            self.evaluate_source(source, guard=guard), guard
+        )
 
     def evaluate_source(
         self,
@@ -1007,10 +1020,11 @@ class ParallelRunner:
 
         One task per source shard in the (shard-aligned) range, each
         carrying that shard's child seed rather than sampled columns, so
-        the workers sample their own shards.  The
-        evaluation's rows (and any quarantined ranges) are relative to
-        ``start`` — the chunked Monte Carlo driver evaluates one wave of
-        a long run per call.
+        the workers sample their own shards.  Shards keep their run-wide
+        source numbers; the evaluation's rows and quarantined ranges are
+        relative to ``start`` (the chunked Monte Carlo driver evaluates
+        one wave of a long run per call).  A fully masked wave is ``NaN``
+        rows: whether the run kept a row is the caller's verdict.
         """
         indices = source.shards(start, stop)
         return self._map(
@@ -1026,6 +1040,7 @@ class ParallelRunner:
             },
             guard=guard,
             per_shard=[{"seed": source.seeds[index]} for index in indices],
+            shards=indices,
         )
 
     def evaluate_schedule(

@@ -64,7 +64,7 @@ class ShardFailure:
     """One failed shard attempt, as observed by the supervisor.
 
     Attributes:
-        shard: Index of the shard (== task index) that failed.
+        shard: Index of the shard that failed (its run-wide number).
         attempt: Which execution failed (1 = first try).
         cause: ``"error"`` (the shard raised), ``"worker-death"`` (its
             worker's process died), ``"deadline"`` (the shard outlived
@@ -269,15 +269,17 @@ class ShardSupervisor:
         self,
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
+        labels: Sequence[int],
     ) -> tuple[list[tuple[int, Any] | None], SupervisionReport]:
         """Map ``fn`` over ``payloads``, surviving infrastructure faults.
 
         Returns ``(outcomes, report)`` where ``outcomes[i]`` is the
         ``(worker_id, result)`` pair for payload ``i`` — or ``None`` when
-        shard ``i`` was quarantined (``degrade`` only).  Raises the
-        shard's own :class:`ReproError` immediately on a model error, and
-        :class:`ShardFailedError` when a shard exhausts its budget under
-        ``retry``.
+        payload ``i`` was quarantined (``degrade`` only).  Failures,
+        events and the report name payload ``i`` as shard ``labels[i]``.
+        Raises the shard's own :class:`ReproError` immediately on a model
+        error, and :class:`ShardFailedError` when a shard exhausts its
+        budget under ``retry``.
         """
         if not payloads:
             return [], SupervisionReport()
@@ -304,7 +306,7 @@ class ShardSupervisor:
             in_flight.discard(index)
             if done[index]:
                 return  # stale duplicate of a shard that already finished
-            delay = ledger.fail(index, cause, detail, worker)
+            delay = ledger.fail(labels[index], cause, detail, worker)
             if delay is None:
                 done[index] = True
             else:
@@ -414,8 +416,8 @@ class ShardSupervisor:
                     pool.submit(run_id, index, fn, payloads[index])
                     context.event(
                         "shard_retry",
-                        shard=index,
-                        attempt=ledger.attempts.get(index, 1),
+                        shard=labels[index],
+                        attempt=ledger.attempts.get(labels[index], 1),
                         cause=LOST,
                         backoff_seconds=0.0,
                         detail="result message lost; resubmitted",

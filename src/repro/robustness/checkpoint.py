@@ -44,11 +44,16 @@ from repro.analysis.montecarlo import (
     TRIANGULAR,
     MonteCarloResult,
     ShardColumnSource,
-    sample_parameter_columns,
-    sample_parameter_columns_sharded,  # noqa: F401 - perfbench wraps it here
+)
+
+# perfbench's ``montecarlo_durable`` workload times this module attribute
+# as its ``analysis.sample`` stage; the driver samples through
+# ``ShardColumnSource`` directly, so the stage reads about zero.
+from repro.analysis.montecarlo import (  # noqa: F401
+    sample_parameter_columns as sample_parameter_columns_sharded,
 )
 from repro.analysis.scenario import ActScenario
-from repro.core.errors import CheckpointError, RunInterrupted
+from repro.core.errors import CheckpointError, RunInterrupted, ValidationError
 from repro.core.parameters import require_positive
 from repro.dse.sweep import BatchSweepResult
 from repro.engine.batch import ScenarioBatch, product_columns
@@ -56,10 +61,19 @@ from repro.engine.cache import EvaluationCache, evaluate_cached
 from repro.engine.kernels import BatchResult
 from repro.obs.context import current_context
 from repro.robustness.durability import DurableChunkStore, load_store_state
+from repro.robustness.guard import (
+    QUARANTINED,
+    STRICT,
+    ColumnDiagnostic,
+    RobustnessWarning,
+    offset_diagnostics,
+    require_survivors,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.policy import ExecutionPolicy
     from repro.parallel.runner import ParallelEvaluation, ParallelRunner
+    from repro.parallel.supervisor import ShardFailure
     from repro.robustness.guard import GuardedEngine
 
 #: Checkpoint schema version; bumped on incompatible layout changes.
@@ -427,6 +441,7 @@ def _run_chunked(
     cancel: CancelToken | None,
     partial: "Callable[[int], object] | None" = None,
     fault_plan: object = None,
+    single_wave: bool = False,
 ) -> list[tuple[int, int]]:
     """The one wave / cancel / checkpoint / quarantine loop of every
     chunked runner; returns the row ranges still quarantined at the end.
@@ -437,8 +452,10 @@ def _run_chunked(
     quarantined shards.  Those ranges are committed with every wave, and
     a ``resume=True`` run re-attempts only them.  A cancelled run commits
     what it has and raises ``RunInterrupted`` carrying
-    ``partial(completed)``.  The remaining names label the checkpoint,
-    span, chunk counter and interrupt message of the workload.
+    ``partial(completed)``.  ``single_wave`` dispatches every chunk of a
+    parallel run in one wave, for runs that commit and poll nothing
+    between waves.  The remaining names label the checkpoint, span,
+    chunk counter and interrupt message of the workload.
     """
     context = current_context()
     ckpt = _Checkpointer(
@@ -461,7 +478,7 @@ def _run_chunked(
         # One wave dispatches `workers` chunks at once; `completed` always
         # stays a whole-chunk prefix, so a checkpoint written mid-run at
         # one worker count resumes cleanly at any other.
-        wave_rows *= policy.workers
+        wave_rows = total if single_wave else chunk_rows * policy.workers
         runner_scope = ParallelRunner(
             policy.replace(shard_rows=chunk_rows), fault_plan=fault_plan
         )
@@ -538,7 +555,7 @@ def run_monte_carlo_chunked(
     seed: int = 2022,
     distribution: str = TRIANGULAR,
     ranges: Mapping[str, tuple[float, float]] | None = None,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    chunk_rows: int | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     cancel: CancelToken | None = None,
@@ -547,20 +564,20 @@ def run_monte_carlo_chunked(
     policy: "object | int | None" = None,
     fault_plan: object = None,
 ) -> MonteCarloResult:
-    """:func:`~repro.analysis.montecarlo.run_monte_carlo`, chunked.
+    """The one Monte Carlo driver: chunked, checkpointed, cancellable.
 
-    Identical results to the one-shot runner (same seed ⇒ bit-identical
-    samples), but evaluated ``chunk_rows`` at a time with an atomic
-    checkpoint after every chunk, an optional guard per chunk, and
-    cooperative cancellation between chunks.
-
-    Under a resolved policy the draws are *streamed*: each wave samples
-    only its own chunks, each from its ``SeedSequence(seed).spawn(n)[i]``
-    child, just before evaluating them (in the workers, for a parallel
-    policy), so sampling memory is ``O(chunk_rows × parameters ×
-    workers)`` rather than ``O(draws × parameters)`` and a resumed run
-    never samples the chunks it already committed.  The legacy
-    ``policy=None`` single stream still samples every draw up front.
+    :func:`~repro.analysis.montecarlo.run_monte_carlo` is this driver
+    without a checkpoint.
+    The draws are *streamed* from the one draw stream
+    (:class:`~repro.analysis.montecarlo.ShardColumnSource` with
+    ``shard_rows=chunk_rows``): each wave samples only its own chunks,
+    each from its ``SeedSequence(seed).spawn(n)[i]`` child, just before
+    evaluating them (in the workers, for a parallel policy).  Sampling
+    memory is ``O(chunk_rows × parameters × workers)``, a resumed run
+    never samples the chunks it already committed, and the samples are
+    a pure function of (base, ranges, distribution, seed, draws,
+    chunk_rows): the worker count, transport, failure policy, guard and
+    checkpoint never change them.
 
     Chunked runs compose with graceful degradation: under a
     ``failure_policy="degrade"`` policy, shards quarantined in a wave are
@@ -572,24 +589,24 @@ def run_monte_carlo_chunked(
     evaluated never changes what it evaluates to).
 
     Args:
-        chunk_rows: Rows per evaluation chunk (and checkpoint cadence).
+        chunk_rows: Rows per chunk: the stream's block size, the unit of
+            parallel dispatch, and the checkpoint cadence.  Defaults to
+            the policy's ``shard_rows`` (65,536 without a policy).
         checkpoint: Checkpoint file path (``None`` disables persistence).
         resume: Load ``checkpoint`` and continue from its last chunk.
         cancel: Cooperative cancellation token polled at chunk boundaries.
+        cache: Evaluation cache for in-process chunks.
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`;
-            masked rows are dropped from the final sample set exactly as
-            in the one-shot guarded runner.
+            masked rows are dropped from the final sample set.  A fully
+            masked chunk is dropped like any masked row; the run raises
+            the guard's :class:`~repro.core.errors.ValidationError` only
+            when no evaluated row of the whole run survived.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
             count, or ``None`` to pick up an installed process-wide
-            policy.  Any resolved policy (even ``workers=1``) switches the
-            sampler to the sharded per-chunk SeedSequence streams (one
-            child stream per ``chunk_rows`` chunk) so the chunk is the
-            unit of both checkpointing and parallel dispatch; the samples
-            are then bit-identical across worker counts, and a checkpoint
-            written at one worker count resumes at any other.  Sharded
-            streams differ from the legacy ``policy=None`` single stream,
-            so their fingerprints differ and the two cannot resume each
-            other's checkpoints.
+            policy.  A parallel policy dispatches ``workers`` chunks per
+            wave (every chunk at once when there is neither a checkpoint
+            nor a cancel token); a checkpoint written at one worker count
+            resumes at any other.
         fault_plan: An armed
             :class:`~repro.robustness.faultinject.ProcessFaultPlan`
             threaded into the parallel runner (chaos testing only).
@@ -599,37 +616,23 @@ def run_monte_carlo_chunked(
         RunInterrupted: ``cancel`` fired; partial results are checkpointed
             (and carried on the exception's ``partial`` attribute).
     """
-    require_positive("chunk_rows", chunk_rows)
-    from repro.parallel.policy import resolve_policy
+    from repro.parallel.policy import DEFAULT_SHARD_ROWS, resolve_policy
 
     resolved_policy = resolve_policy(policy)
-    source: ShardColumnSource | None = None
-    if resolved_policy is not None:
-        # Streamed: each wave samples only its own chunks, from their
-        # child seeds, just before evaluating them.
-        source = ShardColumnSource.create(
-            base,
-            parameters,
-            draws=draws,
-            seed=seed,
-            shard_rows=chunk_rows,
-            distribution=distribution,
-            ranges=ranges,
+    if chunk_rows is None:
+        chunk_rows = (
+            resolved_policy.shard_rows if resolved_policy else DEFAULT_SHARD_ROWS
         )
-        draw = source.columns
-    else:
-        columns = sample_parameter_columns(
-            base,
-            parameters,
-            draws=draws,
-            seed=seed,
-            distribution=distribution,
-            ranges=ranges,
-        )
-
-        def draw(start: int, stop: int) -> dict[str, np.ndarray]:
-            return {name: col[start:stop] for name, col in columns.items()}
-
+    require_positive("chunk_rows", chunk_rows)
+    source = ShardColumnSource.create(
+        base,
+        parameters,
+        draws=draws,
+        seed=seed,
+        shard_rows=chunk_rows,
+        distribution=distribution,
+        ranges=ranges,
+    )
     guard_tag = guard.policy if guard is not None else "off"
     # The sampled columns are a pure function of the entries below, so
     # the fingerprint hashes the configuration, not the (potentially
@@ -644,13 +647,29 @@ def run_monte_carlo_chunked(
             distribution,
             guard_tag,
             _BACKEND_TOKEN,
-            f"columns={','.join(sorted(source.names if source else columns))}",
+            f"columns={','.join(sorted(source.names))}",
             f"ranges={sorted(ranges.items()) if ranges else None}",
-            f"sharded={chunk_rows if resolved_policy is not None else None}",
+            f"sharded={chunk_rows}",
             sorted(base.as_dict().items()),
         ),
     )
     samples = np.full(draws, np.nan)
+    # The last failure of each quarantined chunk, and the retries and
+    # respawns of every parallel wave.
+    failures: "dict[int, ShardFailure]" = {}
+    supervision = {"retries": 0, "respawns": 0}
+    # Diagnostics of the fully masked chunks, kept until a row survives:
+    # the evidence `require_survivors` attaches when none ever does.
+    masked: list[ColumnDiagnostic] | None = []
+
+    def judge(
+        survived: bool, diagnostics: Iterable[ColumnDiagnostic], start: int
+    ) -> None:
+        nonlocal masked
+        if survived:
+            masked = None
+        elif masked is not None:
+            masked.extend(offset_diagnostics(diagnostics, start))
 
     def evaluate(
         runner: "ParallelRunner | None", start: int, stop: int
@@ -658,59 +677,102 @@ def run_monte_carlo_chunked(
         """Fill ``samples[start:stop]``; return the rows lost to quarantine."""
         if runner is not None:
             # Workers sample their own chunks from the shipped seeds.
-            return _absorb(
-                runner.evaluate_source(source, start, stop, guard=guard),
-                start,
-                {"total_g": samples},
+            evaluation = runner.evaluate_source(
+                source, start, stop, guard=guard
             )
-        chunk = draw(start, stop)
-        if guard is not None:
-            guarded = guard.evaluate_columns(base, stop - start, chunk)
-            samples[start:stop] = guarded.full_series("total_g")
-        else:
+            if evaluation.supervision is not None:
+                for name in supervision:
+                    supervision[name] += getattr(evaluation.supervision, name)
+            if evaluation.partial is not None:
+                failures.update(
+                    (failure.shard, failure)
+                    for failure in evaluation.partial.failures
+                )
+            if guard is not None:
+                found = evaluation.diagnostics
+                kept = [d for d in found if d.reason != QUARANTINED]
+                judge(bool(evaluation.valid.any()), kept, start)
+            return _absorb(evaluation, start, {"total_g": samples})
+        chunk = source.columns(start, stop)
+        if guard is None:
             batch = ScenarioBatch.from_columns(base, stop - start, chunk)
             samples[start:stop] = evaluate_cached(batch, cache).total_g
+            return []
+        try:
+            guarded = guard.evaluate_columns(base, stop - start, chunk)
+        except ValidationError as error:
+            if guard.policy == STRICT:
+                raise
+            # Every row of this chunk was masked: they stay NaN, and
+            # `require_survivors` below judges the run as a whole.
+            warnings.warn(
+                f"guarded evaluation ({guard.policy}): masked every row of "
+                f"draws [{start}, {stop}) — {error}",
+                RobustnessWarning,
+                stacklevel=2,
+            )
+            judge(False, error.diagnostics, start)
+            return []
+        samples[start:stop] = guarded.full_series("total_g")
+        judge(True, (), start)
         return []
 
-    quarantined_ranges = _run_chunked(
-        kind="montecarlo",
-        span="analysis.montecarlo_chunked",
-        size_field="draws",
-        counter="analysis.montecarlo.chunks",
-        label="Monte Carlo",
-        unit="draws",
-        total=draws,
-        chunk_rows=chunk_rows,
-        fingerprint=fingerprint,
-        series={"samples": samples},
-        evaluate=evaluate,
-        partial=lambda completed: samples[:completed][
-            np.isfinite(samples[:completed])
-        ],
-        policy=resolved_policy,
-        checkpoint=checkpoint,
-        resume=resume,
-        cancel=cancel,
-        fault_plan=fault_plan,
-    )
+    context = current_context()
+    with context.span(
+        "analysis.montecarlo",
+        draws=draws,
+        seed=seed,
+        distribution=distribution,
+        guarded=guard is not None,
+        workers=resolved_policy.workers if resolved_policy else 0,
+    ):
+        if context.enabled:
+            context.count("analysis.montecarlo.draws", draws)
+        quarantined_ranges = _run_chunked(
+            kind="montecarlo",
+            span="analysis.montecarlo_chunked",
+            size_field="draws",
+            counter="analysis.montecarlo.chunks",
+            label="Monte Carlo",
+            unit="draws",
+            total=draws,
+            chunk_rows=chunk_rows,
+            fingerprint=fingerprint,
+            series={"samples": samples},
+            evaluate=evaluate,
+            partial=lambda completed: samples[:completed][
+                np.isfinite(samples[:completed])
+            ],
+            policy=resolved_policy,
+            checkpoint=checkpoint,
+            resume=resume,
+            cancel=cancel,
+            fault_plan=fault_plan,
+            single_wave=checkpoint is None and cancel is None,
+        )
 
-    # Guarded runs mark masked rows NaN — and so do quarantined shards;
-    # drop them like the one-shot path.  ``samples`` is this call's own
-    # array, so it is returned as is when nothing was dropped: copying it
-    # would hold a second draws-long array at the run's memory peak.
-    holes = bool(quarantined_ranges)
-    finite = np.isfinite(samples) if (guard is not None or holes) else None
-    finished = samples if finite is None or finite.all() else samples[finite]
     partial = None
-    if holes:
+    if quarantined_ranges:
         from repro.parallel.supervisor import PartialResult
 
-        ranges = tuple(quarantined_ranges)
+        lost = tuple(quarantined_ranges)
+        quarantined = tuple(start // chunk_rows for start, _ in lost)
         partial = PartialResult(
-            quarantined=tuple(start // chunk_rows for start, _ in ranges),
-            ranges=ranges,
-            failures=(),
+            quarantined=quarantined,
+            ranges=lost,
+            failures=tuple(failures[c] for c in quarantined if c in failures),
+            **supervision,
         )
+    # Guarded runs mark masked rows NaN — and so do quarantined shards;
+    # drop them.  ``samples`` is this call's own array, so it is returned
+    # as is when nothing was dropped: copying it would hold a second
+    # draws-long array at the run's memory peak.
+    finite = np.isfinite(samples) if (guard is not None or partial) else None
+    if guard is not None:
+        require_survivors(
+            guard.policy, finite, partial.rows if partial else 0, masked or ()
+        )
+    finished = samples if finite is None or finite.all() else samples[finite]
     return MonteCarloResult(
         samples=finished,
         base_response=base.total_g(),

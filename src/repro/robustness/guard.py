@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -219,6 +219,46 @@ def _values_agree(batched: float, reference: float, tolerance: float) -> bool:
     if np.isinf(batched) or np.isinf(reference):
         return batched == reference
     return abs(batched - reference) <= tolerance * max(1.0, abs(reference))
+
+
+def offset_diagnostics(
+    diagnostics: Iterable[ColumnDiagnostic], start: int
+) -> tuple[ColumnDiagnostic, ...]:
+    """Translate piece-local diagnostic row indices to rows of the run."""
+    if start == 0:
+        return tuple(diagnostics)
+    return tuple(
+        ColumnDiagnostic(
+            column=diagnostic.column,
+            reason=diagnostic.reason,
+            indices=tuple(index + start for index in diagnostic.indices),
+            values=diagnostic.values,
+            detail=diagnostic.detail,
+        )
+        for diagnostic in diagnostics
+    )
+
+
+def require_survivors(
+    policy: str,
+    survived: np.ndarray,
+    lost: int = 0,
+    diagnostics: Iterable[ColumnDiagnostic] = (),
+) -> None:
+    """Raise the guard's all-masked error for a whole run, once.
+
+    Runs evaluated in chunks, waves or shards keep a fully masked piece
+    as ``NaN`` rows.  Only the run as a whole fails: when no row
+    ``survived`` although some were evaluated (not all ``lost`` to
+    quarantined shards).
+    """
+    if survived.size > lost and not survived.any():
+        raise ValidationError(
+            "skip policy masked every row of the batch"
+            if policy == SKIP
+            else "every row of the batch overflowed",
+            tuple(diagnostics),
+        )
 
 
 @dataclass(frozen=True)

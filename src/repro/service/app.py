@@ -714,7 +714,9 @@ class CarbonQueryService:
                 distribution=distribution,
                 chunk_rows=min(self.config.mc_chunk_rows, draws),
                 cancel=cancel,
-                cache=self.cache,
+                # Fresh draws never repeat: keep chunk results out of the
+                # shared cache, whose capacity counts entries, not bytes.
+                cache=EvaluationCache(capacity=1),
                 policy=policy,
                 fault_plan=self.fault_plan,
             )

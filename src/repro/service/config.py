@@ -48,7 +48,9 @@ class ServiceConfig:
         max_sweep_points / max_draws: Upper bounds on per-request work so
             one query cannot monopolize the engine.
         mc_chunk_rows: Draws per chunk on the Monte Carlo endpoint — the
-            deadline-poll granularity of cooperative cancellation.
+            deadline-poll granularity of cooperative cancellation and the
+            draw stream's block size; the default is ``DEFAULT_SHARD_ROWS``
+            so answers equal ``run_monte_carlo``'s for the same seed.
         drain_timeout_s: Longest a SIGTERM drain waits for in-flight
             requests before giving up on stragglers.
         retry_after_s: Hint sent with 429/503 responses.
@@ -68,7 +70,7 @@ class ServiceConfig:
     cache_capacity: int = 4096
     max_sweep_points: int = 100_000
     max_draws: int = 1_000_000
-    mc_chunk_rows: int = 8192
+    mc_chunk_rows: int = 65_536
     drain_timeout_s: float = 10.0
     retry_after_s: float = 1.0
 

@@ -11,6 +11,7 @@ from repro.core.intensity import solar_diurnal_trace
 from repro.dse import sweep_grid_batched
 from repro.engine.cache import EvaluationCache
 from repro.engine.kernels import BatchResult
+from repro.parallel import ExecutionPolicy
 from repro.robustness import (
     SKIP,
     CancelToken,
@@ -50,7 +51,11 @@ class TestCancelToken:
 
 class TestMonteCarloChunked:
     def test_matches_one_shot_runner_bitwise(self):
-        one_shot = run_monte_carlo(BASE, draws=1000, seed=5)
+        # The chunk is the draw stream's block: the one-shot runner with
+        # the same block size is the same run.
+        one_shot = run_monte_carlo(
+            BASE, draws=1000, seed=5, policy=ExecutionPolicy(shard_rows=128)
+        )
         chunked = run_monte_carlo_chunked(
             BASE, draws=1000, seed=5, chunk_rows=128, cache=EvaluationCache()
         )
@@ -146,7 +151,13 @@ class TestMonteCarloChunked:
         # chunked run must drop exactly the same ones.
         guard = GuardedEngine(policy=SKIP, ranges={"energy_kwh": (1.0, 20.0)})
         with pytest.warns(RobustnessWarning):
-            one_shot = run_monte_carlo(BASE, draws=600, seed=9, guard=guard)
+            one_shot = run_monte_carlo(
+                BASE,
+                draws=600,
+                seed=9,
+                guard=guard,
+                policy=ExecutionPolicy(shard_rows=100),
+            )
         with pytest.warns(RobustnessWarning):
             chunked = run_monte_carlo_chunked(
                 BASE, draws=600, seed=9, chunk_rows=100, guard=guard

@@ -320,7 +320,9 @@ class TestMonteCarloCheckpoint:
             "--checkpoint", str(path), "--resume",
         )
         assert code == 0
-        _, uninterrupted, _ = run_cli(capsys, "montecarlo", "--draws", "2000")
+        _, uninterrupted, _ = run_cli(
+            capsys, "montecarlo", "--draws", "2000", "--chunk-rows", "256"
+        )
         stats = lambda text: [  # noqa: E731
             line for line in text.splitlines()
             if line.startswith(("mean", "| p"))

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.montecarlo import (
     resolve_parameter_ranges,
     run_monte_carlo,
-    sample_parameter_columns_sharded,
+    sample_parameter_columns,
     sample_shard_columns,
 )
 from repro.analysis.scenario import ActScenario
@@ -242,7 +242,7 @@ class TestShardedSampling:
             )
             for name in resolved
         }
-        sharded = sample_parameter_columns_sharded(
+        sharded = sample_parameter_columns(
             BASE, draws=1000, seed=2022, shard_rows=256
         )
         assert set(sharded) == set(reference)
@@ -250,10 +250,10 @@ class TestShardedSampling:
             np.testing.assert_array_equal(sharded[name], reference[name])
 
     def test_shard_rows_is_part_of_the_stream_contract(self):
-        a = sample_parameter_columns_sharded(
+        a = sample_parameter_columns(
             BASE, draws=512, seed=1, shard_rows=128
         )
-        b = sample_parameter_columns_sharded(
+        b = sample_parameter_columns(
             BASE, draws=512, seed=1, shard_rows=256
         )
         assert not np.array_equal(a["energy_kwh"], b["energy_kwh"])
@@ -287,7 +287,7 @@ class TestMonteCarloDeterminism:
                 workers=1, shard_rows=100, transport=transport
             ),
         )
-        sharded = sample_parameter_columns_sharded(
+        sharded = sample_parameter_columns(
             BASE, draws=300, seed=3, shard_rows=100
         )
         batch = ScenarioBatch.from_columns(BASE, 300, sharded)

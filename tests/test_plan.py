@@ -1,4 +1,4 @@
-"""The structure-aware sweep planner: factoring, dedup, and incremental DSE.
+"""The structure-aware sweep planner: factoring and incremental DSE.
 
 Five contracts are pinned here:
 
@@ -14,15 +14,15 @@ Five contracts are pinned here:
   columns; constant columns stay zero-stride broadcast views (the
   satellite regression for no intermediate full-grid copies).
 * **Reuse mechanics** — the plan-level content-hash cache hits on
-  re-sweeps, unique-row dedup pays the kernel once per distinct row
-  (order-preserving gather–scatter, optional per-unique-row cache keys),
-  and :class:`~repro.dse.optimizer.ExplorationSession` reproduces full
+  re-sweeps, and :class:`~repro.dse.optimizer.ExplorationSession`
+  reproduces full
   ``explore_batched`` trajectories while recomputing only changed
   metrics.
 * **Guard + CLI integration** — ``GuardedEngine.verify_planned`` and
   ``verify_plan`` catch a corrupted planned result with a typed
-  :class:`~repro.core.errors.DivergenceError`; the ``--planner`` flag
-  parses, applies, and rejects unknown modes.
+  :class:`~repro.core.errors.DivergenceError`; ``experiment``'s
+  ``--planner`` flag parses, applies, and rejects unknown modes, and the
+  subcommands that run no planner do not accept it.
 """
 
 import os
@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import run_monte_carlo, sample_scenario_batch
 from repro.analysis.scenario import ActScenario
 from repro.core.errors import (
     ConstraintError,
@@ -57,7 +56,7 @@ from repro.engine import (
     ScenarioBatch,
     evaluate_batch,
 )
-from repro.engine.batch import prevalidated_batch, product_columns
+from repro.engine.batch import product_columns
 from repro.engine.plan import (
     AUTO_MIN_ROWS,
     PLANNER_AUTO,
@@ -68,8 +67,6 @@ from repro.engine.plan import (
     SERIES_NAMES,
     SweepPlan,
     current_planner_mode,
-    dedup_rows,
-    evaluate_batch_deduped,
     evaluate_plan_cached,
     plan_product,
     planner_engaged,
@@ -483,87 +480,6 @@ class TestChunkedPlanned:
         assert_results_identical(dense.result, resumed.result)
 
 
-class TestDedup:
-    def _duplicated_batch(self):
-        rng = np.random.default_rng(11)
-        distinct = sample_scenario_batch(BASE, draws=12, seed=3)
-        order = rng.integers(0, 12, 64)
-        return (
-            prevalidated_batch(
-                {
-                    name: distinct.column(name)[order]
-                    for name in FIELD_NAMES
-                }
-            ),
-            order,
-        )
-
-    def test_dedup_rows_finds_unique_rows(self):
-        batch, order = self._duplicated_batch()
-        dedup = dedup_rows({name: batch.column(name) for name in FIELD_NAMES})
-        assert dedup.rows == 64
-        assert dedup.unique_count == len(np.unique(order))
-        assert 0.0 < dedup.duplicate_fraction < 1.0
-
-    def test_gather_scatter_preserves_row_order(self):
-        batch, _ = self._duplicated_batch()
-        dedup = dedup_rows({name: batch.column(name) for name in FIELD_NAMES})
-        for name in FIELD_NAMES:
-            column = batch.column(name)
-            np.testing.assert_array_equal(
-                dedup.scatter(dedup.gather(column)), column, err_msg=name
-            )
-
-    def test_scatter_preserves_valid_flags(self):
-        batch, _ = self._duplicated_batch()
-        dedup = dedup_rows({name: batch.column(name) for name in FIELD_NAMES})
-        rng = np.random.default_rng(5)
-        unique_valid = rng.random(dedup.unique_count) < 0.5
-        scattered = dedup.scatter(unique_valid)
-        assert scattered.dtype == np.bool_
-        np.testing.assert_array_equal(
-            scattered, unique_valid[dedup.inverse]
-        )
-
-    @pytest.mark.parametrize("row_keys", (False, True))
-    def test_deduped_evaluation_is_bit_identical(self, row_keys):
-        batch, _ = self._duplicated_batch()
-        expected = evaluate_batch(batch)
-        result = evaluate_batch_deduped(
-            batch, EvaluationCache(), row_keys=row_keys
-        )
-        assert_results_identical(expected, result)
-
-    def test_deduped_evaluation_without_duplicates(self):
-        batch = sample_scenario_batch(BASE, draws=32, seed=8)
-        assert_results_identical(
-            evaluate_batch(batch),
-            evaluate_batch_deduped(batch, EvaluationCache()),
-        )
-
-    def test_row_key_entries_interoperate_across_batches(self):
-        # Two different duplicated batches over the same 12 distinct
-        # rows: the second evaluation reuses the first's per-unique-row
-        # entries even though the batch hashes differ.
-        cache = EvaluationCache()
-        distinct = sample_scenario_batch(BASE, draws=12, seed=3)
-        for seed in (1, 2):
-            order = np.random.default_rng(seed).integers(0, 12, 50)
-            batch = prevalidated_batch(
-                {name: distinct.column(name)[order] for name in FIELD_NAMES}
-            )
-            result = evaluate_batch_deduped(batch, cache, row_keys=True)
-            assert_results_identical(evaluate_batch(batch), result)
-        assert cache.stats().hits > 0
-
-    def test_monte_carlo_dedup_is_bit_identical(self):
-        plain = run_monte_carlo(BASE, draws=300, seed=7)
-        deduped = run_monte_carlo(
-            BASE, draws=300, seed=7, cache=EvaluationCache(), dedup=True
-        )
-        np.testing.assert_array_equal(plain.samples, deduped.samples)
-
-
 class TestFrozenParams:
     def test_numpy_scalars_hash_like_python_floats(self):
         plain = FrozenParams({"energy_kwh": 5.0, "dram_gb": 8.0})
@@ -795,13 +711,21 @@ class TestPlannerCli:
     def test_planner_flag_round_trips(self):
         from repro.cli import main
 
-        assert (
-            main(["montecarlo", "--draws", "64", "--planner", "auto"]) == 0
-        )
+        assert main(["experiment", "fig6", "--planner", "auto"]) == 0
 
     def test_unknown_planner_mode_exits_2(self):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["montecarlo", "--draws", "8", "--planner", "fastest"])
+            main(["experiment", "fig6", "--planner", "fastest"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", ["montecarlo", "sensitivity", "schedule"]
+    )
+    def test_subcommands_without_a_planner_reject_the_flag(self, command):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--planner", "auto"])
         assert excinfo.value.code == 2

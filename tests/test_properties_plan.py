@@ -10,10 +10,6 @@ Two families of properties:
   the load-bearing claim behind every planner integration: broadcasting
   the Eq. 1-8 DAG over axis-shaped marginal factors performs the same
   IEEE operations on the same operand values as the row-wise pass.
-* **Gather–scatter is the identity** — unique-row deduplication over
-  random duplicated batches reconstructs every column (and any
-  per-row ``valid`` flags) in the original row order, and the deduped
-  kernel result equals the plain one bitwise.
 * **Incremental dominance == fresh dominance** — updating per-row
   dominator counts from an arbitrary changed-row subset equals a fresh
   :func:`~repro.dse.pareto.dominance_counts` over the new matrix (and
@@ -32,16 +28,10 @@ from repro.dse.pareto import (
     pareto_mask,
     update_dominance_counts,
 )
-from repro.engine import (
-    EvaluationCache,
-    ScenarioBatch,
-    evaluate_batch,
-)
-from repro.engine.batch import FIELD_NAMES, prevalidated_batch
+from repro.engine import ScenarioBatch, evaluate_batch
+from repro.engine.batch import FIELD_NAMES
 from repro.engine.plan import (
     SERIES_NAMES,
-    dedup_rows,
-    evaluate_batch_deduped,
     plan_product,
 )
 
@@ -88,20 +78,6 @@ def random_grids(draw):
     return {name: tuple(draw(_axis(name))) for name in names}
 
 
-@st.composite
-def duplicated_rows(draw):
-    """A row-index sequence with guaranteed repeats over a small pool."""
-    pool = draw(st.integers(min_value=1, max_value=6))
-    order = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=pool - 1),
-            min_size=pool,
-            max_size=40,
-        )
-    )
-    return pool, np.asarray(order, dtype=np.intp)
-
-
 class TestPlannedEqualsDense:
     @settings(max_examples=60, deadline=None)
     @given(grids=random_grids())
@@ -137,44 +113,6 @@ class TestPlannedEqualsDense:
         for name in SERIES_NAMES:
             np.testing.assert_array_equal(
                 rows[name], getattr(dense, name)[start:stop], err_msg=name
-            )
-
-
-class TestDedupGatherScatter:
-    @settings(max_examples=40, deadline=None)
-    @given(spec=duplicated_rows())
-    def test_gather_scatter_is_identity_and_result_bitwise(self, spec):
-        pool, order = spec
-        rng = np.random.default_rng(pool)
-        distinct = {
-            name: np.ascontiguousarray(
-                getattr(BASE, name) * rng.uniform(0.5, 1.5, pool)
-            )
-            for name in FIELD_NAMES
-        }
-        columns = {name: distinct[name][order] for name in FIELD_NAMES}
-        dedup = dedup_rows(columns)
-        assert dedup.rows == len(order)
-        assert dedup.unique_count == len(
-            {tuple(float(columns[n][i]) for n in FIELD_NAMES)
-             for i in range(len(order))}
-        )
-        for name in FIELD_NAMES:
-            np.testing.assert_array_equal(
-                dedup.scatter(dedup.gather(columns[name])),
-                columns[name],
-                err_msg=name,
-            )
-        valid = rng.random(dedup.unique_count) < 0.7
-        np.testing.assert_array_equal(
-            dedup.scatter(valid), valid[dedup.inverse]
-        )
-        batch = prevalidated_batch(columns)
-        expected = evaluate_batch(batch)
-        deduped = evaluate_batch_deduped(batch, EvaluationCache())
-        for name in SERIES_NAMES:
-            np.testing.assert_array_equal(
-                getattr(expected, name), getattr(deduped, name), err_msg=name
             )
 
 

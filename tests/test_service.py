@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.analysis import ActScenario
+from repro.analysis import ActScenario, run_monte_carlo
 from repro.core.errors import (
     DivergenceError,
     ParameterError,
@@ -242,6 +242,39 @@ class TestMonteCarloEndpoint:
         # Same seed, same answer: the service adds no nondeterminism.
         again = post(service, "/v1/montecarlo", {"draws": 400, "seed": 7})
         assert again.payload["mean_g"] == payload["mean_g"]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_answer_equals_the_direct_call(self, service, workers):
+        # Two blocks of the draw stream: the answer is run_monte_carlo's
+        # for the same seed, whether or not the request sets workers.
+        request = {"draws": 70_000, "seed": 7, "percentiles": [5, 95]}
+        if workers is not None:
+            request["workers"] = workers
+        response = post(service, "/v1/montecarlo", request)
+        direct = run_monte_carlo(ActScenario(), draws=70_000, seed=7)
+        assert response.status == 200
+        assert response.payload["mean_g"] == direct.mean
+        assert response.payload["std_g"] == direct.std
+        assert response.payload["percentiles"] == {
+            "p5": direct.p5,
+            "p95": direct.p95,
+        }
+
+    def test_distinct_seeds_leave_the_shared_cache_unchanged(self):
+        # Fresh draws never repeat: chunk results must not pile up in the
+        # shared cache, whose capacity counts entries rather than bytes.
+        svc = CarbonQueryService(ServiceConfig(mc_chunk_rows=256))
+        try:
+            post(svc, "/v1/footprint", {"params": {"energy_kwh": 5.0}})
+            before = len(svc.cache)
+            for seed in range(8):
+                response = post(
+                    svc, "/v1/montecarlo", {"draws": 1024, "seed": seed}
+                )
+                assert response.status == 200
+            assert len(svc.cache) == before
+        finally:
+            svc.drain(5.0)
 
     def test_draw_cap_is_422(self):
         svc = CarbonQueryService(ServiceConfig(max_draws=100))

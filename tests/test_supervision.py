@@ -10,6 +10,7 @@ merely "close".
 """
 
 import os
+import re
 import signal
 import time
 import warnings
@@ -601,8 +602,10 @@ class TestCheckpointPartialResume:
             tmp_path / "faults", [ProcessFault("kill", shard=1, times=1)]
         )
         self._chunked(tmp_path, checkpoint, fault_plan=plan)
+        # Shards keep their run-wide chunk numbers in every wave, so the
+        # re-attempt of chunk 1 is shard 1 again.
         still_faulty = ProcessFaultPlan.create(
-            tmp_path / "faults2", [ProcessFault("kill", shard=0, times=1)]
+            tmp_path / "faults2", [ProcessFault("kill", shard=1, times=1)]
         )
         resumed = self._chunked(
             tmp_path, checkpoint, fault_plan=still_faulty, resume=True
@@ -638,14 +641,27 @@ class TestCliParallelFlags:
         assert code == 0
         assert "mean" in out
 
-    def test_shard_rows_alone_opts_into_sharded_stream(self, capsys):
-        _, sharded, _ = self._run(
-            capsys, "montecarlo", "--draws", "400", "--shard-rows", "100"
-        )
-        _, legacy, _ = self._run(capsys, "montecarlo", "--draws", "400")
-        sharded_mean = [l for l in sharded.splitlines() if "mean" in l]
-        legacy_mean = [l for l in legacy.splitlines() if "mean" in l]
-        assert sharded_mean and legacy_mean  # both complete; streams differ
+    def test_workers_and_checkpoint_print_identical_statistics(
+        self, capsys, tmp_path
+    ):
+        """One draw stream: the worker count and a checkpoint change how
+        the run executes, never the printed mean, std or percentiles."""
+
+        def statistics(*extra):
+            code, out, _ = self._run(
+                capsys, "montecarlo", "--draws", "70000", "--seed", "7", *extra
+            )
+            assert code == 0
+            return [
+                line
+                for line in out.splitlines()
+                if line.startswith("mean ") or re.match(r"p\d", line)
+            ]
+
+        serial = statistics("--workers", "1")
+        assert len(serial) == 4  # the mean/std line and p5, p50, p95
+        assert statistics("--workers", "2") == serial
+        assert statistics("--checkpoint", str(tmp_path / "mc.ckpt")) == serial
 
     def test_invalid_shard_rows_exits_2(self, capsys):
         code, _, err = self._run(
