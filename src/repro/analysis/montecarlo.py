@@ -19,6 +19,8 @@ the equivalence suite checks the engine against.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -27,7 +29,7 @@ import numpy as np
 from repro.analysis.scenario import PARAMETER_RANGES, ActScenario, parameter_range
 from repro.core.errors import ParameterError
 from repro.core.parameters import require_positive
-from repro.engine.batch import ScenarioBatch
+from repro.engine.batch import FIELD_NAMES, ScenarioBatch
 from repro.engine.cache import EvaluationCache, evaluate_cached
 
 if TYPE_CHECKING:  # pragma: no cover - robustness sits above this module
@@ -37,6 +39,12 @@ Response = Callable[[ActScenario], float]
 
 UNIFORM = "uniform"
 TRIANGULAR = "triangular"
+
+#: Domain prefix and version of the draw stream's identity keys
+#: (:meth:`ShardColumnSource.identity_key`).  The ``/`` and ``-`` keep
+#: them apart from 64-hex content digests; bump the version whenever
+#: sampling itself changes (distributions, clipping, seeding).
+STREAM_KEY_PREFIX = "mc-stream/v1:"
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,45 @@ class ShardColumnSource:
         """The sampled column names, in sampling order."""
         return tuple(self.ranges)
 
+    @functools.cached_property
+    def _stream_identity(self) -> bytes:
+        """What every block's draws depend on besides its seed: each base
+        field (exact float repr), the ranges in sampling order, the
+        distribution and the block size."""
+        base = self.base
+        parts = [
+            *(f"{name}={float(getattr(base, name))!r}" for name in FIELD_NAMES),
+            *(
+                f"range:{name}={float(low)!r},{float(high)!r}"
+                for name, (low, high) in self.ranges.items()
+            ),
+            f"distribution={self.distribution!r}",
+            f"shard_rows={self.plan[0][1]}",
+        ]
+        return "\n".join(parts).encode("utf-8")
+
+    def identity_key(self, start: int = 0, stop: int | None = None) -> str:
+        """The cache key of the batch built from rows ``[start, stop)``.
+
+        The rows' columns are a pure function of the stream's
+        configuration and the covered shards' seeds, so the key digests
+        those and the row range instead of the columns' bytes.  Prefixed
+        with :data:`STREAM_KEY_PREFIX`, so it never equals a content
+        digest.  Valid only in the process that sampled the rows (the
+        numpy version is not part of it): never persist it or ship it
+        to another process.
+        """
+        stop = self.draws if stop is None else stop
+        digest = hashlib.sha256(self._stream_identity)
+        for index in self.shards(start, stop):
+            seed = self.seeds[index]
+            digest.update(
+                f"\nseed {index}={seed.entropy!r}/{seed.spawn_key!r}/"
+                f"{seed.pool_size}".encode("ascii")
+            )
+        digest.update(f"\nrows={start}:{stop}".encode("ascii"))
+        return STREAM_KEY_PREFIX + digest.hexdigest()
+
     def shards(self, start: int = 0, stop: int | None = None) -> range:
         """Indices of the shards exactly covering rows ``[start, stop)``.
 
@@ -355,7 +402,9 @@ def run_monte_carlo(
             footprint runs on the batched engine; a custom response is
             evaluated per draw on the scalar path (the oracle the batched
             path is checked against), over the same draws.
-        cache: Optional evaluation cache for the in-process batched path.
+        cache: Optional evaluation cache for the in-process batched path
+            (default: a private one per run, so fresh draws never fill
+            the process-wide cache).
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`.
             When given, each chunk's columns are validated (and repaired
             or masked, per policy) before evaluation, and the samples are

@@ -698,13 +698,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         results = _run_experiment_set(args.id)
     failures = [c for r in results for c in r.failed_checks()]
     if args.json:
-        import json
+        from repro.core.errors import finite_json
 
         payload = {
             "experiments": [result.as_dict() for result in results],
             "all_passed": not failures,
         }
-        print(json.dumps(payload, indent=2))
+        print(finite_json(payload, "experiment results", indent=2))
         return 1 if failures else 0
     if key in ("all", "extensions"):
         print(result_summary(results))

@@ -13,6 +13,7 @@ runs are diagnosable without re-running anything.
 from __future__ import annotations
 
 import difflib
+import json
 from typing import Iterable, Sequence
 
 #: How many available entries an :class:`UnknownEntryError` message lists
@@ -74,6 +75,28 @@ class ConstraintError(ReproError, ValueError):
 
 class CalibrationError(ReproError, RuntimeError):
     """A calibrated case-study model failed an internal sanity check."""
+
+
+class NonFiniteError(ReproError, ValueError):
+    """An artifact value is NaN or ±Infinity, which strict JSON cannot hold.
+
+    Raised by :func:`finite_json` in place of writing the artifact.
+    """
+
+
+def finite_json(payload: object, what: str, **options: object) -> str:
+    """``json.dumps(payload, allow_nan=False, **options)`` for artifacts.
+
+    Python's encoder writes ``NaN``/``Infinity`` by default, which no
+    strict JSON reader accepts; an artifact carrying one raises
+    :class:`NonFiniteError` naming ``what`` instead of being written.
+    """
+    try:
+        return json.dumps(payload, allow_nan=False, **options)
+    except ValueError as error:
+        raise NonFiniteError(
+            f"{what} cannot be written as JSON: {error}"
+        ) from None
 
 
 class ValidationError(ReproError, ValueError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -143,7 +143,9 @@ def product_columns(
     return size, broadcast_columns(base, size, overrides)
 
 
-def prevalidated_batch(columns: Mapping[str, np.ndarray]) -> "ScenarioBatch":
+def prevalidated_batch(
+    columns: Mapping[str, np.ndarray], *, identity_key: str | None = None
+) -> "ScenarioBatch":
     """Construct a batch from columns a caller has *already* fully validated.
 
     The guarded engine diagnoses every column (finiteness + the same
@@ -154,7 +156,8 @@ def prevalidated_batch(columns: Mapping[str, np.ndarray]) -> "ScenarioBatch":
     1-D, congruent lengths, read-only) and skips only the per-element
     value validation.  Callers MUST have proven every column finite and
     in-domain — anything less reintroduces the silent-garbage path the
-    batch's strict constructor exists to close.
+    batch's strict constructor exists to close.  ``identity_key`` is
+    attached as the batch's :attr:`ScenarioBatch.identity_key`.
     """
     missing = set(FIELD_NAMES) - set(columns)
     if missing:
@@ -179,6 +182,8 @@ def prevalidated_batch(columns: Mapping[str, np.ndarray]) -> "ScenarioBatch":
         object.__setattr__(batch, name, column)
     if not size:
         raise ParameterError("a ScenarioBatch needs at least one row")
+    if identity_key is not None:
+        object.__setattr__(batch, "identity_key", identity_key)
     return batch
 
 
@@ -190,7 +195,20 @@ class ScenarioBatch:
     across all columns is one scenario.  Instances are immutable: the
     arrays are marked read-only at construction so cached results stay
     valid.
+
+    Attributes:
+        identity_key: ``None``, or a key that identifies the batch's
+            content by the configuration that generated it (the Monte
+            Carlo draw stream's
+            :meth:`~repro.analysis.montecarlo.ShardColumnSource.identity_key`).
+            :class:`~repro.engine.cache.EvaluationCache` uses it instead
+            of hashing the columns.  Only :meth:`from_columns` and
+            :func:`prevalidated_batch` attach one; every other
+            constructor, and so every repaired, masked or derived batch,
+            has none.
     """
+
+    identity_key: ClassVar[str | None] = None
 
     # Operational side (Eq. 1-2).
     energy_kwh: np.ndarray
@@ -243,6 +261,8 @@ class ScenarioBatch:
         base: ActScenario,
         size: int,
         columns: Mapping[str, np.ndarray] | None = None,
+        *,
+        identity_key: str | None = None,
     ) -> "ScenarioBatch":
         """Broadcast ``base`` to ``size`` rows, overriding some columns.
 
@@ -251,8 +271,14 @@ class ScenarioBatch:
             size: Number of rows in the batch.
             columns: Per-parameter override arrays (length ``size`` or
                 broadcastable scalars), e.g. Monte Carlo sample columns.
+            identity_key: The batch's :attr:`identity_key`; the caller
+                vouches that it determines exactly these ``base``,
+                ``size`` and ``columns``.
         """
-        return cls(**broadcast_columns(base, size, columns))
+        batch = cls(**broadcast_columns(base, size, columns))
+        if identity_key is not None:
+            object.__setattr__(batch, "identity_key", identity_key)
+        return batch
 
     @classmethod
     def from_product(
@@ -284,6 +310,13 @@ class ScenarioBatch:
                 for name in FIELD_NAMES
             }
         )
+
+    def __getstate__(self) -> dict[str, object]:
+        # An identity key is only valid in the process that generated the
+        # rows, so pickles and copies carry the columns without it.
+        state = dict(self.__dict__)
+        state.pop("identity_key", None)
+        return state
 
     # --- access ---------------------------------------------------------
 

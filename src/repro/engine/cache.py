@@ -8,6 +8,14 @@ revisits a region of the design space.  Since a
 :class:`~repro.engine.kernels.BatchResult` so identical batches are never
 recomputed, regardless of how they were constructed.
 
+A batch that knows what generated it skips the hash: a Monte Carlo
+chunk carries the draw stream's identity key
+(:attr:`~repro.engine.batch.ScenarioBatch.identity_key`), a digest of
+the stream configuration and row range that is a pure function of the
+same content, and :class:`EvaluationCache` stores the chunk under it
+instead of hashing ~9 MB of fresh columns per 65,536-row chunk.  Every
+other batch is keyed by :func:`batch_key`.
+
 Results are stored with read-only arrays (enforced by ``BatchResult``
 itself), so handing the same object to multiple callers is safe.
 """
@@ -197,7 +205,10 @@ class EvaluationCache:
     ) -> "tuple[BatchResult, bool]":
         """:meth:`evaluate`, additionally reporting where the result came
         from: ``(result, True)`` for a cache hit, ``(result, False)`` for
-        a fresh kernel pass.
+        a fresh kernel pass.  The batch is keyed by its
+        :attr:`~repro.engine.batch.ScenarioBatch.identity_key` when it
+        carries one, else by :func:`batch_key` (as in :meth:`peek` and
+        :meth:`put`).
 
         The carbon-query service's circuit breaker needs the
         distinction — a hit proves nothing about backend health, so
@@ -212,7 +223,7 @@ class EvaluationCache:
             raise ParameterError(
                 f"there is one float64 kernel; backend must be None, got {backend!r}"
             )
-        key = batch_key(batch)
+        key = batch.identity_key or batch_key(batch)
         cached = self._get(key, len(batch))
         if cached is not None:
             return cached, True
@@ -228,7 +239,7 @@ class EvaluationCache:
         still served while nothing new touches the failing backend.
         Counts as a hit or miss like :meth:`evaluate`.
         """
-        return self._get(batch_key(batch), len(batch))
+        return self._get(batch.identity_key or batch_key(batch), len(batch))
 
     def put(self, batch: ScenarioBatch, result: BatchResult) -> None:
         """Store an externally computed ``result`` for ``batch``.
@@ -243,7 +254,7 @@ class EvaluationCache:
                 f"cached result has {len(result)} rows for a "
                 f"{len(batch)}-row batch"
             )
-        self._insert(batch_key(batch), result)
+        self._insert(batch.identity_key or batch_key(batch), result)
 
     def peek_by_key(
         self, content_key: str, rows: int = 1

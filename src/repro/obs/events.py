@@ -25,6 +25,7 @@ harness can kill a run mid-line and prove the stream stays parseable.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from typing import IO, Mapping
@@ -59,6 +60,18 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
+def _finite(value: object) -> object:
+    """``value`` (already :func:`_jsonable`) with every non-finite float
+    replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    return value
+
+
 class MemoryEventSink(EventSink):
     """Keeps every event in a list — the test- and profile-friendly sink."""
 
@@ -82,6 +95,10 @@ class MemoryEventSink(EventSink):
 
 class JsonlEventSink(EventSink):
     """Appends one JSON object per event to a file (or file-like object).
+
+    Every line is strict JSON: a non-finite field value (``NaN``,
+    ``±Infinity``) is written as ``null``, because a sink must never
+    raise into the run it observes.
 
     The file is opened lazily on the first event and flushed per line, so
     an interrupted run leaves a valid (truncated) JSONL prefix.  Writes
@@ -119,7 +136,12 @@ class JsonlEventSink(EventSink):
     def emit(self, event: str, **fields: object) -> None:
         record: dict[str, object] = {"ts": time.time(), "event": event}
         record.update({key: _jsonable(value) for key, value in fields.items()})
-        line = json.dumps(record) + "\n"
+        try:
+            line = json.dumps(record, allow_nan=False) + "\n"
+        except ValueError:
+            # An event must never fail the run it describes: a NaN or
+            # ±Infinity field value is written as ``null`` instead.
+            line = json.dumps(_finite(record), allow_nan=False) + "\n"
         with self._lock:
             handle = self._file()
             if self.path is not None:

@@ -65,6 +65,7 @@ from repro.engine.batch import (
     broadcast_columns,
     prevalidated_batch,
 )
+from repro.engine.cache import EvaluationCache
 from repro.engine.kernels import BatchResult, evaluate_batch
 from repro.obs.context import current_context
 from repro.parallel.policy import (
@@ -250,7 +251,8 @@ def _evaluate_shard_guarded(
     guard = GuardedEngine(
         policy=spec["policy"],
         ranges=spec["ranges"],
-        cache=None,
+        # A shard is evaluated once: keep it out of the process-wide cache.
+        cache=EvaluationCache(capacity=1),
         tolerance=spec["tolerance"],
     )
     start = task["start"]

@@ -6,9 +6,9 @@ data can be re-plotted with any external tool.
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
+from repro.core.errors import finite_json
 from repro.reporting.figures import FigureData, Series
 
 
@@ -55,7 +55,10 @@ def figure_to_csv(figure: FigureData) -> str:
 
 
 def figure_to_json(figure: FigureData, *, indent: int = 2) -> str:
-    """A figure as a JSON document."""
+    """A figure as a strict JSON document.
+
+    A non-finite value raises :class:`~repro.core.errors.NonFiniteError`.
+    """
     payload = {
         "title": figure.title,
         "x_label": figure.x_label,
@@ -65,4 +68,4 @@ def figure_to_json(figure: FigureData, *, indent: int = 2) -> str:
             for entry in figure.series
         ],
     }
-    return json.dumps(payload, indent=indent)
+    return finite_json(payload, f"figure {figure.title!r}", indent=indent)

@@ -31,6 +31,7 @@ boundary, checkpoint what it has, and raise
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import os
 import time
@@ -52,7 +53,7 @@ from repro.analysis.montecarlo import (
 from repro.analysis.montecarlo import (  # noqa: F401
     sample_parameter_columns as sample_parameter_columns_sharded,
 )
-from repro.analysis.scenario import ActScenario
+from repro.analysis.scenario import PARAMETER_RANGES, ActScenario
 from repro.core.errors import CheckpointError, RunInterrupted, ValidationError
 from repro.core.parameters import require_positive
 from repro.dse.sweep import BatchSweepResult
@@ -595,7 +596,12 @@ def run_monte_carlo_chunked(
         checkpoint: Checkpoint file path (``None`` disables persistence).
         resume: Load ``checkpoint`` and continue from its last chunk.
         cancel: Cooperative cancellation token polled at chunk boundaries.
-        cache: Evaluation cache for in-process chunks.
+        cache: Evaluation cache for in-process chunks (and for a
+            ``guard`` without a cache of its own).  Chunks are keyed by
+            the draw stream's identity, not by hashing their columns, so
+            a repeated run on the same cache hits every chunk.  Without
+            one, a private one-entry cache keeps fresh draws out of the
+            process-wide default.
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`;
             masked rows are dropped from the final sample set.  A fully
             masked chunk is dropped like any masked row; the run raises
@@ -638,21 +644,29 @@ def run_monte_carlo_chunked(
     # the fingerprint hashes the configuration, not the (potentially
     # hundreds of MB of) column data itself: same identity guarantee,
     # none of the hashing cost on the hot path.
-    fingerprint = _fingerprint(
-        "montecarlo",
-        {},
-        (
-            draws,
-            seed,
-            distribution,
-            guard_tag,
-            _BACKEND_TOKEN,
-            f"columns={','.join(sorted(source.names))}",
-            f"ranges={sorted(ranges.items()) if ranges else None}",
-            f"sharded={chunk_rows}",
-            sorted(base.as_dict().items()),
-        ),
-    )
+    metadata: list[object] = [
+        draws,
+        seed,
+        distribution,
+        guard_tag,
+        _BACKEND_TOKEN,
+        f"columns={','.join(sorted(source.names))}",
+        f"ranges={sorted(ranges.items()) if ranges else None}",
+        f"sharded={chunk_rows}",
+        sorted(base.as_dict().items()),
+    ]
+    table_order = tuple(name for name in PARAMETER_RANGES if name in source.ranges)
+    if source.names != table_order:
+        # The sampling order decides which draws each column gets; Table 1
+        # order adds no entry, so those fingerprints stay as they were.
+        metadata.append(f"order={','.join(source.names)}")
+    fingerprint = _fingerprint("montecarlo", {}, metadata)
+    # Without a cache the chunks go to a private one-entry cache: fresh
+    # draws would only fill the process-wide default.
+    if cache is None:
+        cache = EvaluationCache(capacity=1)
+    if guard is not None and guard.cache is None:
+        guard = dataclasses.replace(guard, cache=cache)
     samples = np.full(draws, np.nan)
     # The last failure of each quarantined chunk, and the retries and
     # respawns of every parallel wave.
@@ -694,12 +708,17 @@ def run_monte_carlo_chunked(
                 judge(bool(evaluation.valid.any()), kept, start)
             return _absorb(evaluation, start, {"total_g": samples})
         chunk = source.columns(start, stop)
+        key = source.identity_key(start, stop)
         if guard is None:
-            batch = ScenarioBatch.from_columns(base, stop - start, chunk)
+            batch = ScenarioBatch.from_columns(
+                base, stop - start, chunk, identity_key=key
+            )
             samples[start:stop] = evaluate_cached(batch, cache).total_g
             return []
         try:
-            guarded = guard.evaluate_columns(base, stop - start, chunk)
+            guarded = guard.evaluate_columns(
+                base, stop - start, chunk, identity_key=key
+            )
         except ValidationError as error:
             if guard.policy == STRICT:
                 raise

@@ -45,7 +45,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.errors import CheckpointError
+from repro.core.errors import CheckpointError, finite_json
 
 #: Magic prefix of every chunk record in the write-ahead log.
 RECORD_MAGIC = b"ACTW"
@@ -300,10 +300,12 @@ def atomic_write_json(
 
     The writer of record for ``BENCH_*.json`` and manifest-shaped
     artifacts: an interrupted benchmark or trace run can no longer leave
-    a truncated payload behind for CI to choke on.
+    a truncated payload behind for CI to choke on.  A payload holding a
+    non-finite number raises :class:`~repro.core.errors.NonFiniteError`
+    and writes nothing.
     """
-    text = json.dumps(payload, indent=indent) + "\n"
-    atomic_write_bytes(path, text.encode("utf-8"), io=io)
+    text = finite_json(payload, f"artifact {os.fspath(path)!r}", indent=indent)
+    atomic_write_bytes(path, (text + "\n").encode("utf-8"), io=io)
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def _record_parts(
         view = memoryview(array).cast("B")
         views.append(view)
         payload_length += view.nbytes
-    header = json.dumps(
+    header = finite_json(
         {
             "index": index,
             "start": start,
@@ -374,6 +376,7 @@ def _record_parts(
             "fp": fingerprint,
             "arrays": specs,
         },
+        "chunk record header",
         sort_keys=True,
     ).encode("utf-8")
     crc = zlib.crc32(header)
@@ -538,9 +541,10 @@ def _manifest_bytes(
         "chunks": chunks,
         "meta": dict(meta),
     }
-    canonical = json.dumps(body, sort_keys=True).encode("utf-8")
-    body["crc"] = zlib.crc32(canonical)
-    return (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
+    canonical = finite_json(body, "checkpoint manifest", sort_keys=True)
+    body["crc"] = zlib.crc32(canonical.encode("utf-8"))
+    text = finite_json(body, "checkpoint manifest", sort_keys=True)
+    return (text + "\n").encode("utf-8")
 
 
 def _read_manifest(path: str) -> "tuple[dict | None, bool]":
@@ -564,8 +568,11 @@ def _read_manifest(path: str) -> "tuple[dict | None, bool]":
     if not isinstance(manifest, dict) or "crc" not in manifest:
         return None, True
     stored_crc = manifest.pop("crc")
-    canonical = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    if zlib.crc32(canonical) != stored_crc:
+    try:
+        canonical = json.dumps(manifest, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN/Infinity: never written by _manifest_bytes
+        return None, True
+    if zlib.crc32(canonical.encode("utf-8")) != stored_crc:
         return None, True
     if manifest.get("format") != STORE_FORMAT:
         return None, True

@@ -348,6 +348,8 @@ class GuardedEngine:
         base: "ActScenario",
         size: int,
         columns: Mapping[str, np.ndarray] | None = None,
+        *,
+        identity_key: str | None = None,
     ) -> GuardedResult:
         """Validate, police, evaluate, and cross-check raw columns.
 
@@ -356,17 +358,22 @@ class GuardedEngine:
         ``skip`` policies can act on inputs the strict
         :class:`ScenarioBatch` constructor would reject outright.
 
+        ``identity_key`` (a Monte Carlo chunk's
+        :meth:`~repro.analysis.montecarlo.ShardColumnSource.identity_key`)
+        keys the cache only when diagnosis finds nothing: a repaired or
+        masked batch is a different batch, keyed by its content.
+
         Under an active :class:`~repro.obs.context.RunContext` the pass is
         a ``guard.evaluate_columns`` span and per-policy repair/mask counts
         land in the metrics registry.
         """
         context = current_context()
         if not context.enabled:
-            return self._evaluate_columns(base, size, columns)
+            return self._evaluate_columns(base, size, columns, identity_key)
         with context.span(
             "guard.evaluate_columns", policy=self.policy, rows=size
         ):
-            guarded = self._evaluate_columns(base, size, columns)
+            guarded = self._evaluate_columns(base, size, columns, identity_key)
         self._report(context, guarded)
         return guarded
 
@@ -374,7 +381,8 @@ class GuardedEngine:
         self,
         base: "ActScenario",
         size: int,
-        columns: Mapping[str, np.ndarray] | None = None,
+        columns: Mapping[str, np.ndarray] | None,
+        identity_key: str | None,
     ) -> GuardedResult:
         raw = broadcast_columns(base, size, columns)
         diagnostics = diagnose_columns(raw, ranges=self.ranges)
@@ -412,8 +420,9 @@ class GuardedEngine:
         if not diagnostics:
             # Diagnosis just proved every column finite and in-domain — the
             # exact checks the strict constructor would repeat — so skip the
-            # per-element re-validation on the hot path.
-            batch = prevalidated_batch(raw)
+            # per-element re-validation on the hot path.  The columns are
+            # exactly the caller's, so its identity key still holds.
+            batch = prevalidated_batch(raw, identity_key=identity_key)
         elif valid.all():
             # Repaired columns: clamping aims at the documented ranges, but
             # caller-supplied ranges may sit outside the hard domain, so let

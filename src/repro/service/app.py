@@ -714,9 +714,9 @@ class CarbonQueryService:
                 distribution=distribution,
                 chunk_rows=min(self.config.mc_chunk_rows, draws),
                 cancel=cancel,
-                # Fresh draws never repeat: keep chunk results out of the
-                # shared cache, whose capacity counts entries, not bytes.
-                cache=EvaluationCache(capacity=1),
+                # No cache: fresh draws never repeat, so the driver keeps
+                # its chunks out of the shared one (whose capacity counts
+                # entries, not bytes).
                 policy=policy,
                 fault_plan=self.fault_plan,
             )

@@ -15,6 +15,8 @@ chunk, not the run.
 """
 
 import functools
+import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -23,6 +25,7 @@ import pytest
 
 from repro.analysis import montecarlo as mc_module
 from repro.analysis.montecarlo import (
+    STREAM_KEY_PREFIX,
     ShardColumnSource,
     resolve_parameter_ranges,
     run_monte_carlo,
@@ -36,8 +39,9 @@ from repro.core.errors import (
     RunInterrupted,
     ValidationError,
 )
+from repro.engine import cache as cache_module
 from repro.engine.batch import ScenarioBatch
-from repro.engine.cache import EvaluationCache
+from repro.engine.cache import DEFAULT_CACHE, EvaluationCache
 from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
 from repro.parallel import (
@@ -54,7 +58,7 @@ from repro.robustness.checkpoint import (
     CountingCancelToken,
     run_monte_carlo_chunked,
 )
-from repro.robustness.durability import DurableChunkStore
+from repro.robustness.durability import DurableChunkStore, load_store_state
 from repro.robustness.faultinject import ProcessFault, ProcessFaultPlan
 from repro.robustness.guard import GuardedEngine, RobustnessWarning
 
@@ -396,6 +400,55 @@ class TestFingerprint:
         assert len(context.sink.of_type("chunk")) == 8 - 3
 
 
+class TestSamplingOrder:
+    """The sampling order decides which draws each column gets, so a
+    checkpoint binds it; Table 1 order keeps its old fingerprint."""
+
+    #: The fingerprint the driver wrote before the order entry existed,
+    #: for ``["energy_kwh", "fab_yield"]`` (Table 1 order), seed 3, 1000
+    #: draws, 128-row chunks, no guard.
+    TABLE_ORDER_FINGERPRINT = (
+        "dcb9dc905c15c15d1b57bd7854fe7614cd252d15137666dfddf78ae4a9938efd"
+    )
+
+    @staticmethod
+    def run(parameters, **kwargs):
+        return run_monte_carlo_chunked(
+            BASE,
+            parameters,
+            draws=DRAWS,
+            seed=SEED,
+            chunk_rows=CHUNK,
+            policy=1,
+            **kwargs,
+        )
+
+    def test_table_order_keeps_its_fingerprint(self, tmp_path):
+        path = tmp_path / "mc.ckpt"
+        self.run(["energy_kwh", "fab_yield"], checkpoint=path)
+        meta = load_store_state(str(path)).meta
+        assert meta["fingerprint"] == self.TABLE_ORDER_FINGERPRINT
+
+    def test_reordered_parameters_do_not_resume(self, tmp_path):
+        path = tmp_path / "mc.ckpt"
+        with pytest.raises(RunInterrupted) as excinfo:
+            self.run(
+                ["fab_yield", "energy_kwh"],
+                checkpoint=path,
+                cancel=CountingCancelToken(4),
+            )
+        assert excinfo.value.completed == 4 * CHUNK
+        with pytest.raises(CheckpointError) as refused:
+            self.run(["energy_kwh", "fab_yield"], checkpoint=path, resume=True)
+        assert refused.value.reason == "mismatch"
+        # The same order resumes into the uninterrupted run.
+        resumed = self.run(
+            ["fab_yield", "energy_kwh"], checkpoint=path, resume=True
+        )
+        uninterrupted = self.run(["fab_yield", "energy_kwh"])
+        assert resumed.samples.tobytes() == uninterrupted.samples.tobytes()
+
+
 class TestSingleStreamCheckpoints:
     #: The checkpoint fingerprint the single-stream driver (every draw
     #: sampled from ``default_rng(seed)`` up front, ``policy=None``) wrote
@@ -561,3 +614,174 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < up_front_bytes / 4
+
+
+class TestIdentityKey:
+    """Chunks are cached under the draw stream's identity key instead of
+    a SHA-256 of their columns: the same answers, no hashing, hits on a
+    repeated run, and never a hit across configurations."""
+
+    #: Two parameters in 4 chunks; ``fab_yield`` up to 1.3 leaves some
+    #: rows outside the domain for the repair and skip guards.
+    PARAMETERS = ["energy_kwh", "fab_yield"]
+    CLEAN = {"fab_yield": (0.6, 1.0)}
+    DIRTY = {"fab_yield": (0.9, 1.3)}
+
+    @classmethod
+    def run(cls, cache=None, guard=None, **overrides):
+        kwargs = dict(
+            draws=4 * CHUNK,
+            seed=SEED,
+            chunk_rows=CHUNK,
+            ranges=cls.CLEAN,
+            cache=cache,
+            guard=guard,
+            policy=1,
+        )
+        kwargs.update(overrides)
+        base = kwargs.pop("base", BASE)
+        parameters = kwargs.pop("parameters", cls.PARAMETERS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RobustnessWarning)
+            return run_monte_carlo_chunked(base, parameters, **kwargs)
+
+    GUARDS = {
+        "none": lambda: {},
+        "strict": lambda: {"guard": GuardedEngine(policy="strict")},
+        "repair/clean": lambda: {"guard": GuardedEngine(policy="repair")},
+        "skip/masked": lambda: {
+            "guard": GuardedEngine(policy="skip"),
+            "ranges": TestIdentityKey.DIRTY,
+        },
+    }
+
+    @pytest.mark.parametrize("guard", list(GUARDS))
+    def test_samples_equal_the_content_hash_path(self, guard, monkeypatch):
+        hashed = []
+        real_batch_key = cache_module.batch_key
+
+        def counting(batch):
+            hashed.append(len(batch))
+            return real_batch_key(batch)
+
+        monkeypatch.setattr(cache_module, "batch_key", counting)
+        keyed = self.run(cache=EvaluationCache(), **self.GUARDS[guard]())
+        keyed_hashes = len(hashed)
+        # Without identity keys every chunk is keyed by its content.
+        monkeypatch.setattr(
+            ShardColumnSource, "identity_key", lambda self, start, stop: None
+        )
+        content = self.run(cache=EvaluationCache(), **self.GUARDS[guard]())
+        assert keyed.samples.tobytes() == content.samples.tobytes()
+        assert len(hashed) - keyed_hashes == 4
+        if guard == "skip/masked":
+            # Masked chunks are different batches, keyed by their content.
+            assert 0 < keyed.samples.size < 4 * CHUNK
+            assert keyed_hashes > 0
+        else:
+            assert keyed.samples.size == 4 * CHUNK
+            assert keyed_hashes == 0
+
+    @pytest.mark.parametrize("guard", ["none", "strict"])
+    def test_a_repeated_run_hits_every_chunk(self, guard):
+        cache = EvaluationCache()
+        first = self.run(cache=cache, **self.GUARDS[guard]())
+        assert (cache.hits, cache.misses) == (0, 4)
+        again = self.run(cache=cache, **self.GUARDS[guard]())
+        assert (cache.hits, cache.misses) == (4, 4)
+        assert again.samples.tobytes() == first.samples.tobytes()
+
+    VARIANTS = {
+        "seed": {"seed": SEED + 1},
+        "ranges": {"ranges": {"fab_yield": (0.6, 0.99)}},
+        "distribution": {"distribution": "uniform"},
+        "chunk_rows": {"chunk_rows": CHUNK // 2, "draws": 8 * (CHUNK // 2)},
+        "base": {"base": ActScenario(ic_count=BASE.ic_count + 1)},
+        "order": {"parameters": PARAMETERS[::-1]},
+    }
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_other_configurations_never_hit(self, variant):
+        cache = EvaluationCache()
+        baseline = self.run(cache=cache)
+        cache.reset_stats()
+        shared = self.run(cache=cache, **self.VARIANTS[variant])
+        assert cache.hits == 0
+        alone = self.run(cache=EvaluationCache(), **self.VARIANTS[variant])
+        assert shared.samples.tobytes() == alone.samples.tobytes()
+        assert shared.samples.tobytes() != baseline.samples.tobytes()
+
+    @pytest.mark.parametrize("policy", ["repair", "skip"])
+    def test_repaired_or_masked_batches_carry_no_key(self, policy):
+        source = ShardColumnSource.create(
+            BASE,
+            self.PARAMETERS,
+            draws=CHUNK,
+            seed=SEED,
+            shard_rows=CHUNK,
+            ranges=self.DIRTY,
+        )
+        key = source.identity_key()
+        cache = EvaluationCache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RobustnessWarning)
+            guarded = GuardedEngine(policy=policy, cache=cache).evaluate_columns(
+                BASE, CHUNK, source.columns(), identity_key=key
+            )
+        assert guarded.diagnostics
+        assert guarded.batch.identity_key is None
+        assert cache.peek_by_key(key, len(guarded.batch)) is None
+        assert cache.peek(guarded.batch) is guarded.result
+
+    def test_a_clean_batch_carries_the_key(self):
+        source = ShardColumnSource.create(
+            BASE, draws=CHUNK, seed=SEED, shard_rows=CHUNK
+        )
+        key = source.identity_key()
+        cache = EvaluationCache()
+        guarded = GuardedEngine(cache=cache).evaluate_columns(
+            BASE, CHUNK, source.columns(), identity_key=key
+        )
+        assert guarded.batch.identity_key == key
+        assert cache.peek_by_key(key, CHUNK) is guarded.result
+        # The key stays in the process that sampled the rows.
+        assert pickle.loads(pickle.dumps(guarded.batch)).identity_key is None
+
+    def test_keys_never_look_like_content_digests(self):
+        source = ShardColumnSource.create(
+            BASE, draws=DRAWS, seed=SEED, shard_rows=CHUNK
+        )
+        keys = {
+            source.identity_key(start, stop)
+            for start, stop in [(0, CHUNK), (CHUNK, 2 * CHUNK), (0, DRAWS)]
+        }
+        assert len(keys) == 3
+        for key in keys:
+            assert key.startswith(STREAM_KEY_PREFIX)
+            assert not re.fullmatch("[0-9a-f]{64}", key)
+        batch = ScenarioBatch.from_columns(BASE, CHUNK, source.columns(0, CHUNK))
+        assert re.fullmatch("[0-9a-f]{64}", cache_module.batch_key(batch))
+        with pytest.raises(ParameterError, match="shard-aligned"):
+            source.identity_key(1, CHUNK)
+
+
+class TestPrivateCache:
+    """Fresh draws stay out of the process-wide cache."""
+
+    @pytest.mark.parametrize("guard", [None, "strict"])
+    def test_distinct_seeds_leave_the_default_cache_unchanged(self, guard):
+        # The entry count alone cannot move once the cache is full, so
+        # every lookup counts too.
+        def state():
+            return len(DEFAULT_CACHE), DEFAULT_CACHE.hits + DEFAULT_CACHE.misses
+
+        before = state()
+        for seed in range(3):
+            run_monte_carlo(
+                BASE,
+                draws=3 * CHUNK,
+                seed=seed,
+                policy=ExecutionPolicy(workers=1, shard_rows=CHUNK),
+                guard=GuardedEngine(policy=guard) if guard else None,
+            )
+        assert state() == before
