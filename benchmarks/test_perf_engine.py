@@ -28,14 +28,38 @@ from pathlib import Path
 
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.analysis.scenario import ActScenario
-from repro.dse.sweep import sweep_grid, sweep_grid_batched
-from repro.engine import EvaluationCache
+from repro.dse.sweep import sweep_grid
+from repro.engine import (
+    BatchResult,
+    EvaluationCache,
+    ScenarioBatch,
+    evaluate_cached,
+    evaluate_plan_cached,
+    plan_product,
+    verify_plan,
+)
 from repro.obs.context import RunContext, use_context
 from repro.robustness import STRICT, GuardedEngine
 from repro.robustness.durability import atomic_write_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_engine.json"
+
+
+def _dense_sweep(base: ActScenario, grids) -> BatchResult:
+    """Every Cartesian row of ``grids`` through the kernel (fresh cache)."""
+    return evaluate_cached(
+        ScenarioBatch.from_product(base, grids), EvaluationCache()
+    )
+
+
+def _planned_sweep(base: ActScenario, grids) -> BatchResult:
+    """The factored sweep, as ``sweep_grid_batched`` runs it on a large
+    grid: plan, evaluate (fresh cache), sampled cross-check."""
+    plan = plan_product(base, grids)
+    result = evaluate_plan_cached(plan, EvaluationCache())
+    verify_plan(plan, result)
+    return result
 
 
 def _write_payload(payload: dict) -> None:
@@ -112,14 +136,12 @@ def test_perf_engine():
         ),
         repeats=2,
     )
-    # planner="off" pins this series to the dense batched path it has
-    # always measured; the planned path has its own section and gates
-    # (test_perf_planner), so the historical speedup keeps its meaning.
+    # This series times the dense batched path it has always measured
+    # (a sweep of this size would be planned); the planned path has its
+    # own section and gates (test_perf_planner), so the historical
+    # speedup keeps its meaning.
     batched_sweep = _best_seconds(
-        lambda: sweep_grid_batched(
-            base, SWEEP_GRIDS, cache=EvaluationCache(), planner="off"
-        ),
-        repeats=5,
+        lambda: _dense_sweep(base, SWEEP_GRIDS), repeats=5
     )
 
     # Guarded strict mode: the same batched Monte Carlo run through full
@@ -657,8 +679,9 @@ PLANNER_DSE_CANDIDATES = 256
 def test_perf_planner():
     """Structure-aware sweep planner vs the dense batched path.
 
-    Times :func:`sweep_grid_batched` with ``planner="on"`` against
-    ``planner="off"`` on a separable 4-axis 10k-point grid and a
+    Times the planned sweep (``plan_product`` + ``evaluate_plan_cached``
+    + ``verify_plan``) against the dense one (``evaluate_cached`` over
+    ``ScenarioBatch.from_product``) on a separable 4-axis 10k-point grid and a
     mixed-fan-out grid (fresh caches per call, best-of-N), asserts the
     planned result is bit-identical to the dense one, and benchmarks an
     incremental :class:`~repro.dse.optimizer.ExplorationSession` against
@@ -689,24 +712,17 @@ def test_perf_planner():
     # Bit-identity first: the speedup below is only meaningful because
     # the planned series are the dense series, exactly.
     for grids in (PLANNER_SEPARABLE_GRIDS, PLANNER_MIXED_GRIDS):
-        planned = sweep_grid_batched(
-            base, grids, cache=EvaluationCache(), planner="on"
-        )
-        dense = sweep_grid_batched(
-            base, grids, cache=EvaluationCache(), planner="off"
-        )
+        planned = _planned_sweep(base, grids)
+        dense = _dense_sweep(base, grids)
         for name in SERIES_NAMES:
             np.testing.assert_array_equal(
-                getattr(planned.result, name), getattr(dense.result, name)
+                getattr(planned, name), getattr(dense, name)
             )
 
+    sweeps = {"on": _planned_sweep, "off": _dense_sweep}
+
     def _sweep_seconds(grids, mode: str) -> float:
-        return _best_seconds(
-            lambda: sweep_grid_batched(
-                base, grids, cache=EvaluationCache(), planner=mode
-            ),
-            repeats=9,
-        )
+        return _best_seconds(lambda: sweeps[mode](base, grids), repeats=9)
 
     # Interleave planned/dense so clock drift hits both equally.
     separable = {"on": float("inf"), "off": float("inf")}

@@ -242,9 +242,10 @@ class ShardColumnSource:
         configuration and the covered shards' seeds, so the key digests
         those and the row range instead of the columns' bytes.  Prefixed
         with :data:`STREAM_KEY_PREFIX`, so it never equals a content
-        digest.  Valid only in the process that sampled the rows (the
-        numpy version is not part of it): never persist it or ship it
-        to another process.
+        digest.  Valid only where this numpy installation samples the
+        rows (its version is not part of the key): the parallel runner's
+        workers, which sample their own shards, receive it, but it is
+        never persisted.
         """
         stop = self.draws if stop is None else stop
         digest = hashlib.sha256(self._stream_identity)

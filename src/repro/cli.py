@@ -197,16 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 1 = serial; results are bit-identical at any count)",
     )
     _add_parallel_arguments(experiment)
-    experiment.add_argument(
-        "--planner",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="structure-aware sweep planner: factor Eq. 1-8 into "
-        "per-axis partial terms and combine marginal grids by broadcast "
-        "instead of evaluating every Cartesian row (bit-identical "
-        "results; auto = engage on grids of 512+ rows, off = always the "
-        "dense path; default: the ACT_REPRO_PLANNER env var, else auto)",
-    )
 
     profile = sub.add_parser(
         "profile",
@@ -681,7 +671,6 @@ def _workers_policy(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.engine.plan import use_planner
     from repro.parallel import use_execution_policy
 
     key = args.id.strip().lower()
@@ -692,9 +681,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         args.failure_policy,
         args.max_retries,
     )
-    # use_planner(None) re-installs the current process-wide selection,
-    # so invocations without --planner are exactly the historical behavior.
-    with use_planner(args.planner), use_execution_policy(policy):
+    with use_execution_policy(policy):
         results = _run_experiment_set(args.id)
     failures = [c for r in results for c in r.failed_checks()]
     if args.json:

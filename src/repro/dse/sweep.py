@@ -412,7 +412,6 @@ def sweep_grid_batched(
     cache: EvaluationCache | None = None,
     guard: "GuardedEngine | None" = None,
     policy: "object | int | None" = None,
-    planner: str | None = None,
 ) -> BatchSweepResult:
     """Sweep the ACT model over a parameter grid in one vectorized pass.
 
@@ -435,23 +434,20 @@ def sweep_grid_batched(
             policy.  Sweeps are elementwise, so parallel results are
             bit-identical to the serial pass at any worker count; a
             resolved ``workers=1`` policy stays on the serial cached path.
-        planner: ``"auto"`` / ``"on"`` / ``"off"``, or ``None`` to pick
-            up the process-wide mode
-            (:func:`~repro.engine.plan.use_planner`, default ``auto``).
-            When the structure-aware planner engages, Eq. 1-8 are
-            factored into per-axis partial terms evaluated once on their
-            marginal grids (:mod:`repro.engine.plan`) — bit-identical
-            results, orders of magnitude less arithmetic on separable
-            grids.  Guarded sweeps always use the dense path; ``"off"``
-            reproduces it unconditionally.
+
+    An unguarded grid of at least
+    :data:`~repro.engine.plan.AUTO_MIN_ROWS` points takes the
+    structure-aware planner (:mod:`repro.engine.plan`): Eq. 1-8 are
+    factored into per-axis partial terms evaluated once on their marginal
+    grids — bit-identical results, orders of magnitude less arithmetic on
+    separable grids.  Smaller and guarded sweeps run densely.
     """
     if not grids:
         raise ConstraintError("at least one parameter grid is required")
-    from repro.engine.plan import planner_engaged, resolve_planner_mode
+    from repro.engine.plan import planner_engaged
     from repro.parallel.policy import resolve_policy
 
     resolved_policy = resolve_policy(policy)
-    mode = resolve_planner_mode(planner)
     context = current_context()
     with context.span(
         "dse.sweep_grid",
@@ -460,7 +456,7 @@ def sweep_grid_batched(
         workers=resolved_policy.workers if resolved_policy is not None else 0,
     ):
         if resolved_policy is not None and resolved_policy.parallel:
-            if guard is None and planner_engaged(mode, _grid_size(grids)):
+            if guard is None and planner_engaged(_grid_size(grids)):
                 return _parallel_planned_sweep(base, grids, resolved_policy)
             return _parallel_sweep(base, grids, resolved_policy, guard)
         if guard is not None:
@@ -476,7 +472,7 @@ def sweep_grid_batched(
                 source_indices=guarded.indices,
                 diagnostics=guarded.diagnostics,
             )
-        if planner_engaged(mode, _grid_size(grids)):
+        if planner_engaged(_grid_size(grids)):
             return _planned_sweep(base, grids, cache)
         batch = ScenarioBatch.from_product(base, grids)
         if context.enabled:

@@ -48,17 +48,10 @@ from repro.engine.metrics import (
     winners_from_table,
 )
 from repro.engine.plan import (
-    PLANNER_AUTO,
-    PLANNER_ENV_VAR,
-    PLANNER_OFF,
-    PLANNER_ON,
     SweepPlan,
-    current_planner_mode,
     evaluate_plan_cached,
     plan_product,
     planner_engaged,
-    resolve_planner_mode,
-    use_planner,
     verify_plan,
 )
 
@@ -69,17 +62,12 @@ __all__ = [
     "EvaluationCache",
     "FIELD_NAMES",
     "METRIC_INPUTS",
-    "PLANNER_AUTO",
-    "PLANNER_ENV_VAR",
-    "PLANNER_OFF",
-    "PLANNER_ON",
     "ScenarioBatch",
     "SweepPlan",
     "batch_key",
     "best_index",
     "canonical_metric",
     "cpa_g_per_cm2",
-    "current_planner_mode",
     "evaluate_batch",
     "evaluate_cached",
     "evaluate_plan_cached",
@@ -90,13 +78,11 @@ __all__ = [
     "plan_product",
     "planner_engaged",
     "product_params",
-    "resolve_planner_mode",
     "score_table_batched",
     "soc_embodied_g",
     "stack_design_points",
     "storage_embodied_g",
     "total_g",
-    "use_planner",
     "verify_plan",
     "winners_batched",
     "winners_from_table",

@@ -32,21 +32,18 @@ Two cooperating mechanisms live here:
   planner bug is caught on its first sweep instead of silently
   corrupting results.
 
-Planner selection uses a process-wide stack: install a mode for a block
-with :func:`use_planner` (``"auto"``, ``"on"``, ``"off"``); the stack
-bottoms out at the ``ACT_REPRO_PLANNER`` environment variable (default
-``auto``).  Guarded sweeps fall back to the dense path with identical
-results.
+Grid size alone selects the path (:func:`planner_engaged`): a sweep of
+at least :data:`AUTO_MIN_ROWS` points is planned, a smaller one runs
+densely, and guarded sweeps always run densely.  The answer is the
+same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -67,19 +64,7 @@ from repro.engine.kernels import BatchResult, evaluate_batch
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.scenario import ActScenario
 
-#: Canonical planner modes.  ``auto`` engages the planned path when it is
-#: applicable *and* the grid is large enough to win; ``on`` engages it
-#: whenever it is applicable; ``off`` never does.
-PLANNER_AUTO = "auto"
-PLANNER_ON = "on"
-PLANNER_OFF = "off"
-PLANNER_MODES = (PLANNER_AUTO, PLANNER_ON, PLANNER_OFF)
-
-#: Environment variable naming the process-default planner mode (the
-#: bottom of the :func:`use_planner` stack).
-PLANNER_ENV_VAR = "ACT_REPRO_PLANNER"
-
-#: Below this row count ``auto`` stays on the dense path: the planner's
+#: Below this row count sweeps stay on the dense path: the planner's
 #: fixed costs (plan analysis, per-series materialization, the sampled
 #: cross-check) only amortize on grids with real fan-out.
 AUTO_MIN_ROWS = 512
@@ -97,78 +82,13 @@ _PACK_DOUBLE = struct.Struct("=d").pack
 SERIES_NAMES: tuple[str, ...] = tuple(BatchResult.__dataclass_fields__)
 
 
-# --- planner mode selection ----------------------------------------------
+def planner_engaged(rows: int) -> bool:
+    """Whether an unguarded sweep of ``rows`` points is planned.
 
-_ACTIVE_MODES: list[str | None] = [None]
-_ENV_DEFAULT: str | None = None
-
-
-def _validated_mode(mode: str) -> str:
-    if mode not in PLANNER_MODES:
-        raise ParameterError(
-            f"unknown planner mode {mode!r} "
-            f"(expected one of: {', '.join(PLANNER_MODES)})"
-        )
-    return mode
-
-
-def _default_mode() -> str:
-    """The stack's bottom: ``$ACT_REPRO_PLANNER`` or ``auto``."""
-    global _ENV_DEFAULT
-    if _ENV_DEFAULT is None:
-        _ENV_DEFAULT = _validated_mode(
-            os.environ.get(PLANNER_ENV_VAR, PLANNER_AUTO) or PLANNER_AUTO
-        )
-    return _ENV_DEFAULT
-
-
-def current_planner_mode() -> str:
-    """The innermost installed planner mode (default: ``auto`` / env)."""
-    mode = _ACTIVE_MODES[-1]
-    if mode is not None:
-        return mode
-    return _default_mode()
-
-
-def resolve_planner_mode(mode: str | None) -> str:
-    """Normalize a ``planner=`` argument to a canonical mode string.
-
-    ``None`` falls back to :func:`current_planner_mode`; anything else
-    must be one of :data:`PLANNER_MODES`.
+    Grid size is the only selector: :data:`AUTO_MIN_ROWS` points or
+    more, so small sweeps skip the planner's fixed costs.
     """
-    if mode is None:
-        return current_planner_mode()
-    return _validated_mode(mode)
-
-
-@contextmanager
-def use_planner(mode: str | None) -> Iterator[str | None]:
-    """Install a planner mode process-wide for the block.
-
-    Installing ``None`` is transparent (the current selection stays in
-    effect), so CLI code can write ``with use_planner(args.planner)``
-    unconditionally.  Unknown modes fail at the ``with`` statement.
-    """
-    resolved = _validated_mode(mode) if mode is not None else None
-    _ACTIVE_MODES.append(resolved if resolved is not None else _ACTIVE_MODES[-1])
-    try:
-        yield resolved
-    finally:
-        _ACTIVE_MODES.pop()
-
-
-def planner_engaged(mode: str, rows: int) -> bool:
-    """Whether a sweep of ``rows`` points takes the planned path.
-
-    ``off`` never engages; ``auto`` requires at least
-    :data:`AUTO_MIN_ROWS` grid points so small sweeps skip the planner's
-    fixed costs.
-    """
-    if mode == PLANNER_OFF:
-        return False
-    if mode == PLANNER_AUTO and rows < AUTO_MIN_ROWS:
-        return False
-    return True
+    return rows >= AUTO_MIN_ROWS
 
 
 # --- the factored sweep plan ---------------------------------------------
@@ -526,18 +446,10 @@ def verify_plan(
 
 __all__ = [
     "AUTO_MIN_ROWS",
-    "PLANNER_AUTO",
-    "PLANNER_ENV_VAR",
-    "PLANNER_MODES",
-    "PLANNER_OFF",
-    "PLANNER_ON",
     "SweepPlan",
     "VERIFY_SAMPLE_ROWS",
-    "current_planner_mode",
     "evaluate_plan_cached",
     "planner_engaged",
     "plan_product",
-    "resolve_planner_mode",
-    "use_planner",
     "verify_plan",
 ]

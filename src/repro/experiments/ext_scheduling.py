@@ -69,6 +69,10 @@ def run() -> ExperimentResult:
     fifo = schedule_fifo(jobs, solar)
     aware = schedule_carbon_aware(jobs, solar)
     simulated_benefit = scheduling_benefit(jobs, solar)
+    deadlines_met = all(
+        placement.hours[-1] < placement.job.deadline_hour
+        for placement in fifo.placements + aware.placements
+    )
 
     # Fleet-scale policy sweep on the vectorized evaluator: every policy
     # schedules the same randomized windows, exposing the emissions /
@@ -110,8 +114,7 @@ def run() -> ExperimentResult:
     checks = (
         check_true(
             "the batch-scheduler simulation realizes the opportunity",
-            simulated_benefit > 1.2 and aware.all_deadlines_met
-            and fifo.all_deadlines_met,
+            simulated_benefit > 1.2 and deadlines_met,
             f"{simulated_benefit:.2f}x with all deadlines met",
             "> 1.2x emissions saving over run-immediately FIFO",
         ),

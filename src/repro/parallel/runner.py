@@ -259,7 +259,12 @@ def _evaluate_shard_guarded(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            guarded = guard.evaluate_columns(task["base"], count, columns)
+            guarded = guard.evaluate_columns(
+                task["base"],
+                count,
+                columns,
+                identity_key=task.get("identity_key"),
+            )
         except ValidationError as error:
             if spec["policy"] == STRICT:
                 raise
@@ -343,7 +348,9 @@ def _evaluate_shard(task: dict, count: int) -> _ShardResult:
             return _evaluate_shard_guarded(task, columns, count)
 
         if kind == "montecarlo":
-            batch = ScenarioBatch.from_columns(task["base"], count, columns)
+            batch = ScenarioBatch.from_columns(
+                task["base"], count, columns, identity_key=task["identity_key"]
+            )
         elif task.get("prevalidated"):
             batch = prevalidated_batch(columns)
         else:
@@ -1022,11 +1029,14 @@ class ParallelRunner:
 
         One task per source shard in the (shard-aligned) range, each
         carrying that shard's child seed rather than sampled columns, so
-        the workers sample their own shards.  Shards keep their run-wide
-        source numbers; the evaluation's rows and quarantined ranges are
-        relative to ``start`` (the chunked Monte Carlo driver evaluates
-        one wave of a long run per call).  A fully masked wave is ``NaN``
-        rows: whether the run kept a row is the caller's verdict.
+        the workers sample their own shards, and the shard's
+        :meth:`~repro.analysis.montecarlo.ShardColumnSource.identity_key`,
+        so they key its batch without hashing the columns.  Shards keep
+        their run-wide source numbers; the evaluation's rows and
+        quarantined ranges are relative to ``start`` (the chunked Monte
+        Carlo driver evaluates one wave of a long run per call).  A fully
+        masked wave is ``NaN`` rows: whether the run kept a row is the
+        caller's verdict.
         """
         indices = source.shards(start, stop)
         return self._map(
@@ -1041,7 +1051,13 @@ class ParallelRunner:
                 "distribution": source.distribution,
             },
             guard=guard,
-            per_shard=[{"seed": source.seeds[index]} for index in indices],
+            per_shard=[
+                {
+                    "seed": source.seeds[index],
+                    "identity_key": source.identity_key(*source.plan[index]),
+                }
+                for index in indices
+            ],
             shards=indices,
         )
 

@@ -17,9 +17,9 @@ through their seed (the sharded stream samples each chunk from its own
 resumed run evaluates are exactly the values the uninterrupted run would
 have; the chunk boundaries only decide *when* a row is evaluated, never
 *what* it is.  A content fingerprint (the SHA-256 of the run
-configuration, including — for sweeps — the grid columns and the
-resolved planner mode) is stored in the checkpoint and verified on
-resume, so a checkpoint can never silently continue a *different* run
+configuration, including — for sweeps — the grid columns) is stored in
+the checkpoint and verified on resume, so a checkpoint can never
+silently continue a *different* run
 (:class:`~repro.core.errors.CheckpointError` otherwise).
 
 Cooperative cancellation goes through :class:`CancelToken` — a deadline
@@ -80,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Checkpoint schema version; bumped on incompatible layout changes.
 #: Version 2: the durable chunk-store format (write-ahead CRC-framed
 #: records + manifest) with the kernel entry (:data:`_BACKEND_TOKEN`) and
-#: the planner mode folded into fingerprints.
+#: the planner entry (:data:`_PLANNER_TOKEN`) folded into fingerprints.
 CHECKPOINT_VERSION = 2
 
 #: Default rows evaluated between two checkpoint writes.
@@ -161,6 +161,11 @@ def _fingerprint(
 #: kernel; the entry keeps the value earlier versions wrote by default,
 #: so their checkpoints still resume.
 _BACKEND_TOKEN = "backend=reference"
+
+#: The planner entry every sweep fingerprint carries.  Grid size alone
+#: picks the sweep path; the entry keeps the value earlier versions wrote
+#: by default, so their sweep checkpoints still resume.
+_PLANNER_TOKEN = "planner=auto"
 
 
 def _coverage(spans: Iterable[tuple[int, int]]) -> int:
@@ -299,7 +304,7 @@ class _Checkpointer:
             raise CheckpointError(
                 f"cannot resume: checkpoint {self.path!r} was written by a "
                 "different run configuration (seed, draws, parameters, "
-                "planner, or policy differ)",
+                "or policy differ)",
                 path=self.path,
                 reason="mismatch",
                 salvage=salvage,
@@ -812,7 +817,6 @@ def sweep_grid_batched_chunked(
     cancel: CancelToken | None = None,
     cache: EvaluationCache | None = None,
     policy: "object | int | None" = None,
-    planner: str | None = None,
 ) -> BatchSweepResult:
     """:func:`~repro.dse.sweep.sweep_grid_batched`, chunked and resumable.
 
@@ -831,16 +835,11 @@ def sweep_grid_batched_chunked(
             wave; grid columns (and so the checkpoint fingerprint) are
             unchanged, so serial and parallel runs of the same sweep
             resume each other's checkpoints freely.
-        planner: ``"auto"`` / ``"on"`` / ``"off"``, or ``None`` for the
-            process-wide mode.  On the serial path an engaged planner
-            (:mod:`repro.engine.plan`) factors Eq. 1-8 once into
-            per-axis partial tables and each chunk only gathers its row
-            range — bit-identical values.  The *resolved* mode is folded
-            into the checkpoint fingerprint, so a run checkpointed under
-            one planner mode refuses (``CheckpointError``, reason
-            ``"mismatch"``) to resume under another — re-run with the
-            original mode instead.  Parallel waves always evaluate
-            densely.
+
+    A serial sweep of at least :data:`~repro.engine.plan.AUTO_MIN_ROWS`
+    points factors Eq. 1-8 once into per-axis partial tables
+    (:mod:`repro.engine.plan`) and each chunk only gathers its row range
+    — bit-identical values.  Parallel waves always evaluate densely.
 
     Raises:
         CheckpointError: ``resume`` without a usable, matching checkpoint.
@@ -850,15 +849,10 @@ def sweep_grid_batched_chunked(
             ``completed`` rows.
     """
     require_positive("chunk_rows", chunk_rows)
-    from repro.engine.plan import (
-        plan_product,
-        planner_engaged,
-        resolve_planner_mode,
-    )
+    from repro.engine.plan import plan_product, planner_engaged
     from repro.parallel.policy import resolve_policy
 
     resolved_policy = resolve_policy(policy)
-    planner_mode = resolve_planner_mode(planner)
     size, columns = product_columns(base, grids)
     names = tuple(grids)
     fingerprint = _fingerprint(
@@ -868,7 +862,7 @@ def sweep_grid_batched_chunked(
             size,
             names,
             _BACKEND_TOKEN,
-            f"planner={planner_mode}",
+            _PLANNER_TOKEN,
             sorted(base.as_dict().items()),
         ),
     )
@@ -876,12 +870,10 @@ def sweep_grid_batched_chunked(
     series = {name: np.full(size, np.nan) for name in series_names}
     plan = factor_tables = None
     parallel = resolved_policy is not None and resolved_policy.parallel
-    if not parallel and planner_engaged(planner_mode, size):
+    if not parallel and planner_engaged(size):
         # Factor Eq. 1-8 once up front; each chunk below then only
         # gathers its row range out of the broadcasted outer product.
-        # Values are bit-identical to the dense chunk evaluation; the
-        # resolved mode is still folded into the fingerprint so resumes
-        # can never silently cross planner settings.
+        # Values are bit-identical to the dense chunk evaluation.
         plan = plan_product(base, grids)
         factor_tables = plan.partial_series()
 

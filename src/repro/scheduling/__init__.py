@@ -1,17 +1,17 @@
-"""Carbon-aware batch scheduling: scalar reference, fleet model, and the
-vectorized policy-sweep stack.
+"""Carbon-aware batch scheduling: one scalar scheduler, fleet model, and
+the vectorized policy-sweep stack.
 
 Layers (bottom up):
 
-* :mod:`repro.scheduling.simulator` — the pinned single-machine scalar
-  reference (FIFO vs greedy carbon-aware) every refactor is tested
-  against.
+* :mod:`repro.scheduling.simulator` — the single-machine study (FIFO vs
+  greedy carbon-aware), run through the scalar policy reference below.
 * :mod:`repro.scheduling.fleet` — machines with capacity, idle/active
   power, and DVFS power caps; generalized jobs (preemptible, fractional
   hours, suspend/resume overhead).
-* :mod:`repro.scheduling.policies` — the scalar policy reference
+* :mod:`repro.scheduling.policies` — the one scalar scheduler
   (``fifo`` / ``edf`` / ``carbon_waiting`` / ``carbon_lowest``) emitting
-  emissions *and* per-job waiting time.
+  emissions *and* per-job waiting time; the oracle of the vectorized
+  path.
 * :mod:`repro.scheduling.batch` — the vectorized evaluator: many
   (window, job set, policy) scenarios as numpy columns, cacheable in
   the engine's evaluation cache.
@@ -22,8 +22,6 @@ Layers (bottom up):
 from repro.scheduling.simulator import (
     EMISSIONS_FLOOR_G,
     Job,
-    Placement,
-    Schedule,
     nightly_batch_workload,
     schedule_carbon_aware,
     schedule_fifo,
@@ -78,12 +76,10 @@ __all__ = [
     "Machine",
     "POLICY_IDS",
     "POLICY_NAMES",
-    "Placement",
     "PolicyPoint",
     "PolicySweepResult",
     "SCHEDULE_SERIES",
     "SCHEDULING_POLICIES",
-    "Schedule",
     "ScheduleBatch",
     "ScheduleBatchResult",
     "ScheduleScenario",

@@ -1,9 +1,8 @@
 """Fleet model for carbon-aware scheduling: machines, specs, fleet jobs.
 
-The original simulator (:mod:`repro.scheduling.simulator`, kept as the
-pinned scalar reference) models one machine running whole-hour,
-non-preemptible jobs.  This module generalizes the *world* the policies
-schedule into:
+The single-machine study (:mod:`repro.scheduling.simulator`) places
+whole-hour, non-preemptible jobs on one machine.  This module generalizes
+the *world* the policies schedule into:
 
 * :class:`Machine` — a host with slot ``capacity``, idle/active power, and
   an optional DVFS power cap (via :class:`~repro.core.dvfs.DvfsModel`)
@@ -30,12 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.dvfs import DvfsModel
 from repro.core.errors import ConstraintError, ParameterError
 from repro.core.parameters import require_non_negative, require_positive
 
-from repro.scheduling.simulator import Job
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scheduling.simulator import Job
 
 #: Frequency-ladder resolution used to resolve a power cap to a DVFS
 #: operating point.  Finer ladders change the chosen frequency by less
@@ -184,8 +185,8 @@ class FleetSpec:
 
 
 def single_machine_fleet(name: str = "m0") -> FleetSpec:
-    """The degenerate fleet matching the pinned scalar simulator: one
-    machine, one slot, no idle/active power, no cap."""
+    """The degenerate fleet of the single-machine study: one machine,
+    one slot, no idle/active power, no cap."""
     return FleetSpec((Machine(name),))
 
 
@@ -251,8 +252,8 @@ class FleetJob:
         return self.energy_kwh / self.duration_hours
 
 
-def from_simulator_job(job: Job) -> FleetJob:
-    """Lift a pinned-simulator :class:`~repro.scheduling.simulator.Job`
+def from_simulator_job(job: "Job") -> FleetJob:
+    """Lift a single-machine :class:`~repro.scheduling.simulator.Job`
     into the fleet model (non-preemptible, whole hours, no overhead)."""
     return FleetJob(
         name=job.name,

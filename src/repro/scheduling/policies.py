@@ -25,9 +25,10 @@ every job contiguously (they have no carbon signal that would justify a
 split).  All policies are deterministic: ties break on earlier hours and
 then on job input order.
 
-This module is the *pinned scalar reference*: placements and emissions
+This module is the *one scalar scheduler*: placements and emissions
 are computed with plain Python loops in chronological order, one scenario
-at a time.  The vectorized evaluator (:mod:`repro.scheduling.batch`)
+at a time.  The single-machine study (:mod:`repro.scheduling.simulator`)
+runs through it.  The vectorized evaluator (:mod:`repro.scheduling.batch`)
 reproduces these semantics as numpy columns and is cross-checked against
 this path in the tests; it prices candidate starts with this module's
 chronological arithmetic, so cost ties break identically on both paths.
@@ -382,9 +383,8 @@ def _choose_hours(
     else:  # carbon_lowest, non-preemptible
         # Candidate cost is the placement's own emission arithmetic —
         # the same weighted chronological sum
-        # :func:`_placement_emissions` will charge — so ties resolve
-        # exactly as the pinned simulator's ``(emissions, start)`` key
-        # does.
+        # :func:`_placement_emissions` will charge — so a strict ``<``
+        # resolves cost ties to the earliest start.
         weight = job.energy_per_full_hour_kwh + active_power_w / WATTS_PER_KW
         best_start, best_cost = None, None
         for start in candidates:

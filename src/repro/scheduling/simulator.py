@@ -1,25 +1,30 @@
-"""A small discrete-time carbon-aware batch scheduler simulation.
+"""The single-machine carbon-aware batch scheduling study.
 
 The Reduce tenet's "renewable energy driven hardware" lever only pays off
-if software can follow the grid.  This simulator makes that concrete:
+if software can follow the grid.  This module makes that concrete:
 deferrable batch jobs (each with an arrival hour, a duration, an energy
 draw, and a deadline) are placed on a machine whose grid follows a
 :class:`~repro.core.intensity.CarbonIntensityTrace`.  Two policies are
-provided — run-immediately FIFO and greedy carbon-aware placement — and
-the simulator reports total emissions, so the scheduling opportunity the
-flat-average CI model hides can be measured end to end.
+compared — run-immediately FIFO and greedy carbon-aware placement — and
+the total emissions of each expose the scheduling opportunity the
+flat-average CI model hides.
 
-Capacity model: one job at a time (a single machine / reserved slice);
-jobs are non-preemptible and occupy whole hours.
+Both run through the one scalar scheduler,
+:func:`~repro.scheduling.policies.simulate_fleet`, on
+:func:`~repro.scheduling.fleet.single_machine_fleet` (one job at a
+time, no idle or active power); jobs are non-preemptible and occupy
+whole hours.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.errors import ConstraintError, ParameterError
+from repro.core.errors import ParameterError
 from repro.core.intensity import CarbonIntensityTrace
 from repro.core.parameters import require_non_negative, require_positive
+from repro.scheduling.fleet import from_simulator_job, single_machine_fleet
+from repro.scheduling.policies import FleetSchedule, simulate_fleet
 
 
 @dataclass(frozen=True)
@@ -65,111 +70,54 @@ class Job:
         )
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One scheduled job with its outcome."""
+def _simulate(
+    jobs: tuple[Job, ...], trace: CarbonIntensityTrace, policy: str
+) -> FleetSchedule:
+    """``jobs`` under ``policy`` on the one-slot, zero-power fleet.
 
-    job: Job
-    start_hour: int
-    emissions_g: float
-
-    @property
-    def end_hour(self) -> int:
-        return self.start_hour + self.job.duration_hours
-
-    @property
-    def met_deadline(self) -> bool:
-        return self.end_hour <= self.job.deadline_hour
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A complete schedule with aggregate emissions."""
-
-    policy: str
-    placements: tuple[Placement, ...]
-
-    @property
-    def total_emissions_g(self) -> float:
-        return sum(placement.emissions_g for placement in self.placements)
-
-    @property
-    def all_deadlines_met(self) -> bool:
-        return all(placement.met_deadline for placement in self.placements)
-
-    def placement_for(self, job_name: str) -> Placement:
-        for placement in self.placements:
-            if placement.job.name == job_name:
-                return placement
-        raise ConstraintError(f"no placement for job {job_name!r}")
+    The fleet policies break ties on input order; sorting by name first
+    makes that the job-name order this study has always used.
+    """
+    return simulate_fleet(
+        tuple(
+            from_simulator_job(job)
+            for job in sorted(jobs, key=lambda job: job.name)
+        ),
+        single_machine_fleet(),
+        trace,
+        policy,
+    )
 
 
-def _free(busy: set[int], start: int, duration: int) -> bool:
-    return all(hour not in busy for hour in range(start, start + duration))
-
-
-def _occupy(busy: set[int], start: int, duration: int) -> None:
-    busy.update(range(start, start + duration))
-
-
-def schedule_fifo(jobs: tuple[Job, ...], trace: CarbonIntensityTrace) -> Schedule:
+def schedule_fifo(
+    jobs: tuple[Job, ...], trace: CarbonIntensityTrace
+) -> FleetSchedule:
     """Run-immediately FIFO: each job starts at the earliest free slot.
 
     The carbon-oblivious baseline; deadlines are still respected as a
-    feasibility check.
+    feasibility check (an infeasible set raises
+    :class:`~repro.core.errors.ConstraintError`).
     """
-    busy: set[int] = set()
-    placements = []
-    for job in sorted(jobs, key=lambda j: (j.arrival_hour, j.name)):
-        start = job.arrival_hour
-        while not _free(busy, start, job.duration_hours):
-            start += 1
-        if start > job.latest_start:
-            raise ConstraintError(
-                f"FIFO cannot meet the deadline of job {job.name!r}"
-            )
-        _occupy(busy, start, job.duration_hours)
-        placements.append(
-            Placement(job, start, job.emissions_g(start, trace))
-        )
-    return Schedule(policy="fifo", placements=tuple(placements))
+    return _simulate(jobs, trace, "fifo")
 
 
 def schedule_carbon_aware(
     jobs: tuple[Job, ...], trace: CarbonIntensityTrace
-) -> Schedule:
-    """Greedy carbon-aware placement.
+) -> FleetSchedule:
+    """Greedy carbon-aware placement (the fleet's ``carbon_lowest``).
 
     Jobs are considered in order of scheduling urgency (tightest slack
     first); each takes the feasible, non-overlapping start hour with the
     lowest emissions.  Greedy is not optimal, but it is the standard
-    practical policy and enough to expose the opportunity.
+    practical policy and enough to expose the opportunity.  Placements
+    are listed, and their emissions summed, in ``(start hour, job name)``
+    order.
     """
-    busy: set[int] = set()
-    placements = []
-    by_urgency = sorted(
-        jobs,
-        key=lambda j: (j.latest_start - j.arrival_hour, j.arrival_hour, j.name),
+    schedule = _simulate(jobs, trace, "carbon_lowest")
+    placements = sorted(
+        schedule.placements, key=lambda p: (p.start_hour, p.job.name)
     )
-    for job in by_urgency:
-        candidates = [
-            start
-            for start in range(job.arrival_hour, job.latest_start + 1)
-            if _free(busy, start, job.duration_hours)
-        ]
-        if not candidates:
-            raise ConstraintError(
-                f"no feasible slot for job {job.name!r}"
-            )
-        best = min(
-            candidates, key=lambda start: (job.emissions_g(start, trace), start)
-        )
-        _occupy(busy, best, job.duration_hours)
-        placements.append(Placement(job, best, job.emissions_g(best, trace)))
-    ordered = tuple(
-        sorted(placements, key=lambda p: (p.start_hour, p.job.name))
-    )
-    return Schedule(policy="carbon_aware", placements=ordered)
+    return replace(schedule, placements=tuple(placements))
 
 
 #: Denominator floor (grams) for :func:`scheduling_benefit`.  When the

@@ -273,7 +273,6 @@ class TestFingerprintPins:
             GRIDS,
             chunk_rows=8,
             checkpoint=path,
-            planner="auto",
             policy=workers,
         )
         assert load_store_state(path).meta["fingerprint"] == self.SWEEP

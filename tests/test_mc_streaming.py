@@ -50,6 +50,7 @@ from repro.parallel import (
     PICKLE,
     SHM,
     ExecutionPolicy,
+    ParallelRunner,
 )
 from repro.parallel.policy import shard_plan
 from repro.robustness.checkpoint import (
@@ -681,6 +682,34 @@ class TestIdentityKey:
         else:
             assert keyed.samples.size == 4 * CHUNK
             assert keyed_hashes == 0
+
+    def test_guarded_parallel_shards_hash_nothing(self, monkeypatch):
+        # Workers sample their own shards from seeds, so they receive the
+        # shard's identity key with the seed instead of hashing columns.
+        hashed = []
+        real_batch_key = cache_module.batch_key
+
+        def counting(batch):
+            hashed.append(len(batch))
+            return real_batch_key(batch)
+
+        def run():
+            policy = ExecutionPolicy(workers=1, shard_rows=65536)
+            with ParallelRunner(policy) as runner:
+                evaluation = runner.run_monte_carlo(
+                    BASE, draws=2**18, guard=GuardedEngine()
+                )
+            return evaluation.batch_result().total_g
+
+        monkeypatch.setattr(cache_module, "batch_key", counting)
+        keyed = run()
+        assert hashed == []
+        monkeypatch.setattr(
+            ShardColumnSource, "identity_key", lambda self, start, stop: None
+        )
+        content = run()
+        assert hashed == [65536] * 4
+        assert keyed.tobytes() == content.tobytes()
 
     @pytest.mark.parametrize("guard", ["none", "strict"])
     def test_a_repeated_run_hits_every_chunk(self, guard):

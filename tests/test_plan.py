@@ -7,9 +7,11 @@ Five contracts are pinned here:
   ``==`` per element, same dtype — through every integration point
   (one-shot sweeps, parallel sweeps at any worker count, chunked+resumed
   sweeps).
-* **Fallback matrix** — ``off`` never plans, ``auto`` skips small grids,
-  and guarded sweeps stay dense; error behavior (empty grids, unknown
-  parameters, malformed axes) is identical on both paths.
+* **Path selection** — grid size alone picks the path: an unguarded
+  grid of :data:`~repro.engine.plan.AUTO_MIN_ROWS` (512) points or more
+  is planned, a smaller one and every guarded sweep run densely; error
+  behavior (empty grids, unknown parameters, malformed axes) is
+  identical on both paths.
 * **Memory discipline** — a planned batch materializes only the swept
   columns; constant columns stay zero-stride broadcast views (the
   satellite regression for no intermediate full-grid copies).
@@ -20,15 +22,9 @@ Five contracts are pinned here:
   metrics.
 * **Guard + CLI integration** — ``GuardedEngine.verify_planned`` and
   ``verify_plan`` catch a corrupted planned result with a typed
-  :class:`~repro.core.errors.DivergenceError`; ``experiment``'s
-  ``--planner`` flag parses, applies, and rejects unknown modes, and the
-  subcommands that run no planner do not accept it.
+  :class:`~repro.core.errors.DivergenceError`; no subcommand accepts a
+  ``--planner`` flag.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,28 +53,20 @@ from repro.engine import (
     evaluate_batch,
 )
 from repro.engine.batch import product_columns
+from repro.engine import plan as plan_module
 from repro.engine.plan import (
     AUTO_MIN_ROWS,
-    PLANNER_AUTO,
-    PLANNER_ENV_VAR,
-    PLANNER_MODES,
-    PLANNER_OFF,
-    PLANNER_ON,
     SERIES_NAMES,
     SweepPlan,
-    current_planner_mode,
     evaluate_plan_cached,
     plan_product,
     planner_engaged,
-    resolve_planner_mode,
-    use_planner,
     verify_plan,
 )
 from repro.parallel.policy import ExecutionPolicy
 from repro.robustness import GuardedEngine, sweep_grid_batched_chunked
 
 BASE = ActScenario()
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: A 4-axis separable grid comfortably above the auto threshold.
 BIG_GRIDS = {
@@ -104,60 +92,59 @@ def assert_results_identical(a: BatchResult, b: BatchResult) -> None:
         np.testing.assert_array_equal(left, right, err_msg=name)
 
 
+def dense(grids) -> BatchResult:
+    """The dense reference: every Cartesian row through the kernel."""
+    return evaluate_batch(ScenarioBatch.from_product(BASE, grids))
+
+
 class TestPlannerModes:
-    def test_default_mode_is_auto(self):
-        assert current_planner_mode() == PLANNER_AUTO
-        assert resolve_planner_mode(None) == PLANNER_AUTO
+    """Grid size alone picks the planned or the dense path."""
 
-    def test_use_planner_nests_and_restores(self):
-        with use_planner(PLANNER_OFF):
-            assert current_planner_mode() == PLANNER_OFF
-            with use_planner(PLANNER_ON):
-                assert current_planner_mode() == PLANNER_ON
-            assert current_planner_mode() == PLANNER_OFF
-        assert current_planner_mode() == PLANNER_AUTO
+    #: 7 x 73 = 511 points (dense) and 8 x 64 = 512 points (planned).
+    GRIDS = {
+        511: {
+            "ci_use_g_per_kwh": tuple(np.linspace(50.0, 700.0, 7)),
+            "energy_kwh": tuple(np.linspace(1.0, 20.0, 73)),
+        },
+        512: {
+            "ci_use_g_per_kwh": tuple(np.linspace(50.0, 700.0, 8)),
+            "energy_kwh": tuple(np.linspace(1.0, 20.0, 64)),
+        },
+    }
 
-    def test_use_planner_none_is_transparent(self):
-        with use_planner(PLANNER_ON):
-            with use_planner(None):
-                assert current_planner_mode() == PLANNER_ON
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ParameterError) as excinfo:
-            resolve_planner_mode("fastest")
-        assert "fastest" in str(excinfo.value)
-        for mode in PLANNER_MODES:
-            assert mode in str(excinfo.value)
-        with pytest.raises(ParameterError):
-            with use_planner("fastest"):
-                pass  # pragma: no cover - must fail at the with statement
-
-    def test_env_var_sets_process_default(self):
-        # _ENV_DEFAULT caches at first read, so probe in a subprocess.
-        code = (
-            "from repro.engine.plan import current_planner_mode;"
-            "print(current_planner_mode())"
-        )
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(REPO_ROOT / "src"),
-            PLANNER_ENV_VAR: "off",
-        }
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == PLANNER_OFF
+    FORMS = {
+        "serial": lambda grids: sweep_grid_batched(
+            BASE, grids, cache=EvaluationCache()
+        ),
+        "chunked": lambda grids: sweep_grid_batched_chunked(
+            BASE, grids, chunk_rows=97
+        ),
+        "policy=2": lambda grids: sweep_grid_batched(BASE, grids, policy=2),
+    }
 
     def test_engagement_matrix(self):
-        many, few = AUTO_MIN_ROWS, AUTO_MIN_ROWS - 1
-        assert not planner_engaged(PLANNER_OFF, many)
-        assert planner_engaged(PLANNER_ON, few)
-        assert planner_engaged(PLANNER_AUTO, many)
-        assert not planner_engaged(PLANNER_AUTO, few)
+        assert AUTO_MIN_ROWS == 512
+        assert planner_engaged(AUTO_MIN_ROWS)
+        assert planner_engaged(10**6)
+        assert not planner_engaged(AUTO_MIN_ROWS - 1)
+        assert not planner_engaged(1)
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    @pytest.mark.parametrize("rows", [511, 512])
+    def test_grid_size_picks_the_path(self, rows, form, monkeypatch):
+        plans = []
+        real_plan_product = plan_module.plan_product
+
+        def counting(base, grids):
+            plans.append(grids)
+            return real_plan_product(base, grids)
+
+        monkeypatch.setattr(plan_module, "plan_product", counting)
+        grids = self.GRIDS[rows]
+        swept = self.FORMS[form](grids)
+        assert len(plans) == (1 if rows >= AUTO_MIN_ROWS else 0)
+        assert len(swept) == rows
+        assert_results_identical(dense(grids), swept.result)
 
 
 class TestPlanConstruction:
@@ -210,47 +197,28 @@ class TestPlanConstruction:
 
 class TestPlannedBitIdentity:
     def test_planned_equals_dense(self):
-        dense = sweep_grid_batched(
-            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="off"
-        )
-        planned = sweep_grid_batched(
-            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="on"
-        )
-        assert planned.names == dense.names
-        assert_results_identical(dense.result, planned.result)
+        planned = sweep_grid_batched(BASE, BIG_GRIDS, cache=EvaluationCache())
+        assert planned.names == tuple(BIG_GRIDS)
+        assert_results_identical(dense(BIG_GRIDS), planned.result)
+        batch = ScenarioBatch.from_product(BASE, BIG_GRIDS)
         for name in FIELD_NAMES:
             np.testing.assert_array_equal(
-                dense.batch.column(name), planned.batch.column(name)
+                batch.column(name), planned.batch.column(name)
             )
 
     def test_mixed_grid_planned_equals_dense(self):
-        dense = sweep_grid_batched(
-            BASE, MIXED_GRIDS, cache=EvaluationCache(), planner="off"
-        )
-        planned = sweep_grid_batched(
-            BASE, MIXED_GRIDS, cache=EvaluationCache(), planner="on"
-        )
-        assert_results_identical(dense.result, planned.result)
+        planned = sweep_grid_batched(BASE, MIXED_GRIDS, cache=EvaluationCache())
+        assert_results_identical(dense(MIXED_GRIDS), planned.result)
 
     def test_single_axis_degenerate_grid(self):
         grids = {"energy_kwh": tuple(np.linspace(1.0, 20.0, 600))}
-        dense = sweep_grid_batched(
-            BASE, grids, cache=EvaluationCache(), planner="off"
-        )
-        planned = sweep_grid_batched(
-            BASE, grids, cache=EvaluationCache(), planner="on"
-        )
-        assert_results_identical(dense.result, planned.result)
+        planned = sweep_grid_batched(BASE, grids, cache=EvaluationCache())
+        assert_results_identical(dense(grids), planned.result)
 
     def test_all_singleton_axes_grid(self):
+        # One row: sweeps take the dense path, so evaluate the plan itself.
         grids = {"energy_kwh": (5.0,), "dram_gb": (8.0,), "ic_count": (3.0,)}
-        dense = sweep_grid_batched(
-            BASE, grids, cache=EvaluationCache(), planner="off"
-        )
-        planned = sweep_grid_batched(
-            BASE, grids, cache=EvaluationCache(), planner="on"
-        )
-        assert_results_identical(dense.result, planned.result)
+        assert_results_identical(dense(grids), plan_product(BASE, grids).evaluate())
 
     def test_auto_engages_above_threshold_only(self):
         # Identity holds either way; this pins that auto == on for big
@@ -353,19 +321,9 @@ class TestFallbacks:
         }
         guard = GuardedEngine()
         guarded = sweep_grid_batched(BASE, grids, guard=guard)
-        dense = sweep_grid_batched(
-            BASE, grids, cache=EvaluationCache(), planner="off"
-        )
         np.testing.assert_array_equal(
-            guarded.result.total_g, dense.result.total_g
+            guarded.result.total_g, dense(grids).total_g
         )
-
-    def test_off_mode_uses_dense_batch_cache_key(self):
-        cache = EvaluationCache()
-        sweep_grid_batched(BASE, BIG_GRIDS, cache=cache, planner="off")
-        batch = ScenarioBatch.from_product(BASE, BIG_GRIDS)
-        assert cache.peek(batch) is not None
-        assert cache.stats().misses == 1
 
 
 class TestVerifyPlan:
@@ -394,17 +352,13 @@ class TestVerifyPlan:
 class TestParallelPlanned:
     @pytest.mark.parametrize("transport", ("shm", "pickle"))
     def test_parallel_planned_matches_dense_any_worker_count(self, transport):
-        dense = sweep_grid_batched(
-            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="off"
-        )
+        reference = dense(BIG_GRIDS)
         for workers in (1, 2, 3):
             policy = ExecutionPolicy(
                 workers=workers, transport=transport, shard_rows=1024
             )
-            swept = sweep_grid_batched(
-                BASE, BIG_GRIDS, policy=policy, planner="on"
-            )
-            assert_results_identical(dense.result, swept.result)
+            swept = sweep_grid_batched(BASE, BIG_GRIDS, policy=policy)
+            assert_results_identical(reference, swept.result)
 
     def test_parallel_auto_small_grid_stays_dense_path(self):
         small = {
@@ -412,30 +366,18 @@ class TestParallelPlanned:
             "energy_kwh": tuple(np.linspace(2.0, 8.0, 20)),
         }
         policy = ExecutionPolicy(workers=2, shard_rows=16)
-        serial = sweep_grid_batched(
-            BASE, small, cache=EvaluationCache(), planner="off"
-        )
         swept = sweep_grid_batched(BASE, small, policy=policy)
-        assert_results_identical(serial.result, swept.result)
+        assert_results_identical(dense(small), swept.result)
 
 
 class TestChunkedPlanned:
     def test_chunked_planned_matches_dense(self):
-        dense = sweep_grid_batched(
-            BASE, BIG_GRIDS, cache=EvaluationCache(), planner="off"
-        )
-        chunked = sweep_grid_batched_chunked(
-            BASE, BIG_GRIDS, chunk_rows=997, planner="on"
-        )
-        assert_results_identical(dense.result, chunked.result)
+        chunked = sweep_grid_batched_chunked(BASE, BIG_GRIDS, chunk_rows=997)
+        assert_results_identical(dense(BIG_GRIDS), chunked.result)
 
-    def test_resume_folds_planner_mode_into_the_fingerprint(self, tmp_path):
-        # The planner mode is part of a checkpoint's identity: resuming
-        # under a different mode refuses with a typed mismatch (the two
-        # paths are bit-identical by the planner contract, but identity
-        # checks must not rely on that), while the same mode resumes to
-        # the bit-identical dense result.
-        from repro.core.errors import CheckpointError, RunInterrupted
+    def test_planned_resume_matches_dense(self, tmp_path):
+        # An interrupted planned sweep resumes to the dense result.
+        from repro.core.errors import RunInterrupted
         from repro.robustness import CancelToken
 
         class StopAfter(CancelToken):
@@ -447,37 +389,19 @@ class TestChunkedPlanned:
                 return self._left < 0
 
         path = tmp_path / "sweep.npz"
-        dense = sweep_grid_batched_chunked(
-            BASE, BIG_GRIDS, chunk_rows=640, planner="off"
-        )
-        with pytest.raises(RunInterrupted):
+        with pytest.raises(RunInterrupted) as excinfo:
             sweep_grid_batched_chunked(
                 BASE,
                 BIG_GRIDS,
                 chunk_rows=640,
                 checkpoint=path,
                 cancel=StopAfter(3),
-                planner="off",
             )
-        with pytest.raises(CheckpointError) as excinfo:
-            sweep_grid_batched_chunked(
-                BASE,
-                BIG_GRIDS,
-                chunk_rows=640,
-                checkpoint=path,
-                resume=True,
-                planner="on",
-            )
-        assert excinfo.value.reason == "mismatch"
+        assert 0 < excinfo.value.completed < plan_product(BASE, BIG_GRIDS).size
         resumed = sweep_grid_batched_chunked(
-            BASE,
-            BIG_GRIDS,
-            chunk_rows=640,
-            checkpoint=path,
-            resume=True,
-            planner="off",
+            BASE, BIG_GRIDS, chunk_rows=640, checkpoint=path, resume=True
         )
-        assert_results_identical(dense.result, resumed.result)
+        assert_results_identical(dense(BIG_GRIDS), resumed.result)
 
 
 class TestFrozenParams:
@@ -708,10 +632,12 @@ class TestIncrementalPareto:
 
 
 class TestPlannerCli:
-    def test_planner_flag_round_trips(self):
+    def test_experiment_rejects_the_planner_flag(self):
         from repro.cli import main
 
-        assert main(["experiment", "fig6", "--planner", "auto"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "fig6", "--planner", "auto"])
+        assert excinfo.value.code == 2
 
     def test_unknown_planner_mode_exits_2(self):
         from repro.cli import main

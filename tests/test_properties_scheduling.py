@@ -56,11 +56,11 @@ class TestSchedulerProperties:
     def test_schedules_are_feasible(self, jobs, trace):
         for schedule in (schedule_fifo(jobs, trace),
                          schedule_carbon_aware(jobs, trace)):
-            assert schedule.all_deadlines_met
             occupied: set[int] = set()
             for placement in schedule.placements:
                 assert placement.start_hour >= placement.job.arrival_hour
-                hours = set(range(placement.start_hour, placement.end_hour))
+                assert placement.hours[-1] < placement.job.deadline_hour
+                hours = set(placement.hours)
                 assert not hours & occupied
                 occupied |= hours
 
@@ -77,10 +77,11 @@ class TestSchedulerProperties:
     @settings(max_examples=60)
     def test_emissions_recomputable(self, jobs, trace):
         schedule = schedule_carbon_aware(jobs, trace)
+        by_name = {job.name: job for job in jobs}
         for placement in schedule.placements:
-            assert placement.emissions_g == placement.job.emissions_g(
-                placement.start_hour, trace
-            )
+            assert placement.emissions_g == by_name[
+                placement.job.name
+            ].emissions_g(placement.start_hour, trace)
 
     @given(trace=traces)
     def test_single_tight_job_has_no_choice(self, trace):

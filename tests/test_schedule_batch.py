@@ -216,8 +216,9 @@ class TestExactEquivalence:
             )
 
     def test_matches_pinned_simulator_on_lifted_jobs(self, solar_int=None):
-        # The degenerate fleet reproduces the original single-machine
-        # simulator on its own workload, through the vectorized path.
+        # The degenerate fleet reproduces the single-machine study's FIFO
+        # (pinned by the golden table in test_scheduling.py) on its own
+        # workload, through the vectorized path.
         from repro.scheduling.fleet import from_simulator_job
         from repro.scheduling.simulator import schedule_fifo
 
