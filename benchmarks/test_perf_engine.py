@@ -362,16 +362,25 @@ def test_perf_backends():
     )
 
 
+def _sharded_monte_carlo(runner, base, draws):
+    """One whole Monte Carlo run as a single shard map over ``runner``."""
+    from repro.analysis.montecarlo import ShardColumnSource
+
+    source = ShardColumnSource.create(
+        base, draws=draws, seed=2022, shard_rows=runner.policy.shard_rows
+    )
+    return runner.evaluate_source(source)
+
+
 def test_perf_parallel():
     """Million-draw Monte Carlo through the parallel runner.
 
-    Measures draws/sec against worker count, shard-size sensitivity, and
-    the shm-vs-pickle transport gap, then merges a ``parallel`` section
-    into ``BENCH_engine.json``.  The >= 2x speedup gate only applies on
+    Measures draws/sec against worker count and shard-size sensitivity,
+    then merges a ``parallel`` section into ``BENCH_engine.json``.  The >= 2x speedup gate only applies on
     machines with at least 4 usable cores — the recorded numbers stay
     honest either way (``cpu_count`` is written next to them).
     """
-    from repro.parallel import PICKLE, SHM, ExecutionPolicy
+    from repro.parallel import ExecutionPolicy
     from repro.parallel.runner import ParallelRunner
 
     base = ActScenario()
@@ -380,11 +389,9 @@ def test_perf_parallel():
 
     def _throughput(policy: ExecutionPolicy) -> tuple[float, float]:
         with ParallelRunner(policy) as runner:
-            runner.run_monte_carlo(base, draws=10_000, seed=2022)  # warm pool
+            _sharded_monte_carlo(runner, base, 10_000)  # warm pool
             seconds = _best_seconds(
-                lambda: runner.run_monte_carlo(
-                    base, draws=PARALLEL_DRAWS, seed=2022
-                ),
+                lambda: _sharded_monte_carlo(runner, base, PARALLEL_DRAWS),
                 repeats=PARALLEL_REPEATS,
             )
         return seconds, PARALLEL_DRAWS / seconds
@@ -399,8 +406,8 @@ def test_perf_parallel():
             "draws_per_sec": rate,
         }
 
-    # Shard-size sensitivity and transport comparison at two workers: the
-    # smallest pool that exercises cross-process dispatch on any machine.
+    # Shard-size sensitivity at two workers: the smallest pool that
+    # exercises cross-process dispatch on any machine.
     by_shard_rows: dict[str, float] = {}
     for size in PARALLEL_SHARD_SIZES:
         if size == shard_rows:
@@ -408,11 +415,6 @@ def test_perf_parallel():
             continue
         _, rate = _throughput(ExecutionPolicy(workers=2, shard_rows=size))
         by_shard_rows[str(size)] = rate
-
-    by_transport = {SHM: by_workers["2"]["draws_per_sec"]}
-    _, by_transport[PICKLE] = _throughput(
-        ExecutionPolicy(workers=2, shard_rows=shard_rows, transport=PICKLE)
-    )
 
     serial_rate = by_workers["1"]["draws_per_sec"]
     best_rate = max(entry["draws_per_sec"] for entry in by_workers.values())
@@ -428,7 +430,6 @@ def test_perf_parallel():
         "gated": cores >= 4,
         "throughput_by_workers": by_workers,
         "throughput_by_shard_rows": by_shard_rows,
-        "throughput_by_transport": by_transport,
         "speedup_workers4": speedup_at_4,
         "best_draws_per_sec": best_rate,
     }
@@ -450,8 +451,6 @@ def test_perf_parallel():
             f"workers={w}: {entry['draws_per_sec']:,.0f}/s"
             for w, entry in by_workers.items()
         )
-        + f"; shm vs pickle: {by_transport[SHM]:,.0f} vs "
-        f"{by_transport[PICKLE]:,.0f} draws/sec"
     )
 
     if cores >= 4:
@@ -589,8 +588,8 @@ def test_perf_supervision():
         )
         with ParallelRunner(fail_fast_policy) as plain:
             with ParallelRunner(retry_policy) as supervised:
-                plain.run_monte_carlo(base, draws=10_000, seed=2022)
-                supervised.run_monte_carlo(base, draws=10_000, seed=2022)
+                _sharded_monte_carlo(plain, base, 10_000)
+                _sharded_monte_carlo(supervised, base, 10_000)
                 # Interleave so clock drift and cache state hit both
                 # paths equally instead of biasing whichever ran last.
                 plain_best = supervised_best = float("inf")
@@ -598,17 +597,15 @@ def test_perf_supervision():
                     plain_best = min(
                         plain_best,
                         _best_seconds(
-                            lambda: plain.run_monte_carlo(
-                                base, draws=draws, seed=2022
-                            ),
+                            lambda: _sharded_monte_carlo(plain, base, draws),
                             repeats=1,
                         ),
                     )
                     supervised_best = min(
                         supervised_best,
                         _best_seconds(
-                            lambda: supervised.run_monte_carlo(
-                                base, draws=draws, seed=2022
+                            lambda: _sharded_monte_carlo(
+                                supervised, base, draws
                             ),
                             repeats=1,
                         ),

@@ -387,7 +387,7 @@ def run_monte_carlo(
     without a checkpoint, in ``shard_rows`` chunks of the one draw stream
     (:class:`ShardColumnSource`).  The samples therefore depend only on
     (base, ranges, distribution, seed, draws, shard_rows): never on the
-    worker count, the transport, the failure policy, the guard, or
+    worker count, the failure policy, the guard, or
     whether a policy was given at all.
 
     Args:
@@ -412,11 +412,11 @@ def run_monte_carlo(
             the guard's valid rows.  Ignored on the custom-``response``
             scalar path, which validates per scenario anyway.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
-            count, or ``None`` to pick up a policy installed with
-            :func:`~repro.parallel.use_execution_policy`.  Its
-            ``shard_rows`` (default 65,536) is the stream's block size;
-            a parallel policy spreads the blocks over its workers in one
-            shard map.
+            count, or ``None`` for the serial path.  Its ``shard_rows``
+            (default 65,536) is the stream's block size; a parallel
+            policy spreads the blocks over its workers in one shard map,
+            each worker sampling its own blocks and returning only their
+            ``total_g``.
             Ignored (like ``guard``) on the custom-``response`` path,
             except for ``shard_rows``.
     """

@@ -76,9 +76,9 @@ from repro.reporting.tables import ascii_table
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     """The shard-geometry and failure-policy flags shared by the
     parallel-capable subcommands (``montecarlo``/``sensitivity``/
-    ``experiment``/``schedule``); ``--workers`` stays per-command (its
-    help text differs).  Values are validated by ``ExecutionPolicy`` so
-    bad input exits 2 exactly like an invalid ``--workers``."""
+    ``schedule``); ``--workers`` stays per-command (its help text
+    differs).  Values are validated by ``ExecutionPolicy`` so bad input
+    exits 2 exactly like an invalid ``--workers``."""
     parser.add_argument(
         "--shard-rows",
         type=int,
@@ -86,13 +86,6 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="rows per shard (default: 65536; part of the determinism "
         "contract — changing it changes the sharded sample stream)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default=None,
-        help="how shard columns move between processes (default: shm = "
-        "zero-copy shared memory; pickle = through the task queue)",
     )
     parser.add_argument(
         "--failure-policy",
@@ -188,15 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print machine-readable shape-check results instead of text",
     )
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for every sweep the experiment runs "
-        "(default: 1 = serial; results are bit-identical at any count)",
-    )
-    _add_parallel_arguments(experiment)
 
     profile = sub.add_parser(
         "profile",
@@ -641,13 +625,7 @@ def _run_experiment_set(experiment_id: str):
     return (run_experiment(experiment_id),)
 
 
-def _workers_policy(
-    workers: int,
-    shard_rows: "int | None" = None,
-    transport: "str | None" = None,
-    failure_policy: "str | None" = None,
-    max_retries: "int | None" = None,
-) -> "object | None":
+def _workers_policy(args: argparse.Namespace) -> "object | None":
     """Map the parallel-execution flags to an execution policy.
 
     Always constructs an :class:`~repro.parallel.ExecutionPolicy` so any
@@ -657,32 +635,18 @@ def _workers_policy(
     """
     from repro.parallel import ExecutionPolicy
 
-    overrides: dict[str, object] = {}
-    if shard_rows is not None:
-        overrides["shard_rows"] = shard_rows
-    if transport is not None:
-        overrides["transport"] = transport
-    if failure_policy is not None:
-        overrides["failure_policy"] = failure_policy
-    if max_retries is not None:
-        overrides["max_retries"] = max_retries
-    policy = ExecutionPolicy(workers=workers, **overrides)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("shard_rows", "failure_policy", "max_retries")
+        if getattr(args, name) is not None
+    }
+    policy = ExecutionPolicy(workers=args.workers, **overrides)
     return policy if (policy.parallel or overrides) else None
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.parallel import use_execution_policy
-
     key = args.id.strip().lower()
-    policy = _workers_policy(
-        args.workers,
-        args.shard_rows,
-        args.transport,
-        args.failure_policy,
-        args.max_retries,
-    )
-    with use_execution_policy(policy):
-        results = _run_experiment_set(args.id)
+    results = _run_experiment_set(args.id)
     failures = [c for r in results for c in r.failed_checks()]
     if args.json:
         from repro.core.errors import finite_json
@@ -800,13 +764,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     result = run_monte_carlo(
         base,
         draws=args.draws,
-        policy=_workers_policy(
-            args.workers,
-            args.shard_rows,
-            args.transport,
-            args.failure_policy,
-            args.max_retries,
-        ),
+        policy=_workers_policy(args),
     )
     print()
     print(
@@ -845,13 +803,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         guard = GuardedEngine(policy=args.policy, cache=cache)
 
     base = ActScenario()
-    policy = _workers_policy(
-        args.workers,
-        args.shard_rows,
-        args.transport,
-        args.failure_policy,
-        args.max_retries,
-    )
+    policy = _workers_policy(args)
     cancel = (
         CancelToken(deadline_seconds=args.max_seconds)
         if args.max_seconds is not None
@@ -935,13 +887,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         seed=args.seed,
         threshold_quantile=args.threshold_quantile,
     )
-    policy = _workers_policy(
-        args.workers,
-        args.shard_rows,
-        args.transport,
-        args.failure_policy,
-        args.max_retries,
-    )
+    policy = _workers_policy(args)
     cancel = None
     if args.max_seconds is not None:
         from repro.robustness import CancelToken

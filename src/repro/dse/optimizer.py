@@ -157,11 +157,11 @@ def explore_batched(
         points: The candidate designs.
         metric_names: Table 2 metrics to score (default: all of them).
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
-            count, or ``None`` to pick up an installed process-wide
-            policy.  Parallelism shards the Pareto dominance test — each
-            shard compares its rows against the full objective matrix, so
-            the front (and every winner) is bit-identical to the serial
-            pass at any worker count.
+            count, or ``None`` for the serial path.  Parallelism shards
+            the Pareto dominance test — each shard compares its rows
+            against the full objective matrix, so the front (and every
+            winner) is bit-identical to the serial pass at any worker
+            count.
     """
     if not points:
         raise ConstraintError("cannot explore an empty candidate set")

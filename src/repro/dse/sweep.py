@@ -182,8 +182,7 @@ class BatchSweepResult:
     def argmin(self, series: str = "total_g") -> int:
         """Row index minimizing one result series (default: Eq. 1 total).
 
-        ``NaN`` rows — those a degraded run lost to quarantined shards —
-        never win.
+        ``NaN`` rows — rows marked missing — never win.
 
         Raises:
             ValidationError: Every row of the series is ``NaN``.
@@ -309,91 +308,6 @@ def _planned_sweep(
     return PlannedSweepResult(names=plan.names, result=result, plan=plan)
 
 
-def _parallel_planned_sweep(
-    base: ActScenario,
-    grids: Mapping[str, Sequence[float]],
-    policy: object,
-) -> BatchSweepResult:
-    """The factored sweep through the parallel runner.
-
-    The plan (and its small factor tables) is computed once in the
-    parent; shards receive the tables by series name and gather only
-    their own row ranges, so results merge shard-ordered into the same
-    series the serial planned pass produces.
-    """
-    from repro.engine.plan import plan_product, verify_plan
-    from repro.parallel.runner import ParallelRunner
-
-    plan = plan_product(base, grids)
-    context = current_context()
-    if context.enabled:
-        context.count("dse.sweep.points", plan.size)
-    with ParallelRunner(policy) as runner:
-        evaluation = runner.evaluate_planned(plan)
-    result = evaluation.batch_result()
-    verify_plan(plan, result)
-    return PlannedSweepResult(names=plan.names, result=result, plan=plan)
-
-
-def _parallel_sweep(
-    base: ActScenario,
-    grids: Mapping[str, Sequence[float]],
-    policy: object,
-    guard: "GuardedEngine | None",
-) -> BatchSweepResult:
-    """Evaluate a grid sweep through the parallel runner.
-
-    Bit-identical to the serial sweep: the Eq. 1-8 kernels are elementwise,
-    so shard boundaries cannot change any value, and the guard's repair
-    clamping is a pure per-row function reapplied parent-side to rebuild
-    the surviving batch.
-    """
-    from repro.parallel.runner import ParallelRunner
-
-    size, columns = product_columns(base, grids)
-    context = current_context()
-    if context.enabled:
-        context.count("dse.sweep.points", size)
-    with ParallelRunner(policy) as runner:
-        evaluation = runner.evaluate_columns(base, size, columns, guard=guard)
-    if guard is None:
-        return BatchSweepResult(
-            names=tuple(grids),
-            batch=ScenarioBatch(**columns),
-            result=evaluation.batch_result(),
-        )
-    # Rebuild the surviving (possibly repaired) input batch exactly as the
-    # serial guard would: reapply the pure repair clamp to the diagnosed
-    # input values, then keep the valid rows.  Output-overflow diagnostics
-    # describe kernel results, not input columns, so they are excluded.
-    from repro.engine.batch import FIELD_NAMES
-    from repro.robustness.guard import OUTPUT
-
-    raw = {name: np.array(column) for name, column in columns.items()}
-    input_diagnostics = tuple(
-        diagnostic
-        for diagnostic in evaluation.diagnostics
-        if diagnostic.reason != OUTPUT and diagnostic.column in FIELD_NAMES
-    )
-    if evaluation.repaired and input_diagnostics:
-        raw = guard._repair(base, raw, input_diagnostics)
-    valid = evaluation.valid
-    batch = ScenarioBatch(
-        **{
-            name: np.ascontiguousarray(column[valid])
-            for name, column in raw.items()
-        }
-    )
-    return GuardedSweepResult(
-        names=tuple(grids),
-        batch=batch,
-        result=evaluation.batch_result(),
-        valid=np.array(valid),
-        source_indices=evaluation.indices,
-        diagnostics=evaluation.diagnostics,
-    )
-
-
 def _grid_size(grids: Mapping[str, Sequence[float]]) -> int:
     """The Cartesian row count of ``grids`` (0 for a malformed grid)."""
     size = 1
@@ -411,7 +325,6 @@ def sweep_grid_batched(
     *,
     cache: EvaluationCache | None = None,
     guard: "GuardedEngine | None" = None,
-    policy: "object | int | None" = None,
 ) -> BatchSweepResult:
     """Sweep the ACT model over a parameter grid in one vectorized pass.
 
@@ -429,11 +342,10 @@ def sweep_grid_batched(
             masked, per policy) before evaluation and a
             :class:`GuardedSweepResult` over the surviving points is
             returned.
-        policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
-            count, or ``None`` to pick up an installed process-wide
-            policy.  Sweeps are elementwise, so parallel results are
-            bit-identical to the serial pass at any worker count; a
-            resolved ``workers=1`` policy stays on the serial cached path.
+
+    Sweeps run in-process: the kernel evaluates a grid row faster than
+    the row's columns could be shipped to a worker process and back, and
+    a planned sweep leaves no per-row work to spread.
 
     An unguarded grid of at least
     :data:`~repro.engine.plan.AUTO_MIN_ROWS` points takes the
@@ -445,20 +357,11 @@ def sweep_grid_batched(
     if not grids:
         raise ConstraintError("at least one parameter grid is required")
     from repro.engine.plan import planner_engaged
-    from repro.parallel.policy import resolve_policy
 
-    resolved_policy = resolve_policy(policy)
     context = current_context()
     with context.span(
-        "dse.sweep_grid",
-        dimensions=len(grids),
-        guarded=guard is not None,
-        workers=resolved_policy.workers if resolved_policy is not None else 0,
+        "dse.sweep_grid", dimensions=len(grids), guarded=guard is not None
     ):
-        if resolved_policy is not None and resolved_policy.parallel:
-            if guard is None and planner_engaged(_grid_size(grids)):
-                return _parallel_planned_sweep(base, grids, resolved_policy)
-            return _parallel_sweep(base, grids, resolved_policy, guard)
         if guard is not None:
             size, columns = product_columns(base, grids)
             if context.enabled:

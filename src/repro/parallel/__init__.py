@@ -1,17 +1,17 @@
-"""Parallel shared-memory execution of scenario workloads.
+"""Parallel execution of the workloads whose workers make their own inputs.
 
-Shards Monte Carlo runs, grid sweeps, and DSE workloads across a
-persistent worker-process pool with **bit-identical** results at any
-worker count — the shard plan and per-shard SeedSequence child streams
-depend only on ``(rows, shard_rows, seed)``, never on ``workers``.
+Shards Monte Carlo runs (workers sample from shipped seeds), scheduling
+policy sweeps (workers rebuild rows from the spec) and the Pareto
+dominance test (one objective matrix) across a persistent worker-process
+pool with **bit-identical** results at any worker count — the shard plan
+and per-shard SeedSequence child streams depend only on
+``(rows, shard_rows, seed)``, never on ``workers``.  Grid sweeps stay
+serial: shipping their columns costs more than the kernel they spread.
 
 The one knob is :class:`ExecutionPolicy` (worker count, shard size,
-transport, failure policy); ``policy=``-accepting entry points across
-:mod:`repro.analysis`, :mod:`repro.dse`, and :mod:`repro.robustness`
-resolve it per call or pick up a process-wide default installed with
-:func:`use_execution_policy`.  :class:`ParallelRunner` is the engine
-underneath: it fans shards out over zero-copy
-``multiprocessing.shared_memory`` views of the batch columns and merges
+failure policy), passed explicitly as ``policy=`` to the
+Monte Carlo, DSE and scheduling entry points.  :class:`ParallelRunner` is
+the engine underneath: it pickles small tasks to the workers and merges
 the outputs back in shard order.  Under ``failure_policy="retry"`` or
 ``"degrade"`` a :class:`ShardSupervisor` watches worker liveness and
 shard deadlines, respawns dead workers, retries lost shards (retries are
@@ -25,25 +25,18 @@ from repro.parallel.policy import (
     DEGRADE,
     FAIL_FAST,
     FAILURE_POLICIES,
-    PICKLE,
     RETRY,
-    SHM,
-    TRANSPORTS,
     ExecutionPolicy,
-    current_policy,
     default_start_method,
     resolve_policy,
     shard_plan,
-    use_execution_policy,
 )
 from repro.parallel.pool import BLAS_ENV_PINS, WorkerPool, pin_blas_threads
 from repro.parallel.runner import (
-    SERIES_NAMES,
     ParallelEvaluation,
     ParallelRunner,
     ShardReport,
 )
-from repro.parallel.shm import SharedArrayStore, attach_shared_memory
 from repro.parallel.supervisor import (
     PartialResult,
     ShardFailure,
@@ -58,25 +51,17 @@ __all__ = [
     "ExecutionPolicy",
     "FAIL_FAST",
     "FAILURE_POLICIES",
-    "PICKLE",
     "ParallelEvaluation",
     "ParallelRunner",
     "PartialResult",
     "RETRY",
-    "SERIES_NAMES",
-    "SHM",
     "ShardFailure",
     "ShardReport",
     "ShardSupervisor",
-    "SharedArrayStore",
     "SupervisionReport",
-    "TRANSPORTS",
     "WorkerPool",
-    "attach_shared_memory",
-    "current_policy",
     "default_start_method",
     "pin_blas_threads",
     "resolve_policy",
     "shard_plan",
-    "use_execution_policy",
 ]

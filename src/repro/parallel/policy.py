@@ -1,18 +1,11 @@
 """Execution policies: how a scenario workload is split across processes.
 
-An :class:`ExecutionPolicy` is the one knob the analysis, DSE, and
-robustness layers expose for parallel execution: how many worker
-processes, how many rows per shard, and which transport moves batch
-columns between processes (zero-copy ``shared_memory`` views or plain
-pickling).  The policy deliberately carries no state — the runner in
-:mod:`repro.parallel.runner` owns the pool and the shared segments.
-
-Like the observability :class:`~repro.obs.context.RunContext`, a policy
-can be installed process-wide with :func:`use_execution_policy`; entry
-points that accept ``policy=None`` then pick it up via
-:func:`current_policy`.  That is how ``act-repro experiment --workers 4``
-parallelizes every sweep an experiment runs without threading a parameter
-through each figure module.
+An :class:`ExecutionPolicy` is the one knob the Monte Carlo, DSE and
+scheduling entry points expose for parallel execution: how many worker
+processes, how many rows per shard, and what happens when a shard fails.
+The policy deliberately carries no state — the runner in
+:mod:`repro.parallel.runner` owns the pool.  Every entry point takes it
+explicitly as ``policy=``; ``None`` is the serial path.
 
 Shard geometry is part of the *result contract*, not just a tuning knob:
 Monte Carlo sampling derives one ``np.random.SeedSequence`` child stream
@@ -25,16 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.core.errors import ParameterError
-
-#: Transport moving shard inputs/outputs between parent and workers.
-SHM = "shm"
-PICKLE = "pickle"
-TRANSPORTS = (SHM, PICKLE)
 
 #: Failure policies: what happens when a shard fails or its worker dies.
 FAIL_FAST = "fail_fast"
@@ -70,14 +56,11 @@ class ExecutionPolicy:
         shard_rows: Rows per shard.  Part of the determinism contract for
             Monte Carlo: changing it changes which SeedSequence child
             samples which rows (changing ``workers`` never does).
-        transport: ``"shm"`` (zero-copy ``multiprocessing.shared_memory``
-            views of the batch columns) or ``"pickle"`` (column slices
-            serialized through the task queue).
         start_method: Explicit multiprocessing start method, or ``None``
             to pick the platform default (``fork`` where available).
         failure_policy: What happens when a shard fails for an
             *infrastructure* reason (worker death, blown deadline, lost
-            result, shm attach error).  ``"fail_fast"`` raises on the
+            result).  ``"fail_fast"`` raises on the
             first failure (the historical behavior); ``"retry"``
             re-executes the shard up to ``max_retries`` times under
             exponential backoff, respawning dead workers, and raises
@@ -107,7 +90,6 @@ class ExecutionPolicy:
 
     workers: int = 1
     shard_rows: int = DEFAULT_SHARD_ROWS
-    transport: str = SHM
     start_method: str | None = None
     failure_policy: str = FAIL_FAST
     max_retries: int = 2
@@ -129,10 +111,6 @@ class ExecutionPolicy:
         if not isinstance(self.shard_rows, int) or self.shard_rows < 1:
             raise ParameterError(
                 f"shard_rows must be an integer >= 1, got {self.shard_rows!r}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ParameterError(
-                f"unknown transport {self.transport!r}; use one of {TRANSPORTS}"
             )
         if self.start_method is not None:
             available = multiprocessing.get_all_start_methods()
@@ -195,42 +173,16 @@ def shard_plan(rows: int, shard_rows: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-_ACTIVE: list[ExecutionPolicy | None] = [None]
-
-
-def current_policy() -> ExecutionPolicy | None:
-    """The innermost installed policy, or ``None`` (the serial paths)."""
-    return _ACTIVE[-1]
-
-
-@contextmanager
-def use_execution_policy(
-    policy: ExecutionPolicy | None,
-) -> Iterator[ExecutionPolicy | None]:
-    """Install ``policy`` as the process-wide default for the block.
-
-    Entry points called with ``policy=None`` resolve to the installed
-    policy; installing ``None`` explicitly shadows an outer policy back to
-    the serial paths.  Activations nest like
-    :func:`~repro.obs.context.use_context`.
-    """
-    _ACTIVE.append(policy)
-    try:
-        yield policy
-    finally:
-        _ACTIVE.pop()
-
-
 def resolve_policy(
     policy: "ExecutionPolicy | int | None",
 ) -> ExecutionPolicy | None:
     """Normalize a ``policy=`` argument to an :class:`ExecutionPolicy`.
 
-    ``None`` falls back to the installed :func:`current_policy`; a bare
-    integer is shorthand for ``ExecutionPolicy(workers=n)``.
+    ``None`` stays ``None`` (the serial path); a bare integer is shorthand
+    for ``ExecutionPolicy(workers=n)``.
     """
     if policy is None:
-        return current_policy()
+        return None
     if isinstance(policy, ExecutionPolicy):
         return policy
     if isinstance(policy, int) and not isinstance(policy, bool):

@@ -478,15 +478,19 @@ def _run_chunked(
 
     wave_rows = chunk_rows
     runner_scope = contextlib.nullcontext()
-    if policy is not None and policy.parallel:
+    # A worker beyond the run's chunk count would have nothing to do, so
+    # the pool never outgrows it, whatever worker count was asked for.
+    workers = min(policy.workers, -(-total // chunk_rows)) if policy else 1
+    if workers > 1:
         from repro.parallel.runner import ParallelRunner
 
         # One wave dispatches `workers` chunks at once; `completed` always
         # stays a whole-chunk prefix, so a checkpoint written mid-run at
         # one worker count resumes cleanly at any other.
-        wave_rows = total if single_wave else chunk_rows * policy.workers
+        wave_rows = total if single_wave else chunk_rows * workers
         runner_scope = ParallelRunner(
-            policy.replace(shard_rows=chunk_rows), fault_plan=fault_plan
+            policy.replace(shard_rows=chunk_rows, workers=workers),
+            fault_plan=fault_plan,
         )
     try:
         with runner_scope as runner, context.span(
@@ -582,8 +586,8 @@ def run_monte_carlo_chunked(
     memory is ``O(chunk_rows × parameters × workers)``, a resumed run
     never samples the chunks it already committed, and the samples are
     a pure function of (base, ranges, distribution, seed, draws,
-    chunk_rows): the worker count, transport, failure policy, guard and
-    checkpoint never change them.
+    chunk_rows): the worker count, failure policy, guard and checkpoint
+    never change them.
 
     Chunked runs compose with graceful degradation: under a
     ``failure_policy="degrade"`` policy, shards quarantined in a wave are
@@ -613,11 +617,11 @@ def run_monte_carlo_chunked(
             the guard's :class:`~repro.core.errors.ValidationError` only
             when no evaluated row of the whole run survived.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
-            count, or ``None`` to pick up an installed process-wide
-            policy.  A parallel policy dispatches ``workers`` chunks per
-            wave (every chunk at once when there is neither a checkpoint
-            nor a cancel token); a checkpoint written at one worker count
-            resumes at any other.
+            count, or ``None`` for the serial path.  A parallel policy
+            dispatches ``workers`` chunks per wave (every chunk at once
+            when there is neither a checkpoint nor a cancel token) on a
+            pool of at most one worker per chunk; a checkpoint written
+            at one worker count resumes at any other.
         fault_plan: An armed
             :class:`~repro.robustness.faultinject.ProcessFaultPlan`
             threaded into the parallel runner (chaos testing only).
@@ -816,30 +820,17 @@ def sweep_grid_batched_chunked(
     resume: bool = False,
     cancel: CancelToken | None = None,
     cache: EvaluationCache | None = None,
-    policy: "object | int | None" = None,
 ) -> BatchSweepResult:
     """:func:`~repro.dse.sweep.sweep_grid_batched`, chunked and resumable.
 
-    Evaluates the Cartesian grid ``chunk_rows`` rows at a time and
-    reassembles a :class:`~repro.dse.sweep.BatchSweepResult` bit-identical
-    to the one-shot sweep (the kernels are elementwise, so chunk
-    boundaries cannot change any value).  Rows a ``"degrade"`` policy
-    loses to quarantined shards are ``NaN``, recorded in the checkpoint,
-    and re-attempted by the next ``resume=True`` run, exactly as in
-    :func:`run_monte_carlo_chunked`.
-
-    Args:
-        policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
-            count, or ``None`` to pick up an installed process-wide
-            policy.  A parallel policy dispatches ``workers`` chunks per
-            wave; grid columns (and so the checkpoint fingerprint) are
-            unchanged, so serial and parallel runs of the same sweep
-            resume each other's checkpoints freely.
-
-    A serial sweep of at least :data:`~repro.engine.plan.AUTO_MIN_ROWS`
+    Evaluates the Cartesian grid ``chunk_rows`` rows at a time, in
+    process like the one-shot sweep, and reassembles a
+    :class:`~repro.dse.sweep.BatchSweepResult` bit-identical to it (the
+    kernels are elementwise, so chunk boundaries cannot change any
+    value).  A sweep of at least :data:`~repro.engine.plan.AUTO_MIN_ROWS`
     points factors Eq. 1-8 once into per-axis partial tables
     (:mod:`repro.engine.plan`) and each chunk only gathers its row range
-    — bit-identical values.  Parallel waves always evaluate densely.
+    — bit-identical values.
 
     Raises:
         CheckpointError: ``resume`` without a usable, matching checkpoint.
@@ -850,9 +841,7 @@ def sweep_grid_batched_chunked(
     """
     require_positive("chunk_rows", chunk_rows)
     from repro.engine.plan import plan_product, planner_engaged
-    from repro.parallel.policy import resolve_policy
 
-    resolved_policy = resolve_policy(policy)
     size, columns = product_columns(base, grids)
     names = tuple(grids)
     fingerprint = _fingerprint(
@@ -869,25 +858,15 @@ def sweep_grid_batched_chunked(
     series_names = tuple(BatchResult.__dataclass_fields__)
     series = {name: np.full(size, np.nan) for name in series_names}
     plan = factor_tables = None
-    parallel = resolved_policy is not None and resolved_policy.parallel
-    if not parallel and planner_engaged(size):
+    if planner_engaged(size):
         # Factor Eq. 1-8 once up front; each chunk below then only
         # gathers its row range out of the broadcasted outer product.
         # Values are bit-identical to the dense chunk evaluation.
         plan = plan_product(base, grids)
         factor_tables = plan.partial_series()
 
-    def evaluate(
-        runner: "ParallelRunner | None", start: int, stop: int
-    ) -> list[tuple[int, int]]:
-        """Fill ``series`` rows [start, stop); return the rows lost."""
-        if runner is not None:
-            chunk = {name: col[start:stop] for name, col in columns.items()}
-            return _absorb(
-                runner.evaluate_columns(base, stop - start, chunk),
-                start,
-                series,
-            )
+    def evaluate(_: None, start: int, stop: int) -> list[tuple[int, int]]:
+        """Fill ``series`` rows [start, stop); in-process, no row is lost."""
         if factor_tables is not None:
             chunk_series = plan.gather_rows(factor_tables, start, stop)
         else:
@@ -920,7 +899,7 @@ def sweep_grid_batched_chunked(
         partial=lambda completed: BatchResult(
             **{name: series[name][:completed].copy() for name in series_names}
         ),
-        policy=resolved_policy,
+        policy=None,
         checkpoint=checkpoint,
         resume=resume,
         cancel=cancel,
@@ -967,9 +946,9 @@ def run_schedule_sweep_chunked(
         resume: Load ``checkpoint_path`` and continue where it stopped.
         cancel: Cooperative cancellation token polled at chunk boundaries.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
-            count, or ``None`` to pick up an installed process-wide
-            policy; a parallel policy dispatches ``workers`` chunks per
-            wave through :meth:`ParallelRunner.evaluate_schedule`.
+            count, or ``None`` for the serial path; a parallel policy
+            dispatches ``workers`` chunks per wave through
+            :meth:`ParallelRunner.evaluate_schedule`.
         cache: Schedule-batch evaluation cache (serial path only — worker
             processes keep their own).
 

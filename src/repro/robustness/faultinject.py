@@ -223,7 +223,7 @@ def inject_table_fault(
 #
 # The column/table faults above corrupt *inputs*; these corrupt the
 # *machinery* — kill a worker mid-shard, stall it past its deadline, drop
-# its result message, hand it a dangling shared-memory name — so every
+# its result message — so every
 # recovery path in the shard supervisor is provable in tests rather than
 # assumed.  Faults are armed through a filesystem token budget: each
 # planned firing is one token file, consumed atomically (``os.remove``)
@@ -236,13 +236,7 @@ def inject_table_fault(
 FAULT_KILL = "kill"
 FAULT_STALL = "stall"
 FAULT_DROP_RESULT = "drop_result"
-FAULT_CORRUPT_SHM = "corrupt_shm"
-PROCESS_FAULTS = (FAULT_KILL, FAULT_STALL, FAULT_DROP_RESULT, FAULT_CORRUPT_SHM)
-
-#: The segment name planted by ``corrupt_shm`` — attaching to it raises
-#: ``FileNotFoundError`` (an infrastructure fault, so the supervisor
-#: retries; the retried shard gets the parent's pristine handle).
-CORRUPT_SHM_NAME = "repro_faultinject_dangling"
+PROCESS_FAULTS = (FAULT_KILL, FAULT_STALL, FAULT_DROP_RESULT)
 
 
 class ResultDropped(BaseException):
@@ -266,8 +260,7 @@ class ProcessFault:
         kind: One of :data:`PROCESS_FAULTS` — ``"kill"`` (SIGKILL the
             worker at shard start), ``"stall"`` (sleep past the shard
             deadline), ``"drop_result"`` (evaluate, then lose the result
-            message), ``"corrupt_shm"`` (dangle the task's shared-memory
-            handles before attach).
+            message).
         shard: Only fire on this shard index; ``None`` fires on any.
         times: How many firings this fault is budgeted (each firing
             consumes one token; retried shards run clean once spent).
@@ -366,13 +359,11 @@ def _consume_token(paths: Sequence[str]) -> bool:
     return False
 
 
-def apply_process_faults(
-    spec: Mapping, shard: int, task: dict, stage: str
-) -> None:
+def apply_process_faults(spec: Mapping, shard: int, stage: str) -> None:
     """Fire any armed faults matching this shard at this stage.
 
     Called by the worker's shard entry point at ``stage="start"`` (before
-    transport attach — ``kill``/``stall``/``corrupt_shm`` fire here) and
+    any work — ``kill``/``stall`` fire here) and
     ``stage="finish"`` (after evaluation — ``drop_result`` fires here, by
     raising :class:`ResultDropped` so the completed work's message never
     reaches the parent).
@@ -392,12 +383,6 @@ def apply_process_faults(
             os.kill(os.getpid(), signal.SIGKILL)
         elif kind == FAULT_STALL:
             time.sleep(fault["stall_seconds"])
-        elif kind == FAULT_CORRUPT_SHM:
-            for side in ("input", "output"):
-                entry = task.get(side)
-                if entry is not None and entry[0] == "shm":
-                    _, (_, layout) = entry
-                    task[side] = (entry[0], (CORRUPT_SHM_NAME, layout))
         elif kind == FAULT_DROP_RESULT:
             raise ResultDropped(
                 f"chaos: dropped result message for shard {shard}"

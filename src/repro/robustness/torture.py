@@ -118,6 +118,7 @@ def _mc_workload(checkpoint, resume, workers, cancel):
 
 
 def _sweep_workload(checkpoint, resume, workers, cancel):
+    # Grid sweeps run in-process at every worker count.
     from repro.analysis.scenario import ActScenario
     from repro.robustness.checkpoint import sweep_grid_batched_chunked
 
@@ -131,7 +132,6 @@ def _sweep_workload(checkpoint, resume, workers, cancel):
         chunk_rows=8,
         checkpoint=checkpoint,
         resume=resume,
-        policy=workers,
         cancel=cancel,
     )
     series = result.result

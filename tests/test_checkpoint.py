@@ -203,15 +203,11 @@ class TestSweepChunked:
             uninterrupted.result.embodied_g, resumed.result.embodied_g
         )
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_interrupt_carries_completed_rows_as_partial(self, workers):
-        policy = workers or None
-        uninterrupted = sweep_grid_batched_chunked(
-            BASE, GRIDS, chunk_rows=6, policy=policy
-        )
+    def test_interrupt_carries_completed_rows_as_partial(self):
+        uninterrupted = sweep_grid_batched_chunked(BASE, GRIDS, chunk_rows=6)
         with pytest.raises(RunInterrupted) as excinfo:
             sweep_grid_batched_chunked(
-                BASE, GRIDS, chunk_rows=6, policy=policy,
+                BASE, GRIDS, chunk_rows=6,
                 cancel=CountingCancelToken(stop_after_checks=2),
             )
         completed = excinfo.value.completed
@@ -265,16 +261,9 @@ class TestFingerprintPins:
         "b37015560d0f61156b34f6000be193119ddcd4a051fdd106e3c822e8fc38eaea"
     )
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_sweep_fingerprint(self, tmp_path, workers):
+    def test_sweep_fingerprint(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
-        sweep_grid_batched_chunked(
-            BASE,
-            GRIDS,
-            chunk_rows=8,
-            checkpoint=path,
-            policy=workers,
-        )
+        sweep_grid_batched_chunked(BASE, GRIDS, chunk_rows=8, checkpoint=path)
         assert load_store_state(path).meta["fingerprint"] == self.SWEEP
 
     @pytest.mark.parametrize("workers", [None, 2])

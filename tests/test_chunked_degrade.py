@@ -1,15 +1,17 @@
 """Degraded chunked sweeps persist their holes and heal them on resume.
 
 Every chunked runner shares one driver, so a ``failure_policy="degrade"``
-grid sweep or scheduling sweep behaves like the Monte Carlo one: the row
-ranges lost to quarantined shards are recorded in the checkpoint
-manifest, and a later ``resume=True`` re-attempts exactly those ranges —
-no healthy chunk is evaluated again — converging to the bit-identical
-unfaulted result.  The consumers of a degraded result (``argmin``,
-``summarize_sweep``) must treat the lost rows as missing, not as values.
+scheduling sweep behaves like the Monte Carlo one: the row ranges lost
+to quarantined shards are recorded in the checkpoint manifest, and a
+later ``resume=True`` re-attempts exactly those ranges — no healthy
+chunk is evaluated again — converging to the bit-identical unfaulted
+result.  The consumers of rows a run lost (``argmin``,
+``summarize_sweep``) must treat them as missing, not as values.  Grid
+sweeps run in-process and never lose a row; ``argmin`` still skips
+``NaN`` rows of a result handed to it.
 
 The fault is armed by wrapping :class:`~repro.parallel.runner.ParallelRunner`
-construction, since the sweep drivers take no fault plan of their own.
+construction, since the schedule driver takes no fault plan of its own.
 """
 
 import warnings
@@ -50,16 +52,9 @@ LOST = (CHUNK, 2 * CHUNK)
 POLICY = ExecutionPolicy(workers=2, failure_policy=DEGRADE, max_retries=0)
 
 
-def run_sweep(path=None, *, resume=False):
-    """The degrade-policy chunked grid sweep."""
-    return sweep_grid_batched_chunked(
-        BASE,
-        GRIDS,
-        chunk_rows=CHUNK,
-        checkpoint=path,
-        resume=resume,
-        policy=POLICY,
-    )
+def run_sweep():
+    """The chunked grid sweep, run in-process."""
+    return sweep_grid_batched_chunked(BASE, GRIDS, chunk_rows=CHUNK)
 
 
 def run_schedule(path=None, *, resume=False):
@@ -71,16 +66,6 @@ def run_schedule(path=None, *, resume=False):
         resume=resume,
         policy=POLICY,
     )
-
-
-def series_of(out):
-    """Either run's output as a name -> series map."""
-    if isinstance(out, BatchSweepResult):
-        return {
-            name: getattr(out.result, name)
-            for name in BatchResult.__dataclass_fields__
-        }
-    return out
 
 
 def with_shard_one_killed(monkeypatch, tmp_path, run, *args, **kwargs):
@@ -102,15 +87,11 @@ def with_shard_one_killed(monkeypatch, tmp_path, run, *args, **kwargs):
     return out
 
 
-@pytest.mark.parametrize(
-    "run", [run_sweep, run_schedule], ids=["sweep", "schedule"]
-)
+@pytest.mark.parametrize("run", [run_schedule], ids=["schedule"])
 def test_resume_heals_only_the_quarantined_range(run, tmp_path, monkeypatch):
-    reference = series_of(run())
+    reference = run()
     path = tmp_path / "run.ckpt"
-    degraded = series_of(
-        with_shard_one_killed(monkeypatch, tmp_path, run, path)
-    )
+    degraded = with_shard_one_killed(monkeypatch, tmp_path, run, path)
     for name, values in degraded.items():
         assert np.isnan(values[LOST[0] : LOST[1]]).all(), name
         np.testing.assert_array_equal(
@@ -123,7 +104,7 @@ def test_resume_heals_only_the_quarantined_range(run, tmp_path, monkeypatch):
 
     context = RunContext.create(describe_git=False)
     with use_context(context):
-        healed = series_of(run(path, resume=True))
+        healed = run(path, resume=True)
     # Only the quarantined range was re-attempted; every healthy chunk
     # rode along from the checkpoint.
     retries = context.sink.of_type("quarantine_retry")
@@ -136,9 +117,18 @@ def test_resume_heals_only_the_quarantined_range(run, tmp_path, monkeypatch):
         assert healed[name].tobytes() == reference[name].tobytes(), name
 
 
-def test_argmin_skips_quarantined_rows(tmp_path, monkeypatch):
+def test_argmin_skips_quarantined_rows():
     reference = run_sweep()
-    degraded = with_shard_one_killed(monkeypatch, tmp_path, run_sweep)
+    # The rows a quarantined shard would have lost, NaN in every series.
+    holes = {
+        name: getattr(reference.result, name).copy()
+        for name in BatchResult.__dataclass_fields__
+    }
+    for values in holes.values():
+        values[LOST[0] : LOST[1]] = np.nan
+    degraded = BatchSweepResult(
+        names=reference.names, batch=reference.batch, result=BatchResult(**holes)
+    )
     totals = degraded.result.total_g
     assert np.isnan(totals).any()
     index = degraded.argmin()

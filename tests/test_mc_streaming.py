@@ -6,7 +6,7 @@
 of sampling every draw up front, and ``run_monte_carlo`` is that driver
 without a checkpoint.  These tests pin that every path is the same run:
 byte-identical samples against the serial up-front reference for any
-policy, transport, guard, checkpoint or resume (the conformance matrix),
+policy, guard, checkpoint or resume (the conformance matrix),
 resumes that converge bit-identically and never re-sample committed
 chunks, fingerprints (and so checkpoints) unchanged from the up-front
 driver, old single-stream checkpoints refused, fully masked chunks that
@@ -47,8 +47,6 @@ from repro.obs.context import RunContext, use_context
 from repro.parallel import (
     DEFAULT_SHARD_ROWS,
     DEGRADE,
-    PICKLE,
-    SHM,
     ExecutionPolicy,
     ParallelRunner,
 )
@@ -173,14 +171,8 @@ def one_resumed(tmp_path, resume_policy):
 #: Every way to run the conformance draws; each must give the same bytes.
 ONE_STREAM_PATHS = {
     "policy=None": lambda tmp_path: one_run(),
-    "policy=1/shm": lambda tmp_path: one_run(policy=policy(1, transport=SHM)),
-    "policy=1/pickle": lambda tmp_path: one_run(
-        policy=policy(1, transport=PICKLE)
-    ),
-    "policy=2/shm": lambda tmp_path: one_run(policy=policy(2, transport=SHM)),
-    "policy=2/pickle": lambda tmp_path: one_run(
-        policy=policy(2, transport=PICKLE)
-    ),
+    "policy=1": lambda tmp_path: one_run(policy=policy(1)),
+    "policy=2": lambda tmp_path: one_run(policy=policy(2)),
     "guard=strict": lambda tmp_path: one_run(
         guard=GuardedEngine(policy="strict")
     ),
@@ -198,7 +190,7 @@ ONE_STREAM_PATHS = {
 
 class TestOneStream:
     """A sample depends only on (base, ranges, distribution, seed, draws,
-    block rows): never on the policy, transport, guard or checkpoint."""
+    block rows): never on the policy, guard or checkpoint."""
 
     @pytest.mark.parametrize("path", list(ONE_STREAM_PATHS))
     def test_every_path_gives_the_same_bytes(self, path, tmp_path):
@@ -695,11 +687,14 @@ class TestIdentityKey:
 
         def run():
             policy = ExecutionPolicy(workers=1, shard_rows=65536)
+            source = ShardColumnSource.create(
+                BASE, draws=2**18, seed=2022, shard_rows=65536
+            )
             with ParallelRunner(policy) as runner:
-                evaluation = runner.run_monte_carlo(
-                    BASE, draws=2**18, guard=GuardedEngine()
+                evaluation = runner.evaluate_source(
+                    source, guard=GuardedEngine()
                 )
-            return evaluation.batch_result().total_g
+            return evaluation.samples()
 
         monkeypatch.setattr(cache_module, "batch_key", counting)
         keyed = run()

@@ -1,19 +1,19 @@
-"""The parallel execution layer: determinism, transport, and integration.
+"""The parallel execution layer: determinism and integration.
 
 The contract under test is bit-identity: the shard plan and the per-shard
 SeedSequence child streams depend only on ``(rows, shard_rows, seed)``,
 so ``workers=1`` and ``workers=4`` must produce byte-for-byte identical
-Monte Carlo samples, sweep records, and DSE winners — the worker count
+Monte Carlo samples, guarded results, and DSE winners — the worker count
 only decides *where* a shard runs, never *what* it computes.
 """
 
-import os
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import (
+    ShardColumnSource,
     resolve_parameter_ranges,
     run_monte_carlo,
     sample_parameter_columns,
@@ -29,44 +29,30 @@ from repro.core.errors import (
 from repro.core.metrics import DesignPoint
 from repro.dse.optimizer import explore_batched
 from repro.dse.pareto import pareto_mask
-from repro.dse.sweep import GuardedSweepResult, sweep_grid_batched
 from repro.engine.batch import ScenarioBatch
 from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
 from repro.parallel import (
     DEFAULT_SHARD_ROWS,
-    PICKLE,
-    SHM,
     ExecutionPolicy,
     ParallelRunner,
-    SharedArrayStore,
     WorkerPool,
-    current_policy,
     resolve_policy,
     shard_plan,
-    use_execution_policy,
 )
 from repro.robustness.checkpoint import (
     CountingCancelToken,
     run_monte_carlo_chunked,
-    sweep_grid_batched_chunked,
 )
 from repro.robustness.guard import REPAIR, SKIP, STRICT, GuardedEngine
 from repro.robustness.guard import RobustnessWarning
 
 BASE = ActScenario()
 
-# In-range grids (the guard validates against the Table 1 ranges).
-CLEAN_GRIDS = {
-    "fab_yield": (0.6, 0.875, 0.95),
-    "energy_kwh": tuple(np.linspace(2.0, 8.0, 20)),
-    "soc_area_cm2": (0.5, 1.0, 1.5),
-}
-DIRTY_GRIDS = {
-    "fab_yield": (0.6, 0.875, 2.0),  # 2.0 violates (0, 1]
-    "energy_kwh": tuple(np.linspace(2.0, 8.0, 20)),
-    "soc_area_cm2": (0.5, 1.0, 1.5),
-}
+# Draw ranges reaching outside the parameter domain: fab_yield above 1
+# violates (0, 1], so the guard has rows to mask, repair or reject.
+DIRTY_RANGES = {"fab_yield": (0.6, 2.0), "energy_kwh": (2.0, 8.0)}
+DIRTY_DRAWS = 200
 
 
 class TestExecutionPolicy:
@@ -74,7 +60,6 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy.workers == 1
         assert policy.shard_rows == DEFAULT_SHARD_ROWS
-        assert policy.transport == SHM
         assert not policy.parallel
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "two"])
@@ -87,8 +72,11 @@ class TestExecutionPolicy:
             ExecutionPolicy(shard_rows=0)
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ParameterError):
-            ExecutionPolicy(transport="carrier-pigeon")
+        # Tasks and results are always pickled: a policy has no
+        # transport to choose, so naming any is an error.
+        for transport in ("shm", "pickle", "carrier-pigeon"):
+            with pytest.raises(TypeError, match="transport"):
+                ExecutionPolicy(transport=transport)
 
     def test_unavailable_start_method_rejected(self):
         with pytest.raises(ParameterError):
@@ -110,18 +98,6 @@ class TestExecutionPolicy:
         with pytest.raises(ParameterError):
             resolve_policy(0)
 
-    def test_use_execution_policy_nests_and_shadows(self):
-        outer = ExecutionPolicy(workers=2)
-        assert current_policy() is None
-        with use_execution_policy(outer):
-            assert current_policy() is outer
-            assert resolve_policy(None) is outer
-            with use_execution_policy(None):
-                assert resolve_policy(None) is None
-            assert current_policy() is outer
-        assert current_policy() is None
-
-
 class TestShardPlan:
     def test_covers_rows_contiguously(self):
         plan = shard_plan(10, 4)
@@ -138,48 +114,6 @@ class TestShardPlan:
             shard_plan(0, 4)
         with pytest.raises(ParameterError):
             shard_plan(10, 0)
-
-
-class TestSharedArrayStore:
-    def test_roundtrip_through_handle(self):
-        data = {
-            "a": np.arange(12, dtype=np.float64),
-            "b": np.linspace(0, 1, 7),
-        }
-        with SharedArrayStore.create(data) as store:
-            attached = SharedArrayStore.attach(store.handle())
-            try:
-                assert attached.names() == ("a", "b")
-                np.testing.assert_array_equal(attached.array("a"), data["a"])
-                np.testing.assert_array_equal(attached.array("b"), data["b"])
-            finally:
-                attached.close()
-
-    def test_zeros_and_write_visibility(self):
-        with SharedArrayStore.zeros({"out": (5,)}) as store:
-            attached = SharedArrayStore.attach(store.handle())
-            try:
-                attached.array("out")[:] = 7.0
-            finally:
-                attached.close()
-            np.testing.assert_array_equal(store.array("out"), np.full(5, 7.0))
-
-    def test_unknown_array_rejected(self):
-        with SharedArrayStore.zeros({"x": (3,)}) as store:
-            with pytest.raises(ParameterError, match="unknown shared array"):
-                store.array("y")
-
-    def test_closed_store_rejects_access(self):
-        store = SharedArrayStore.zeros({"x": (3,)})
-        store.unlink()
-        with pytest.raises(ParameterError, match="closed"):
-            store.array("x")
-
-    def test_empty_and_negative_shapes_rejected(self):
-        with pytest.raises(ParameterError):
-            SharedArrayStore.zeros({})
-        with pytest.raises(ParameterError):
-            SharedArrayStore.zeros({"x": (-1,)})
 
 
 def _square(value):
@@ -259,17 +193,14 @@ class TestShardedSampling:
         assert not np.array_equal(a["energy_kwh"], b["energy_kwh"])
 
 
-@pytest.mark.parametrize("transport", [SHM, PICKLE])
 class TestMonteCarloDeterminism:
-    def test_bit_identical_across_worker_counts(self, transport):
+    def test_bit_identical_across_worker_counts(self):
         results = [
             run_monte_carlo(
                 BASE,
                 draws=600,
                 seed=11,
-                policy=ExecutionPolicy(
-                    workers=workers, shard_rows=128, transport=transport
-                ),
+                policy=ExecutionPolicy(workers=workers, shard_rows=128),
             )
             for workers in (1, 2, 4)
         ]
@@ -278,14 +209,12 @@ class TestMonteCarloDeterminism:
                 results[0].samples, other.samples
             )
 
-    def test_workers_1_runs_in_process_same_stream(self, transport):
+    def test_workers_1_runs_in_process_same_stream(self):
         serial = run_monte_carlo(
             BASE,
             draws=300,
             seed=3,
-            policy=ExecutionPolicy(
-                workers=1, shard_rows=100, transport=transport
-            ),
+            policy=ExecutionPolicy(workers=1, shard_rows=100),
         )
         sharded = sample_parameter_columns(
             BASE, draws=300, seed=3, shard_rows=100
@@ -295,39 +224,21 @@ class TestMonteCarloDeterminism:
             serial.samples, evaluate_batch(batch).total_g
         )
 
-
-class TestSweepDeterminism:
-    def test_parallel_sweep_bit_identical_to_serial(self):
-        serial = sweep_grid_batched(BASE, CLEAN_GRIDS)
-        for policy in (
-            ExecutionPolicy(workers=2, shard_rows=50),
-            ExecutionPolicy(workers=4, shard_rows=17, transport=PICKLE),
-        ):
-            parallel = sweep_grid_batched(BASE, CLEAN_GRIDS, policy=policy)
-            np.testing.assert_array_equal(
-                serial.result.total_g, parallel.result.total_g
-            )
-            np.testing.assert_array_equal(
-                serial.batch.column("energy_kwh"),
-                parallel.batch.column("energy_kwh"),
-            )
-            assert serial.min_record().params == parallel.min_record().params
-
-    def test_workers_1_policy_stays_on_cached_serial_path(self):
-        serial = sweep_grid_batched(BASE, CLEAN_GRIDS)
-        via_policy = sweep_grid_batched(
-            BASE, CLEAN_GRIDS, policy=ExecutionPolicy(workers=1)
+    def test_shards_return_total_g_only(self):
+        """The driver keeps one series, so workers ship back only that
+        one, not all ten Eq. 1-8 series."""
+        source = ShardColumnSource.create(
+            BASE, draws=300, seed=5, shard_rows=100
         )
-        np.testing.assert_array_equal(
-            serial.result.total_g, via_policy.result.total_g
+        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100)) as runner:
+            evaluation = runner.evaluate_source(source)
+        assert tuple(evaluation.series) == ("total_g",)
+        reference = evaluate_batch(
+            ScenarioBatch.from_columns(BASE, 300, source.columns())
         )
-
-    def test_installed_policy_is_picked_up(self):
-        serial = sweep_grid_batched(BASE, CLEAN_GRIDS)
-        with use_execution_policy(ExecutionPolicy(workers=2, shard_rows=64)):
-            ambient = sweep_grid_batched(BASE, CLEAN_GRIDS)
-        np.testing.assert_array_equal(
-            serial.result.total_g, ambient.result.total_g
+        assert (
+            evaluation.full_series("total_g").tobytes()
+            == reference.total_g.tobytes()
         )
 
 
@@ -352,7 +263,7 @@ class TestDseDeterminism:
         serial = pareto_mask(objectives)
         for policy in (
             ExecutionPolicy(workers=2, shard_rows=50),
-            ExecutionPolicy(workers=3, shard_rows=64, transport=PICKLE),
+            ExecutionPolicy(workers=3, shard_rows=64),
         ):
             with ParallelRunner(policy) as runner:
                 np.testing.assert_array_equal(
@@ -371,25 +282,38 @@ class TestDseDeterminism:
         ]
 
 
+def _dirty_run(guard, workers):
+    """A guarded Monte Carlo run over out-of-domain draw ranges."""
+    return run_monte_carlo(
+        BASE,
+        draws=DIRTY_DRAWS,
+        seed=9,
+        ranges=DIRTY_RANGES,
+        guard=guard,
+        policy=ExecutionPolicy(workers=workers, shard_rows=40),
+    )
+
+
 class TestGuardedParallel:
     def test_skip_diagnostics_carry_global_indices(self):
         guard = GuardedEngine(policy=SKIP)
+        source = ShardColumnSource.create(
+            BASE, draws=DIRTY_DRAWS, seed=9, shard_rows=40, ranges=DIRTY_RANGES
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            serial = sweep_grid_batched(BASE, DIRTY_GRIDS, guard=guard)
-            parallel = sweep_grid_batched(
-                BASE,
-                DIRTY_GRIDS,
-                guard=guard,
-                policy=ExecutionPolicy(workers=2, shard_rows=40),
+            serial = guard.evaluate_columns(
+                BASE, DIRTY_DRAWS, source.columns()
             )
-        assert isinstance(parallel, GuardedSweepResult)
+            with ParallelRunner(
+                ExecutionPolicy(workers=2, shard_rows=40)
+            ) as runner:
+                parallel = runner.evaluate_source(source, guard=guard)
+        assert 0 < parallel.masked_count < DIRTY_DRAWS
         np.testing.assert_array_equal(serial.valid, parallel.valid)
+        np.testing.assert_array_equal(serial.indices, parallel.indices)
         np.testing.assert_array_equal(
-            serial.source_indices, parallel.source_indices
-        )
-        np.testing.assert_array_equal(
-            serial.result.total_g, parallel.result.total_g
+            serial.full_series("total_g"), parallel.full_series("total_g")
         )
         serial_findings = {
             (d.column, d.reason, d.indices, d.values, d.detail)
@@ -405,49 +329,28 @@ class TestGuardedParallel:
         guard = GuardedEngine(policy=REPAIR)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            serial = sweep_grid_batched(BASE, DIRTY_GRIDS, guard=guard)
-            parallel = sweep_grid_batched(
-                BASE,
-                DIRTY_GRIDS,
-                guard=guard,
-                policy=ExecutionPolicy(workers=2, shard_rows=40),
-            )
-        np.testing.assert_array_equal(
-            serial.batch.column("fab_yield"), parallel.batch.column("fab_yield")
-        )
-        np.testing.assert_array_equal(
-            serial.result.total_g, parallel.result.total_g
-        )
+            serial = _dirty_run(guard, workers=1)
+            parallel = _dirty_run(guard, workers=2)
+        assert len(parallel.samples) == DIRTY_DRAWS
+        assert serial.samples.tobytes() == parallel.samples.tobytes()
 
     def test_strict_validation_error_crosses_process_boundary(self):
-        guard = GuardedEngine(policy=STRICT)
         with pytest.raises(ValidationError):
-            sweep_grid_batched(
-                BASE,
-                DIRTY_GRIDS,
-                guard=guard,
-                policy=ExecutionPolicy(workers=2, shard_rows=40),
-            )
+            _dirty_run(GuardedEngine(policy=STRICT), workers=2)
 
     def test_warnings_reemitted_in_parent(self):
-        guard = GuardedEngine(policy=SKIP)
         with pytest.warns(RobustnessWarning):
-            sweep_grid_batched(
-                BASE,
-                DIRTY_GRIDS,
-                guard=guard,
-                policy=ExecutionPolicy(workers=2, shard_rows=40),
-            )
+            _dirty_run(GuardedEngine(policy=SKIP), workers=2)
 
     def test_globally_masked_batch_raises(self):
         guard = GuardedEngine(policy=SKIP)
-        grids = {"energy_kwh": (float("nan"), float("inf"), -1.0, -2.0)}
         with pytest.raises(ValidationError, match="every row"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sweep_grid_batched(
+                run_monte_carlo(
                     BASE,
-                    grids,
+                    draws=8,
+                    ranges={"energy_kwh": (-2.0, -1.0)},
                     guard=guard,
                     policy=ExecutionPolicy(workers=2, shard_rows=2),
                 )
@@ -512,28 +415,6 @@ class TestCheckpointUnderParallelism:
         )
         np.testing.assert_array_equal(reference.samples, resumed.samples)
 
-    def test_parallel_sweep_checkpoint_is_serial_compatible(self, tmp_path):
-        path = tmp_path / "sweep.npz"
-        serial = sweep_grid_batched(BASE, CLEAN_GRIDS)
-        with pytest.raises(RunInterrupted):
-            sweep_grid_batched_chunked(
-                BASE,
-                CLEAN_GRIDS,
-                chunk_rows=30,
-                checkpoint=path,
-                cancel=CountingCancelToken(2),
-                policy=ExecutionPolicy(workers=2),
-            )
-        # Resume with NO policy: the grid columns (and so the checkpoint
-        # fingerprint) are identical on the serial and parallel paths.
-        finished = sweep_grid_batched_chunked(
-            BASE, CLEAN_GRIDS, chunk_rows=30, checkpoint=path, resume=True
-        )
-        np.testing.assert_array_equal(
-            serial.result.total_g, finished.result.total_g
-        )
-
-
 class TestObservabilityMerging:
     def test_shard_spans_and_counters_reach_parent_context(self):
         context = RunContext.create(describe_git=False)
@@ -572,32 +453,12 @@ class TestObservabilityMerging:
 
 class TestRunnerLifecycle:
     def test_runner_reusable_after_close(self):
+        source = ShardColumnSource.create(
+            BASE, draws=300, seed=6, shard_rows=100
+        )
         runner = ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100))
-        first = runner.run_monte_carlo(BASE, draws=300, seed=6)
+        first = runner.evaluate_source(source)
         runner.close()
-        second = runner.run_monte_carlo(BASE, draws=300, seed=6)
+        second = runner.evaluate_source(source)
         runner.close()
         np.testing.assert_array_equal(first.samples(), second.samples())
-
-    def test_no_shared_memory_leak(self):
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux
-            pytest.skip("no /dev/shm on this platform")
-        before = set(os.listdir(shm_dir))
-        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=64)) as runner:
-            runner.run_monte_carlo(BASE, draws=500, seed=8)
-        leaked = {
-            name
-            for name in set(os.listdir(shm_dir)) - before
-            if name.startswith("psm_")
-        }
-        assert not leaked
-
-    def test_evaluate_batch_matches_serial_kernels(self):
-        batch = ScenarioBatch.from_columns(BASE, 333)
-        serial = evaluate_batch(batch)
-        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100)) as runner:
-            parallel = runner.evaluate_batch(batch)
-        np.testing.assert_array_equal(
-            serial.total_g, parallel.full_series("total_g")
-        )

@@ -5,8 +5,7 @@ Five contracts are pinned here:
 * **Bit-identity** — the planned path (factored per-axis partials,
   combined by broadcast) produces *exactly* the dense batched result —
   ``==`` per element, same dtype — through every integration point
-  (one-shot sweeps, parallel sweeps at any worker count, chunked+resumed
-  sweeps).
+  (one-shot sweeps, chunked+resumed sweeps).
 * **Path selection** — grid size alone picks the path: an unguarded
   grid of :data:`~repro.engine.plan.AUTO_MIN_ROWS` (512) points or more
   is planned, a smaller one and every guarded sweep run densely; error
@@ -63,7 +62,6 @@ from repro.engine.plan import (
     planner_engaged,
     verify_plan,
 )
-from repro.parallel.policy import ExecutionPolicy
 from repro.robustness import GuardedEngine, sweep_grid_batched_chunked
 
 BASE = ActScenario()
@@ -119,7 +117,6 @@ class TestPlannerModes:
         "chunked": lambda grids: sweep_grid_batched_chunked(
             BASE, grids, chunk_rows=97
         ),
-        "policy=2": lambda grids: sweep_grid_batched(BASE, grids, policy=2),
     }
 
     def test_engagement_matrix(self):
@@ -347,27 +344,6 @@ class TestVerifyPlan:
         plan = plan_product(BASE, BIG_GRIDS)
         guard = GuardedEngine()
         guard.verify_planned(plan, plan.evaluate())
-
-
-class TestParallelPlanned:
-    @pytest.mark.parametrize("transport", ("shm", "pickle"))
-    def test_parallel_planned_matches_dense_any_worker_count(self, transport):
-        reference = dense(BIG_GRIDS)
-        for workers in (1, 2, 3):
-            policy = ExecutionPolicy(
-                workers=workers, transport=transport, shard_rows=1024
-            )
-            swept = sweep_grid_batched(BASE, BIG_GRIDS, policy=policy)
-            assert_results_identical(reference, swept.result)
-
-    def test_parallel_auto_small_grid_stays_dense_path(self):
-        small = {
-            "fab_yield": (0.6, 0.875, 0.95),
-            "energy_kwh": tuple(np.linspace(2.0, 8.0, 20)),
-        }
-        policy = ExecutionPolicy(workers=2, shard_rows=16)
-        swept = sweep_grid_batched(BASE, small, policy=policy)
-        assert_results_identical(dense(small), swept.result)
 
 
 class TestChunkedPlanned:

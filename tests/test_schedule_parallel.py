@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.errors import CheckpointError, ParameterError, RunInterrupted
 from repro.core.intensity import CarbonIntensityTrace, solar_diurnal_trace
-from repro.parallel import PICKLE, ExecutionPolicy, ParallelRunner
+from repro.parallel import ExecutionPolicy, ParallelRunner
 from repro.robustness.checkpoint import (
     CountingCancelToken,
     run_schedule_sweep_chunked,
@@ -42,18 +42,6 @@ class TestEvaluateSchedule:
         reference = one_shot_series()
         with ParallelRunner(
             ExecutionPolicy(workers=workers, shard_rows=32)
-        ) as runner:
-            evaluation = runner.evaluate_schedule(SPEC)
-            for name in SCHEDULE_SERIES:
-                np.testing.assert_array_equal(
-                    evaluation.full_series(name), reference[name],
-                    err_msg=name,
-                )
-
-    def test_pickle_transport_matches_shm(self):
-        reference = one_shot_series()
-        with ParallelRunner(
-            ExecutionPolicy(workers=2, shard_rows=32, transport=PICKLE)
         ) as runner:
             evaluation = runner.evaluate_schedule(SPEC)
             for name in SCHEDULE_SERIES:

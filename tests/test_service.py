@@ -276,6 +276,32 @@ class TestMonteCarloEndpoint:
         finally:
             svc.drain(5.0)
 
+    def test_worker_pool_never_outgrows_the_chunk_count(self, monkeypatch):
+        # A client-chosen worker count must not size the pool: a run of
+        # two chunks has work for two workers at most.  The stub records
+        # each requested pool size and fails before spawning anything.
+        from repro.parallel import runner as runner_module
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, workers, **kwargs):
+                sizes.append(workers)
+                raise RuntimeError("stub pool starts no processes")
+
+        monkeypatch.setattr(runner_module, "WorkerPool", RecordingPool)
+        svc = CarbonQueryService(ServiceConfig(mc_chunk_rows=64))
+        try:
+            for draws in (64, 128):
+                post(
+                    svc,
+                    "/v1/montecarlo",
+                    {"draws": draws, "seed": 1, "workers": 100_000},
+                )
+        finally:
+            svc.drain(5.0)
+        assert sizes and max(sizes) <= 2
+
     def test_draw_cap_is_422(self):
         svc = CarbonQueryService(ServiceConfig(max_draws=100))
         try:

@@ -1,8 +1,7 @@
 """Fault-tolerant parallel execution: liveness, retry, and degradation.
 
 Process-level chaos (SIGKILL a worker mid-shard, stall it past its
-deadline, drop its result message, corrupt its shared-memory handle) is
-injected through :class:`~repro.robustness.faultinject.ProcessFaultPlan`
+deadline, drop its result message) is injected through :class:`~repro.robustness.faultinject.ProcessFaultPlan`
 and every recovery path is asserted against the determinism contract: a
 retried shard re-derives the same rows from the same SeedSequence child
 stream, so recovery is **bit-identical** to the unfaulted run — never
@@ -18,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import run_monte_carlo
+from repro.analysis.montecarlo import ShardColumnSource, run_monte_carlo
 from repro.analysis.scenario import ActScenario
 from repro.core.errors import (
     ParameterError,
@@ -34,13 +33,11 @@ from repro.parallel import (
     ExecutionPolicy,
     ParallelRunner,
     PartialResult,
-    SharedArrayStore,
     WorkerPool,
 )
 from repro.parallel.supervisor import RetryLedger
 from repro.robustness.checkpoint import run_monte_carlo_chunked
 from repro.robustness.faultinject import (
-    CORRUPT_SHM_NAME,
     PROCESS_FAULTS,
     ProcessFault,
     ProcessFaultPlan,
@@ -64,12 +61,19 @@ def fast_policy(**overrides):
     return ExecutionPolicy(**defaults)
 
 
+def mc_source(draws=600, seed=7, shard_rows=128):
+    """The Monte Carlo draw stream the supervised runs evaluate."""
+    return ShardColumnSource.create(
+        BASE, draws=draws, seed=seed, shard_rows=shard_rows
+    )
+
+
 def reference_samples(draws=600, seed=7, shard_rows=128):
     """The unfaulted serial run every recovery must match bit-for-bit."""
     with ParallelRunner(
         ExecutionPolicy(workers=1, shard_rows=shard_rows)
     ) as runner:
-        return runner.run_monte_carlo(BASE, draws=draws, seed=seed)
+        return runner.evaluate_source(mc_source(draws, seed, shard_rows))
 
 
 # --- module-level worker functions (pickled by reference) -----------------
@@ -89,20 +93,6 @@ def _ignore_sigterm_and_sleep(payload):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     time.sleep(30.0)
     return payload
-
-
-def _attach_and_die(handle):
-    """Die between shm attach and detach — the leak-prone window."""
-    store = SharedArrayStore.attach(handle)
-    store.array("data")  # hold a live view into the mapping
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _shm_entries():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 # --- satellite 1: the parent-hang bug ------------------------------------
@@ -170,7 +160,7 @@ class TestCloseEscalation:
             join_timeout_seconds=0.25, term_timeout_seconds=0.125
         )
         runner = ParallelRunner(policy)
-        runner.run_monte_carlo(BASE, draws=300, seed=1)
+        runner.evaluate_source(mc_source(draws=300, seed=1))
         assert runner._pool.join_timeout == 0.25
         assert runner._pool.term_timeout == 0.125
         runner.close()
@@ -217,26 +207,14 @@ class TestProcessFaultPlan:
             PROCESS_FAULTS
         )
 
-    def test_corrupt_shm_dangles_the_handle(self, tmp_path):
-        plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("corrupt_shm", shard=3)]
-        )
-        task = {"input": ("shm", ("real_segment", ())), "output": ("pickle",)}
-        apply_process_faults(plan.spec(), 3, task, "start")
-        assert task["input"][1][0] == CORRUPT_SHM_NAME
-        # budget spent: a second firing is a no-op
-        task2 = {"input": ("shm", ("real_segment", ()))}
-        apply_process_faults(plan.spec(), 3, task2, "start")
-        assert task2["input"][1][0] == "real_segment"
-
     def test_drop_result_raises_at_finish_only(self, tmp_path):
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("drop_result", shard=0)]
         )
-        apply_process_faults(plan.spec(), 0, {}, "start")  # no-op
+        apply_process_faults(plan.spec(), 0, "start")  # no-op
         assert plan.remaining(0) == 1
         with pytest.raises(ResultDropped):
-            apply_process_faults(plan.spec(), 0, {}, "finish")
+            apply_process_faults(plan.spec(), 0, "finish")
 
     def test_result_dropped_bypasses_except_exception(self):
         assert ResultDropped("x").repro_dropped_result is True
@@ -254,7 +232,7 @@ class TestRetryRecovery:
             tmp_path, [ProcessFault("kill", shard=1, times=1)]
         )
         with ParallelRunner(fast_policy(), fault_plan=plan) as runner:
-            out = runner.run_monte_carlo(BASE, draws=600, seed=7)
+            out = runner.evaluate_source(mc_source())
         assert plan.remaining(0) == 0, "the kill must actually have fired"
         np.testing.assert_array_equal(
             reference.series["total_g"], out.series["total_g"]
@@ -273,7 +251,7 @@ class TestRetryRecovery:
         )
         policy = fast_policy(shard_deadline_seconds=0.4)
         with ParallelRunner(policy, fault_plan=plan) as runner:
-            out = runner.run_monte_carlo(BASE, draws=600, seed=7)
+            out = runner.evaluate_source(mc_source())
         np.testing.assert_array_equal(
             reference.series["total_g"], out.series["total_g"]
         )
@@ -281,29 +259,13 @@ class TestRetryRecovery:
         assert "deadline" in causes
         assert out.supervision.respawns >= 1
 
-    def test_corrupt_shm_handle_is_retried(self, tmp_path):
-        reference = reference_samples()
-        plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("corrupt_shm", shard=0, times=1)]
-        )
-        with ParallelRunner(fast_policy(), fault_plan=plan) as runner:
-            out = runner.run_monte_carlo(BASE, draws=600, seed=7)
-        np.testing.assert_array_equal(
-            reference.series["total_g"], out.series["total_g"]
-        )
-        assert out.supervision.retries >= 1
-        assert any(
-            "FileNotFoundError" in failure.detail
-            for failure in out.supervision.failures
-        )
-
     def test_dropped_result_is_resubmitted(self, tmp_path):
         reference = reference_samples()
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("drop_result", shard=1, times=1)]
         )
         with ParallelRunner(fast_policy(), fault_plan=plan) as runner:
-            out = runner.run_monte_carlo(BASE, draws=600, seed=7)
+            out = runner.evaluate_source(mc_source())
         assert plan.remaining(0) == 0
         np.testing.assert_array_equal(
             reference.series["total_g"], out.series["total_g"]
@@ -316,11 +278,18 @@ class TestRetryRecovery:
         re-failing identically."""
         context = RunContext.create(describe_git=False)
         guard = GuardedEngine(policy="strict")
-        columns = {"energy_kwh": np.full(600, np.nan)}
+        # Draws of a negative energy fail strict validation in every shard.
+        source = ShardColumnSource.create(
+            BASE,
+            draws=600,
+            seed=7,
+            shard_rows=128,
+            ranges={"energy_kwh": (-2.0, -1.0)},
+        )
         with use_context(context):
             with ParallelRunner(fast_policy()) as runner:
                 with pytest.raises(ValidationError):
-                    runner.evaluate_columns(BASE, 600, columns, guard=guard)
+                    runner.evaluate_source(source, guard=guard)
         assert context.sink.of_type("shard_retry") == []
 
     def test_exhausted_budget_raises_shard_failed(self, tmp_path):
@@ -330,7 +299,7 @@ class TestRetryRecovery:
         policy = fast_policy(max_retries=1)
         with ParallelRunner(policy, fault_plan=plan) as runner:
             with pytest.raises(ShardFailedError) as info:
-                runner.run_monte_carlo(BASE, draws=600, seed=7)
+                runner.evaluate_source(mc_source())
         assert info.value.shard == 1
         assert info.value.attempts == 2  # first try + max_retries
         assert info.value.cause == "worker-death"
@@ -350,7 +319,7 @@ class TestDegradeRecovery:
         )
         with pytest.warns(RobustnessWarning, match="quarantined"):
             with ParallelRunner(policy, fault_plan=plan) as runner:
-                out = runner.run_monte_carlo(BASE, draws=600, seed=7)
+                out = runner.evaluate_source(mc_source())
         assert isinstance(out.partial, PartialResult)
         assert out.partial.quarantined == (2,)
         assert out.partial.ranges == ((256, 384),)
@@ -377,7 +346,7 @@ class TestDegradeRecovery:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
             with ParallelRunner(policy, fault_plan=plan) as runner:
-                evaluation = runner.run_monte_carlo(BASE, draws=600, seed=7)
+                evaluation = runner.evaluate_source(mc_source())
         assert evaluation.partial.rows == 128
         assert evaluation.supervision.quarantined == (0,)
 
@@ -393,7 +362,7 @@ class TestDegradeRecovery:
             failure_policy=DEGRADE, max_retries=1, serial_fallback=True
         )
         with ParallelRunner(policy, fault_plan=plan) as runner:
-            out = runner.run_monte_carlo(BASE, draws=600, seed=7)
+            out = runner.evaluate_source(mc_source())
         assert out.partial is None
         np.testing.assert_array_equal(
             reference.series["total_g"], out.series["total_g"]
@@ -401,17 +370,17 @@ class TestDegradeRecovery:
 
     def test_workers_1_degrade_quarantines_in_process(self, tmp_path):
         """The serial reference path honors the same failure policy: an
-        in-process infrastructure fault (dangling shm handle) is retried
+        in-process infrastructure fault (a dropped result) is retried
         and then quarantined without any pool existing."""
         plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("corrupt_shm", shard=1, times=3)]
+            tmp_path, [ProcessFault("drop_result", shard=1, times=3)]
         )
         policy = fast_policy(
             workers=1, failure_policy=DEGRADE, max_retries=1
         )
         with pytest.warns(RobustnessWarning, match="quarantined"):
             with ParallelRunner(policy, fault_plan=plan) as runner:
-                out = runner.run_monte_carlo(BASE, draws=600, seed=7)
+                out = runner.evaluate_source(mc_source())
         assert out.partial.quarantined == (1,)
         assert np.isnan(out.series["total_g"][128:256]).all()
 
@@ -472,16 +441,16 @@ class TestRetryLedger:
         """workers=1 under "retry": a fault that outlives the budget
         raises the same ShardFailedError the pool would."""
         plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("corrupt_shm", shard=1, times=3)]
+            tmp_path, [ProcessFault("drop_result", shard=1, times=3)]
         )
         policy = fast_policy(workers=1, max_retries=1)
         with ParallelRunner(policy, fault_plan=plan) as runner:
             with pytest.raises(ShardFailedError) as info:
-                runner.run_monte_carlo(BASE, draws=600, seed=7)
+                runner.evaluate_source(mc_source())
         assert info.value.shard == 1
         assert info.value.attempts == 2
-        assert info.value.cause == "error"
-        assert isinstance(info.value.__cause__, FileNotFoundError)
+        assert info.value.cause == "lost"
+        assert isinstance(info.value.__cause__, ResultDropped)
 
 
 # --- observability ---------------------------------------------------------
@@ -501,7 +470,7 @@ class TestSupervisionObservability:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RobustnessWarning)
                 with ParallelRunner(policy, fault_plan=plan) as runner:
-                    runner.run_monte_carlo(BASE, draws=600, seed=7)
+                    runner.evaluate_source(mc_source())
         retries = context.sink.of_type("shard_retry")
         respawns = context.sink.of_type("worker_respawn")
         quarantines = context.sink.of_type("shard_quarantined")
@@ -511,38 +480,6 @@ class TestSupervisionObservability:
         assert "parallel.retries" in rendered
         assert "parallel.respawns" in rendered
         assert "parallel.quarantined" in rendered
-
-
-# --- shm lifecycle under crash (satellite 4) -------------------------------
-
-
-class TestShmCrashLifecycle:
-    def test_worker_death_between_attach_and_detach_leaks_nothing(self):
-        """A worker SIGKILLed while attached must not leak the segment
-        (parent unlink still works) nor blow up the parent's cleanup
-        with BufferError."""
-        before = _shm_entries()
-        store = SharedArrayStore.create({"data": np.arange(64.0)})
-        segment_entry = store.handle()[0].lstrip("/")
-        pool = WorkerPool(1)
-        try:
-            with pytest.raises(WorkerError):
-                pool.run(_attach_and_die, [store.handle()])
-        finally:
-            pool.close()
-            store.unlink()  # must not raise BufferError
-        after = _shm_entries()
-        assert segment_entry not in after
-        assert after - before == set()
-
-    def test_chaos_run_leaks_no_segments(self, tmp_path):
-        before = _shm_entries()
-        plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("kill", shard=1, times=1)]
-        )
-        with ParallelRunner(fast_policy(), fault_plan=plan) as runner:
-            runner.run_monte_carlo(BASE, draws=600, seed=7)
-        assert _shm_entries() - before == set()
 
 
 # --- checkpoint resume composes with partial results -----------------------
@@ -629,14 +566,13 @@ class TestCliParallelFlags:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_shard_rows_and_transport_accepted(self, capsys):
+    def test_shard_rows_accepted(self, capsys):
         code, out, _ = self._run(
             capsys,
             "montecarlo",
             "--draws", "400",
             "--workers", "2",
             "--shard-rows", "100",
-            "--transport", "pickle",
         )
         assert code == 0
         assert "mean" in out
@@ -671,12 +607,15 @@ class TestCliParallelFlags:
         assert "shard_rows" in err
 
     def test_invalid_transport_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            self._run(
-                capsys, "montecarlo", "--draws", "100",
-                "--transport", "carrier-pigeon",
-            )
-        assert info.value.code == 2
+        # Tasks and results are always pickled: there is no --transport,
+        # so every value of it is invalid.
+        for transport in ("shm", "pickle", "carrier-pigeon"):
+            with pytest.raises(SystemExit) as info:
+                self._run(
+                    capsys, "montecarlo", "--draws", "100",
+                    "--transport", transport,
+                )
+            assert info.value.code == 2
 
     def test_invalid_max_retries_exits_2(self, capsys):
         code, _, err = self._run(
@@ -699,14 +638,22 @@ class TestCliParallelFlags:
         assert code == 0
         assert "Monte Carlo" in out
 
-    def test_experiment_accepts_parallel_flags(self, capsys):
-        code, _, _ = self._run(
-            capsys,
-            "experiment", "fig14",
-            "--workers", "1",
-            "--transport", "shm",
-        )
-        assert code == 0
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--workers", "2"),
+            ("--shard-rows", "100"),
+            ("--failure-policy", "retry"),
+            ("--max-retries", "1"),
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_experiment_rejects_parallel_flags(self, capsys, flag):
+        # Experiments run their sweeps in-process: no parallel flag
+        # changes what they compute or how long they take.
+        with pytest.raises(SystemExit) as info:
+            self._run(capsys, "experiment", "fig14", *flag)
+        assert info.value.code == 2
 
 
 # --- policy validation -----------------------------------------------------
