@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.scenario import PARAMETER_RANGES, ActScenario, parameter_range
 from repro.core.errors import ParameterError
-from repro.core.parameters import require_positive
+from repro.core.parameters import PARAMETER_DOMAINS, require_positive
 from repro.engine.batch import FIELD_NAMES, ScenarioBatch
 from repro.engine.cache import EvaluationCache, evaluate_cached
 
@@ -123,11 +123,20 @@ def resolve_parameter_ranges(
     the Table 1 appendix range.  Mapping order is the sampling order, so
     this dict fully determines a run's draw stream — the parallel runner
     resolves it once in the parent and ships it to every worker verbatim.
+    A range must be finite and lie inside the parameter's hard domain
+    (:data:`~repro.core.parameters.PARAMETER_DOMAINS`), so no draw can
+    leave it.
     """
     names = tuple(parameters) if parameters is not None else tuple(PARAMETER_RANGES)
     resolved: dict[str, tuple[float, float]] = {}
     for name in names:
         low, high = (ranges or {}).get(name, parameter_range(name))
+        domain = PARAMETER_DOMAINS[name].kind
+        if not (domain.holds(low) and domain.holds(high)):
+            raise ParameterError(
+                f"range for {name} ({low}, {high}) leaves its domain: "
+                f"{name} {domain.detail} and finite"
+            )
         if low > high:
             raise ParameterError(f"range for {name} is inverted: ({low}, {high})")
         resolved[name] = (float(low), float(high))
@@ -407,10 +416,11 @@ def run_monte_carlo(
             (default: a private one per run, so fresh draws never fill
             the process-wide cache).
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`.
-            When given, each chunk's columns are validated (and repaired
-            or masked, per policy) before evaluation, and the samples are
-            the guard's valid rows.  Ignored on the custom-``response``
-            scalar path, which validates per scenario anyway.
+            When given, each chunk's columns are validated against the
+            documented ranges before evaluation, and a bad draw raises
+            :class:`~repro.core.errors.ValidationError` naming its row.
+            Ignored on the custom-``response`` scalar path, which
+            validates per scenario anyway.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
             count, or ``None`` for the serial path.  Its ``shard_rows``
             (default 65,536) is the stream's block size; a parallel

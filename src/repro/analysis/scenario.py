@@ -4,7 +4,8 @@ The component/platform API is the right shape for design work, but
 sensitivity and uncertainty analysis want the model as one function of the
 Table 1 scalars.  :class:`ActScenario` is exactly that: every ACT input as
 a named scalar field, with ``total_g()`` evaluating Eq. 1-8 directly.
-Ranges for each parameter (Table 1's "Range" column) live alongside so the
+Each field's hard domain and documented range (Table 1's "Range" column)
+come from :data:`~repro.core.parameters.PARAMETER_DOMAINS`, so the
 analysis modules can sweep and sample without inventing bounds.
 """
 
@@ -14,10 +15,11 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.core.errors import UnknownEntryError
-from repro.core.parameters import (
-    require_fraction,
-    require_non_negative,
-    require_positive,
+from repro.core.parameters import PARAMETER_DOMAINS
+
+#: (name, domain) pairs in field order, for ``ActScenario.__post_init__``.
+_FIELD_DOMAINS = tuple(
+    (name, spec.kind) for name, spec in PARAMETER_DOMAINS.items()
 )
 
 
@@ -53,24 +55,11 @@ class ActScenario:
     packaging_g_per_ic: float = 150.0
 
     def __post_init__(self) -> None:
-        require_non_negative("energy_kwh", self.energy_kwh)
-        require_non_negative("ci_use_g_per_kwh", self.ci_use_g_per_kwh)
-        require_non_negative("duration_hours", self.duration_hours)
-        require_positive("lifetime_hours", self.lifetime_hours)
-        require_non_negative("soc_area_cm2", self.soc_area_cm2)
-        require_non_negative("ci_fab_g_per_kwh", self.ci_fab_g_per_kwh)
-        require_non_negative("epa_kwh_per_cm2", self.epa_kwh_per_cm2)
-        require_non_negative("gpa_g_per_cm2", self.gpa_g_per_cm2)
-        require_non_negative("mpa_g_per_cm2", self.mpa_g_per_cm2)
-        require_fraction("fab_yield", self.fab_yield)
-        require_non_negative("dram_gb", self.dram_gb)
-        require_non_negative("cps_dram_g_per_gb", self.cps_dram_g_per_gb)
-        require_non_negative("ssd_gb", self.ssd_gb)
-        require_non_negative("cps_ssd_g_per_gb", self.cps_ssd_g_per_gb)
-        require_non_negative("hdd_gb", self.hdd_gb)
-        require_non_negative("cps_hdd_g_per_gb", self.cps_hdd_g_per_gb)
-        require_non_negative("ic_count", self.ic_count)
-        require_non_negative("packaging_g_per_ic", self.packaging_g_per_ic)
+        # Each field against its hard domain; the one cross-field rule
+        # (duration <= lifetime) is deliberately not enforced here (see
+        # PARAMETER_DOMAINS).
+        for name, domain in _FIELD_DOMAINS:
+            domain.require(name, getattr(self, name))
 
     # --- Eq. 1-8, scalar form -------------------------------------------
 
@@ -121,26 +110,10 @@ class ActScenario:
 
 
 #: Plausible low/high bounds per parameter, following Table 1's ranges and
-#: the appendix tables.  Used by sensitivity sweeps and Monte Carlo.
+#: the appendix tables (derived from ``PARAMETER_DOMAINS``, in field order).
+#: Used by sensitivity sweeps and Monte Carlo.
 PARAMETER_RANGES: dict[str, tuple[float, float]] = {
-    "energy_kwh": (1.0, 40.0),
-    "ci_use_g_per_kwh": (11.0, 820.0),  # wind ... coal (Table 5)
-    "duration_hours": (8_760.0, 26_280.0),
-    "lifetime_hours": (8_760.0, 87_600.0),  # 1-10 years (Table 1)
-    "soc_area_cm2": (0.3, 2.0),
-    "ci_fab_g_per_kwh": (30.0, 700.0),  # Table 1
-    "epa_kwh_per_cm2": (0.8, 3.5),  # Table 1
-    "gpa_g_per_cm2": (100.0, 500.0),  # Table 1 / Table 7
-    "mpa_g_per_cm2": (250.0, 750.0),
-    "fab_yield": (0.5, 1.0),
-    "dram_gb": (2.0, 16.0),
-    "cps_dram_g_per_gb": (48.0, 600.0),  # Table 9
-    "ssd_gb": (32.0, 512.0),
-    "cps_ssd_g_per_gb": (3.95, 30.0),  # Table 10
-    "hdd_gb": (0.0, 4000.0),
-    "cps_hdd_g_per_gb": (1.14, 20.5),  # Table 11
-    "ic_count": (1.0, 100.0),
-    "packaging_g_per_ic": (75.0, 300.0),
+    name: spec.range for name, spec in PARAMETER_DOMAINS.items()
 }
 
 

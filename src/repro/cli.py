@@ -256,9 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     montecarlo.add_argument(
         "--policy",
-        choices=("off", "strict", "repair", "skip"),
+        choices=("off", "strict"),
         default="off",
-        help="guarded-engine validation policy (default: off = raw engine)",
+        help="strict: validate every draw and cross-check the kernel "
+        "(default: off = raw engine)",
     )
     montecarlo.add_argument(
         "--checkpoint",
@@ -800,7 +801,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     if args.policy != "off":
         from repro.robustness import GuardedEngine
 
-        guard = GuardedEngine(policy=args.policy, cache=cache)
+        guard = GuardedEngine(cache=cache)
 
     base = ActScenario()
     policy = _workers_policy(args)
@@ -829,11 +830,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         f"{args.draws} draws, seed {args.seed}, {args.distribution}"
         + (f", policy={args.policy}" if guard is not None else "")
     )
-    if guard is not None and len(result.samples) < args.draws:
-        print(
-            f"guard masked {args.draws - len(result.samples)} of "
-            f"{args.draws} draws; statistics cover the survivors"
-        )
     partial = getattr(result, "partial", None)
     if partial is not None:
         print(

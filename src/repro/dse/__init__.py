@@ -18,7 +18,6 @@ from repro.dse.qos import Constraint, at_least, at_most, constrained_minimum
 from repro.dse.sweep import (
     BatchSweepResult,
     FrozenParams,
-    GuardedSweepResult,
     PlannedSweepResult,
     SweepRecord,
     argmin,
@@ -34,7 +33,6 @@ __all__ = [
     "ExplorationResult",
     "ExplorationSession",
     "FrozenParams",
-    "GuardedSweepResult",
     "PlannedSweepResult",
     "SweepRecord",
     "argmin",

@@ -40,7 +40,7 @@ from repro.obs.context import current_context
 
 if TYPE_CHECKING:  # pragma: no cover - robustness sits above this module
     from repro.engine.plan import SweepPlan
-    from repro.robustness.guard import ColumnDiagnostic, GuardedEngine
+    from repro.robustness.guard import GuardedEngine
 
 P = TypeVar("P")
 D = TypeVar("D")
@@ -259,31 +259,6 @@ class PlannedSweepResult(BatchSweepResult):
         return len(self.result)
 
 
-@dataclass(frozen=True)
-class GuardedSweepResult(BatchSweepResult):
-    """A guarded grid sweep: the surviving points plus what was masked.
-
-    A drop-in :class:`BatchSweepResult` whose batch holds only the rows
-    the guard accepted (with ``repair``-policy clamping applied), plus the
-    guard's bookkeeping so callers can see exactly which grid points were
-    dropped and why.
-
-    Attributes:
-        valid: Boolean mask over the *original* grid rows.
-        source_indices: Original grid-row index of each surviving row.
-        diagnostics: Everything the guard's validation found.
-    """
-
-    valid: np.ndarray = None  # type: ignore[assignment]
-    source_indices: np.ndarray = None  # type: ignore[assignment]
-    diagnostics: "tuple[ColumnDiagnostic, ...]" = ()
-
-    @property
-    def masked_count(self) -> int:
-        """How many grid points the guard masked out."""
-        return int(self.valid.size - np.count_nonzero(self.valid))
-
-
 def _planned_sweep(
     base: ActScenario,
     grids: Mapping[str, Sequence[float]],
@@ -338,10 +313,10 @@ def sweep_grid_batched(
         grids: Named grids over :class:`ActScenario` fields.
         cache: Optional evaluation cache (default: the process-wide one).
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`.
-            When given, the grid columns are validated (and repaired or
-            masked, per policy) before evaluation and a
-            :class:`GuardedSweepResult` over the surviving points is
-            returned.
+            When given, every grid point is validated against the
+            documented ranges before evaluation and the kernel output is
+            cross-checked; a bad point raises
+            :class:`~repro.core.errors.ValidationError` naming its row.
 
     Sweeps run in-process: the kernel evaluates a grid row faster than
     the row's columns could be shipped to a worker process and back, and
@@ -352,7 +327,9 @@ def sweep_grid_batched(
     structure-aware planner (:mod:`repro.engine.plan`): Eq. 1-8 are
     factored into per-axis partial terms evaluated once on their marginal
     grids — bit-identical results, orders of magnitude less arithmetic on
-    separable grids.  Smaller and guarded sweeps run densely.
+    separable grids.  Smaller sweeps run densely, and so do guarded
+    ones: the guard's scalar cross-check re-derives anomalous rows of
+    the dense batch.
     """
     if not grids:
         raise ConstraintError("at least one parameter grid is required")
@@ -367,13 +344,8 @@ def sweep_grid_batched(
             if context.enabled:
                 context.count("dse.sweep.points", size)
             guarded = guard.evaluate_columns(base, size, columns)
-            return GuardedSweepResult(
-                names=tuple(grids),
-                batch=guarded.batch,
-                result=guarded.result,
-                valid=guarded.valid,
-                source_indices=guarded.indices,
-                diagnostics=guarded.diagnostics,
+            return BatchSweepResult(
+                names=tuple(grids), batch=guarded.batch, result=guarded.result
             )
         if planner_engaged(_grid_size(grids)):
             return _planned_sweep(base, grids, cache)
@@ -403,7 +375,6 @@ def feasible(
 __all__ = [
     "BatchSweepResult",
     "FrozenParams",
-    "GuardedSweepResult",
     "SweepRecord",
     "argmin",
     "feasible",

@@ -15,71 +15,49 @@ Construction mirrors how the analysis layers actually generate scenarios:
   parameter grids (design-space sweeps).
 * :meth:`ScenarioBatch.from_scenarios` — pack existing scalar scenarios.
 
-Validation is the same as the scalar path — every column is checked with
-the vectorized equivalents of ``require_non_negative`` / ``require_fraction``
-at construction, so kernels can assume well-formed inputs.
+Validation is the same as the scalar path — every column is checked
+against its field's hard domain in
+:data:`~repro.core.parameters.PARAMETER_DOMAINS` at construction, so
+kernels can assume well-formed inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import ParameterError, UnknownEntryError
+from repro.core.parameters import PARAMETER_DOMAINS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine is a leaf)
     from repro.analysis.scenario import ActScenario
 
-#: The batched parameter columns, in ``ActScenario`` field order.  Kept as a
-#: literal so the engine stays importable below the analysis layer; the test
-#: suite asserts it matches ``dataclasses.fields(ActScenario)`` exactly.
-FIELD_NAMES: tuple[str, ...] = (
-    "energy_kwh",
-    "ci_use_g_per_kwh",
-    "duration_hours",
-    "lifetime_hours",
-    "soc_area_cm2",
-    "ci_fab_g_per_kwh",
-    "epa_kwh_per_cm2",
-    "gpa_g_per_cm2",
-    "mpa_g_per_cm2",
-    "fab_yield",
-    "dram_gb",
-    "cps_dram_g_per_gb",
-    "ssd_gb",
-    "cps_ssd_g_per_gb",
-    "hdd_gb",
-    "cps_hdd_g_per_gb",
-    "ic_count",
-    "packaging_g_per_ic",
-)
-
-#: Columns that must be strictly positive (denominators in Eq. 1 / Eq. 5).
-POSITIVE_FIELDS = frozenset({"lifetime_hours"})
-
-#: Columns constrained to (0, 1] like the scalar ``require_fraction``.
-FRACTION_FIELDS = frozenset({"fab_yield"})
-
-# Backwards-compatible private aliases (pre-robustness name).
-_POSITIVE_FIELDS = POSITIVE_FIELDS
-_FRACTION_FIELDS = FRACTION_FIELDS
+#: The batched parameter columns, in ``ActScenario`` field order (the
+#: order of the domain table; the test suite asserts it matches
+#: ``dataclasses.fields(ActScenario)`` exactly).
+FIELD_NAMES: tuple[str, ...] = tuple(PARAMETER_DOMAINS)
 
 
 def _require_column(name: str, values: np.ndarray) -> None:
-    """Vectorized twin of the scalar parameter validators."""
-    if not np.all(np.isfinite(values)):
+    """Vectorized twin of the scalar parameter validators.
+
+    Two reductions decide a column: ``NaN`` propagates through min and
+    max, ``±Inf`` lands in one of them, and the domain is an interval, so
+    its extremes lie in the domain exactly when every value does.
+    """
+    if not values.size:
+        return  # an empty batch is refused for its size, not its values
+    low = float(np.min(values))
+    high = float(np.max(values))
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ParameterError(f"{name} must be finite in every batch row")
-    if name in FRACTION_FIELDS:
-        if np.any((values <= 0.0) | (values > 1.0)):
-            raise ParameterError(f"{name} must be in (0, 1] in every batch row")
-    elif name in POSITIVE_FIELDS:
-        if np.any(values <= 0.0):
-            raise ParameterError(f"{name} must be > 0 in every batch row")
-    elif np.any(values < 0.0):
-        raise ParameterError(f"{name} must be >= 0 in every batch row")
+    domain = PARAMETER_DOMAINS[name].kind
+    if not (domain.holds(low) and domain.holds(high)):
+        raise ParameterError(f"{name} {domain.detail} in every batch row")
 
 
 def broadcast_columns(
@@ -90,9 +68,9 @@ def broadcast_columns(
     """The raw full column set :meth:`ScenarioBatch.from_columns` assembles.
 
     Performs the same broadcasting and unknown-name checking as batch
-    construction but **no value validation**, so the robustness layer can
-    inspect (and repair or mask) the columns before the batch's strict
-    validators run.  Returned arrays may be read-only broadcast views.
+    construction but **no value validation**, so the guard can diagnose
+    every bad row of the columns before a batch is built.  Returned arrays
+    may be read-only broadcast views.
     """
     if size <= 0:
         raise ParameterError(f"batch size must be > 0, got {size}")
@@ -149,7 +127,7 @@ def prevalidated_batch(
     """Construct a batch from columns a caller has *already* fully validated.
 
     The guarded engine diagnoses every column (finiteness + the same
-    domain bounds ``_require_column`` enforces) before construction; when
+    domain table ``_require_column`` checks) before construction; when
     that diagnosis comes back clean, re-running the per-element validators
     inside ``__post_init__`` would be pure double work on the hot path.
     This constructor keeps the cheap structural checks (full column set,
@@ -204,8 +182,7 @@ class ScenarioBatch:
             :class:`~repro.engine.cache.EvaluationCache` uses it instead
             of hashing the columns.  Only :meth:`from_columns` and
             :func:`prevalidated_batch` attach one; every other
-            constructor, and so every repaired, masked or derived batch,
-            has none.
+            constructor, and so every derived batch, has none.
     """
 
     identity_key: ClassVar[str | None] = None

@@ -8,7 +8,7 @@ ad-hoc prints and buried counters:
 * :mod:`repro.obs.trace` — :class:`Tracer` builds a tree of nested, timed
   :class:`Span` objects (experiment → analysis/sweep → engine kernels);
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` aggregates counters
-  (rows evaluated, cache hits/misses/evictions, guard repairs), timers,
+  (rows evaluated, cache hits/misses/evictions, guarded batches), timers,
   and histograms;
 * :mod:`repro.obs.events` — :class:`JsonlEventSink` streams one structured
   JSON event per line (the CLI's ``--trace`` file);

@@ -1,8 +1,8 @@
 """Counters, timers, and histograms for run-level observability.
 
 A :class:`MetricsRegistry` is a plain in-process aggregation point: layers
-``count()`` discrete happenings (rows evaluated, cache hits, repaired
-values), ``observe()`` durations (kernel wall time), and ``record()``
+``count()`` discrete happenings (rows evaluated, cache hits, guarded
+batches), ``observe()`` durations (kernel wall time), and ``record()``
 values into fixed-bound histograms.  Everything is snapshot-able as plain
 dicts for the JSONL event stream and renderable as an ASCII table for the
 CLI's ``--metrics`` flag.

@@ -31,14 +31,12 @@ no per-row data crosses a process boundary except the results the
 caller keeps and, for Pareto shards, the objective matrix.
 
 Guarded evaluation works per shard: each worker reconstructs the
-:class:`~repro.robustness.guard.GuardedEngine` from its config, evaluates
-its shard, translates diagnostic indices from shard-local to global, and
-captures any :class:`~repro.robustness.guard.RobustnessWarning` messages
-for the parent to re-emit.  The parent merges validity masks and
-diagnostics; a fully masked shard is ``NaN`` rows, and the Monte Carlo
-driver raises the guard's all-rows-masked
-:class:`~repro.core.errors.ValidationError` only when *no* shard of the
-whole run kept a row.
+:class:`~repro.robustness.guard.GuardedEngine` from its config and
+evaluates its shard; a rejected shard raises the guard's
+:class:`~repro.core.errors.ValidationError` with its diagnostics
+translated to rows of the run.  Rows of a shard quarantined under
+``failure_policy="degrade"`` are ``NaN`` with a ``False`` validity bit and
+a ``"quarantined"`` diagnostic.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from repro.core.errors import (
 from repro.dse.pareto import pareto_mask as _serial_pareto_mask
 from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import EvaluationCache
-from repro.engine.kernels import evaluate_batch
+from repro.engine.kernels import BatchResult, evaluate_batch
 from repro.obs.context import current_context
 from repro.parallel.policy import (
     FAIL_FAST,
@@ -80,13 +78,11 @@ from repro.parallel.supervisor import (
     final_failures,
 )
 from repro.robustness.guard import (
-    OUTPUT,
     QUARANTINED,
-    STRICT,
     ColumnDiagnostic,
     GuardedEngine,
     RobustnessWarning,
-    offset_diagnostics,
+    at_run_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,71 +103,6 @@ def _guard_spec(guard: "GuardedEngine | None") -> dict[str, Any] | None:
     }
 
 
-def _merge_diagnostics(
-    outcomes: "Sequence[_ShardOutcome]",
-) -> tuple[ColumnDiagnostic, ...]:
-    """Fuse per-shard diagnostics into one per (column, reason).
-
-    The serial guard reports each finding once with every offending row;
-    shards report only their own slice.  Concatenating per-key in shard
-    order (offsets are monotone, shard indices ascending) reproduces the
-    serial guard's ascending global index lists exactly.
-    """
-    merged: dict[tuple[str, str, str], ColumnDiagnostic] = {}
-    for outcome in outcomes:
-        for diagnostic in outcome.diagnostics:
-            key = (diagnostic.column, diagnostic.reason, diagnostic.detail)
-            seen = merged.get(key)
-            if seen is None:
-                merged[key] = diagnostic
-            else:
-                merged[key] = ColumnDiagnostic(
-                    column=diagnostic.column,
-                    reason=diagnostic.reason,
-                    indices=seen.indices + diagnostic.indices,
-                    values=seen.values + diagnostic.values,
-                    detail=diagnostic.detail,
-                )
-    return tuple(merged.values())
-
-
-def _warn_merged(
-    policy: str,
-    rows: int,
-    masked: int,
-    repaired: bool,
-    diagnostics: Sequence[ColumnDiagnostic],
-) -> None:
-    """Re-emit the serial guard's warnings from the merged global state.
-
-    Workers capture (and suppress) their shard-local warnings — a shard
-    that happens to be fully masked raises instead of warning at all — so
-    the parent synthesizes the batch-level messages the serial guard
-    would have produced, from the merged diagnostics and counts.
-    """
-    if not diagnostics:
-        return
-    detail = "; ".join(str(d) for d in diagnostics[:4])
-    if len(diagnostics) > 4:
-        detail += f"; … and {len(diagnostics) - 4} more diagnostic(s)"
-    if repaired:
-        inputs = [d for d in diagnostics if d.reason != OUTPUT]
-        warnings.warn(
-            f"guarded evaluation ({policy}): repaired "
-            f"{sum(len(d.indices) for d in inputs)} value(s) across "
-            f"{len({d.column for d in inputs})} column(s) — {detail}",
-            RobustnessWarning,
-            stacklevel=4,
-        )
-    if masked:
-        warnings.warn(
-            f"guarded evaluation ({policy}): masked {masked} of "
-            f"{rows} row(s) — {detail}",
-            RobustnessWarning,
-            stacklevel=4,
-        )
-
-
 @dataclass(frozen=True)
 class _ShardOutcome:
     """What one worker hands back for one shard."""
@@ -181,38 +112,15 @@ class _ShardOutcome:
     stop: int
     seconds: float
     series: dict[str, np.ndarray] | None  # not for pareto tasks
-    valid: np.ndarray | None  # not for pareto tasks
     mask: np.ndarray | None  # pareto tasks only
-    diagnostics: tuple[ColumnDiagnostic, ...]
-    repaired: bool
-    messages: tuple[str, ...]
 
 
-#: One evaluated shard: the task's series at full shard length, validity
-#: mask, globally-indexed diagnostics, the repair flag, and captured
-#: robustness-warning messages.
-_ShardResult = tuple[
-    dict[str, np.ndarray],
-    np.ndarray,
-    tuple[ColumnDiagnostic, ...],
-    bool,
-    tuple[str, ...],
-]
-
-
-def _evaluate_shard_guarded(
+def _evaluate_guarded(
     task: dict, columns: Mapping[str, np.ndarray], count: int
-) -> _ShardResult:
-    """Run one shard through a locally-reconstructed guarded engine.
-
-    Returns the task's NaN-scattered full-shard series, the shard validity mask,
-    globally-indexed diagnostics, the repair flag, and any captured
-    robustness-warning messages (the parent re-emits them).  A fully
-    masked shard is an *outcome* here, not an error — only the parent
-    knows whether every other shard masked out too.
-    """
+) -> BatchResult:
+    """One shard through a locally-reconstructed guarded engine; a
+    rejection names rows of the run (``row_offset`` + shard start)."""
     spec = task["guard"]
-    names = task["series_names"]
     guard = GuardedEngine(
         policy=spec["policy"],
         ranges=spec["ranges"],
@@ -220,39 +128,15 @@ def _evaluate_shard_guarded(
         cache=EvaluationCache(capacity=1),
         tolerance=spec["tolerance"],
     )
-    start = task["start"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            guarded = guard.evaluate_columns(
-                task["base"],
-                count,
-                columns,
-                identity_key=task.get("identity_key"),
-            )
-        except ValidationError as error:
-            if spec["policy"] == STRICT:
-                raise
-            series = {name: np.full(count, np.nan) for name in names}
-            valid = np.zeros(count, dtype=bool)
-            diagnostics = offset_diagnostics(
-                getattr(error, "diagnostics", ()), start
-            )
-            repaired = False
-        else:
-            series = {name: guarded.full_series(name) for name in names}
-            valid = np.array(guarded.valid, dtype=bool)
-            diagnostics = offset_diagnostics(guarded.diagnostics, start)
-            repaired = guarded.repaired
-    messages = tuple(
-        str(warning.message)
-        for warning in caught
-        if issubclass(warning.category, RobustnessWarning)
-    )
-    return series, valid, diagnostics, repaired, messages
+    try:
+        return guard.evaluate_columns(
+            task["base"], count, columns, identity_key=task["identity_key"]
+        ).result
+    except ValidationError as error:
+        raise at_run_rows(error, task["row_offset"] + task["start"]) from None
 
 
-def _evaluate_shard(task: dict, count: int) -> _ShardResult:
+def _evaluate_shard(task: dict, count: int) -> dict[str, np.ndarray]:
     """Build one shard's rows from its task, evaluate them, and return the
     task's ``series_names``."""
     names = task["series_names"]
@@ -269,19 +153,26 @@ def _evaluate_shard(task: dict, count: int) -> _ShardResult:
             task["spec"], offset + task["start"], offset + task["stop"]
         )
         result = evaluate_schedule_batch(batch)
-        series = {name: getattr(result, name) for name in names}
-        return series, np.ones(count, dtype=bool), (), False, ()
-    columns = sample_shard_columns(
-        task["base"], task["ranges"], count, task["seed"], task["distribution"]
-    )
-    if task["guard"] is not None:
-        return _evaluate_shard_guarded(task, columns, count)
-    batch = ScenarioBatch.from_columns(
-        task["base"], count, columns, identity_key=task["identity_key"]
-    )
-    result = evaluate_batch(batch)
-    series = {name: getattr(result, name) for name in names}
-    return series, np.ones(count, dtype=bool), (), False, ()
+    else:
+        columns = sample_shard_columns(
+            task["base"],
+            task["ranges"],
+            count,
+            task["seed"],
+            task["distribution"],
+        )
+        if task["guard"] is not None:
+            result = _evaluate_guarded(task, columns, count)
+        else:
+            result = evaluate_batch(
+                ScenarioBatch.from_columns(
+                    task["base"],
+                    count,
+                    columns,
+                    identity_key=task["identity_key"],
+                )
+            )
+    return {name: getattr(result, name) for name in names}
 
 
 def _run_shard(task: dict) -> _ShardOutcome:
@@ -309,8 +200,7 @@ def _run_shard(task: dict) -> _ShardOutcome:
 
         apply_process_faults(fault_spec, shard, "start")
 
-    series = valid = mask = None
-    diagnostics, repaired, messages = (), False, ()
+    series = mask = None
     if task["kind"] == "pareto":
         matrix = task["objectives"]
         block = matrix[start:stop]
@@ -320,9 +210,7 @@ def _run_shard(task: dict) -> _ShardOutcome:
         better = (matrix[:, None, :] < block[None, :, :]).any(axis=2)
         mask = np.array(~((no_worse & better).any(axis=0)), dtype=bool)
     else:
-        series, valid, diagnostics, repaired, messages = _evaluate_shard(
-            task, stop - start
-        )
+        series = _evaluate_shard(task, stop - start)
     if fault_spec is not None:
         apply_process_faults(fault_spec, shard, "finish")
     return _ShardOutcome(
@@ -331,11 +219,7 @@ def _run_shard(task: dict) -> _ShardOutcome:
         stop=stop,
         seconds=time.perf_counter() - started,
         series=series,
-        valid=valid,
         mask=mask,
-        diagnostics=diagnostics,
-        repaired=repaired,
-        messages=messages,
     )
 
 
@@ -376,12 +260,12 @@ class ParallelEvaluation:
 
     Attributes:
         rows: Rows in the original workload.
-        valid: Per-row guard verdict (all ``True`` for unguarded runs).
+        valid: Per-row flag, ``False`` only for rows of quarantined shards.
         series: The series the workload's tasks named (``total_g`` for
             Monte Carlo, the scheduling series for a schedule sweep) at
-            full length, ``NaN`` where the guard masked a row.
-        diagnostics: Guard findings with **global** row indices.
-        repaired: Whether any worker's guard clamped a value.
+            full length, ``NaN`` on quarantined rows.
+        diagnostics: One ``"quarantined"`` diagnostic per quarantined
+            shard, with **global** row indices.
         shards: Per-shard placement and timing reports, in shard order.
         partial: Quarantine account of a degraded run (``None`` for
             complete runs).  Quarantined rows are ``NaN`` in every
@@ -396,7 +280,6 @@ class ParallelEvaluation:
     valid: np.ndarray
     series: Mapping[str, np.ndarray]
     diagnostics: tuple[ColumnDiagnostic, ...]
-    repaired: bool
     shards: tuple[ShardReport, ...]
     partial: PartialResult | None = None
     supervision: SupervisionReport | None = None
@@ -415,18 +298,8 @@ class ParallelEvaluation:
     def __len__(self) -> int:
         return self.rows
 
-    @property
-    def masked_count(self) -> int:
-        """How many rows the guard masked out."""
-        return int(self.rows - np.count_nonzero(self.valid))
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Original row index of each surviving row."""
-        return np.flatnonzero(self.valid)
-
     def full_series(self, name: str) -> np.ndarray:
-        """One output series at original length, ``NaN`` where masked."""
+        """One output series at original length, ``NaN`` where quarantined."""
         if name not in self.series:
             raise ParameterError(
                 f"unknown output series {name!r} "
@@ -481,9 +354,15 @@ class ParallelRunner:
             if self.policy.failure_policy == FAIL_FAST:
                 return [(0, _run_shard(payload)) for payload in payloads], None
             return self._execute_serial_supervised(payloads)
+        # A worker beyond the payload count would have nothing to do, so
+        # the pool never outgrows a call's shards; a later call with more
+        # shards replaces a pool that is too small for it.
+        workers = max(1, min(self.policy.workers, len(payloads)))
+        if self._pool is not None and self._pool.workers < workers:
+            self.close()
         if self._pool is None:
             self._pool = WorkerPool(
-                self.policy.workers,
+                workers,
                 start_method=self.policy.start_method,
                 join_timeout=self.policy.join_timeout_seconds,
                 term_timeout=self.policy.term_timeout_seconds,
@@ -612,12 +491,7 @@ class ParallelRunner:
             outcomes, report = self._execute(payloads)
             report = self._heal_quarantined(payloads, outcomes, report)
             return self._merge(
-                rows,
-                dict(zip(shards, plan)),
-                outcomes,
-                guard.policy if guard is not None else None,
-                report,
-                series_names,
+                rows, dict(zip(shards, plan)), outcomes, report, series_names
             )
 
     def _merge(
@@ -625,7 +499,6 @@ class ParallelRunner:
         rows: int,
         plan: Mapping[int, tuple[int, int]],
         outcomes: Sequence[tuple[int, _ShardOutcome] | None],
-        guard_policy: str | None,
         supervision: SupervisionReport | None,
         series_names: Sequence[str],
     ) -> ParallelEvaluation:
@@ -633,22 +506,17 @@ class ParallelRunner:
             tuple(supervision.quarantined) if supervision is not None else ()
         )
         placed = [entry for entry in outcomes if entry is not None]
-        ordered = [outcome for _, outcome in placed]
         # Quarantine can punch holes in the shard sequence, so fill
         # per-range instead of concatenating: a quarantined row stays NaN
         # with a False validity bit — a flagged missing answer, never a
         # silent zero.
         series = {name: np.full(rows, np.nan) for name in series_names}
         valid = np.zeros(rows, dtype=bool)
-        for outcome in ordered:
+        for _, outcome in placed:
             for name in series_names:
                 series[name][outcome.start : outcome.stop] = outcome.series[name]
-            valid[outcome.start : outcome.stop] = outcome.valid
-        kept = np.ones(rows, dtype=bool)
-        for shard in quarantined:
-            start, stop = plan[shard]
-            kept[start:stop] = False
-        diagnostics = _merge_diagnostics(ordered)
+            valid[outcome.start : outcome.stop] = True
+        diagnostics: tuple[ColumnDiagnostic, ...] = ()
         partial: PartialResult | None = None
         if quarantined:
             fails = final_failures(supervision)
@@ -660,7 +528,7 @@ class ParallelRunner:
                 retries=supervision.retries,
                 respawns=supervision.respawns,
             )
-            diagnostics = diagnostics + tuple(
+            diagnostics = tuple(
                 ColumnDiagnostic(
                     column="<run>",
                     reason=QUARANTINED,
@@ -707,25 +575,11 @@ class ParallelRunner:
                     f"parallel.worker{report.worker}.rows", report.rows
                 )
                 context.observe("parallel.shard_seconds", report.seconds)
-        if guard_policy is not None:
-            # Judge the guard on the rows that actually evaluated (`kept`);
-            # rows lost to quarantine are accounted by the PartialResult.
-            # A fully masked evaluation warns like any other: whether the
-            # whole run kept a row (`require_survivors`) is the caller's
-            # verdict.
-            _warn_merged(
-                guard_policy,
-                int(np.count_nonzero(kept)),
-                int(np.count_nonzero(kept & ~valid)),
-                any(outcome.repaired for outcome in ordered),
-                tuple(d for d in diagnostics if d.reason != QUARANTINED),
-            )
         return ParallelEvaluation(
             rows=rows,
             valid=valid,
             series=series,
             diagnostics=diagnostics,
-            repaired=any(outcome.repaired for outcome in ordered),
             shards=shards,
             partial=partial,
             supervision=supervision,
@@ -752,8 +606,8 @@ class ParallelRunner:
         Monte Carlo driver keeps.  Shards keep their run-wide source
         numbers; the evaluation's rows and quarantined ranges are relative
         to ``start`` (the chunked Monte Carlo driver evaluates one wave of
-        a long run per call).  A fully masked wave is ``NaN`` rows:
-        whether the run kept a row is the caller's verdict.
+        a long run per call), while a ``guard``'s rejection names rows of
+        the whole stream.
         """
         indices = source.shards(start, stop)
         return self._map(
@@ -766,6 +620,7 @@ class ParallelRunner:
                 "base": source.base,
                 "ranges": source.ranges,
                 "distribution": source.distribution,
+                "row_offset": start,
             },
             MC_SERIES,
             guard=guard,
@@ -796,7 +651,7 @@ class ParallelRunner:
         exactly like the Monte Carlo workload.  The returned evaluation's
         ``series`` carries :data:`~repro.scheduling.batch.SCHEDULE_SERIES`
         (not the Eq. 1-8 names); infeasible scenario rows are ``NaN``
-        with ``feasible == 0.0`` rather than masked ``valid`` bits.
+        with ``feasible == 0.0``, not ``False`` ``valid`` bits.
 
         ``start``/``stop`` select an absolute row range of the sweep
         (default: all ``spec.rows`` rows) — the chunked checkpoint path

@@ -1,14 +1,15 @@
 """Hardened evaluation: guarded kernels, fault injection, durable runs.
 
 Four pillars, one discipline — a corrupted input must raise a typed
-:class:`~repro.core.errors.ReproError` or degrade *explicitly*, never
-return plausible-but-wrong CO2 numbers:
+:class:`~repro.core.errors.ReproError` and a lost shard must degrade
+*explicitly*, never return plausible-but-wrong CO2 numbers:
 
 * :mod:`repro.robustness.guard` — :class:`GuardedEngine` pre-validates
-  batch columns (NaN/Inf/domain/Table 1 range, per-column per-index
-  diagnostics) under ``strict`` / ``repair`` / ``skip`` policies and
-  cross-checks kernel anomalies against the scalar reference path,
-  raising :class:`~repro.core.errors.DivergenceError` on disagreement.
+  batch columns (NaN/Inf/domain/Table 1 range) and raises a
+  :class:`~repro.core.errors.ValidationError` whose per-column diagnostics
+  name every offending row, and cross-checks kernel anomalies against
+  the scalar reference path, raising
+  :class:`~repro.core.errors.DivergenceError` on disagreement.
 * :mod:`repro.robustness.faultinject` — deterministic, seeded corruption
   of scenario columns, bundled data tables, worker processes, and — via
   :class:`FaultyIO` — the filesystem itself (crash points, torn writes,
@@ -33,9 +34,6 @@ uninterrupted run — ``repro torture`` from the CLI.
 
 from repro.robustness.guard import (
     CROSS_CHECK_TOLERANCE,
-    POLICIES,
-    REPAIR,
-    SKIP,
     STRICT,
     ColumnDiagnostic,
     GuardedEngine,
@@ -108,10 +106,7 @@ __all__ = [
     "GuardedResult",
     "IOFault",
     "IO_FAULTS",
-    "POLICIES",
-    "REPAIR",
     "RobustnessWarning",
-    "SKIP",
     "STRICT",
     "SalvageReport",
     "StoreState",

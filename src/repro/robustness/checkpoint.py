@@ -62,14 +62,7 @@ from repro.engine.cache import EvaluationCache, evaluate_cached
 from repro.engine.kernels import BatchResult
 from repro.obs.context import current_context
 from repro.robustness.durability import DurableChunkStore, load_store_state
-from repro.robustness.guard import (
-    QUARANTINED,
-    STRICT,
-    ColumnDiagnostic,
-    RobustnessWarning,
-    offset_diagnostics,
-    require_survivors,
-)
+from repro.robustness.guard import RobustnessWarning, at_run_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.policy import ExecutionPolicy
@@ -334,8 +327,6 @@ class _Checkpointer:
             if int(stop) <= completed
         ]
         if report.lossy or completed < committed:
-            from repro.robustness.guard import RobustnessWarning
-
             warnings.warn(
                 f"checkpoint {self.path!r} was damaged; recovered the "
                 f"longest valid committed prefix ({salvage}); "
@@ -478,8 +469,9 @@ def _run_chunked(
 
     wave_rows = chunk_rows
     runner_scope = contextlib.nullcontext()
-    # A worker beyond the run's chunk count would have nothing to do, so
-    # the pool never outgrows it, whatever worker count was asked for.
+    # A wave never holds more chunks than the run, and a one-chunk run
+    # evaluates in-process, whatever worker count was asked for (the
+    # runner sizes its pool by each wave's chunk count).
     workers = min(policy.workers, -(-total // chunk_rows)) if policy else 1
     if workers > 1:
         from repro.parallel.runner import ParallelRunner
@@ -612,10 +604,9 @@ def run_monte_carlo_chunked(
             one, a private one-entry cache keeps fresh draws out of the
             process-wide default.
         guard: Optional :class:`~repro.robustness.guard.GuardedEngine`;
-            masked rows are dropped from the final sample set.  A fully
-            masked chunk is dropped like any masked row; the run raises
-            the guard's :class:`~repro.core.errors.ValidationError` only
-            when no evaluated row of the whole run survived.
+            a bad draw or an overflow raises its
+            :class:`~repro.core.errors.ValidationError`, whose
+            diagnostics name rows of the run, serially or in a worker.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
             count, or ``None`` for the serial path.  A parallel policy
             dispatches ``workers`` chunks per wave (every chunk at once
@@ -681,18 +672,6 @@ def run_monte_carlo_chunked(
     # respawns of every parallel wave.
     failures: "dict[int, ShardFailure]" = {}
     supervision = {"retries": 0, "respawns": 0}
-    # Diagnostics of the fully masked chunks, kept until a row survives:
-    # the evidence `require_survivors` attaches when none ever does.
-    masked: list[ColumnDiagnostic] | None = []
-
-    def judge(
-        survived: bool, diagnostics: Iterable[ColumnDiagnostic], start: int
-    ) -> None:
-        nonlocal masked
-        if survived:
-            masked = None
-        elif masked is not None:
-            masked.extend(offset_diagnostics(diagnostics, start))
 
     def evaluate(
         runner: "ParallelRunner | None", start: int, stop: int
@@ -711,10 +690,6 @@ def run_monte_carlo_chunked(
                     (failure.shard, failure)
                     for failure in evaluation.partial.failures
                 )
-            if guard is not None:
-                found = evaluation.diagnostics
-                kept = [d for d in found if d.reason != QUARANTINED]
-                judge(bool(evaluation.valid.any()), kept, start)
             return _absorb(evaluation, start, {"total_g": samples})
         chunk = source.columns(start, stop)
         key = source.identity_key(start, stop)
@@ -729,20 +704,8 @@ def run_monte_carlo_chunked(
                 base, stop - start, chunk, identity_key=key
             )
         except ValidationError as error:
-            if guard.policy == STRICT:
-                raise
-            # Every row of this chunk was masked: they stay NaN, and
-            # `require_survivors` below judges the run as a whole.
-            warnings.warn(
-                f"guarded evaluation ({guard.policy}): masked every row of "
-                f"draws [{start}, {stop}) — {error}",
-                RobustnessWarning,
-                stacklevel=2,
-            )
-            judge(False, error.diagnostics, start)
-            return []
-        samples[start:stop] = guarded.full_series("total_g")
-        judge(True, (), start)
+            raise at_run_rows(error, start) from None
+        samples[start:stop] = guarded.result.total_g
         return []
 
     context = current_context()
@@ -791,15 +754,11 @@ def run_monte_carlo_chunked(
             failures=tuple(failures[c] for c in quarantined if c in failures),
             **supervision,
         )
-    # Guarded runs mark masked rows NaN — and so do quarantined shards;
-    # drop them.  ``samples`` is this call's own array, so it is returned
-    # as is when nothing was dropped: copying it would hold a second
-    # draws-long array at the run's memory peak.
-    finite = np.isfinite(samples) if (guard is not None or partial) else None
-    if guard is not None:
-        require_survivors(
-            guard.policy, finite, partial.rows if partial else 0, masked or ()
-        )
+    # Quarantined shards leave NaN rows; drop them.  ``samples`` is this
+    # call's own array, so it is returned as is when nothing was dropped:
+    # copying it would hold a second draws-long array at the run's memory
+    # peak.
+    finite = np.isfinite(samples) if partial else None
     finished = samples if finite is None or finite.all() else samples[finite]
     return MonteCarloResult(
         samples=finished,

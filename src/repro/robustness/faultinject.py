@@ -3,9 +3,9 @@
 Carbon models feed real design decisions, so "what happens when an input
 is corrupt?" must be a tested property, not a hope.  This module corrupts
 inputs *on purpose* — reproducibly, from a seeded RNG — so the test suite
-can prove that every fault class either raises a typed
-:class:`~repro.core.errors.ReproError` somewhere in the stack or surfaces
-as an explicitly warned, masked result.  The fault classes mirror the ways
+can prove that every fault class raises a typed
+:class:`~repro.core.errors.ReproError` somewhere in the stack, naming the
+faulted rows where it has them.  The fault classes mirror the ways
 real data goes bad:
 
 ========== =========================================================

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import ActScenario, run_monte_carlo
-from repro.core.errors import CheckpointError, RunInterrupted
+from repro.core.errors import CheckpointError, RunInterrupted, ValidationError
 from repro.core.intensity import solar_diurnal_trace
 from repro.dse import sweep_grid_batched
 from repro.engine.cache import EvaluationCache
 from repro.engine.kernels import BatchResult
 from repro.parallel import ExecutionPolicy
 from repro.robustness import (
-    SKIP,
     CancelToken,
     CountingCancelToken,
     GuardedEngine,
-    RobustnessWarning,
     load_store_state,
     run_monte_carlo_chunked,
     sweep_grid_batched_chunked,
@@ -147,23 +145,40 @@ class TestMonteCarloChunked:
         assert excinfo.value.partial.size == excinfo.value.completed
 
     def test_guarded_chunked_matches_guarded_one_shot(self):
-        # A narrowed range forces the skip policy to mask some draws; the
-        # chunked run must drop exactly the same ones.
-        guard = GuardedEngine(policy=SKIP, ranges={"energy_kwh": (1.0, 20.0)})
-        with pytest.warns(RobustnessWarning):
-            one_shot = run_monte_carlo(
+        guard = GuardedEngine()
+        one_shot = run_monte_carlo(
+            BASE,
+            draws=600,
+            seed=9,
+            guard=guard,
+            policy=ExecutionPolicy(shard_rows=100),
+        )
+        chunked = run_monte_carlo_chunked(
+            BASE, draws=600, seed=9, chunk_rows=100, guard=guard
+        )
+        assert one_shot.samples.tobytes() == chunked.samples.tobytes()
+        # A narrowed range makes the strict guard reject some draws; both
+        # runs name the same first rejected chunk's rows of the run.
+        narrowed = GuardedEngine(ranges={"energy_kwh": (1.0, 20.0)})
+        errors = []
+        for run in (
+            lambda: run_monte_carlo(
                 BASE,
                 draws=600,
                 seed=9,
-                guard=guard,
+                guard=narrowed,
                 policy=ExecutionPolicy(shard_rows=100),
-            )
-        with pytest.warns(RobustnessWarning):
-            chunked = run_monte_carlo_chunked(
-                BASE, draws=600, seed=9, chunk_rows=100, guard=guard
-            )
-        assert one_shot.samples.size < 600  # masking actually happened
-        np.testing.assert_array_equal(one_shot.samples, chunked.samples)
+            ),
+            lambda: run_monte_carlo_chunked(
+                BASE, draws=600, seed=9, chunk_rows=100, guard=narrowed
+            ),
+        ):
+            with pytest.raises(ValidationError) as excinfo:
+                run()
+            errors.append(excinfo.value.diagnostics)
+        assert errors[0] == errors[1]
+        assert errors[0][0].column == "energy_kwh"
+        assert all(0 <= index < 100 for index in errors[0][0].indices)
 
     def test_chunk_rows_must_be_positive(self):
         with pytest.raises(Exception):

@@ -438,10 +438,16 @@ class TestMonteCarloCacheStats:
 
     def test_guarded_run_also_reports_cache_stats(self, capsys):
         code, out, _ = run_cli(
-            capsys, "montecarlo", "--draws", "500", "--policy", "repair"
+            capsys, "montecarlo", "--draws", "500", "--policy", "strict"
         )
         assert code == 0
         assert any(l.startswith("cache:") for l in out.splitlines())
+
+    @pytest.mark.parametrize("policy", ["repair", "skip"])
+    def test_only_off_and_strict_policies_exist(self, capsys, policy):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "montecarlo", "--draws", "50", "--policy", policy)
+        assert excinfo.value.code == 2
 
 
 class TestSchedule:

@@ -16,7 +16,8 @@ from repro.engine.cache import (
     scenario_key,
 )
 from repro.engine.plan import plan_product
-from repro.robustness import SKIP, GuardedEngine, RobustnessWarning
+from repro.core.errors import ValidationError
+from repro.robustness import GuardedEngine
 
 BASE = ActScenario()
 PRODUCT_GRIDS = {
@@ -145,34 +146,32 @@ class TestCallerCacheRouting:
 
 
 class TestGuardCachePurity:
-    def test_masked_batches_do_not_poison_cache_keys(self):
-        """The skip policy compacts valid rows *before* evaluation, so the
-        cached entry is keyed by clean content only — a later evaluation of
-        that same clean content must hit, and the cache must never have
-        seen the corrupted full-length columns."""
+    def test_rejected_batches_never_reach_the_cache(self):
+        """The strict guard diagnoses the columns *before* evaluation, so
+        corrupted columns are never evaluated, keyed or cached, and a
+        clean batch is cached under its content."""
         cache = EvaluationCache()
-        engine = GuardedEngine(policy=SKIP, cache=cache)
+        engine = GuardedEngine(cache=cache)
         bad = np.array([1.0, np.nan, 3.0, np.inf])
-        with pytest.warns(RobustnessWarning):
-            guarded = engine.evaluate_columns(
-                BASE, 4, {"energy_kwh": np.array(bad)}
-            )
-        assert (cache.hits, cache.misses) == (0, 1)
-        # The one cached entry is exactly the compacted, clean batch.
+        with pytest.raises(ValidationError):
+            engine.evaluate_columns(BASE, 4, {"energy_kwh": np.array(bad)})
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        guarded = engine.evaluate_columns(
+            BASE, 2, {"energy_kwh": np.array([1.0, 3.0])}
+        )
         clean = batch_of([1.0, 3.0])
         evaluate_cached(clean, cache)
-        assert cache.hits == 1
+        assert (cache.hits, cache.misses) == (1, 1)
         assert batch_key(guarded.batch) == batch_key(clean)
 
     def test_repeated_guarded_evaluation_hits_cache(self):
         cache = EvaluationCache()
-        engine = GuardedEngine(policy=SKIP, cache=cache)
-        columns = {"energy_kwh": np.array([1.0, np.nan, 3.0])}
+        engine = GuardedEngine(cache=cache)
+        columns = {"energy_kwh": np.array([1.0, 2.0, 3.0])}
         for _ in range(2):
-            with pytest.warns(RobustnessWarning):
-                engine.evaluate_columns(
-                    BASE, 3, {k: np.array(v) for k, v in columns.items()}
-                )
+            engine.evaluate_columns(
+                BASE, 3, {k: np.array(v) for k, v in columns.items()}
+            )
         assert (cache.hits, cache.misses) == (1, 1)
 
 

@@ -1,28 +1,24 @@
 """Fault-injection harness: every fault class is caught, never silently wrong.
 
-The contract under test (the robustness tentpole): corrupting scenario
-columns or bundled data tables must make the stack raise a typed
-``ReproError`` or produce explicitly warned + masked results whose
-surviving rows are bit-identical to a clean-run oracle.  No fault class
-may flow through into plausible-but-wrong CO2 numbers.
+The contract under test: corrupting scenario columns or bundled data
+tables must make the stack raise a typed ``ReproError``, whose
+diagnostics name exactly the faulted rows where the fault has rows.  No
+fault class may flow through into plausible-but-wrong CO2 numbers.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import ActScenario, sample_parameter_columns
-from repro.core.errors import ParameterError, ReproError
+from repro.core.errors import ParameterError, ReproError, ValidationError
 from repro.data import DRAM_TECHNOLOGIES, HDD_MODELS, SSD_TECHNOLOGIES
 from repro.data.validation import validate_storage_mapping
 from repro.engine.batch import ScenarioBatch
-from repro.engine.cache import evaluate_cached
 from repro.robustness import (
     COLUMN_FAULTS,
-    SKIP,
     STRICT,
     TABLE_FAULTS,
     GuardedEngine,
-    RobustnessWarning,
     inject_column_fault,
     inject_table_fault,
 )
@@ -40,12 +36,6 @@ def sampled_columns():
     return sample_parameter_columns(BASE, draws=DRAWS, seed=SEED)
 
 
-def clean_oracle():
-    """The uncorrupted run every faulted run is compared against."""
-    batch = ScenarioBatch.from_columns(BASE, DRAWS, sampled_columns())
-    return np.array(evaluate_cached(batch).total_g)
-
-
 class TestColumnFaults:
     @pytest.mark.parametrize("kind", VALUE_FAULTS)
     @pytest.mark.parametrize("column", ["ci_use_g_per_kwh", "fab_yield"])
@@ -60,21 +50,23 @@ class TestColumnFaults:
             engine.evaluate_columns(BASE, DRAWS, corrupted)
 
     @pytest.mark.parametrize("kind", ["nan", "inf", "sign"])
-    def test_skip_guard_masks_exactly_the_faulted_rows(self, kind):
+    def test_strict_guard_names_exactly_the_faulted_rows(self, kind):
         rng = np.random.default_rng(7)
         corrupted, record = inject_column_fault(
             sampled_columns(), "ci_use_g_per_kwh", kind, rng=rng
         )
-        engine = GuardedEngine(policy=SKIP)
-        with pytest.warns(RobustnessWarning):
-            guarded = engine.evaluate_columns(BASE, DRAWS, corrupted)
-        assert guarded.masked_count == len(record.indices)
-        assert not guarded.valid[list(record.indices)].any()
-        # Survivors are bit-identical to the clean-run oracle.
-        oracle = clean_oracle()
-        np.testing.assert_array_equal(
-            guarded.samples(), oracle[guarded.valid]
-        )
+        engine = GuardedEngine(policy=STRICT)
+        with pytest.raises(ValidationError) as excinfo:
+            engine.evaluate_columns(BASE, DRAWS, corrupted)
+        flagged = {
+            index
+            for diagnostic in excinfo.value.diagnostics
+            for index in diagnostic.indices
+        }
+        assert {d.column for d in excinfo.value.diagnostics} == {
+            "ci_use_g_per_kwh"
+        }
+        assert flagged == set(record.indices)
 
     def test_scale_fault_is_systematic_and_caught_by_range_check(self):
         """A g↔kg unit error hits the whole column; Table 1 ranges catch it."""
@@ -84,9 +76,11 @@ class TestColumnFaults:
         )
         assert record.factor == 1000.0
         assert len(record.indices) == DRAWS
-        # Every row is out of range, so even skip cannot salvage anything.
-        with pytest.raises(ReproError):
-            GuardedEngine(policy=SKIP).evaluate_columns(BASE, DRAWS, corrupted)
+        # Every row is out of range, and the error names them all.
+        with pytest.raises(ValidationError) as excinfo:
+            GuardedEngine(policy=STRICT).evaluate_columns(BASE, DRAWS, corrupted)
+        (diag,) = excinfo.value.diagnostics
+        assert diag.indices == tuple(range(DRAWS))
 
     @pytest.mark.parametrize("kind", LENGTH_FAULTS)
     def test_length_faults_raise_typed_shape_error(self, kind):
@@ -95,7 +89,7 @@ class TestColumnFaults:
             sampled_columns(), "energy_kwh", kind, rng=rng
         )
         with pytest.raises(ParameterError, match="shape"):
-            GuardedEngine(policy=SKIP).evaluate_columns(BASE, DRAWS, corrupted)
+            GuardedEngine(policy=STRICT).evaluate_columns(BASE, DRAWS, corrupted)
         with pytest.raises(ParameterError, match="shape"):
             ScenarioBatch.from_columns(BASE, DRAWS, corrupted)
 

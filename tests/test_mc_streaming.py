@@ -9,9 +9,10 @@ byte-identical samples against the serial up-front reference for any
 policy, guard, checkpoint or resume (the conformance matrix),
 resumes that converge bit-identically and never re-sample committed
 chunks, fingerprints (and so checkpoints) unchanged from the up-front
-driver, old single-stream checkpoints refused, fully masked chunks that
-only fail a run with no survivor, and a sampling footprint bounded by the
-chunk, not the run.
+driver, old single-stream checkpoints refused, strict-guard rejections
+that name rows of the run, sampling ranges checked against the parameter
+domain before any draw, and a sampling footprint bounded by the chunk,
+not the run.
 """
 
 import functools
@@ -481,112 +482,92 @@ class TestSingleStreamCheckpoints:
         assert excinfo.value.reason == "mismatch"
 
 
-class TestWholeRunMasking:
-    """The guard's all-masked rule judges a run once, not each chunk."""
+class TestStrictRows:
+    """A strict guard's rejection names rows of the run, not of the chunk
+    or shard that raised it."""
 
-    @staticmethod
-    def draws(workers, chunk_rows):
-        return 2 * chunk_rows + 1 if workers > 1 else chunk_rows + 1
-
-    @classmethod
-    def masked_yields(cls, seed, workers, chunk_rows, low=0.9, cancel=None):
-        # Yields above 1 are outside the domain: the skip guard masks
-        # them, and a one-row last chunk is often masked whole.  A cancel
-        # token (never fired) keeps a parallel run in waves of `workers`
-        # chunks, so that last chunk is a wave of its own.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            return run_monte_carlo_chunked(
-                BASE,
-                ["fab_yield"],
-                draws=cls.draws(workers, chunk_rows),
-                seed=seed,
-                chunk_rows=chunk_rows,
-                ranges={"fab_yield": (low, 1.3)},
-                guard=GuardedEngine(policy="skip"),
-                policy=workers,
-                cancel=cancel,
-            )
-
-    @pytest.mark.parametrize("waves", [False, True])
     @pytest.mark.parametrize(
-        "workers, chunk_rows, seeds",
-        [(1, 4096, range(20)), (2, 2048, range(10))],
+        "policy, waves, seed, row",
+        [
+            (None, False, 19, 131),
+            (1, False, 19, 131),
+            (ExecutionPolicy(workers=2, shard_rows=100), False, 19, 131),
+            # Waves of two chunks: the bad draw sits in the second wave.
+            (ExecutionPolicy(workers=2, shard_rows=100), True, 89, 329),
+            (1, True, 89, 329),
+        ],
+        ids=["serial", "policy=1", "workers=2", "workers=2/waves", "waves"],
     )
-    def test_a_fully_masked_chunk_is_dropped(
-        self, workers, chunk_rows, seeds, waves
-    ):
-        for seed in seeds:
-            result = self.masked_yields(
-                seed,
-                workers,
-                chunk_rows,
-                cancel=CancelToken() if waves else None,
-            )
-            assert 0 < result.samples.size < chunk_rows
-            assert np.isfinite(result.samples).all()
-
-    def test_a_fully_masked_chunk_warns(self):
-        # Seed 0's one-row last chunk is masked whole (see above).
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RobustnessWarning)
+    def test_diagnostics_name_the_run_row(self, policy, waves, seed, row):
+        with pytest.raises(ValidationError) as info:
             run_monte_carlo_chunked(
                 BASE,
-                ["fab_yield"],
-                draws=4097,
-                seed=0,
-                chunk_rows=4096,
-                ranges={"fab_yield": (0.9, 1.3)},
-                guard=GuardedEngine(policy="skip"),
-                policy=1,
+                ["energy_kwh"],
+                draws=400,
+                seed=seed,
+                chunk_rows=100,
+                ranges={"energy_kwh": (1.0, 40.3)},
+                guard=GuardedEngine(),
+                policy=policy,
+                cancel=CancelToken() if waves else None,
             )
-        assert any(
-            "masked every row of draws [4096, 4097)" in str(warning.message)
-            for warning in caught
+        (diagnostic,) = info.value.diagnostics
+        assert (diagnostic.column, diagnostic.indices) == ("energy_kwh", (row,))
+        assert f"at [{row}]" in str(info.value)
+        column = sample_parameter_columns(
+            BASE,
+            ["energy_kwh"],
+            draws=400,
+            seed=seed,
+            ranges={"energy_kwh": (1.0, 40.3)},
+            shard_rows=100,
+        )["energy_kwh"]
+        assert diagnostic.values == (column[row],)
+
+
+class TestSamplingRanges:
+    """A sampling range is checked against the parameter's hard domain
+    once, before any draw."""
+
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [
+            ("fab_yield", (0.5, 1.2)),
+            ("energy_kwh", (-1.0, 5.0)),
+            ("lifetime_hours", (0.0, 87_600.0)),
+            ("energy_kwh", (1.0, float("inf"))),
+            ("energy_kwh", (float("nan"), 5.0)),
+        ],
+    )
+    @pytest.mark.parametrize("policy", [None, 2])
+    def test_out_of_domain_range_is_refused_before_any_draw(
+        self, name, bounds, policy, monkeypatch
+    ):
+        drawn = []
+        real = mc_module.sample_shard_columns
+
+        def counting(*args, **kwargs):
+            drawn.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mc_module, "sample_shard_columns", counting)
+        with pytest.raises(ParameterError, match=name):
+            run_monte_carlo(
+                BASE,
+                [name],
+                draws=500,
+                ranges={name: bounds},
+                guard=GuardedEngine(ranges=None),
+                policy=policy,
+            )
+        assert drawn == []
+
+    def test_ranges_at_the_domain_edges_are_accepted(self):
+        resolved = resolve_parameter_ranges(
+            ["fab_yield", "hdd_gb"],
+            {"fab_yield": (0.25, 1.0), "hdd_gb": (0.0, 10.0)},
         )
-
-    def test_a_fully_overflowed_chunk_is_dropped(self):
-        # Uniform energies over (1e305, 1e307) overflow Eq. 2 in ~95% of
-        # rows: the one-row last chunk overflows whole in most seeds.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            for seed in range(5):
-                result = run_monte_carlo_chunked(
-                    BASE,
-                    ["energy_kwh"],
-                    draws=4097,
-                    seed=seed,
-                    distribution="uniform",
-                    chunk_rows=4096,
-                    ranges={"energy_kwh": (1e305, 1e307)},
-                    guard=GuardedEngine(policy="skip", ranges=None),
-                    policy=1,
-                )
-                assert 0 < result.samples.size < 4096
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_run_with_no_survivor_still_raises(self, workers):
-        with pytest.raises(ValidationError, match="masked every row") as info:
-            self.masked_yields(0, workers, 512, low=1.1, cancel=CancelToken())
-        # The error carries every chunk's diagnostics, by run row.
-        flagged = {
-            index
-            for diagnostic in info.value.diagnostics
-            if diagnostic.column == "fab_yield"
-            for index in diagnostic.indices
-        }
-        assert flagged == set(range(self.draws(workers, 512)))
-        with pytest.raises(ValidationError, match="masked every row"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RobustnessWarning)
-                run_monte_carlo(
-                    BASE,
-                    ["fab_yield"],
-                    draws=300,
-                    ranges={"fab_yield": (1.1, 1.3)},
-                    guard=GuardedEngine(policy="skip"),
-                    policy=workers,
-                )
+        assert resolved == {"fab_yield": (0.25, 1.0), "hdd_gb": (0.0, 10.0)}
 
 
 class TestMemory:
@@ -614,11 +595,9 @@ class TestIdentityKey:
     a SHA-256 of their columns: the same answers, no hashing, hits on a
     repeated run, and never a hit across configurations."""
 
-    #: Two parameters in 4 chunks; ``fab_yield`` up to 1.3 leaves some
-    #: rows outside the domain for the repair and skip guards.
+    #: Two parameters in 4 chunks.
     PARAMETERS = ["energy_kwh", "fab_yield"]
     CLEAN = {"fab_yield": (0.6, 1.0)}
-    DIRTY = {"fab_yield": (0.9, 1.3)}
 
     @classmethod
     def run(cls, cache=None, guard=None, **overrides):
@@ -634,18 +613,11 @@ class TestIdentityKey:
         kwargs.update(overrides)
         base = kwargs.pop("base", BASE)
         parameters = kwargs.pop("parameters", cls.PARAMETERS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            return run_monte_carlo_chunked(base, parameters, **kwargs)
+        return run_monte_carlo_chunked(base, parameters, **kwargs)
 
     GUARDS = {
         "none": lambda: {},
         "strict": lambda: {"guard": GuardedEngine(policy="strict")},
-        "repair/clean": lambda: {"guard": GuardedEngine(policy="repair")},
-        "skip/masked": lambda: {
-            "guard": GuardedEngine(policy="skip"),
-            "ranges": TestIdentityKey.DIRTY,
-        },
     }
 
     @pytest.mark.parametrize("guard", list(GUARDS))
@@ -667,13 +639,8 @@ class TestIdentityKey:
         content = self.run(cache=EvaluationCache(), **self.GUARDS[guard]())
         assert keyed.samples.tobytes() == content.samples.tobytes()
         assert len(hashed) - keyed_hashes == 4
-        if guard == "skip/masked":
-            # Masked chunks are different batches, keyed by their content.
-            assert 0 < keyed.samples.size < 4 * CHUNK
-            assert keyed_hashes > 0
-        else:
-            assert keyed.samples.size == 4 * CHUNK
-            assert keyed_hashes == 0
+        assert keyed.samples.size == 4 * CHUNK
+        assert keyed_hashes == 0
 
     def test_guarded_parallel_shards_hash_nothing(self, monkeypatch):
         # Workers sample their own shards from seeds, so they receive the
@@ -734,28 +701,6 @@ class TestIdentityKey:
         alone = self.run(cache=EvaluationCache(), **self.VARIANTS[variant])
         assert shared.samples.tobytes() == alone.samples.tobytes()
         assert shared.samples.tobytes() != baseline.samples.tobytes()
-
-    @pytest.mark.parametrize("policy", ["repair", "skip"])
-    def test_repaired_or_masked_batches_carry_no_key(self, policy):
-        source = ShardColumnSource.create(
-            BASE,
-            self.PARAMETERS,
-            draws=CHUNK,
-            seed=SEED,
-            shard_rows=CHUNK,
-            ranges=self.DIRTY,
-        )
-        key = source.identity_key()
-        cache = EvaluationCache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RobustnessWarning)
-            guarded = GuardedEngine(policy=policy, cache=cache).evaluate_columns(
-                BASE, CHUNK, source.columns(), identity_key=key
-            )
-        assert guarded.diagnostics
-        assert guarded.batch.identity_key is None
-        assert cache.peek_by_key(key, len(guarded.batch)) is None
-        assert cache.peek(guarded.batch) is guarded.result
 
     def test_a_clean_batch_carries_the_key(self):
         source = ShardColumnSource.create(

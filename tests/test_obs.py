@@ -354,18 +354,17 @@ class TestAnalysisInstrumentation:
 
 
 class TestGuardInstrumentation:
-    def test_repair_policy_reports_repaired_values(self):
-        from repro.robustness import GuardedEngine, RobustnessWarning
+    def test_strict_policy_reports_batches_and_rows(self):
+        from repro.robustness import GuardedEngine
 
         context = RunContext.create(describe_git=False)
-        guard = GuardedEngine(policy="repair", cache=EvaluationCache())
-        columns = {"energy_kwh": np.asarray([1.0, -5.0])}
+        guard = GuardedEngine(cache=EvaluationCache())
+        columns = {"energy_kwh": np.asarray([1.0, 5.0])}
         with use_context(context):
-            with pytest.warns(RobustnessWarning):
-                guard.evaluate_columns(BASE, 2, columns)
-        assert context.metrics.counter("guard.repair.batches") == 1
-        assert context.metrics.counter("guard.repair.rows") == 2
-        assert context.metrics.counter("guard.repair.repaired_values") >= 1
+            guard.evaluate_columns(BASE, 2, columns)
+        assert context.metrics.counter("guard.batches") == 1
+        assert context.metrics.counter("guard.strict.batches") == 1
+        assert context.metrics.counter("guard.strict.rows") == 2
         assert context.tracer.find("guard.evaluate_columns")
 
 

@@ -7,8 +7,6 @@ Monte Carlo samples, guarded results, and DSE winners — the worker count
 only decides *where* a shard runs, never *what* it computes.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -32,6 +30,7 @@ from repro.dse.pareto import pareto_mask
 from repro.engine.batch import ScenarioBatch
 from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
+from repro.parallel import runner as runner_module
 from repro.parallel import (
     DEFAULT_SHARD_ROWS,
     ExecutionPolicy,
@@ -44,14 +43,14 @@ from repro.robustness.checkpoint import (
     CountingCancelToken,
     run_monte_carlo_chunked,
 )
-from repro.robustness.guard import REPAIR, SKIP, STRICT, GuardedEngine
-from repro.robustness.guard import RobustnessWarning
+from repro.robustness.guard import STRICT, GuardedEngine
 
 BASE = ActScenario()
 
-# Draw ranges reaching outside the parameter domain: fab_yield above 1
-# violates (0, 1], so the guard has rows to mask, repair or reject.
-DIRTY_RANGES = {"fab_yield": (0.6, 2.0), "energy_kwh": (2.0, 8.0)}
+# Draw ranges reaching outside the documented Table 1 ranges: fab_yield
+# below 0.5 lies inside its domain (0, 1] but outside [0.5, 1], so the
+# strict guard has rows to reject.
+DIRTY_RANGES = {"fab_yield": (0.3, 1.0), "energy_kwh": (2.0, 8.0)}
 DIRTY_DRAWS = 200
 
 
@@ -282,6 +281,51 @@ class TestDseDeterminism:
         ]
 
 
+class _NoPool(Exception):
+    """Raised by the recording pool stub: no worker process may start."""
+
+
+class TestPoolSize:
+    """A pool never outgrows the shards of the call that starts it."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+
+        def recording_pool(workers, **options):
+            sizes.append(workers)
+            raise _NoPool
+
+        monkeypatch.setattr(runner_module, "WorkerPool", recording_pool)
+        return sizes
+
+    def test_pareto_pool_is_clamped_to_its_shards(self, sizes):
+        runner = ParallelRunner(ExecutionPolicy(workers=10_000))
+        with pytest.raises(_NoPool):
+            runner.pareto_mask(np.arange(8.0).reshape(4, 2))
+        assert sizes == [4]
+
+    def test_explore_batched_pool_is_clamped_to_its_points(self, sizes):
+        points = TestDseDeterminism._points(count=4)
+        with pytest.raises(_NoPool):
+            explore_batched(points, policy=10_000)
+        assert sizes == [4]
+
+    def test_a_later_call_with_more_shards_grows_the_pool(self):
+        source = ShardColumnSource.create(
+            BASE, draws=300, seed=5, shard_rows=100
+        )
+        policy = ExecutionPolicy(workers=3, shard_rows=100)
+        with ParallelRunner(policy) as runner:
+            first = runner.evaluate_source(source, 0, 100)
+            assert runner._pool.workers == 1
+            whole = runner.evaluate_source(source)
+            assert runner._pool.workers == 3
+        assert first.full_series("total_g").tobytes() == (
+            whole.full_series("total_g")[:100].tobytes()
+        )
+
+
 def _dirty_run(guard, workers):
     """A guarded Monte Carlo run over out-of-domain draw ranges."""
     return run_monte_carlo(
@@ -295,65 +339,50 @@ def _dirty_run(guard, workers):
 
 
 class TestGuardedParallel:
-    def test_skip_diagnostics_carry_global_indices(self):
-        guard = GuardedEngine(policy=SKIP)
+    def test_strict_diagnostics_name_run_rows(self):
+        guard = GuardedEngine(policy=STRICT)
         source = ShardColumnSource.create(
             BASE, draws=DIRTY_DRAWS, seed=9, shard_rows=40, ranges=DIRTY_RANGES
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = guard.evaluate_columns(
-                BASE, DIRTY_DRAWS, source.columns()
-            )
-            with ParallelRunner(
-                ExecutionPolicy(workers=2, shard_rows=40)
-            ) as runner:
-                parallel = runner.evaluate_source(source, guard=guard)
-        assert 0 < parallel.masked_count < DIRTY_DRAWS
-        np.testing.assert_array_equal(serial.valid, parallel.valid)
-        np.testing.assert_array_equal(serial.indices, parallel.indices)
-        np.testing.assert_array_equal(
-            serial.full_series("total_g"), parallel.full_series("total_g")
-        )
-        serial_findings = {
-            (d.column, d.reason, d.indices, d.values, d.detail)
-            for d in serial.diagnostics
+        with pytest.raises(ValidationError) as serial:
+            guard.evaluate_columns(BASE, DIRTY_DRAWS, source.columns())
+        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=40)) as runner:
+            with pytest.raises(ValidationError) as parallel:
+                runner.evaluate_source(source, 80, DIRTY_DRAWS, guard=guard)
+        # The parallel run stops at one rejected shard of rows [80, 200);
+        # its findings are that shard's slice of the serial findings, by
+        # row of the run.
+        serial_rows = {
+            (d.column, d.reason): dict(zip(d.indices, d.values))
+            for d in serial.value.diagnostics
         }
-        parallel_findings = {
-            (d.column, d.reason, d.indices, d.values, d.detail)
-            for d in parallel.diagnostics
-        }
-        assert serial_findings == parallel_findings
+        (diag,) = parallel.value.diagnostics
+        rows = dict(zip(diag.indices, diag.values))
+        assert rows and rows.items() <= serial_rows[diag.column, diag.reason].items()
+        assert len({index // 40 for index in rows}) == 1
+        assert min(rows) >= 80
+        assert str(diag) in str(parallel.value)
 
-    def test_repair_matches_serial(self):
-        guard = GuardedEngine(policy=REPAIR)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = _dirty_run(guard, workers=1)
-            parallel = _dirty_run(guard, workers=2)
-        assert len(parallel.samples) == DIRTY_DRAWS
-        assert serial.samples.tobytes() == parallel.samples.tobytes()
+    def test_strict_matches_serial(self):
+        guard = GuardedEngine(policy=STRICT)
+        clean = {"fab_yield": (0.6, 1.0), "energy_kwh": (2.0, 8.0)}
+        runs = [
+            run_monte_carlo(
+                BASE,
+                draws=DIRTY_DRAWS,
+                seed=9,
+                ranges=clean,
+                guard=guard,
+                policy=ExecutionPolicy(workers=workers, shard_rows=40),
+            )
+            for workers in (1, 2)
+        ]
+        assert len(runs[1].samples) == DIRTY_DRAWS
+        assert runs[0].samples.tobytes() == runs[1].samples.tobytes()
 
     def test_strict_validation_error_crosses_process_boundary(self):
         with pytest.raises(ValidationError):
             _dirty_run(GuardedEngine(policy=STRICT), workers=2)
-
-    def test_warnings_reemitted_in_parent(self):
-        with pytest.warns(RobustnessWarning):
-            _dirty_run(GuardedEngine(policy=SKIP), workers=2)
-
-    def test_globally_masked_batch_raises(self):
-        guard = GuardedEngine(policy=SKIP)
-        with pytest.raises(ValidationError, match="every row"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                run_monte_carlo(
-                    BASE,
-                    draws=8,
-                    ranges={"energy_kwh": (-2.0, -1.0)},
-                    guard=guard,
-                    policy=ExecutionPolicy(workers=2, shard_rows=2),
-                )
 
 
 class TestCheckpointUnderParallelism:

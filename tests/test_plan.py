@@ -19,8 +19,8 @@ Five contracts are pinned here:
   reproduces full
   ``explore_batched`` trajectories while recomputing only changed
   metrics.
-* **Guard + CLI integration** — ``GuardedEngine.verify_planned`` and
-  ``verify_plan`` catch a corrupted planned result with a typed
+* **Guard + CLI integration** — ``verify_plan`` catches a corrupted
+  planned result with a typed
   :class:`~repro.core.errors.DivergenceError`; no subcommand accepts a
   ``--planner`` flag.
 """
@@ -339,11 +339,6 @@ class TestVerifyPlan:
             verify_plan(plan, BatchResult(**series))
         assert excinfo.value.series == "total_g"
         assert 0 in excinfo.value.indices
-
-    def test_guarded_engine_verify_planned(self):
-        plan = plan_product(BASE, BIG_GRIDS)
-        guard = GuardedEngine()
-        guard.verify_planned(plan, plan.evaluate())
 
 
 class TestChunkedPlanned:

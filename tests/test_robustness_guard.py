@@ -1,22 +1,15 @@
-"""GuardedEngine: validation policies, diagnostics, and the scalar cross-check."""
+"""GuardedEngine: strict validation, diagnostics, and the scalar cross-check."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import ActScenario, run_monte_carlo
 from repro.core.errors import DivergenceError, ParameterError, ValidationError
-from repro.dse import GuardedSweepResult, sweep_grid_batched
+from repro.dse import BatchSweepResult, sweep_grid_batched
 from repro.engine.batch import FIELD_NAMES, ScenarioBatch, broadcast_columns
 from repro.engine.cache import EvaluationCache, evaluate_cached
 from repro.engine.kernels import BatchResult
-from repro.robustness import (
-    REPAIR,
-    SKIP,
-    STRICT,
-    GuardedEngine,
-    RobustnessWarning,
-    diagnose_columns,
-)
+from repro.robustness import STRICT, GuardedEngine, diagnose_columns
 from repro.robustness.guard import DOMAIN, NON_FINITE, OUTPUT, RANGE
 
 BASE = ActScenario()
@@ -79,9 +72,7 @@ class TestStrictPolicy:
         guarded = engine.evaluate_columns(BASE, 16)
         plain = evaluate_cached(ScenarioBatch.from_columns(BASE, 16))
         np.testing.assert_array_equal(guarded.result.total_g, plain.total_g)
-        assert guarded.masked_count == 0
-        assert guarded.valid.all()
-        assert not guarded.repaired
+        assert len(guarded) == 16
 
     def test_raises_with_structured_diagnostics(self):
         engine = GuardedEngine(policy=STRICT)
@@ -102,80 +93,38 @@ class TestStrictPolicy:
         engine = GuardedEngine(policy=STRICT, ranges=None)
         size, cols = columns_with(ci_fab_g_per_kwh=[100.0, 5.0e4])
         guarded = engine.evaluate_columns(BASE, size, cols)
-        assert guarded.masked_count == 0
+        assert len(guarded) == 2
 
-
-class TestRepairPolicy:
-    def test_nan_becomes_base_value_and_out_of_range_clamps(self):
-        engine = GuardedEngine(policy=REPAIR)
-        size, cols = columns_with(fab_yield=[np.nan, 2.0, 0.9])
-        with pytest.warns(RobustnessWarning):
-            guarded = engine.evaluate_columns(BASE, size, cols)
-        assert guarded.repaired
-        repaired = guarded.batch.column("fab_yield")
-        assert repaired[0] == pytest.approx(BASE.fab_yield)
-        assert repaired[1] == 1.0  # clamped to the Table 1 high edge
-        assert repaired[2] == 0.9
-        assert guarded.valid.all()  # repair never masks
-
-    def test_repaired_batch_evaluates_finite(self):
-        engine = GuardedEngine(policy=REPAIR)
-        size, cols = columns_with(energy_kwh=[np.inf, -3.0, 5.0])
-        with pytest.warns(RobustnessWarning):
-            guarded = engine.evaluate_columns(BASE, size, cols)
-        assert np.isfinite(guarded.result.total_g).all()
-
-
-class TestSkipPolicy:
-    def test_masks_bad_rows_and_keeps_good_ones_bitwise(self):
-        engine = GuardedEngine(policy=SKIP)
-        bad = np.array([1.0, np.nan, 3.0, -2.0])
-        size, cols = columns_with(energy_kwh=bad)
-        with pytest.warns(RobustnessWarning):
-            guarded = engine.evaluate_columns(BASE, size, cols)
-        assert guarded.masked_count == 2
-        np.testing.assert_array_equal(guarded.valid, [True, False, True, False])
-        np.testing.assert_array_equal(guarded.indices, [0, 2])
-        # Surviving rows equal a clean evaluation of just those rows.
-        clean = evaluate_cached(
-            ScenarioBatch.from_columns(BASE, 2, {"energy_kwh": bad[[0, 2]]})
+    def test_every_bad_row_of_every_column_is_named(self):
+        engine = GuardedEngine(policy=STRICT)
+        size, cols = columns_with(
+            energy_kwh=[1.0, np.nan, 3.0, -2.0],
+            fab_yield=[0.9, 0.9, 1.5, 0.9],
         )
-        np.testing.assert_array_equal(guarded.result.total_g, clean.total_g)
-
-    def test_full_series_scatters_nan_at_masked_rows(self):
-        engine = GuardedEngine(policy=SKIP)
-        size, cols = columns_with(energy_kwh=[1.0, np.nan, 3.0])
-        with pytest.warns(RobustnessWarning):
-            guarded = engine.evaluate_columns(BASE, size, cols)
-        full = guarded.full_series("total_g")
-        assert full.size == 3
-        assert np.isnan(full[1])
-        assert np.isfinite(full[[0, 2]]).all()
-
-    def test_all_rows_masked_raises(self):
-        engine = GuardedEngine(policy=SKIP)
-        size, cols = columns_with(energy_kwh=[np.nan, np.inf])
-        with pytest.raises(ValidationError, match="every row"):
+        with pytest.raises(ValidationError) as excinfo:
             engine.evaluate_columns(BASE, size, cols)
+        found = {
+            (d.column, d.reason): d.indices for d in excinfo.value.diagnostics
+        }
+        assert found == {
+            ("energy_kwh", NON_FINITE): (1,),
+            ("energy_kwh", DOMAIN): (3,),
+            ("fab_yield", DOMAIN): (2,),
+        }
+        assert "energy_kwh: 1 domain row(s) at [3]" in str(excinfo.value)
 
-
-class TestEvaluateConstructedBatch:
-    def test_range_violations_still_policed(self):
-        batch = ScenarioBatch.from_columns(
-            BASE, 3, {"ci_fab_g_per_kwh": np.array([100.0, 5.0e4, 200.0])}
-        )
+    def test_a_rejected_batch_never_reaches_the_cache(self):
+        cache = EvaluationCache()
+        engine = GuardedEngine(policy=STRICT, cache=cache)
+        size, cols = columns_with(energy_kwh=[1.0, np.nan])
         with pytest.raises(ValidationError):
-            GuardedEngine(policy=STRICT).evaluate(batch)
-        with pytest.warns(RobustnessWarning):
-            guarded = GuardedEngine(policy=SKIP).evaluate(batch)
-        assert guarded.masked_count == 1
-        np.testing.assert_array_equal(guarded.valid, [True, False, True])
+            engine.evaluate_columns(BASE, size, cols)
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
-    def test_clean_batch_passes_all_policies(self):
-        batch = ScenarioBatch.from_columns(BASE, 4)
-        for policy in (STRICT, REPAIR, SKIP):
-            guarded = GuardedEngine(policy=policy).evaluate(batch)
-            assert guarded.masked_count == 0
+    @pytest.mark.parametrize("policy", ["repair", "skip", "off"])
+    def test_strict_is_the_only_policy(self, policy):
+        with pytest.raises(ParameterError, match="strict"):
+            GuardedEngine(policy=policy)
 
 
 class TestCrossCheck:
@@ -208,18 +157,8 @@ class TestCrossCheck:
         )
         with pytest.raises(ValidationError) as excinfo:
             engine.evaluate_columns(BASE, size, cols)
-        assert any(d.reason == OUTPUT for d in excinfo.value.diagnostics)
-
-    def test_genuine_overflow_skip_masks_and_warns(self):
-        engine = GuardedEngine(policy=SKIP, ranges=None)
-        size, cols = columns_with(
-            energy_kwh=[1.0, 1.0e308], ci_use_g_per_kwh=[300.0, 1.0e308]
-        )
-        with pytest.warns(RobustnessWarning, match="overflow"):
-            guarded = engine.evaluate_columns(BASE, size, cols)
-        assert guarded.masked_count == 1
-        np.testing.assert_array_equal(guarded.valid, [True, False])
-        assert np.isfinite(guarded.result.total_g).all()
+        (diag,) = excinfo.value.diagnostics
+        assert (diag.column, diag.reason, diag.indices) == ("total_g", OUTPUT, (1,))
 
 
 class TestWiring:
@@ -235,23 +174,19 @@ class TestWiring:
         )
         np.testing.assert_array_equal(plain.samples, guarded.samples)
 
-    def test_guarded_sweep_masks_bad_grid_points(self):
+    def test_guarded_sweep_names_bad_grid_points(self):
         grids = {
             "fab_yield": [0.6, 0.875, 2.0],  # 2.0 violates (0, 1]
             "energy_kwh": [2.0, 8.0],
         }
-        with pytest.warns(RobustnessWarning):
-            result = sweep_grid_batched(
-                BASE, grids, guard=GuardedEngine(policy=SKIP)
-            )
-        assert isinstance(result, GuardedSweepResult)
-        assert result.masked_count == 2  # fab_yield=2.0 × two energy points
-        assert len(result) == 4
-        clean = sweep_grid_batched(
-            BASE, {"fab_yield": [0.6, 0.875], "energy_kwh": [2.0, 8.0]}
-        )
-        np.testing.assert_array_equal(
-            np.sort(result.result.total_g), np.sort(clean.result.total_g)
+        with pytest.raises(ValidationError) as excinfo:
+            sweep_grid_batched(BASE, grids, guard=GuardedEngine(policy=STRICT))
+        (diag,) = excinfo.value.diagnostics
+        # fab_yield=2.0 × the two energy points: grid rows 4 and 5.
+        assert (diag.column, diag.reason, diag.indices) == (
+            "fab_yield",
+            DOMAIN,
+            (4, 5),
         )
 
     def test_guarded_sweep_strict_on_clean_grid_matches_plain(self):
@@ -260,6 +195,7 @@ class TestWiring:
         guarded = sweep_grid_batched(
             BASE, grids, guard=GuardedEngine(policy=STRICT)
         )
+        assert type(guarded) is BatchSweepResult
         np.testing.assert_array_equal(
             plain.result.total_g, guarded.result.total_g
         )

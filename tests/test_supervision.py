@@ -278,13 +278,14 @@ class TestRetryRecovery:
         re-failing identically."""
         context = RunContext.create(describe_git=False)
         guard = GuardedEngine(policy="strict")
-        # Draws of a negative energy fail strict validation in every shard.
+        # Energies past Table 1's 40 kWh fail strict validation in every
+        # shard (a negative range is refused before any draw).
         source = ShardColumnSource.create(
             BASE,
             draws=600,
             seed=7,
             shard_rows=128,
-            ranges={"energy_kwh": (-2.0, -1.0)},
+            ranges={"energy_kwh": (50.0, 60.0)},
         )
         with use_context(context):
             with ParallelRunner(fast_policy()) as runner:
