@@ -177,12 +177,13 @@ class CheckpointError(ReproError, RuntimeError):
 
 
 class WorkerError(ReproError, RuntimeError):
-    """A worker process failed in a way its exception could not express.
+    """A worker process died, or failed in a way its exception could not express.
 
-    The parallel runner re-raises worker exceptions with their original
-    type whenever the exception survives a pickle round trip; when it does
-    not (exotic ``__init__`` signatures, unpicklable payloads), the worker
-    sends back a textual rendering and the parent raises this instead.
+    The shard supervisor chains every infrastructure failure it gives up
+    on to its cause: the worker's own exception when it survives a pickle
+    round trip, and otherwise one of these — carrying the exception's
+    text and traceback (exotic ``__init__`` signatures, unpicklable
+    payloads) or a dead worker's exit code.
 
     Attributes:
         worker: Index of the worker process that failed.
@@ -206,14 +207,16 @@ class WorkerError(ReproError, RuntimeError):
 
 
 class ShardFailedError(WorkerError):
-    """A shard exhausted its retry budget under ``failure_policy="retry"``.
+    """A shard exhausted its retry budget.
 
     Raised by the shard supervisor once a shard has failed its first
-    attempt plus ``max_retries`` re-executions for *infrastructure*
-    reasons (worker death, blown deadline, lost result, transport
-    failure).  Model errors never reach this point — any
-    :class:`ReproError` raised by the shard's evaluation is deterministic
-    and propagates immediately with its original type.
+    attempt plus its re-executions — ``max_retries`` under
+    ``failure_policy="retry"``, none under ``"fail_fast"`` — for
+    *infrastructure* reasons (worker death, blown deadline, lost result,
+    transport failure), chained to the last failure's exception.  Model
+    errors never reach this point — any :class:`ReproError` raised by the
+    shard's evaluation is deterministic and propagates immediately with
+    its original type.
 
     Attributes:
         attempts: Total executions attempted (first try included).

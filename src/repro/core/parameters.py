@@ -145,10 +145,19 @@ def require_fraction(name: str, value: float, *, allow_zero: bool = False) -> fl
     return (UNIT_INTERVAL if allow_zero else FRACTION).require(name, value)
 
 
+def beyond_float_range(name: str) -> ParameterError:
+    """The error for an integer too large to convert to a float."""
+    return ParameterError(f"{name} must be finite, got an integer beyond float range")
+
+
 def _require_finite(name: str, value: float) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{name} must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise beyond_float_range(name) from None
+    if not finite:
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import ParameterError, UnknownEntryError
-from repro.core.parameters import PARAMETER_DOMAINS
+from repro.core.parameters import PARAMETER_DOMAINS, beyond_float_range
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine is a leaf)
     from repro.analysis.scenario import ActScenario
@@ -60,6 +60,15 @@ def _require_column(name: str, values: np.ndarray) -> None:
         raise ParameterError(f"{name} {domain.detail} in every batch row")
 
 
+def float_column(name: str, values: object) -> np.ndarray:
+    """``values`` as a float64 array; an integer beyond float range is a
+    :class:`ParameterError` naming ``name``."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise beyond_float_range(name) from None
+
+
 def broadcast_columns(
     base: "ActScenario",
     size: int,
@@ -83,7 +92,7 @@ def broadcast_columns(
     data: dict[str, np.ndarray] = {}
     for name in FIELD_NAMES:
         if name in overrides:
-            override = np.asarray(overrides[name], dtype=np.float64)
+            override = float_column(name, overrides[name])
             try:
                 data[name] = np.broadcast_to(override, (size,))
             except ValueError:
@@ -107,7 +116,7 @@ def product_columns(
     if not grids:
         raise ParameterError("at least one parameter grid is required")
     names = tuple(grids)
-    axes = [np.asarray(grids[name], dtype=np.float64) for name in names]
+    axes = [float_column(name, grids[name]) for name in names]
     if any(axis.ndim != 1 or axis.size == 0 for axis in axes):
         raise ParameterError("every grid must be a non-empty 1-D sequence")
     # Broadcast views (copy=False), not materialized meshes: flattening

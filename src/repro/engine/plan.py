@@ -56,6 +56,7 @@ from repro.engine.batch import (
     FIELD_NAMES,
     ScenarioBatch,
     _require_column,
+    float_column,
     prevalidated_batch,
 )
 from repro.engine.cache import DEFAULT_CACHE, EvaluationCache
@@ -339,7 +340,7 @@ def plan_product(
         )
     axes = []
     for name in names:
-        axis = np.asarray(grids[name], dtype=np.float64)
+        axis = float_column(name, grids[name])
         if axis.ndim != 1 or axis.size == 0:
             raise ParameterError("every grid must be a non-empty 1-D sequence")
         # The same per-element domain checks the dense batch constructor

@@ -12,12 +12,14 @@ The one knob is :class:`ExecutionPolicy` (worker count, shard size,
 failure policy), passed explicitly as ``policy=`` to the
 Monte Carlo, DSE and scheduling entry points.  :class:`ParallelRunner` is
 the engine underneath: it pickles small tasks to the workers and merges
-the outputs back in shard order.  Under ``failure_policy="retry"`` or
-``"degrade"`` a :class:`ShardSupervisor` watches worker liveness and
-shard deadlines, respawns dead workers, retries lost shards (retries are
-bit-identical by the determinism contract), and — under ``"degrade"`` —
-quarantines exhausted shards into a structured :class:`PartialResult`
-instead of failing the run.  See ``docs/PARALLEL.md``.
+the outputs back in shard order.  Every call runs through one
+:class:`ShardSupervisor` loop, which watches worker liveness and shard
+deadlines, respawns dead workers, and spends each shard's retry budget
+(none under the default ``failure_policy="fail_fast"``; retries are
+bit-identical by the determinism contract) before raising
+:class:`~repro.core.errors.ShardFailedError` — or, under ``"degrade"``,
+quarantining the shard into a structured :class:`PartialResult` instead
+of failing the run.  See ``docs/PARALLEL.md``.
 """
 
 from repro.parallel.policy import (
@@ -27,11 +29,15 @@ from repro.parallel.policy import (
     FAILURE_POLICIES,
     RETRY,
     ExecutionPolicy,
-    default_start_method,
     resolve_policy,
     shard_plan,
 )
-from repro.parallel.pool import BLAS_ENV_PINS, WorkerPool, pin_blas_threads
+from repro.parallel.pool import (
+    BLAS_ENV_PINS,
+    WorkerPool,
+    default_start_method,
+    pin_blas_threads,
+)
 from repro.parallel.runner import (
     ParallelEvaluation,
     ParallelRunner,

@@ -17,7 +17,6 @@ bit-identical samples at any worker count — ``workers=1`` and
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass
 
 from repro.core.errors import ParameterError
@@ -34,34 +33,22 @@ FAILURE_POLICIES = (FAIL_FAST, RETRY, DEGRADE)
 DEFAULT_SHARD_ROWS = 65_536
 
 
-def default_start_method() -> str:
-    """The preferred multiprocessing start method on this platform.
-
-    ``fork`` (cheap, shares the already-imported numpy) when the platform
-    offers it, ``spawn`` otherwise.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """How to shard and execute one scenario workload.
 
     Attributes:
-        workers: Worker processes evaluating shards.  ``1`` runs the
-            serial shard-ordered reference path in-process — same shard
-            plan, same per-shard seed streams, bit-identical results to
-            any higher worker count.
+        workers: Worker processes evaluating shards.  ``1`` is a
+            one-worker pool — same shard plan, same per-shard seed
+            streams, bit-identical results to any higher worker count.
         shard_rows: Rows per shard.  Part of the determinism contract for
             Monte Carlo: changing it changes which SeedSequence child
             samples which rows (changing ``workers`` never does).
-        start_method: Explicit multiprocessing start method, or ``None``
-            to pick the platform default (``fork`` where available).
         failure_policy: What happens when a shard fails for an
             *infrastructure* reason (worker death, blown deadline, lost
-            result).  ``"fail_fast"`` raises on the
-            first failure (the historical behavior); ``"retry"``
+            result).  ``"fail_fast"`` is a zero retry budget: the first
+            failure raises
+            :class:`~repro.core.errors.ShardFailedError`; ``"retry"``
             re-executes the shard up to ``max_retries`` times under
             exponential backoff, respawning dead workers, and raises
             :class:`~repro.core.errors.ShardFailedError` only when the
@@ -72,32 +59,22 @@ class ExecutionPolicy:
             e.g. a strict-guard ``ValidationError``) are deterministic
             and always propagate immediately under every policy.
         max_retries: Re-executions granted per shard beyond its first
-            attempt (``retry``/``degrade`` only).
+            attempt (``retry``/``degrade`` only; ``fail_fast`` grants
+            none).
         backoff_seconds: Base of the exponential backoff between retry
             attempts (attempt ``k`` waits ``backoff_seconds * 2**(k-1)``).
         shard_deadline_seconds: Wall-clock budget per shard attempt.
             A worker whose current shard exceeds it (stale heartbeat)
             is declared hung, killed, and respawned; the shard is
             retried.  ``None`` disables the deadline watch.
-        join_timeout_seconds: How long :meth:`WorkerPool.close` waits for
-            a worker to exit cooperatively before terminating it.
-        term_timeout_seconds: How long close waits after ``terminate()``
-            before escalating to ``kill()``.
-        serial_fallback: Under ``degrade``, re-run quarantined shards
-            once in the parent process before declaring them lost —
-            heals faults confined to the worker fleet.
     """
 
     workers: int = 1
     shard_rows: int = DEFAULT_SHARD_ROWS
-    start_method: str | None = None
     failure_policy: str = FAIL_FAST
     max_retries: int = 2
     backoff_seconds: float = 0.05
     shard_deadline_seconds: float | None = None
-    join_timeout_seconds: float = 10.0
-    term_timeout_seconds: float = 5.0
-    serial_fallback: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
@@ -112,13 +89,6 @@ class ExecutionPolicy:
             raise ParameterError(
                 f"shard_rows must be an integer >= 1, got {self.shard_rows!r}"
             )
-        if self.start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if self.start_method not in available:
-                raise ParameterError(
-                    f"start method {self.start_method!r} is not available "
-                    f"on this platform (have: {', '.join(available)})"
-                )
         if self.failure_policy not in FAILURE_POLICIES:
             raise ParameterError(
                 f"unknown failure policy {self.failure_policy!r}; use one "
@@ -141,10 +111,6 @@ class ExecutionPolicy:
                 f"shard_deadline_seconds must be > 0 or None, got "
                 f"{self.shard_deadline_seconds!r}"
             )
-        for name in ("join_timeout_seconds", "term_timeout_seconds"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {value!r}")
 
     @property
     def parallel(self) -> bool:

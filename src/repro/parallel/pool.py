@@ -8,22 +8,15 @@ parent can tag observability counters per worker), and loss-free
 exception propagation (``Pool`` re-raises whatever survives pickling and
 hangs or obscures what does not).
 
-:class:`WorkerPool` keeps the contract tiny: ``run(fn, payloads)`` maps a
-**module-level** function over payloads on the workers and returns results
-in submission order.  Worker exceptions are pickled back and re-raised
-with their original type when the exception round-trips; otherwise the
-parent raises :class:`~repro.core.errors.WorkerError` carrying the
-original's text and traceback.
-
-Liveness is part of the contract too: the parent never blocks
-indefinitely on the result queue.  ``run`` polls with a timeout and
-checks worker exit codes between polls, so a worker killed mid-task
-(OOM, SIGKILL) surfaces as a :class:`~repro.core.errors.WorkerError`
-instead of a parent deadlock.  For supervised execution
-(:class:`~repro.parallel.supervisor.ShardSupervisor`) the pool exposes
-lower-level primitives — per-run epochs, per-worker heartbeats and task
-claims, targeted termination, and respawn — that make lost shards
-attributable and dead workers replaceable without tearing the pool down.
+:class:`WorkerPool` dispatches nothing on its own: it exposes the
+primitives :class:`~repro.parallel.supervisor.ShardSupervisor`, the one
+loop that submits shards and reads results, is built from — per-run
+epochs, task submission, a result poll that never blocks past its
+timeout, per-worker heartbeats and task claims, targeted termination,
+and respawn.  Together they make a lost shard attributable and a dead
+worker replaceable without tearing the pool down.  A worker exception
+travels back pickled when it round-trips, or as its text and traceback
+when it does not.
 """
 
 from __future__ import annotations
@@ -34,10 +27,9 @@ import pickle
 import queue
 import time
 import traceback
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from repro.core.errors import ParameterError, WorkerError
-from repro.parallel.policy import default_start_method
+from repro.core.errors import ParameterError
 
 #: BLAS thread-pool pins applied before workers start: each worker runs
 #: single-threaded kernels so speedups are attributable to the pool (and
@@ -57,6 +49,16 @@ DEFAULT_POLL_SECONDS = 0.05
 _IDLE = -1
 
 
+def default_start_method() -> str:
+    """The preferred multiprocessing start method on this platform.
+
+    ``fork`` (cheap, shares the already-imported numpy) when the platform
+    offers it, ``spawn`` otherwise.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
+
+
 def pin_blas_threads() -> None:
     """Pin BLAS/OpenMP thread pools to 1 (existing settings win)."""
     for key, value in BLAS_ENV_PINS.items():
@@ -67,8 +69,7 @@ def _encode_error(exc: BaseException) -> tuple[str, Any]:
     """Encode an exception for the result queue.
 
     Returns ``("exc", exception)`` when the exception survives a pickle
-    round trip (the parent re-raises it as-is), else ``("text", (repr,
-    traceback))`` for a parent-side :class:`WorkerError`.
+    round trip, else ``("text", (repr, traceback))``.
     """
     try:
         if pickle.loads(pickle.dumps(exc)) is not None:
@@ -128,19 +129,17 @@ def _worker_loop(
 class WorkerPool:
     """A persistent pool of daemon worker processes fed through queues.
 
-    Start is lazy — processes launch on the first :meth:`run` — and the
-    pool is reusable across calls until :meth:`close`.  Tasks name their
-    function by reference (it must be importable module-level, picklable
-    under both ``fork`` and ``spawn``).  Workers found dead at the start
-    of a run are respawned automatically; a worker that dies *during*
-    a plain :meth:`run` raises :class:`WorkerError` (never a deadlock).
+    Start is lazy — processes launch on the first :meth:`begin_run` —
+    and the pool is reusable across runs until :meth:`close`.  Tasks name
+    their function by reference (it must be importable module-level,
+    picklable under both ``fork`` and ``spawn``).  Workers found dead at
+    the start of a run are respawned automatically.
     """
 
     def __init__(
         self,
         workers: int,
         *,
-        start_method: str | None = None,
         join_timeout: float = 10.0,
         term_timeout: float = 5.0,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
@@ -148,11 +147,10 @@ class WorkerPool:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.start_method = start_method or default_start_method()
         self.join_timeout = float(join_timeout)
         self.term_timeout = float(term_timeout)
         self.poll_seconds = float(poll_seconds)
-        self._context = multiprocessing.get_context(self.start_method)
+        self._context = multiprocessing.get_context(default_start_method())
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._tasks: Any = None
         self._results: Any = None
@@ -333,75 +331,6 @@ class WorkerPool:
         """
         return time.monotonic() - self._heartbeats[worker_id]
 
-    # --- plain fail-fast mapping ----------------------------------------
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-    ) -> list[tuple[int, Any]]:
-        """Map ``fn`` over ``payloads`` on the workers.
-
-        Returns one ``(worker_id, result)`` pair per payload, in payload
-        order.  The first failed task re-raises in the parent (original
-        exception type when picklable, :class:`WorkerError` otherwise) —
-        after all in-flight results have been collected, so the queues
-        stay consistent for the next :meth:`run`.  A worker process found
-        dead with tasks outstanding raises :class:`WorkerError`
-        immediately: the missing results can never arrive, so waiting for
-        them would deadlock the parent.
-        """
-        if not payloads:
-            return []
-        run_id = self.begin_run()
-        for index, payload in enumerate(payloads):
-            self.submit(run_id, index, fn, payload)
-        outcomes: list[tuple[int, Any] | None] = [None] * len(payloads)
-        pending = len(payloads)
-        failure: tuple[int, int, Any] | None = None
-        while pending:
-            item = self.poll(self.poll_seconds)
-            if item is None:
-                dead = self.dead_workers()
-                if dead:
-                    worker_id, exitcode, claimed = dead[0]
-                    raise WorkerError(
-                        f"worker {worker_id} died (exit code {exitcode}) "
-                        f"with {pending} task(s) outstanding"
-                        + (
-                            f" while running task {claimed}"
-                            if claimed is not None
-                            else ""
-                        ),
-                        worker=worker_id,
-                        shard=claimed if claimed is not None else -1,
-                        original=f"exit code {exitcode}",
-                    )
-                continue
-            index, worker_id, ok, out = item
-            if outcomes[index] is not None:
-                continue  # duplicate delivery of an idempotent shard
-            pending -= 1
-            if ok:
-                outcomes[index] = (worker_id, out)
-            else:
-                outcomes[index] = (worker_id, None)
-                if failure is None or index < failure[0]:
-                    failure = (index, worker_id, out)
-        if failure is not None:
-            index, worker_id, encoded = failure
-            kind, payload = encoded
-            if kind == "exc":
-                raise payload
-            original, trace = payload
-            raise WorkerError(
-                f"worker {worker_id} failed on task {index}: {original}",
-                worker=worker_id,
-                shard=index,
-                original=trace,
-            )
-        return [outcome for outcome in outcomes if outcome is not None]
-
     # --- shutdown --------------------------------------------------------
 
     def close(self) -> None:
@@ -410,10 +339,7 @@ class WorkerPool:
         Cooperative first — a ``None`` sentinel per worker, then a join
         bounded by ``join_timeout`` — escalating per survivor to
         ``terminate()`` and, should a worker outlive even SIGTERM (masked
-        signals, stuck in uninterruptible I/O), to ``kill()``.  Both
-        timeouts come from the owning
-        :class:`~repro.parallel.policy.ExecutionPolicy` when the pool is
-        runner-managed.
+        signals, stuck in uninterruptible I/O), to ``kill()``.
         """
         if self._closed:
             return

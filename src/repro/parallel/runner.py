@@ -5,8 +5,10 @@ own inputs — a Monte Carlo draw stream (workers sample their shards from
 shipped seeds), a scheduling sweep spec (workers rebuild their rows), or
 a Pareto objective matrix — splits it into contiguous row shards with
 :func:`~repro.parallel.policy.shard_plan`, evaluates the shards on a
-persistent worker-process pool, and merges the per-shard outputs back in
-shard order into a :class:`ParallelEvaluation`.  Grid sweeps are not
+persistent worker-process pool — one worker or many, always through the
+one :class:`~repro.parallel.supervisor.ShardSupervisor` loop — and merges
+the per-shard outputs back in shard order into a
+:class:`ParallelEvaluation`.  Grid sweeps are not
 among them: the Eq. 1-8 kernel evaluates a row faster than the row's
 columns can be shipped to a worker and back.
 
@@ -33,15 +35,14 @@ caller keeps and, for Pareto shards, the objective matrix.
 Guarded evaluation works per shard: each worker reconstructs the
 :class:`~repro.robustness.guard.GuardedEngine` from its config and
 evaluates its shard; a rejected shard raises the guard's
-:class:`~repro.core.errors.ValidationError` with its diagnostics
-translated to rows of the run.  Rows of a shard quarantined under
-``failure_policy="degrade"`` are ``NaN`` with a ``False`` validity bit and
-a ``"quarantined"`` diagnostic.
+:class:`~repro.core.errors.ValidationError` (or
+:class:`~repro.core.errors.DivergenceError`) naming rows of the run.
+Rows of a shard quarantined under ``failure_policy="degrade"`` are
+``NaN``, and :attr:`ParallelEvaluation.partial` names their ranges.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import warnings
 from dataclasses import dataclass
@@ -51,8 +52,8 @@ import numpy as np
 
 from repro.analysis.montecarlo import ShardColumnSource, sample_shard_columns
 from repro.core.errors import (
+    DivergenceError,
     ParameterError,
-    ReproError,
     ShardFailedError,
     ValidationError,
 )
@@ -61,29 +62,15 @@ from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import EvaluationCache
 from repro.engine.kernels import BatchResult, evaluate_batch
 from repro.obs.context import current_context
-from repro.parallel.policy import (
-    FAIL_FAST,
-    ExecutionPolicy,
-    resolve_policy,
-    shard_plan,
-)
+from repro.parallel.policy import ExecutionPolicy, resolve_policy, shard_plan
 from repro.parallel.pool import WorkerPool
 from repro.parallel.supervisor import (
-    ERROR,
-    LOST,
     PartialResult,
-    RetryLedger,
     ShardSupervisor,
     SupervisionReport,
     final_failures,
 )
-from repro.robustness.guard import (
-    QUARANTINED,
-    ColumnDiagnostic,
-    GuardedEngine,
-    RobustnessWarning,
-    at_run_rows,
-)
+from repro.robustness.guard import GuardedEngine, RobustnessWarning, at_run_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduling.sweep import ScheduleSweepSpec
@@ -132,7 +119,7 @@ def _evaluate_guarded(
         return guard.evaluate_columns(
             task["base"], count, columns, identity_key=task["identity_key"]
         ).result
-    except ValidationError as error:
+    except (ValidationError, DivergenceError) as error:
         raise at_run_rows(error, task["row_offset"] + task["start"]) from None
 
 
@@ -223,22 +210,6 @@ def _run_shard(task: dict) -> _ShardOutcome:
     )
 
 
-def _run_shard_in_process(task: dict) -> "_ShardOutcome | BaseException":
-    """Run one shard in the parent, returning (not raising) a failure that
-    another attempt might survive: any non-model exception, a chaos-dropped
-    result included.  Model errors and genuine interrupts propagate."""
-    try:
-        return _run_shard(task)
-    except ReproError:
-        raise  # deterministic model error: retrying cannot help
-    except BaseException as exc:  # noqa: BLE001 - chaos included
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)) and not getattr(
-            exc, "repro_dropped_result", False
-        ):
-            raise
-        return exc
-
-
 @dataclass(frozen=True)
 class ShardReport:
     """Where and when one shard ran (merged into the parent's metrics)."""
@@ -260,34 +231,23 @@ class ParallelEvaluation:
 
     Attributes:
         rows: Rows in the original workload.
-        valid: Per-row flag, ``False`` only for rows of quarantined shards.
         series: The series the workload's tasks named (``total_g`` for
             Monte Carlo, the scheduling series for a schedule sweep) at
             full length, ``NaN`` on quarantined rows.
-        diagnostics: One ``"quarantined"`` diagnostic per quarantined
-            shard, with **global** row indices.
         shards: Per-shard placement and timing reports, in shard order.
+        supervision: The run's retry/respawn/quarantine accounting.
         partial: Quarantine account of a degraded run (``None`` for
-            complete runs).  Quarantined rows are ``NaN`` in every
-            series, ``False`` in :attr:`valid`, and carry a
-            ``"quarantined"`` diagnostic.
-        supervision: Retry/respawn accounting when the run executed
-            under a supervising failure policy (``None`` on the
-            fail-fast path).
+            complete runs): the shards lost and their row ranges, which
+            are ``NaN`` in every series.
     """
 
     rows: int
-    valid: np.ndarray
     series: Mapping[str, np.ndarray]
-    diagnostics: tuple[ColumnDiagnostic, ...]
     shards: tuple[ShardReport, ...]
+    supervision: SupervisionReport
     partial: PartialResult | None = None
-    supervision: SupervisionReport | None = None
 
     def __post_init__(self) -> None:
-        valid = np.ascontiguousarray(self.valid, dtype=bool)
-        valid.flags.writeable = False
-        object.__setattr__(self, "valid", valid)
         frozen: dict[str, np.ndarray] = {}
         for name, column in self.series.items():
             column = np.ascontiguousarray(column, dtype=np.float64)
@@ -307,19 +267,15 @@ class ParallelEvaluation:
             )
         return self.series[name]
 
-    def samples(self) -> np.ndarray:
-        """The surviving rows' total footprints (compact, original order)."""
-        return np.ascontiguousarray(self.series["total_g"][self.valid])
-
 
 class ParallelRunner:
     """Shards workloads over a persistent worker pool, per one policy.
 
-    The pool starts lazily on the first parallel call and is reused
-    across calls until :meth:`close` (or context-manager exit) — reusing
-    one runner amortizes worker startup across a whole chunked run or
-    benchmark.  With ``workers=1`` no pool exists: the same shard tasks
-    run in-process, in shard order (the serial reference path).
+    The pool starts lazily on the first call and is reused across calls
+    until :meth:`close` (or context-manager exit) — reusing one runner
+    amortizes worker startup across a whole chunked run or benchmark.
+    ``workers=1`` is a one-worker pool; the in-process serial path is the
+    chunked driver's, which every public entry point takes at one worker.
     """
 
     def __init__(
@@ -337,23 +293,19 @@ class ParallelRunner:
 
     def _execute(
         self, payloads: Sequence[dict]
-    ) -> tuple[list[tuple[int, _ShardOutcome] | None], SupervisionReport | None]:
-        """Run the shard payloads under the policy's failure semantics.
+    ) -> tuple[list[tuple[int, _ShardOutcome] | None], SupervisionReport]:
+        """Run the shard payloads on the pool under the policy's failure
+        semantics.
 
         Returns ``(outcomes, report)`` — ``outcomes[i]`` is the
         ``(worker, _ShardOutcome)`` pair for payload ``i`` or ``None``
-        when it was quarantined; ``report`` is ``None`` on the fail-fast
-        path (no supervision ran) and names shards by their payloads'
-        ``"shard"`` numbers.
+        when it was quarantined; ``report`` names shards by their
+        payloads' ``"shard"`` numbers.
         """
         if self._fault_spec is not None:
             payloads = [
                 dict(payload, fault=self._fault_spec) for payload in payloads
             ]
-        if not self.policy.parallel:
-            if self.policy.failure_policy == FAIL_FAST:
-                return [(0, _run_shard(payload)) for payload in payloads], None
-            return self._execute_serial_supervised(payloads)
         # A worker beyond the payload count would have nothing to do, so
         # the pool never outgrows a call's shards; a later call with more
         # shards replaces a pool that is too small for it.
@@ -361,84 +313,10 @@ class ParallelRunner:
         if self._pool is not None and self._pool.workers < workers:
             self.close()
         if self._pool is None:
-            self._pool = WorkerPool(
-                workers,
-                start_method=self.policy.start_method,
-                join_timeout=self.policy.join_timeout_seconds,
-                term_timeout=self.policy.term_timeout_seconds,
-            )
-        if self.policy.failure_policy == FAIL_FAST:
-            # The historical fast path: no supervision bookkeeping at all.
-            return self._pool.run(_run_shard, payloads), None
-        supervisor = ShardSupervisor(self._pool, self.policy)
-        return supervisor.run(
+            self._pool = WorkerPool(workers)
+        return ShardSupervisor(self._pool, self.policy).run(
             _run_shard, payloads, [payload["shard"] for payload in payloads]
         )
-
-    def _execute_serial_supervised(
-        self, payloads: Sequence[dict]
-    ) -> tuple[list[tuple[int, _ShardOutcome] | None], SupervisionReport]:
-        """The ``workers=1`` twin of the supervisor: in-process retries.
-
-        Shards run in shard order in the parent; an infrastructure
-        failure (any non-model exception, a chaos-dropped result
-        included) is retried under the same budget and backoff as the
-        parallel path, and model errors propagate immediately.
-        """
-        outcomes: list[tuple[int, _ShardOutcome] | None] = [None] * len(payloads)
-        ledger = RetryLedger(self.policy)
-        for index, payload in enumerate(payloads):
-            while True:
-                outcome = _run_shard_in_process(payload)
-                if not isinstance(outcome, BaseException):
-                    outcomes[index] = (0, outcome)
-                    break
-                dropped = getattr(outcome, "repro_dropped_result", False)
-                cause = LOST if dropped else ERROR
-                delay = ledger.fail(
-                    payload["shard"], cause, repr(outcome), 0, outcome
-                )
-                if delay is None:
-                    break  # quarantined
-                if delay:
-                    time.sleep(delay)
-        return outcomes, ledger.report()
-
-    def _heal_quarantined(
-        self,
-        payloads: Sequence[dict],
-        outcomes: "list[tuple[int, _ShardOutcome] | None]",
-        report: SupervisionReport | None,
-    ) -> SupervisionReport | None:
-        """Optionally re-run quarantined shards in the parent process.
-
-        ``serial_fallback`` assumes the fault lives in the worker fleet
-        (a poisoned environment, a resource limit) and gives each
-        quarantined shard one clean in-process attempt — with any armed
-        chaos stripped, since faults target the fleet, never the parent.
-        Healed shards leave quarantine; stubborn ones stay.
-        """
-        if (
-            report is None
-            or not report.quarantined
-            or not self.policy.serial_fallback
-        ):
-            return report
-        context = current_context()
-        position = {
-            payload["shard"]: index for index, payload in enumerate(payloads)
-        }
-        stubborn: list[int] = []
-        for shard in report.quarantined:
-            payload = dict(payloads[position[shard]])
-            payload.pop("fault", None)
-            outcome = _run_shard_in_process(payload)
-            if isinstance(outcome, BaseException):
-                stubborn.append(shard)
-                continue
-            outcomes[position[shard]] = (-1, outcome)  # -1: the parent
-            context.event("shard_healed", shard=shard)
-        return dataclasses.replace(report, quarantined=tuple(stubborn))
 
     def _map(
         self,
@@ -455,8 +333,8 @@ class ParallelRunner:
 
         Each payload is ``task`` plus the shard's row range, its
         ``per_shard`` fields, the guard spec and the ``series_names`` the
-        worker returns.  Shards execute, quarantined ones get the
-        optional serial fallback, and the outcomes merge in shard order.
+        worker returns.  Shards execute and the outcomes merge in shard
+        order.
         ``shards`` numbers the plan's shards for fault plans,
         supervision, reports and spans (default ``0..len(plan)-1``); a
         map over one wave of a longer run passes the run-wide numbers.
@@ -489,7 +367,6 @@ class ParallelRunner:
             workers=self.policy.workers,
         ):
             outcomes, report = self._execute(payloads)
-            report = self._heal_quarantined(payloads, outcomes, report)
             return self._merge(
                 rows, dict(zip(shards, plan)), outcomes, report, series_names
             )
@@ -499,49 +376,26 @@ class ParallelRunner:
         rows: int,
         plan: Mapping[int, tuple[int, int]],
         outcomes: Sequence[tuple[int, _ShardOutcome] | None],
-        supervision: SupervisionReport | None,
+        supervision: SupervisionReport,
         series_names: Sequence[str],
     ) -> ParallelEvaluation:
-        quarantined = (
-            tuple(supervision.quarantined) if supervision is not None else ()
-        )
+        quarantined = supervision.quarantined
         placed = [entry for entry in outcomes if entry is not None]
         # Quarantine can punch holes in the shard sequence, so fill
         # per-range instead of concatenating: a quarantined row stays NaN
-        # with a False validity bit — a flagged missing answer, never a
-        # silent zero.
+        # — a flagged missing answer, never a silent zero.
         series = {name: np.full(rows, np.nan) for name in series_names}
-        valid = np.zeros(rows, dtype=bool)
         for _, outcome in placed:
             for name in series_names:
                 series[name][outcome.start : outcome.stop] = outcome.series[name]
-            valid[outcome.start : outcome.stop] = True
-        diagnostics: tuple[ColumnDiagnostic, ...] = ()
         partial: PartialResult | None = None
         if quarantined:
-            fails = final_failures(supervision)
-            ranges = tuple(plan[shard] for shard in quarantined)
             partial = PartialResult(
                 quarantined=quarantined,
-                ranges=ranges,
-                failures=fails,
+                ranges=tuple(plan[shard] for shard in quarantined),
+                failures=final_failures(supervision),
                 retries=supervision.retries,
                 respawns=supervision.respawns,
-            )
-            diagnostics = tuple(
-                ColumnDiagnostic(
-                    column="<run>",
-                    reason=QUARANTINED,
-                    indices=tuple(range(start, stop)),
-                    values=(),
-                    detail=(
-                        f"shard {shard} quarantined after "
-                        f"{failure.attempt} attempt(s): {failure.cause}"
-                    ),
-                )
-                for shard, (start, stop), failure in zip(
-                    quarantined, ranges, fails
-                )
             )
             warnings.warn(
                 f"degraded run ({len(plan)} shard(s) planned): "
@@ -577,12 +431,10 @@ class ParallelRunner:
                 context.observe("parallel.shard_seconds", report.seconds)
         return ParallelEvaluation(
             rows=rows,
-            valid=valid,
             series=series,
-            diagnostics=diagnostics,
             shards=shards,
-            partial=partial,
             supervision=supervision,
+            partial=partial,
         )
 
     # --- public workloads -----------------------------------------------
@@ -690,7 +542,7 @@ class ParallelRunner:
         """
         matrix = np.ascontiguousarray(objectives, dtype=np.float64)
         rows = matrix.shape[0] if matrix.ndim == 2 else 0
-        if not self.policy.parallel or rows < 2:
+        if rows < 2:
             return _serial_pareto_mask(matrix)
         # Pareto shards are quadratic in work, so split finer than the
         # row-linear kernel shards: one slice per worker, capped by the
@@ -715,7 +567,7 @@ class ParallelRunner:
             shards=len(plan),
             workers=self.policy.workers,
         ):
-            outcomes, report = self._execute(payloads)
+            outcomes, _ = self._execute(payloads)
         missing = [
             index for index, entry in enumerate(outcomes) if entry is None
         ]
@@ -735,7 +587,7 @@ class ParallelRunner:
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent; runner stays reusable —
-        the next parallel call starts a fresh pool)."""
+        the next call starts a fresh pool)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None

@@ -1,7 +1,9 @@
 """Shard supervision: liveness, bounded retry, and graceful degradation.
 
-:class:`ShardSupervisor` wraps one :class:`~repro.parallel.pool.WorkerPool`
-run with the fault semantics of
+:class:`ShardSupervisor` is the one loop that dispatches shards to a
+:class:`~repro.parallel.pool.WorkerPool` and reads their results — every
+:class:`~repro.parallel.runner.ParallelRunner` call runs through it, at
+any worker count and under every failure policy of
 :class:`~repro.parallel.policy.ExecutionPolicy`:
 
 * **Liveness.**  The parent polls results with a timeout, watching worker
@@ -12,15 +14,19 @@ run with the fault semantics of
   message that vanishes without a corpse (dropped on the queue) is caught
   by a stall backstop: no progress while every live worker sits idle
   means outstanding shards were lost, so they are resubmitted.
-* **Bounded retry.**  Each shard gets ``max_retries`` re-executions past
-  its first attempt, spaced by exponential backoff
+* **Bounded retry.**  Each shard gets a retry budget of re-executions
+  past its first attempt — ``max_retries`` under ``"retry"`` and
+  ``"degrade"``, none under ``"fail_fast"`` — spaced by exponential backoff
   (``backoff_seconds * 2**(attempt-1)``).  Retries are *safe* by the
   determinism contract: a shard's inputs — its row range and SeedSequence
   child stream — are pure functions of its index, and shard outputs write
   by absolute row range, so a retried (or accidentally duplicated) shard
   is bit-identical to a first-try shard.
-* **Graceful degradation.**  Under ``failure_policy="retry"`` an
-  exhausted shard raises :class:`~repro.core.errors.ShardFailedError`.
+* **Graceful degradation.**  Under ``failure_policy="fail_fast"`` or
+  ``"retry"`` an exhausted shard raises
+  :class:`~repro.core.errors.ShardFailedError`, chained to the worker's
+  exception (or to a :class:`~repro.core.errors.WorkerError` naming the
+  dead worker's exit code).
   Under ``"degrade"`` it is quarantined instead and the run completes;
   the caller receives a :class:`PartialResult` naming exactly the
   quarantined shards and why each one died.
@@ -44,7 +50,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.errors import ReproError, ShardFailedError, WorkerError
 from repro.obs.context import current_context
-from repro.parallel.policy import DEGRADE, ExecutionPolicy
+from repro.parallel.policy import DEGRADE, FAIL_FAST, ExecutionPolicy
 from repro.parallel.pool import WorkerPool
 
 #: Failure causes recorded on :class:`ShardFailure`.
@@ -108,10 +114,10 @@ class PartialResult:
 
     Attached to :class:`~repro.parallel.runner.ParallelEvaluation` when a
     ``failure_policy="degrade"`` run completes with quarantined shards.
-    The quarantined rows are NaN in every output series, ``False`` in the
-    validity mask, and carry a ``"quarantined"`` guard diagnostic — so
-    every downstream consumer that already respects the mask (samples,
-    statistics, checkpoints) degrades gracefully without new code.
+    The quarantined rows are NaN in every output series, so every
+    downstream consumer that already skips NaN rows (samples,
+    statistics, ``argmin``) degrades gracefully without new code, and a
+    chunked run's checkpoint records :attr:`ranges` for a later resume.
 
     Attributes:
         quarantined: Quarantined shard indices, ascending.
@@ -169,15 +175,16 @@ class PartialResult:
 class RetryLedger:
     """The one retry decision: back off and retry, then quarantine or raise.
 
-    The pool :class:`ShardSupervisor` and the runner's in-process
-    ``workers=1`` path both route every failed shard attempt through
-    :meth:`fail`, so they spend one budget on one backoff schedule, emit
-    the same events and counters, and report through one
-    :class:`SupervisionReport`.
+    :class:`ShardSupervisor` routes every failed shard attempt through
+    :meth:`fail`.  The budget is ``max_retries`` re-executions per shard,
+    or none under ``fail_fast``, whose first failure therefore raises.
     """
 
     def __init__(self, policy: ExecutionPolicy):
         self.policy = policy
+        self.budget = (
+            0 if policy.failure_policy == FAIL_FAST else policy.max_retries
+        )
         self.context = current_context()
         self.attempts: dict[int, int] = {}  # shard -> executions started
         self.failures: list[ShardFailure] = []
@@ -199,14 +206,15 @@ class RetryLedger:
         Returns the backoff (seconds) to wait before the next attempt
         while the budget lasts, or ``None`` once the shard is quarantined
         (``degrade``).  Raises :class:`ShardFailedError` (chained to
-        ``error``) when the budget is spent under ``retry``.
+        ``error``) when the budget is spent under ``fail_fast`` or
+        ``retry``.
         """
         policy, context = self.policy, self.context
         attempt = self.attempts.get(shard, 1)
         self.failures.append(
             ShardFailure(shard, attempt, cause, detail=detail, worker=worker)
         )
-        if attempt <= policy.max_retries:
+        if attempt <= self.budget:
             delay = policy.backoff_seconds * (2 ** (attempt - 1))
             self.attempts[shard] = attempt + 1
             self.retries += 1
@@ -258,7 +266,9 @@ class ShardSupervisor:
 
     One supervisor instance runs one batch (:meth:`run`); the runner
     constructs a fresh one per evaluation.  The pool persists across
-    supervisors — respawned workers stay in it for the next batch.
+    supervisors — respawned workers stay in it for the next batch, and
+    results of a batch abandoned by a raise are discarded by the next
+    run epoch.
     """
 
     def __init__(self, pool: WorkerPool, policy: ExecutionPolicy):
@@ -279,7 +289,7 @@ class ShardSupervisor:
         events and the report name payload ``i`` as shard ``labels[i]``.
         Raises the shard's own :class:`ReproError` immediately on a model
         error, and :class:`ShardFailedError` when a shard exhausts its
-        budget under ``retry``.
+        budget under ``fail_fast`` (the first failure) or ``retry``.
         """
         if not payloads:
             return [], SupervisionReport()
@@ -301,12 +311,18 @@ class ShardSupervisor:
         for index, payload in enumerate(payloads):
             pool.submit(run_id, index, fn, payload)
 
-        def fail(index: int, cause: str, detail: str, worker: int) -> None:
+        def fail(
+            index: int,
+            cause: str,
+            detail: str,
+            worker: int,
+            error: BaseException | None = None,
+        ) -> None:
             """Route one failed attempt: retry, quarantine, or raise."""
             in_flight.discard(index)
             if done[index]:
                 return  # stale duplicate of a shard that already finished
-            delay = ledger.fail(labels[index], cause, detail, worker)
+            delay = ledger.fail(labels[index], cause, detail, worker, error)
             if delay is None:
                 done[index] = True
             else:
@@ -349,11 +365,27 @@ class ShardSupervisor:
                     last_progress = time.monotonic()
                     continue
                 kind, payload = out
-                if kind == "exc" and isinstance(payload, ReproError):
-                    # Deterministic model error: retrying cannot change it.
-                    raise payload
-                detail = repr(payload) if kind == "exc" else payload[0]
-                fail(index, ERROR, detail, worker_id)
+                if kind == "exc":
+                    if isinstance(payload, ReproError):
+                        # Deterministic model error: retrying cannot
+                        # change it.
+                        raise payload
+                    fail(index, ERROR, repr(payload), worker_id, payload)
+                else:
+                    original, trace = payload
+                    fail(
+                        index,
+                        ERROR,
+                        original,
+                        worker_id,
+                        WorkerError(
+                            f"worker {worker_id} failed on shard "
+                            f"{labels[index]}: {original}",
+                            worker=worker_id,
+                            shard=labels[index],
+                            original=trace,
+                        ),
+                    )
                 last_progress = time.monotonic()
                 continue
 
@@ -362,11 +394,18 @@ class ShardSupervisor:
             for worker_id, exitcode, claimed in pool.dead_workers():
                 revive(worker_id, f"exit code {exitcode}")
                 if claimed is not None and claimed in in_flight:
+                    detail = f"worker {worker_id} died (exit code {exitcode})"
                     fail(
                         claimed,
                         WORKER_DEATH,
-                        f"worker {worker_id} died (exit code {exitcode})",
+                        detail,
                         worker_id,
+                        WorkerError(
+                            detail,
+                            worker=worker_id,
+                            shard=labels[claimed],
+                            original=f"exit code {exitcode}",
+                        ),
                     )
                 progressed = True
 
@@ -409,7 +448,7 @@ class ShardSupervisor:
                 # retry budget (the shards may never have run), but
                 # bounded so a black-hole queue cannot loop forever.
                 for index in sorted(in_flight):
-                    if lost_resubmits[index] > policy.max_retries:
+                    if lost_resubmits[index] > ledger.budget:
                         fail(index, LOST, "result message lost", -1)
                         continue
                     lost_resubmits[index] += 1

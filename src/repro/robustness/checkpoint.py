@@ -54,7 +54,12 @@ from repro.analysis.montecarlo import (  # noqa: F401
     sample_parameter_columns as sample_parameter_columns_sharded,
 )
 from repro.analysis.scenario import PARAMETER_RANGES, ActScenario
-from repro.core.errors import CheckpointError, RunInterrupted, ValidationError
+from repro.core.errors import (
+    CheckpointError,
+    DivergenceError,
+    RunInterrupted,
+    ValidationError,
+)
 from repro.core.parameters import require_positive
 from repro.dse.sweep import BatchSweepResult
 from repro.engine.batch import ScenarioBatch, product_columns
@@ -682,9 +687,8 @@ def run_monte_carlo_chunked(
             evaluation = runner.evaluate_source(
                 source, start, stop, guard=guard
             )
-            if evaluation.supervision is not None:
-                for name in supervision:
-                    supervision[name] += getattr(evaluation.supervision, name)
+            for name in supervision:
+                supervision[name] += getattr(evaluation.supervision, name)
             if evaluation.partial is not None:
                 failures.update(
                     (failure.shard, failure)
@@ -703,7 +707,7 @@ def run_monte_carlo_chunked(
             guarded = guard.evaluate_columns(
                 base, stop - start, chunk, identity_key=key
             )
-        except ValidationError as error:
+        except (ValidationError, DivergenceError) as error:
             raise at_run_rows(error, start) from None
         samples[start:stop] = guarded.result.total_g
         return []

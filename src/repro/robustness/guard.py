@@ -56,10 +56,6 @@ NON_FINITE = "non-finite"
 DOMAIN = "domain"
 RANGE = "range"
 OUTPUT = "non-finite output"
-#: Rows lost to a quarantined shard under ``failure_policy="degrade"`` —
-#: not a data problem, but reported through the same diagnostics channel
-#: so every consumer of a degraded run sees one account of missing rows.
-QUARANTINED = "quarantined"
 
 #: Batched/scalar agreement tolerance for the divergence cross-check.
 CROSS_CHECK_TOLERANCE = 1e-9
@@ -225,11 +221,42 @@ def _rejection(diagnostics: Sequence[ColumnDiagnostic]) -> ValidationError:
     )
 
 
-def at_run_rows(error: ValidationError, start: int) -> ValidationError:
+def _divergence(
+    series: str,
+    indices: Sequence[int],
+    batched: Sequence[float],
+    reference: Sequence[float],
+    tolerance: float,
+) -> DivergenceError:
+    """The cross-check's error: the diverging rows, in the message and on
+    the error."""
+    return DivergenceError(
+        f"batched {series} diverges from the scalar reference at "
+        f"row(s) {list(indices[:_MAX_SHOWN])} (tolerance {tolerance:g})",
+        series=series,
+        indices=indices,
+        batched=batched,
+        reference=reference,
+        tolerance=tolerance,
+    )
+
+
+def at_run_rows(
+    error: ValidationError | DivergenceError, start: int
+) -> ValidationError | DivergenceError:
     """``error``, raised for a chunk or shard whose row 0 is run row
-    ``start``, with its diagnostics (and message) naming run rows."""
+    ``start``, with its diagnostics or indices (and message) naming run
+    rows."""
     if start == 0:
         return error
+    if isinstance(error, DivergenceError):
+        return _divergence(
+            error.series,
+            [index + start for index in error.indices],
+            error.batched,
+            error.reference,
+            error.tolerance,
+        )
     return _rejection(
         [
             dataclasses.replace(
@@ -382,15 +409,12 @@ class GuardedEngine:
                     batched_values.append(batched)
                     reference_values.append(reference)
             if disagreements:
-                raise DivergenceError(
-                    f"batched {series} diverges from the scalar reference at "
-                    f"row(s) {disagreements[:_MAX_SHOWN]} "
-                    f"(tolerance {tolerance:g})",
-                    series=series,
-                    indices=disagreements,
-                    batched=batched_values,
-                    reference=reference_values,
-                    tolerance=tolerance,
+                raise _divergence(
+                    series,
+                    disagreements,
+                    batched_values,
+                    reference_values,
+                    tolerance,
                 )
         # Batched and scalar agree: the anomaly is genuine input-driven
         # overflow.

@@ -412,78 +412,46 @@ def run_policy_sweep(
     cross-checks that many evenly spaced rows against the scalar
     reference (the guarded-engine idiom for this workload family).
     """
-    context = current_context()
-    if context.enabled:
-        with context.span(
-            "scheduling.policy_sweep",
-            windows=spec.windows,
-            policies=len(spec.policies),
-        ):
-            return _run_policy_sweep(
+    with current_context().span(
+        "scheduling.policy_sweep",
+        windows=spec.windows,
+        policies=len(spec.policies),
+    ):
+        chunked = (
+            checkpoint is not None
+            or chunk_rows is not None
+            or cancel is not None
+            or policy is not None
+        )
+        if chunked:
+            from repro.robustness.checkpoint import (
+                DEFAULT_CHUNK_ROWS,
+                run_schedule_sweep_chunked,
+            )
+
+            series = run_schedule_sweep_chunked(
                 spec,
-                policy=policy,
-                cache=cache,
-                chunk_rows=chunk_rows,
-                checkpoint=checkpoint,
+                chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
+                checkpoint_path=checkpoint,
                 resume=resume,
                 cancel=cancel,
-                verify_sample=verify_sample,
+                policy=policy,
+                cache=cache,
             )
-    return _run_policy_sweep(
-        spec,
-        policy=policy,
-        cache=cache,
-        chunk_rows=chunk_rows,
-        checkpoint=checkpoint,
-        resume=resume,
-        cancel=cancel,
-        verify_sample=verify_sample,
-    )
-
-
-def _run_policy_sweep(
-    spec: ScheduleSweepSpec,
-    *,
-    policy: "ExecutionPolicy | None",
-    cache: "EvaluationCache | None",
-    chunk_rows: int | None,
-    checkpoint: "str | None",
-    resume: bool,
-    cancel: object | None,
-    verify_sample: int,
-) -> PolicySweepResult:
-    chunked = (
-        checkpoint is not None
-        or chunk_rows is not None
-        or cancel is not None
-        or policy is not None
-    )
-    if chunked:
-        from repro.robustness.checkpoint import (
-            DEFAULT_CHUNK_ROWS,
-            run_schedule_sweep_chunked,
-        )
-
-        series = run_schedule_sweep_chunked(
-            spec,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            checkpoint_path=checkpoint,
-            resume=resume,
-            cancel=cancel,
-            policy=policy,
-            cache=cache,
-        )
-    else:
-        batch = build_schedule_batch(spec)
-        result = evaluate_schedule_cached(batch, cache)
-        series = {name: getattr(result, name).copy() for name in SCHEDULE_SERIES}
-    if verify_sample > 0:
-        rows = np.unique(
-            np.linspace(
-                0, spec.rows - 1, min(verify_sample, spec.rows)
-            ).astype(int)
-        )
-        for row in rows:
-            sample_batch = build_schedule_batch(spec, int(row), int(row) + 1)
-            verify_schedule_batch(sample_batch, sample=1)
-    return summarize_sweep(spec, series)
+        else:
+            batch = build_schedule_batch(spec)
+            result = evaluate_schedule_cached(batch, cache)
+            series = {
+                name: getattr(result, name).copy() for name in SCHEDULE_SERIES
+            }
+        if verify_sample > 0:
+            rows = np.unique(
+                np.linspace(
+                    0, spec.rows - 1, min(verify_sample, spec.rows)
+                ).astype(int)
+            )
+            for row in rows:
+                verify_schedule_batch(
+                    build_schedule_batch(spec, int(row), int(row) + 1), sample=1
+                )
+        return summarize_sweep(spec, series)

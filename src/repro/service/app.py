@@ -49,6 +49,7 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.core.metrics import METRICS, DesignPoint
+from repro.core.parameters import beyond_float_range
 from repro.engine.batch import FIELD_NAMES, ScenarioBatch
 from repro.engine.cache import EvaluationCache, scenario_key
 from repro.engine.kernels import BatchResult
@@ -161,7 +162,10 @@ def _require_mapping(value: object, what: str) -> dict:
 def _number(value: object, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise beyond_float_range(what) from None
 
 
 def parse_body(raw: bytes) -> dict:

@@ -10,6 +10,7 @@ the table's own predicate.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ BOUNDARY_VALUES = {
     "nan": math.nan,
     "+inf": math.inf,
     "-inf": -math.inf,
+    "10**400": 10**400,
 }
 
 #: Each kind's rule for a finite value, spelled independently of the table.
@@ -87,7 +89,8 @@ def _accepts(entry, name, value):
 def test_every_entry_point_accepts_the_same_values(name, label):
     value = BOUNDARY_VALUES[label]
     rule = KIND_RULES[PARAMETER_DOMAINS[name].kind.detail]
-    expected = math.isfinite(value) and rule(value)
+    # An integer beyond float range converts to no finite float.
+    expected = abs(value) <= sys.float_info.max and rule(value)
     verdicts = {
         entry: _accepts(function, name, value)
         for entry, function in ENTRY_POINTS.items()

@@ -15,6 +15,7 @@ domain before any draw, and a sampling footprint bounded by the chunk,
 not the run.
 """
 
+import dataclasses
 import functools
 import pickle
 import re
@@ -36,6 +37,7 @@ from repro.analysis.montecarlo import (
 from repro.analysis.scenario import ActScenario
 from repro.core.errors import (
     CheckpointError,
+    DivergenceError,
     ParameterError,
     RunInterrupted,
     ValidationError,
@@ -60,6 +62,7 @@ from repro.robustness.checkpoint import (
 )
 from repro.robustness.durability import DurableChunkStore, load_store_state
 from repro.robustness.faultinject import ProcessFault, ProcessFaultPlan
+from repro.robustness import guard as guard_module
 from repro.robustness.guard import GuardedEngine, RobustnessWarning
 
 BASE = ActScenario()
@@ -524,6 +527,41 @@ class TestStrictRows:
         )["energy_kwh"]
         assert diagnostic.values == (column[row],)
 
+    @pytest.mark.parametrize(
+        "policy", [1, ExecutionPolicy(workers=2, shard_rows=100)],
+        ids=["policy=1", "workers=2"],
+    )
+    def test_divergence_names_the_run_row(self, policy, monkeypatch):
+        # The guard's kernel pass over the second chunk returns inf at its
+        # row 5; the scalar reference disagrees, so the cross-check raises
+        # a DivergenceError, which must name run row 105.  The tampered
+        # pass is patched in before the pool forks, so workers run it.
+        key = ShardColumnSource.create(
+            BASE, draws=400, seed=1, shard_rows=100
+        ).identity_key(100, 200)
+        real = guard_module.evaluate_cached
+
+        def tampered(batch, cache=None):
+            result = real(batch, cache)
+            if batch.identity_key != key:
+                return result
+            total_g = result.total_g.copy()
+            total_g[5] = np.inf
+            return dataclasses.replace(result, total_g=total_g)
+
+        monkeypatch.setattr(guard_module, "evaluate_cached", tampered)
+        with pytest.raises(DivergenceError) as info:
+            run_monte_carlo_chunked(
+                BASE,
+                draws=400,
+                seed=1,
+                chunk_rows=100,
+                guard=GuardedEngine(),
+                policy=policy,
+            )
+        assert (info.value.series, info.value.indices) == ("total_g", (105,))
+        assert "[105]" in str(info.value)
+
 
 class TestSamplingRanges:
     """A sampling range is checked against the parameter's hard domain
@@ -642,17 +680,21 @@ class TestIdentityKey:
         assert keyed.samples.size == 4 * CHUNK
         assert keyed_hashes == 0
 
-    def test_guarded_parallel_shards_hash_nothing(self, monkeypatch):
+    def test_guarded_parallel_shards_hash_nothing(self, monkeypatch, tmp_path):
         # Workers sample their own shards from seeds, so they receive the
         # shard's identity key with the seed instead of hashing columns.
-        hashed = []
+        # The counting key function is patched in before each pool forks,
+        # so the workers log what they hash to a file.
+        log = tmp_path / "hashed.log"
         real_batch_key = cache_module.batch_key
 
         def counting(batch):
-            hashed.append(len(batch))
+            with open(log, "a") as handle:
+                handle.write(f"{len(batch)}\n")
             return real_batch_key(batch)
 
         def run():
+            log.write_text("")
             policy = ExecutionPolicy(workers=1, shard_rows=65536)
             source = ShardColumnSource.create(
                 BASE, draws=2**18, seed=2022, shard_rows=65536
@@ -661,15 +703,16 @@ class TestIdentityKey:
                 evaluation = runner.evaluate_source(
                     source, guard=GuardedEngine()
                 )
-            return evaluation.samples()
+            hashed = [int(line) for line in log.read_text().split()]
+            return evaluation.full_series("total_g"), hashed
 
         monkeypatch.setattr(cache_module, "batch_key", counting)
-        keyed = run()
+        keyed, hashed = run()
         assert hashed == []
         monkeypatch.setattr(
             ShardColumnSource, "identity_key", lambda self, start, stop: None
         )
-        content = run()
+        content, hashed = run()
         assert hashed == [65536] * 4
         assert keyed.tobytes() == content.tobytes()
 

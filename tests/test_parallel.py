@@ -7,6 +7,8 @@ Monte Carlo samples, guarded results, and DSE winners — the worker count
 only decides *where* a shard runs, never *what* it computes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,11 @@ from repro.analysis.scenario import ActScenario
 from repro.core.errors import (
     ParameterError,
     RunInterrupted,
+    ShardFailedError,
     ValidationError,
     WorkerError,
 )
+from repro.core.intensity import solar_diurnal_trace
 from repro.core.metrics import DesignPoint
 from repro.dse.optimizer import explore_batched
 from repro.dse.pareto import pareto_mask
@@ -33,9 +37,11 @@ from repro.obs.context import RunContext, use_context
 from repro.parallel import runner as runner_module
 from repro.parallel import (
     DEFAULT_SHARD_ROWS,
+    DEGRADE,
+    FAIL_FAST,
+    RETRY,
     ExecutionPolicy,
     ParallelRunner,
-    WorkerPool,
     resolve_policy,
     shard_plan,
 )
@@ -44,6 +50,7 @@ from repro.robustness.checkpoint import (
     run_monte_carlo_chunked,
 )
 from repro.robustness.guard import STRICT, GuardedEngine
+from repro.scheduling.sweep import ScheduleSweepSpec, run_policy_sweep
 
 BASE = ActScenario()
 
@@ -77,9 +84,27 @@ class TestExecutionPolicy:
             with pytest.raises(TypeError, match="transport"):
                 ExecutionPolicy(transport=transport)
 
-    def test_unavailable_start_method_rejected(self):
-        with pytest.raises(ParameterError):
-            ExecutionPolicy(start_method="teleport")
+    def test_six_fields(self):
+        # The pool always uses the platform's default start method and
+        # its own shutdown timeouts, and a quarantined shard is never
+        # re-run in the parent: no policy field selects any of that.
+        names = [field.name for field in dataclasses.fields(ExecutionPolicy)]
+        assert names == [
+            "workers",
+            "shard_rows",
+            "failure_policy",
+            "max_retries",
+            "backoff_seconds",
+            "shard_deadline_seconds",
+        ]
+        for removed in (
+            "start_method",
+            "join_timeout_seconds",
+            "term_timeout_seconds",
+            "serial_fallback",
+        ):
+            with pytest.raises(TypeError, match=removed):
+                ExecutionPolicy(**{removed: None})
 
     def test_replace_revalidates(self):
         policy = ExecutionPolicy(workers=2)
@@ -115,12 +140,8 @@ class TestShardPlan:
             shard_plan(10, 0)
 
 
-def _square(value):
-    return value * value
-
-
-def _fail_picklable(value):
-    raise ValueError(f"boom {value}")
+#: A base scenario marking the shards the failing evaluator below fails.
+FAILING_BASE = ActScenario(energy_kwh=13.0)
 
 
 class _Unpicklable(Exception):
@@ -129,32 +150,90 @@ class _Unpicklable(Exception):
         self.handle = lambda: None  # lambdas cannot pickle
 
 
-def _fail_unpicklable(value):
-    raise _Unpicklable(f"opaque {value}")
+def _failing_evaluator(real, error_type):
+    """``_evaluate_shard`` failing shard 1 of any run over FAILING_BASE."""
+
+    def evaluate(task, count):
+        if task["base"] == FAILING_BASE and task["shard"] == 1:
+            raise error_type(f"boom in shard {task['shard']}")
+        return real(task, count)
+
+    return evaluate
 
 
-class TestWorkerPool:
-    def test_results_return_in_payload_order(self):
-        with WorkerPool(workers=2) as pool:
-            results = pool.run(_square, list(range(8)))
-        assert [value for _, value in results] == [n * n for n in range(8)]
+class TestRunnerTransport:
+    """What the workers hand back, through the one supervised loop.
 
-    def test_picklable_exception_reraised_with_type(self):
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(ValueError, match="boom"):
-                pool.run(_fail_picklable, [1, 2, 3])
+    The failing evaluator is patched into the runner module before the
+    pool forks, so the workers run it.
+    """
 
-    def test_unpicklable_exception_becomes_worker_error(self):
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(WorkerError, match="opaque"):
-                pool.run(_fail_unpicklable, [5])
+    SOURCE = ShardColumnSource.create(BASE, draws=300, seed=5, shard_rows=100)
 
-    def test_pool_survives_a_failed_batch(self):
-        with WorkerPool(workers=2) as pool:
-            with pytest.raises(ValueError):
-                pool.run(_fail_picklable, [1])
-            results = pool.run(_square, [3, 4])
-        assert [value for _, value in results] == [9, 16]
+    @staticmethod
+    def _fail(monkeypatch, error_type, policy=None):
+        monkeypatch.setattr(
+            runner_module,
+            "_evaluate_shard",
+            _failing_evaluator(runner_module._evaluate_shard, error_type),
+        )
+        runner = ParallelRunner(
+            policy or ExecutionPolicy(workers=2, shard_rows=100)
+        )
+        source = ShardColumnSource.create(
+            FAILING_BASE, draws=300, seed=5, shard_rows=100
+        )
+        return runner, source
+
+    def test_shards_merge_in_shard_order(self):
+        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100)) as runner:
+            evaluation = runner.evaluate_source(self.SOURCE)
+        assert [report.shard for report in evaluation.shards] == [0, 1, 2]
+        assert [(r.start, r.stop) for r in evaluation.shards] == [
+            (0, 100),
+            (100, 200),
+            (200, 300),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_picklable_exception_is_the_cause(self, monkeypatch, workers):
+        # fail_fast is a zero retry budget: the first infrastructure
+        # failure raises ShardFailedError, chained to the worker's error.
+        runner, source = self._fail(
+            monkeypatch,
+            ValueError,
+            ExecutionPolicy(workers=workers, shard_rows=100),
+        )
+        with runner, pytest.raises(ShardFailedError) as info:
+            runner.evaluate_source(source)
+        assert isinstance(info.value, WorkerError)
+        assert (info.value.shard, info.value.attempts) == (1, 1)
+        assert info.value.cause == "error"
+        assert type(info.value.__cause__) is ValueError
+        assert "boom in shard 1" in str(info.value.__cause__)
+
+    def test_unpicklable_exception_arrives_as_worker_error(self, monkeypatch):
+        runner, source = self._fail(monkeypatch, _Unpicklable)
+        with runner, pytest.raises(ShardFailedError) as info:
+            runner.evaluate_source(source)
+        cause = info.value.__cause__
+        assert type(cause) is WorkerError
+        assert "_Unpicklable" in str(cause) and "boom" in str(cause)
+        assert "Traceback" in cause.original
+
+    def test_runner_survives_a_failed_call(self, monkeypatch):
+        runner, source = self._fail(monkeypatch, ValueError)
+        with runner:
+            with pytest.raises(ShardFailedError):
+                runner.evaluate_source(source)
+            evaluation = runner.evaluate_source(self.SOURCE)
+        reference = evaluate_batch(
+            ScenarioBatch.from_columns(BASE, 300, self.SOURCE.columns())
+        )
+        assert (
+            evaluation.full_series("total_g").tobytes()
+            == reference.total_g.tobytes()
+        )
 
 
 class TestShardedSampling:
@@ -279,6 +358,54 @@ class TestDseDeterminism:
         assert [p.name for p in serial.pareto] == [
             p.name for p in parallel.pareto
         ]
+
+
+class TestWorkersConformance:
+    """The conformance matrix's "workers 1 vs 2" row, through public entry
+    points: the in-process run and a two-worker pool agree byte for byte
+    under every failure policy, with and without a strict guard."""
+
+    #: Four 65,536-row chunks: the default block size, so policy=None
+    #: and a default-shard policy sample the same stream.
+    DRAWS = 4 * DEFAULT_SHARD_ROWS
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return {
+            guarded: run_monte_carlo(
+                BASE,
+                draws=self.DRAWS,
+                seed=3,
+                guard=GuardedEngine() if guarded else None,
+            ).samples.tobytes()
+            for guarded in (False, True)
+        }
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["off", "strict"])
+    @pytest.mark.parametrize("failure_policy", [FAIL_FAST, RETRY, DEGRADE])
+    def test_monte_carlo(self, serial, failure_policy, guarded):
+        result = run_monte_carlo(
+            BASE,
+            draws=self.DRAWS,
+            seed=3,
+            guard=GuardedEngine() if guarded else None,
+            policy=ExecutionPolicy(workers=2, failure_policy=failure_policy),
+        )
+        assert result.partial is None
+        assert result.samples.tobytes() == serial[guarded]
+
+    def test_policy_sweep(self):
+        spec = ScheduleSweepSpec(
+            trace=solar_diurnal_trace(500.0, solar_share_at_noon=0.7),
+            windows=60,
+            seed=7,
+        )
+        serial = run_policy_sweep(spec)
+        pooled = run_policy_sweep(spec, policy=2, chunk_rows=32)
+        assert pooled.pareto_policies == serial.pareto_policies
+        assert sorted(pooled.series) == sorted(serial.series)
+        for name, values in serial.series.items():
+            assert pooled.series[name].tobytes() == values.tobytes(), name
 
 
 class _NoPool(Exception):
@@ -490,4 +617,7 @@ class TestRunnerLifecycle:
         runner.close()
         second = runner.evaluate_source(source)
         runner.close()
-        np.testing.assert_array_equal(first.samples(), second.samples())
+        assert (
+            first.full_series("total_g").tobytes()
+            == second.full_series("total_g").tobytes()
+        )

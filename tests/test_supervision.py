@@ -11,6 +11,9 @@ merely "close".
 import os
 import re
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 
@@ -25,6 +28,8 @@ from repro.core.errors import (
     ValidationError,
     WorkerError,
 )
+from repro.engine.batch import ScenarioBatch
+from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
 from repro.parallel import (
     DEGRADE,
@@ -44,7 +49,7 @@ from repro.robustness.faultinject import (
     ResultDropped,
     apply_process_faults,
 )
-from repro.robustness.guard import QUARANTINED, GuardedEngine, RobustnessWarning
+from repro.robustness.guard import GuardedEngine, RobustnessWarning
 
 BASE = ActScenario()
 
@@ -69,18 +74,14 @@ def mc_source(draws=600, seed=7, shard_rows=128):
 
 
 def reference_samples(draws=600, seed=7, shard_rows=128):
-    """The unfaulted serial run every recovery must match bit-for-bit."""
-    with ParallelRunner(
-        ExecutionPolicy(workers=1, shard_rows=shard_rows)
-    ) as runner:
-        return runner.evaluate_source(mc_source(draws, seed, shard_rows))
+    """The unfaulted in-process run every recovery must match bit-for-bit."""
+    source = mc_source(draws, seed, shard_rows)
+    return evaluate_batch(
+        ScenarioBatch.from_columns(BASE, draws, source.columns())
+    ).total_g
 
 
 # --- module-level worker functions (pickled by reference) -----------------
-
-
-def _echo(payload):
-    return payload
 
 
 def _die_if_marked(payload):
@@ -99,13 +100,25 @@ def _ignore_sigterm_and_sleep(payload):
 
 
 class TestPoolLiveness:
-    def test_dead_worker_raises_worker_error_not_deadlock(self):
-        """A worker SIGKILLed mid-task must surface as WorkerError fast."""
-        with WorkerPool(1) as pool:
-            started = time.monotonic()
-            with pytest.raises(WorkerError, match="died.*outstanding"):
-                pool.run(_die_if_marked, ["die"])
-            assert time.monotonic() - started < 10.0
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dead_worker_raises_worker_error_not_deadlock(
+        self, tmp_path, workers
+    ):
+        """A worker SIGKILLed mid-shard under fail_fast surfaces fast as a
+        WorkerError chained to the exit code."""
+        plan = ProcessFaultPlan.create(
+            tmp_path, [ProcessFault("kill", shard=0, times=1)]
+        )
+        policy = ExecutionPolicy(workers=workers, shard_rows=128)
+        started = time.monotonic()
+        with ParallelRunner(policy, fault_plan=plan) as runner:
+            with pytest.raises(WorkerError, match="died") as info:
+                runner.evaluate_source(mc_source())
+        assert time.monotonic() - started < 10.0
+        assert isinstance(info.value, ShardFailedError)
+        assert (info.value.shard, info.value.cause) == (0, "worker-death")
+        assert type(info.value.__cause__) is WorkerError
+        assert info.value.__cause__.original == f"exit code {-signal.SIGKILL}"
 
     def test_todays_blocking_get_would_hang(self):
         """Demonstrate the bug the liveness loop fixes: after the kill,
@@ -129,13 +142,82 @@ class TestPoolLiveness:
         finally:
             pool.close()
 
-    def test_pool_reusable_after_worker_death(self):
-        with WorkerPool(2) as pool:
+    def test_pool_reusable_after_worker_death(self, tmp_path):
+        plan = ProcessFaultPlan.create(
+            tmp_path, [ProcessFault("kill", shard=1, times=1)]
+        )
+        policy = ExecutionPolicy(workers=2, shard_rows=128)
+        with ParallelRunner(policy, fault_plan=plan) as runner:
             with pytest.raises(WorkerError):
-                pool.run(_die_if_marked, ["ok-1", "die", "ok-2"])
-            outcomes = pool.run(_echo, ["a", "b", "c"])
-            assert [result for _, result in outcomes] == ["a", "b", "c"]
-            assert pool.respawns >= 1
+                runner.evaluate_source(mc_source())
+            out = runner.evaluate_source(mc_source())
+            assert runner._pool.respawns >= 1
+        np.testing.assert_array_equal(
+            reference_samples(), out.series["total_g"]
+        )
+
+    @pytest.mark.parametrize("times", [1, 3])
+    def test_fail_fast_dropped_result_ends_within_the_stall_window(
+        self, tmp_path, times
+    ):
+        """A result message lost under fail_fast goes through the stall
+        backstop like every other policy: one free resubmission, then a
+        ShardFailedError — never a wait for a message that cannot come.
+        Run in a child process so a hang fails the test instead of the
+        session."""
+        script = textwrap.dedent(
+            f"""
+            import signal, sys, time
+            signal.signal(signal.SIGALRM, lambda *_: sys.exit("hung"))
+            signal.alarm(30)
+            from repro.analysis.montecarlo import ShardColumnSource
+            from repro.analysis.scenario import ActScenario
+            from repro.core.errors import ShardFailedError
+            from repro.engine.batch import ScenarioBatch
+            from repro.engine.kernels import evaluate_batch
+            from repro.parallel import ExecutionPolicy, ParallelRunner
+            from repro.robustness.faultinject import (
+                ProcessFault, ProcessFaultPlan,
+            )
+            source = ShardColumnSource.create(
+                ActScenario(), draws=600, seed=7, shard_rows=128
+            )
+            plan = ProcessFaultPlan.create(
+                {str(tmp_path)!r},
+                [ProcessFault("drop_result", shard=1, times={times})],
+            )
+            policy = ExecutionPolicy(workers=2, shard_rows=128)
+            started = time.monotonic()
+            try:
+                with ParallelRunner(policy, fault_plan=plan) as runner:
+                    out = runner.evaluate_source(source)
+            except ShardFailedError as error:
+                outcome = f"raised {{error.cause}} {{error.shard}}"
+            else:
+                reference = evaluate_batch(ScenarioBatch.from_columns(
+                    ActScenario(), 600, source.columns()
+                )).total_g
+                same = (out.series["total_g"] == reference).all()
+                outcome = f"returned {{same}} {{out.partial}}"
+            print(outcome, round(time.monotonic() - started))
+            """
+        )
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert child.returncode == 0, child.stderr
+        *outcome, seconds = child.stdout.split()
+        expected = "returned True None" if times == 1 else "raised lost 1"
+        assert outcome == expected.split()
+        # One stall window (>= 1 s) per lost message, and no more.
+        assert int(seconds) < 10
 
 
 # --- satellite 2: close() hardening ---------------------------------------
@@ -144,7 +226,7 @@ class TestPoolLiveness:
 class TestCloseEscalation:
     def test_close_escalates_terminate_to_kill(self):
         """A worker masking SIGTERM must still die — via kill() — within
-        the policy-provided timeouts, not the historical hardcoded 15s."""
+        the pool's timeouts."""
         pool = WorkerPool(1, join_timeout=0.2, term_timeout=0.3)
         run_id = pool.begin_run()
         pool.submit(run_id, 0, _ignore_sigterm_and_sleep, None)
@@ -154,22 +236,6 @@ class TestCloseEscalation:
         started = time.monotonic()
         pool.close()
         assert time.monotonic() - started < 5.0
-
-    def test_policy_timeouts_reach_the_pool(self):
-        policy = fast_policy(
-            join_timeout_seconds=0.25, term_timeout_seconds=0.125
-        )
-        runner = ParallelRunner(policy)
-        runner.evaluate_source(mc_source(draws=300, seed=1))
-        assert runner._pool.join_timeout == 0.25
-        assert runner._pool.term_timeout == 0.125
-        runner.close()
-
-    def test_policy_timeout_validation(self):
-        with pytest.raises(ParameterError):
-            ExecutionPolicy(join_timeout_seconds=0.0)
-        with pytest.raises(ParameterError):
-            ExecutionPolicy(term_timeout_seconds=-1.0)
 
 
 # --- process-fault plans ---------------------------------------------------
@@ -235,7 +301,7 @@ class TestRetryRecovery:
             out = runner.evaluate_source(mc_source())
         assert plan.remaining(0) == 0, "the kill must actually have fired"
         np.testing.assert_array_equal(
-            reference.series["total_g"], out.series["total_g"]
+            reference, out.series["total_g"]
         )
         assert out.partial is None
         assert out.supervision.retries >= 1
@@ -253,7 +319,7 @@ class TestRetryRecovery:
         with ParallelRunner(policy, fault_plan=plan) as runner:
             out = runner.evaluate_source(mc_source())
         np.testing.assert_array_equal(
-            reference.series["total_g"], out.series["total_g"]
+            reference, out.series["total_g"]
         )
         causes = {failure.cause for failure in out.supervision.failures}
         assert "deadline" in causes
@@ -268,7 +334,7 @@ class TestRetryRecovery:
             out = runner.evaluate_source(mc_source())
         assert plan.remaining(0) == 0
         np.testing.assert_array_equal(
-            reference.series["total_g"], out.series["total_g"]
+            reference, out.series["total_g"]
         )
         assert out.partial is None
 
@@ -325,17 +391,15 @@ class TestDegradeRecovery:
         assert out.partial.quarantined == (2,)
         assert out.partial.ranges == ((256, 384),)
         assert out.partial.causes() == {2: "worker-death"}
-        # Quarantined rows are flagged, never silently zero or stale.
-        assert np.isnan(out.series["total_g"][256:384]).all()
-        assert not out.valid[256:384].any()
-        assert any(d.reason == QUARANTINED for d in out.diagnostics)
+        # Quarantined rows are flagged NaN, never silently zero or stale,
+        # and they are the only NaN rows.
+        lost = np.isnan(out.series["total_g"])
+        assert np.flatnonzero(lost).tolist() == list(range(256, 384))
+        assert out.partial.rows == 128
         # Every surviving row is bit-identical to the unfaulted run.
-        survivors = np.r_[0:256, 384:600]
         np.testing.assert_array_equal(
-            reference.series["total_g"][survivors],
-            out.series["total_g"][survivors],
+            reference[~lost], out.series["total_g"][~lost]
         )
-        assert len(out.samples()) == 600 - 128
 
     def test_degraded_monte_carlo_result_carries_partial(self, tmp_path):
         plan = ProcessFaultPlan.create(
@@ -351,30 +415,14 @@ class TestDegradeRecovery:
         assert evaluation.partial.rows == 128
         assert evaluation.supervision.quarantined == (0,)
 
-    def test_serial_fallback_heals_fleet_only_faults(self, tmp_path):
-        """With serial_fallback, a shard that keeps dying in workers gets
-        one clean in-process attempt — chaos stripped — and the run ends
-        complete, not partial."""
-        reference = reference_samples()
+    def test_workers_1_degrade_quarantines_on_a_one_worker_pool(
+        self, tmp_path
+    ):
+        """workers=1 is a one-worker pool under the same failure policy:
+        its worker is respawned and the shard retried, then
+        quarantined."""
         plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("kill", shard=1, times=10)]
-        )
-        policy = fast_policy(
-            failure_policy=DEGRADE, max_retries=1, serial_fallback=True
-        )
-        with ParallelRunner(policy, fault_plan=plan) as runner:
-            out = runner.evaluate_source(mc_source())
-        assert out.partial is None
-        np.testing.assert_array_equal(
-            reference.series["total_g"], out.series["total_g"]
-        )
-
-    def test_workers_1_degrade_quarantines_in_process(self, tmp_path):
-        """The serial reference path honors the same failure policy: an
-        in-process infrastructure fault (a dropped result) is retried
-        and then quarantined without any pool existing."""
-        plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("drop_result", shard=1, times=3)]
+            tmp_path, [ProcessFault("kill", shard=1, times=2)]
         )
         policy = fast_policy(
             workers=1, failure_policy=DEGRADE, max_retries=1
@@ -382,7 +430,10 @@ class TestDegradeRecovery:
         with pytest.warns(RobustnessWarning, match="quarantined"):
             with ParallelRunner(policy, fault_plan=plan) as runner:
                 out = runner.evaluate_source(mc_source())
+        assert plan.remaining() == 0
         assert out.partial.quarantined == (1,)
+        assert out.partial.ranges == ((128, 256),)
+        assert out.supervision.respawns == 2
         assert np.isnan(out.series["total_g"][128:256]).all()
 
     def test_pareto_refuses_to_degrade(self, tmp_path):
@@ -401,7 +452,7 @@ class TestDegradeRecovery:
                 runner.pareto_mask(objectives)
 
 
-# --- one retry decision for the pool and the in-process path --------------
+# --- one retry decision ----------------------------------------------------
 
 
 class TestRetryLedger:
@@ -438,11 +489,19 @@ class TestRetryLedger:
         assert info.value.attempts == 1
         assert info.value.__cause__ is cause
 
-    def test_in_process_path_spends_the_same_budget(self, tmp_path):
+    def test_fail_fast_is_a_zero_budget(self):
+        ledger = RetryLedger(fast_policy(failure_policy=FAIL_FAST))
+        assert ledger.budget == 0
+        with pytest.raises(ShardFailedError) as info:
+            ledger.fail(2, "error", "boom", 0)
+        assert info.value.attempts == 1
+        assert ledger.report().retries == 0
+
+    def test_one_worker_pool_spends_the_same_budget(self, tmp_path):
         """workers=1 under "retry": a fault that outlives the budget
-        raises the same ShardFailedError the pool would."""
+        raises the same ShardFailedError two workers would."""
         plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("drop_result", shard=1, times=3)]
+            tmp_path, [ProcessFault("kill", shard=1, times=3)]
         )
         policy = fast_policy(workers=1, max_retries=1)
         with ParallelRunner(policy, fault_plan=plan) as runner:
@@ -450,8 +509,8 @@ class TestRetryLedger:
                 runner.evaluate_source(mc_source())
         assert info.value.shard == 1
         assert info.value.attempts == 2
-        assert info.value.cause == "lost"
-        assert isinstance(info.value.__cause__, ResultDropped)
+        assert info.value.cause == "worker-death"
+        assert type(info.value.__cause__) is WorkerError
 
 
 # --- observability ---------------------------------------------------------
