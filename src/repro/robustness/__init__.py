@@ -42,6 +42,7 @@ from repro.robustness.guard import (
     diagnose_columns,
 )
 from repro.robustness.durability import (
+    CHECKPOINT_VERSION,
     CRASH_POINTS,
     ChunkRecord,
     DurableChunkStore,
@@ -69,7 +70,6 @@ from repro.robustness.faultinject import (
     inject_table_fault,
 )
 from repro.robustness.checkpoint import (
-    CHECKPOINT_VERSION,
     DEFAULT_CHUNK_ROWS,
     CancelToken,
     CountingCancelToken,

@@ -35,7 +35,6 @@ import dataclasses
 import hashlib
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -66,20 +65,14 @@ from repro.engine.batch import ScenarioBatch, product_columns
 from repro.engine.cache import EvaluationCache, evaluate_cached
 from repro.engine.kernels import BatchResult
 from repro.obs.context import current_context
-from repro.robustness.durability import DurableChunkStore, load_store_state
-from repro.robustness.guard import RobustnessWarning, at_run_rows
+from repro.robustness.durability import DurableChunkStore
+from repro.robustness.guard import at_run_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.policy import ExecutionPolicy
     from repro.parallel.runner import ParallelEvaluation, ParallelRunner
     from repro.parallel.supervisor import ShardFailure
     from repro.robustness.guard import GuardedEngine
-
-#: Checkpoint schema version; bumped on incompatible layout changes.
-#: Version 2: the durable chunk-store format (write-ahead CRC-framed
-#: records + manifest) with the kernel entry (:data:`_BACKEND_TOKEN`) and
-#: the planner entry (:data:`_PLANNER_TOKEN`) folded into fingerprints.
-CHECKPOINT_VERSION = 2
 
 #: Default rows evaluated between two checkpoint writes.
 DEFAULT_CHUNK_ROWS = 4096
@@ -166,246 +159,6 @@ _BACKEND_TOKEN = "backend=reference"
 _PLANNER_TOKEN = "planner=auto"
 
 
-def _coverage(spans: Iterable[tuple[int, int]]) -> int:
-    """Rows covered contiguously from row 0 by ``spans``."""
-    covered = 0
-    for start, stop in sorted(spans):
-        if start > covered:
-            break
-        covered = max(covered, stop)
-    return covered
-
-
-class _Checkpointer:
-    """Adapter between the chunked runners and the durable chunk store.
-
-    A no-op when ``path`` is ``None`` (persistence disabled).  Otherwise
-    every completed wave is appended to the write-ahead log and committed
-    (:class:`~repro.robustness.durability.DurableChunkStore`), and resume
-    goes through the salvage-aware loader: a torn or partially-corrupt
-    store yields the longest valid committed prefix, quarantines the rest
-    for recompute, and surfaces what happened as a
-    :class:`~repro.robustness.guard.RobustnessWarning` plus a
-    ``checkpoint_salvage`` event — never silent acceptance, never
-    wholesale discard.
-    """
-
-    def __init__(
-        self,
-        path: "str | os.PathLike | None",
-        *,
-        kind: str,
-        fingerprint: str,
-        total: int,
-        series: Mapping[str, np.ndarray],
-    ):
-        self.path = os.fspath(path) if path is not None else None
-        self.kind = kind
-        self.fingerprint = fingerprint
-        self.total = int(total)
-        self.series = series
-        self.context = current_context()
-        self._store: "DurableChunkStore | None" = None
-
-    def _meta(
-        self, completed: int, quarantined: Iterable[tuple[int, int]]
-    ) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "completed": int(completed),
-            "total": self.total,
-            "quarantined": [
-                [int(start), int(stop)] for start, stop in quarantined
-            ],
-        }
-
-    def _io_error(self, operation: str, error: OSError) -> CheckpointError:
-        return CheckpointError(
-            f"checkpoint {operation} failed for {self.path!r}: {error}",
-            path=self.path,
-            reason="io",
-        )
-
-    def begin(self) -> tuple[int, list[tuple[int, int]]]:
-        """Start a fresh store (commits an empty generation immediately);
-        returns the empty ``(completed, quarantined_ranges)``."""
-        if self.path is None:
-            return 0, []
-        self._store = DurableChunkStore(
-            self.path, kind=self.kind, fingerprint=self.fingerprint
-        )
-        try:
-            self._store.create(self._meta(0, ()))
-        except OSError as error:
-            raise self._io_error("create", error) from error
-        return 0, []
-
-    def resume(self) -> tuple[int, list[tuple[int, int]]]:
-        """Load (salvaging if needed) and reopen the store for appending.
-
-        Fills :attr:`series` with the recovered rows and returns
-        ``(completed, quarantined_ranges)``.  Raises
-        :class:`~repro.core.errors.CheckpointError` — with the salvage
-        summary in the message — when nothing usable was recovered or the
-        store belongs to a different run configuration.
-        """
-        if self.path is None:
-            raise CheckpointError(
-                "resume requested without a checkpoint path", reason="missing"
-            )
-        state = load_store_state(self.path)
-        report = state.report
-        salvage = report.summary()
-        chunks = [
-            record
-            for record in state.chunks
-            if record.kind == self.kind
-            and record.fingerprint == self.fingerprint
-        ]
-        meta = state.meta
-        if meta is None:
-            if not chunks:
-                # An empty log with no manifest is a crash one instant
-                # after create(): nothing committed, nothing torn —
-                # treat it as absent so callers can restart fresh.
-                reason = "corrupt" if report.torn_bytes else "missing"
-                raise CheckpointError(
-                    f"cannot resume: checkpoint {self.path!r} has no "
-                    f"committed state ({salvage})",
-                    path=self.path,
-                    reason=reason,
-                    salvage=salvage,
-                )
-            # Manifest destroyed but the log itself is healthy: the
-            # fingerprint-matched records are trustworthy (CRC + content
-            # hash), so synthesize the metadata instead of discarding.
-            meta = self._meta(_coverage((r.start, r.stop) for r in chunks), ())
-        if int(meta.get("version", -1)) != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"cannot resume: checkpoint {self.path!r} has version "
-                f"{meta.get('version')}, expected {CHECKPOINT_VERSION}",
-                path=self.path,
-                reason="version",
-                salvage=salvage,
-            )
-        if str(meta.get("kind", "")) != self.kind:
-            raise CheckpointError(
-                f"cannot resume: checkpoint {self.path!r} holds a "
-                f"{str(meta.get('kind', ''))!r} run, not {self.kind!r}",
-                path=self.path,
-                reason="mismatch",
-                salvage=salvage,
-            )
-        if str(meta.get("fingerprint", "")) != self.fingerprint:
-            raise CheckpointError(
-                f"cannot resume: checkpoint {self.path!r} was written by a "
-                "different run configuration (seed, draws, parameters, "
-                "or policy differ)",
-                path=self.path,
-                reason="mismatch",
-                salvage=salvage,
-            )
-        committed = int(meta.get("completed", 0))
-        if committed > self.total or int(meta.get("total", -1)) != self.total:
-            raise CheckpointError(
-                f"checkpoint {self.path!r} covers "
-                f"{committed}/{meta.get('total')} rows, expected {self.total}",
-                path=self.path,
-                reason="mismatch",
-                salvage=salvage,
-            )
-        spans = []
-        for record in chunks:
-            for name, values in record.arrays.items():
-                if name in self.series:
-                    self.series[name][record.start : record.stop] = values
-            spans.append((record.start, record.stop))
-        completed = min(committed, _coverage(spans))
-        # Quarantined holes sit inside the completed prefix; any range a
-        # lossy salvage pushed past `completed` gets recomputed by the
-        # main loop anyway.
-        quarantined = [
-            (int(start), int(stop))
-            for start, stop in meta.get("quarantined", [])
-            if int(stop) <= completed
-        ]
-        if report.lossy or completed < committed:
-            warnings.warn(
-                f"checkpoint {self.path!r} was damaged; recovered the "
-                f"longest valid committed prefix ({salvage}); "
-                f"{committed - completed} row(s) will be recomputed",
-                RobustnessWarning,
-                stacklevel=3,
-            )
-            self.context.count("checkpoint.salvages")
-            self.context.event(
-                "checkpoint_salvage",
-                kind=self.kind,
-                path=self.path,
-                chunks_kept=report.chunks_kept,
-                chunks_quarantined=len(report.chunks_quarantined),
-                generation=report.generation,
-                completed=completed,
-                committed=committed,
-                summary=salvage,
-            )
-        self.context.count("checkpoint.restores")
-        self.context.event(
-            "checkpoint_restore",
-            kind=self.kind,
-            path=self.path,
-            completed=completed,
-            total=self.total,
-        )
-        self._store = DurableChunkStore(
-            self.path, kind=self.kind, fingerprint=self.fingerprint
-        )
-        try:
-            self._store.open_resume(state)
-        except OSError as error:
-            raise self._io_error("reopen", error) from error
-        return completed, quarantined
-
-    def append_range(self, start: int, stop: int) -> None:
-        """Write-ahead one series row range (visible after next commit)."""
-        if self._store is None or stop <= start:
-            return
-        arrays = {
-            name: values[start:stop] for name, values in self.series.items()
-        }
-        try:
-            self._store.append(start, stop, arrays)
-        except OSError as error:
-            raise self._io_error("append", error) from error
-
-    def commit(
-        self, completed: int, quarantined: Iterable[tuple[int, int]]
-    ) -> None:
-        """Commit every appended record under updated run metadata."""
-        if self._store is None:
-            return
-        try:
-            self._store.commit(self._meta(completed, quarantined))
-        except OSError as error:
-            raise self._io_error("commit", error) from error
-        self.context.count("checkpoint.saves")
-        self.context.event(
-            "checkpoint_save",
-            kind=self.kind,
-            path=self.path,
-            completed=int(completed),
-            total=self.total,
-        )
-
-    def close(self) -> None:
-        """Release the append handle (safe when persistence is off)."""
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-
-
 # --- the chunked driver --------------------------------------------------
 
 
@@ -457,20 +210,48 @@ def _run_chunked(
     ``partial(completed)``.  ``single_wave`` dispatches every chunk of a
     parallel run in one wave, for runs that commit and poll nothing
     between waves.  The remaining names label the checkpoint, span,
-    chunk counter and interrupt message of the workload.
+    chunk counter and interrupt message of the workload.  A run with a
+    ``checkpoint`` path calls one
+    :class:`~repro.robustness.durability.DurableChunkStore` directly.
     """
     context = current_context()
-    ckpt = _Checkpointer(
-        checkpoint,
-        kind=kind,
-        fingerprint=fingerprint,
-        total=total,
-        series=series,
-    )
+    store = None
+    if checkpoint is not None:
+        store = DurableChunkStore(
+            checkpoint, kind=kind, fingerprint=fingerprint, total=total
+        )
+
+    def persist(operation: str, *args: object) -> object:
+        """``store.<operation>(*args)`` when the run has a store; the one
+        place an ``OSError`` becomes ``CheckpointError(reason="io")``."""
+        if store is None:
+            return None
+        try:
+            return getattr(store, operation)(*args)
+        except OSError as error:
+            raise CheckpointError(
+                f"checkpoint {operation} failed for {store.path!r}: {error}",
+                path=store.path,
+                reason="io",
+            ) from error
+
+    def write(start: int, stop: int) -> None:
+        """Write-ahead ``series`` rows [start, stop) (visible once saved)."""
+        rows = {name: values[start:stop] for name, values in series.items()}
+        persist("append", start, stop, rows)
+
     # Global (start, stop) row ranges lost to quarantined shards; persisted
     # with the checkpoint so a resume knows exactly which completed rows
     # are holes to re-attempt (older checkpoints simply lack the key).
-    completed, quarantined = ckpt.resume() if resume else ckpt.begin()
+    completed, quarantined = 0, []
+    if not resume:
+        persist("start")
+    elif store is None:
+        raise CheckpointError(
+            "resume requested without a checkpoint path", reason="missing"
+        )
+    else:
+        completed, quarantined = persist("resume", series)
 
     wave_rows = chunk_rows
     runner_scope = contextlib.nullcontext()
@@ -498,7 +279,7 @@ def _run_chunked(
         ):
             while completed < total:
                 if cancel is not None and cancel.should_stop():
-                    ckpt.commit(completed, quarantined)
+                    persist("save", completed, quarantined)
                     error = RunInterrupted(
                         f"{label} interrupted at {completed}/{total} {unit}"
                         + (
@@ -520,8 +301,8 @@ def _run_chunked(
                 context.event(
                     "chunk", kind=kind, completed=completed, total=total
                 )
-                ckpt.append_range(start, completed)
-                ckpt.commit(completed, quarantined)
+                write(start, completed)
+                persist("save", completed, quarantined)
             if resume and quarantined:
                 # A resumed partial run re-attempts ONLY the quarantined
                 # holes — every healthy row rides along from the
@@ -543,11 +324,12 @@ def _run_chunked(
                     )
                     # Write-ahead the re-attempted rows: the record
                     # overlays the already-committed chunk on replay.
-                    ckpt.append_range(start, stop)
+                    write(start, stop)
                 quarantined = still
-                ckpt.commit(completed, quarantined)
+                persist("save", completed, quarantined)
     finally:
-        ckpt.close()
+        if store is not None:
+            store.close()
     return quarantined
 
 
@@ -793,17 +575,19 @@ def sweep_grid_batched_chunked(
     value).  A sweep of at least :data:`~repro.engine.plan.AUTO_MIN_ROWS`
     points factors Eq. 1-8 once into per-axis partial tables
     (:mod:`repro.engine.plan`) and each chunk only gathers its row range
-    — bit-identical values.
+    — bit-identical values, spot-checked against the dense kernel by
+    :func:`~repro.engine.plan.verify_plan` as in the one-shot sweep.
 
     Raises:
         CheckpointError: ``resume`` without a usable, matching checkpoint.
+        DivergenceError: A planned row disagrees with the dense kernel.
         RunInterrupted: ``cancel`` fired; completed rows are checkpointed
             and carried on the exception's ``partial`` attribute as a
             :class:`~repro.engine.kernels.BatchResult` of the first
             ``completed`` rows.
     """
     require_positive("chunk_rows", chunk_rows)
-    from repro.engine.plan import plan_product, planner_engaged
+    from repro.engine.plan import plan_product, planner_engaged, verify_plan
 
     size, columns = product_columns(base, grids)
     names = tuple(grids)
@@ -867,9 +651,12 @@ def sweep_grid_batched_chunked(
         resume=resume,
         cancel=cancel,
     )
-    batch = ScenarioBatch(**columns)
     result = BatchResult(**series)
-    return BatchSweepResult(names=names, batch=batch, result=result)
+    if plan is not None:
+        verify_plan(plan, result)
+    return BatchSweepResult(
+        names=names, batch=ScenarioBatch(**columns), result=result
+    )
 
 
 # --- scheduling policy sweeps --------------------------------------------

@@ -35,23 +35,31 @@ torture harness (:mod:`repro.robustness.torture`).
 
 from __future__ import annotations
 
-import io as io_module
 import json
 import os
+import warnings
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import IO, Iterator, Mapping
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.core.errors import CheckpointError, finite_json
+from repro.obs.context import current_context
+from repro.robustness.guard import RobustnessWarning
 
 #: Magic prefix of every chunk record in the write-ahead log.
 RECORD_MAGIC = b"ACTW"
 
 #: On-disk format version of the chunk store (log records + manifest).
 STORE_FORMAT = 1
+
+#: Version of the run metadata a chunked run commits
+#: (:meth:`DurableChunkStore.run_meta`); bumped on incompatible layout
+#: changes.  Version 2: this store's format, with the kernel and planner
+#: entries folded into run fingerprints.
+CHECKPOINT_VERSION = 2
 
 #: Suffix of the manifest file living next to the chunk log.
 MANIFEST_SUFFIX = ".manifest"
@@ -229,11 +237,6 @@ def current_io() -> DurableIO:
     return _INSTALLED_IO if _INSTALLED_IO is not None else _DEFAULT_IO
 
 
-def resolve_io(io: "DurableIO | None") -> DurableIO:
-    """Normalize an ``io=`` argument: ``None`` → the installed layer."""
-    return io if io is not None else current_io()
-
-
 def install_durable_io(io: "DurableIO | None") -> None:
     """Install (or with ``None`` reset) the process-wide I/O layer.
 
@@ -270,7 +273,7 @@ def atomic_write_bytes(
     the new ones — never a truncated mixture.
     """
     path = os.fspath(path)
-    layer = resolve_io(io)
+    layer = io if io is not None else current_io()
     temp = f"{path}.tmp"
     try:
         handle = layer.open(temp, "wb", CP_ATOMIC_TMP_WRITE)
@@ -393,29 +396,6 @@ def _record_parts(
     return prefix, views, crc.to_bytes(4, "little")
 
 
-def _encode_record(
-    *,
-    index: int,
-    start: int,
-    stop: int,
-    generation: int,
-    kind: str,
-    fingerprint: str,
-    arrays: Mapping[str, np.ndarray],
-) -> bytes:
-    """Frame one chunk record: magic, lengths, header JSON, payload, CRC."""
-    prefix, views, trailer = _record_parts(
-        index=index,
-        start=start,
-        stop=stop,
-        generation=generation,
-        kind=kind,
-        fingerprint=fingerprint,
-        arrays=arrays,
-    )
-    return b"".join((prefix, *views, trailer))
-
-
 def _decode_header(header: bytes) -> dict | None:
     try:
         decoded = json.loads(header.decode("utf-8"))
@@ -453,7 +433,6 @@ class _ScanOutcome:
     kept: tuple[ChunkRecord, ...]
     quarantined: tuple[int, ...]  # record indices dropped after the prefix
     valid_end: int  # byte offset one past the last kept record
-    walked_end: int  # byte offset one past the last frameable record
     unframeable: int  # bytes that could not even be walked
 
 
@@ -521,7 +500,6 @@ def _scan_records(data: bytes, limit: int) -> _ScanOutcome:
         kept=tuple(kept),
         quarantined=tuple(quarantined),
         valid_end=valid_end,
-        walked_end=offset,
         unframeable=max(0, limit - offset),
     )
 
@@ -547,36 +525,30 @@ def _manifest_bytes(
     return (text + "\n").encode("utf-8")
 
 
-def _read_manifest(path: str) -> "tuple[dict | None, bool]":
-    """The manifest dict and whether it was present-but-invalid.
-
-    Returns ``(manifest, damaged)``: ``(None, False)`` when the file does
-    not exist, ``(None, True)`` when it exists but fails parsing or its
-    CRC, ``(dict, False)`` when valid.
-    """
+def _read_manifest(path: str) -> "dict | None":
+    """The manifest dict, or ``None`` when it is absent, unreadable, or
+    fails parsing, its CRC or its format check."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-    except FileNotFoundError:
-        return None, False
     except OSError:
-        return None, True
+        return None
     try:
         manifest = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        return None, True
+        return None
     if not isinstance(manifest, dict) or "crc" not in manifest:
-        return None, True
+        return None
     stored_crc = manifest.pop("crc")
     try:
         canonical = json.dumps(manifest, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN/Infinity: never written by _manifest_bytes
-        return None, True
+        return None
     if zlib.crc32(canonical.encode("utf-8")) != stored_crc:
-        return None, True
+        return None
     if manifest.get("format") != STORE_FORMAT:
-        return None, True
-    return manifest, False
+        return None
+    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -658,12 +630,15 @@ class StoreState:
             when recovery had to scan the log without one.
         generation: Last committed generation recovered.
         report: Exactly what was kept, quarantined, and truncated.
+        valid_end: Byte offset one past the last recovered record, where
+            :meth:`DurableChunkStore.open_resume` trims the log.
     """
 
     chunks: tuple[ChunkRecord, ...]
     meta: "dict | None"
     generation: int
     report: SalvageReport
+    valid_end: int
 
     def replay(self, series: Mapping[str, np.ndarray]) -> int:
         """Apply the recovered records (in order) into ``series`` arrays.
@@ -691,9 +666,7 @@ def _contiguous_coverage(chunks: "tuple[ChunkRecord, ...]") -> int:
     return covered
 
 
-def load_store_state(
-    path: "str | os.PathLike", *, io: "DurableIO | None" = None
-) -> StoreState:
+def load_store_state(path: "str | os.PathLike") -> StoreState:
     """Read a chunk store from disk, salvaging whatever is recoverable.
 
     Never raises on damage — torn tails, CRC failures, and a missing or
@@ -702,9 +675,9 @@ def load_store_state(
     raises :class:`~repro.core.errors.CheckpointError` (``"missing"``).
     The *caller* decides whether an empty or lossy recovery is acceptable
     (and with which error); this function only refuses to invent data.
+    Reading is injection-free: salvage must work on any bytes.
     """
     path = os.fspath(path)
-    del io  # reading is injection-free: salvage must work on any bytes
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -714,58 +687,52 @@ def load_store_state(
             path=path,
             reason="missing",
         ) from None
-    manifest, manifest_damaged = _read_manifest(path + MANIFEST_SUFFIX)
+    manifest = _read_manifest(path + MANIFEST_SUFFIX)
+    limit = len(data)
     if manifest is not None:
-        limit = min(int(manifest.get("offset", 0)), len(data))
-        outcome = _scan_records(data, limit)
-        expected_chunks = int(manifest.get("chunks", len(outcome.kept)))
+        limit = min(int(manifest.get("offset", 0)), limit)
+    outcome = _scan_records(data, limit)
+    kept_rows = _contiguous_coverage(outcome.kept)
+    if manifest is not None:
         # Records the manifest committed but the walk never reached
         # (framing destroyed) are quarantined too — they are real losses.
         walked = len(outcome.kept) + len(outcome.quarantined)
-        ghosts = tuple(range(walked, expected_chunks))
-        quarantined = outcome.quarantined + ghosts
+        ghosts = range(walked, int(manifest.get("chunks", walked)))
+        committed = int(manifest.get("meta", {}).get("completed", 0) or 0)
+        meta = dict(manifest.get("meta", {}))
+        generation = int(manifest.get("generation", 0))
         report = SalvageReport(
             chunks_kept=len(outcome.kept),
-            chunks_quarantined=quarantined,
-            quarantined_rows=_quarantined_rows(outcome, manifest),
-            generation=int(manifest.get("generation", 0)),
-            committed_rows=_contiguous_coverage(outcome.kept),
-            manifest_ok=not manifest_damaged,
+            chunks_quarantined=outcome.quarantined + tuple(ghosts),
+            quarantined_rows=max(0, committed - kept_rows),
+            generation=generation,
+            committed_rows=kept_rows,
             torn_bytes=max(0, limit - outcome.valid_end),
             uncommitted_bytes=max(0, len(data) - limit),
         )
-        return StoreState(
-            chunks=outcome.kept,
-            meta=dict(manifest.get("meta", {})),
-            generation=int(manifest.get("generation", 0)),
-            report=report,
+    else:
+        # No usable manifest: best-effort scan of the whole log.
+        # Committed and uncommitted bytes are indistinguishable here, so
+        # every valid record is kept (they were all written by the
+        # protocol) and the caller must verify ownership via the
+        # per-record fingerprints.
+        meta = None
+        generation = outcome.kept[-1].generation if outcome.kept else 0
+        report = SalvageReport(
+            chunks_kept=len(outcome.kept),
+            chunks_quarantined=outcome.quarantined,
+            generation=generation,
+            committed_rows=kept_rows,
+            manifest_ok=False,
+            torn_bytes=outcome.unframeable,
         )
-    # No usable manifest: best-effort scan of the whole log.  Committed
-    # and uncommitted bytes are indistinguishable here, so every valid
-    # record is kept (they were all written by the protocol) and the
-    # caller must verify ownership via the per-record fingerprints.
-    outcome = _scan_records(data, len(data))
-    generation = outcome.kept[-1].generation if outcome.kept else 0
-    report = SalvageReport(
-        chunks_kept=len(outcome.kept),
-        chunks_quarantined=outcome.quarantined,
-        quarantined_rows=0,
-        generation=generation,
-        committed_rows=_contiguous_coverage(outcome.kept),
-        manifest_ok=False,
-        torn_bytes=max(0, outcome.unframeable) if data else 0,
-        uncommitted_bytes=0,
-    )
     return StoreState(
-        chunks=outcome.kept, meta=None, generation=generation, report=report
+        chunks=outcome.kept,
+        meta=meta,
+        generation=generation,
+        report=report,
+        valid_end=outcome.valid_end,
     )
-
-
-def _quarantined_rows(outcome: _ScanOutcome, manifest: dict) -> int:
-    """Rows the dropped records covered (committed minus kept coverage)."""
-    committed = int(manifest.get("meta", {}).get("completed", 0) or 0)
-    kept = _contiguous_coverage(outcome.kept)
-    return max(0, committed - kept)
 
 
 # --------------------------------------------------------------------------
@@ -790,6 +757,10 @@ class DurableChunkStore:
     Readers (:func:`load_store_state`) trust only bytes at or below the
     manifest's offset; everything later is a crash residue and is
     truncated on the next :meth:`open_resume`.
+
+    A chunked run of ``total`` rows drives the store through
+    :meth:`start`, :meth:`append`, :meth:`save` and :meth:`resume`, which
+    write and check the run metadata (:meth:`run_meta`).
     """
 
     def __init__(
@@ -798,13 +769,15 @@ class DurableChunkStore:
         *,
         kind: str,
         fingerprint: str,
+        total: int = 0,
         io: "DurableIO | None" = None,
     ):
         self.path = os.fspath(path)
         self.manifest_path = self.path + MANIFEST_SUFFIX
         self.kind = kind
         self.fingerprint = fingerprint
-        self.io = resolve_io(io)
+        self.total = int(total)
+        self.io = io if io is not None else current_io()
         self._handle: IO | None = None
         self._offset = 0
         self._chunks = 0
@@ -831,23 +804,18 @@ class DurableChunkStore:
     def open_resume(self, state: StoreState) -> None:
         """Re-open for appending after a salvage-aware load.
 
-        Trims the log back to the recovered valid prefix (dropping torn
-        tails and quarantined records) so new appends extend a clean
-        prefix, then fsyncs the trim before any new record is written.
+        Trims the log back to the byte end of the recovered valid prefix
+        (``state.valid_end``, found by the load's own walk — the log is
+        not read again), dropping torn tails and quarantined records so
+        new appends extend a clean prefix, then fsyncs the trim before
+        any new record is written.
         """
-        # Recompute the byte end of the kept prefix by re-walking the
-        # file; cheaper bookkeeping than threading offsets through state.
-        # The kept records are exactly the first len(state.chunks)
-        # frameable records (the keep-walk stops at the first bad one).
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        valid_end = _scan_prefix_end(data, len(state.chunks))
         self._handle = self.io.open(self.path, "r+b", CP_LOG_OPEN)
-        self.io.truncate(self._handle, valid_end, CP_LOG_TRUNCATE)
+        self.io.truncate(self._handle, state.valid_end, CP_LOG_TRUNCATE)
         self.io.fsync(self._handle, CP_LOG_TRUNCATE)
         self.io.reached(CP_LOG_TRUNCATED)
-        self._handle.seek(valid_end)
-        self._offset = valid_end
+        self._handle.seek(state.valid_end)
+        self._offset = state.valid_end
         self._chunks = len(state.chunks)
         self._next_index = (
             max((record.index for record in state.chunks), default=-1) + 1
@@ -925,24 +893,156 @@ class DurableChunkStore:
         self.generation = generation
         return generation
 
+    # -- a chunked run -----------------------------------------------------
 
-def _scan_prefix_end(data: bytes, keep: int) -> int:
-    """Byte offset one past the first ``keep`` frameable records of a log."""
-    end = 0
-    offset = 0
-    count = 0
-    while count < keep and offset + 16 <= len(data):
-        if data[offset : offset + 4] != RECORD_MAGIC:
-            break
-        header_len = int.from_bytes(data[offset + 4 : offset + 8], "little")
-        header_end = offset + 8 + header_len
-        if header_len <= 0 or header_end + 8 > len(data):
-            break
-        payload_len = int.from_bytes(data[header_end : header_end + 8], "little")
-        record_end = header_end + 8 + payload_len + 4
-        if record_end > len(data):
-            break
-        offset = record_end
-        count += 1
-        end = offset
-    return end
+    def run_meta(
+        self, completed: int, quarantined: Iterable[tuple[int, int]]
+    ) -> dict:
+        """The metadata every commit of a chunked run carries: ``completed``
+        rows and the quarantined ``(start, stop)`` row ranges among them."""
+        return {
+            "version": CHECKPOINT_VERSION,
+            "kind": self.kind,
+            "fingerprint": self.fingerprint,
+            "completed": int(completed),
+            "total": self.total,
+            "quarantined": [
+                [int(start), int(stop)] for start, stop in quarantined
+            ],
+        }
+
+    def start(self) -> None:
+        """Create the store of a fresh run (no row completed)."""
+        self.create(self.run_meta(0, ()))
+
+    def save(
+        self, completed: int, quarantined: Iterable[tuple[int, int]]
+    ) -> None:
+        """Commit every appended record under the run's metadata."""
+        self.commit(self.run_meta(completed, quarantined))
+        context = current_context()
+        context.count("checkpoint.saves")
+        context.event(
+            "checkpoint_save",
+            kind=self.kind,
+            path=self.path,
+            completed=int(completed),
+            total=self.total,
+        )
+
+    def resume(
+        self, series: Mapping[str, np.ndarray]
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """Load the run's store (salvaging if needed), replay it into
+        ``series`` and re-open it for appending.
+
+        Returns ``(completed, quarantined_ranges)``.  Only records of this
+        store's kind and fingerprint are replayed — the ownership check a
+        recovery without a manifest relies on.  A lossy recovery warns
+        :class:`~repro.robustness.guard.RobustnessWarning` and emits a
+        ``checkpoint_salvage`` event — never silent acceptance, never
+        wholesale discard.
+
+        Raises:
+            CheckpointError: Nothing usable was recovered, or the store
+                holds a different run (the salvage summary rides along).
+        """
+        state = load_store_state(self.path)
+        report = state.report
+        salvage = report.summary()
+        owned = replace(
+            state,
+            chunks=tuple(
+                record
+                for record in state.chunks
+                if record.kind == self.kind
+                and record.fingerprint == self.fingerprint
+            ),
+        )
+
+        def refuse(reason: str, message: str) -> CheckpointError:
+            return CheckpointError(
+                f"cannot resume: checkpoint {self.path!r} {message}",
+                path=self.path,
+                reason=reason,
+                salvage=salvage,
+            )
+
+        meta = state.meta
+        if meta is None:
+            if not owned.chunks:
+                # An empty log with no manifest is a crash one instant
+                # after create(): nothing committed, nothing torn — treat
+                # it as absent so callers can restart fresh.
+                raise refuse(
+                    "corrupt" if report.torn_bytes else "missing",
+                    f"has no committed state ({salvage})",
+                )
+            # Manifest destroyed but the log itself is healthy: the owned
+            # records are trustworthy (CRC + fingerprint), so synthesize
+            # the metadata instead of discarding them.
+            meta = self.run_meta(_contiguous_coverage(owned.chunks), ())
+        if int(meta.get("version", -1)) != CHECKPOINT_VERSION:
+            raise refuse(
+                "version",
+                f"has version {meta.get('version')}, expected "
+                f"{CHECKPOINT_VERSION}",
+            )
+        if str(meta.get("kind", "")) != self.kind:
+            raise refuse(
+                "mismatch",
+                f"holds a {str(meta.get('kind', ''))!r} run, not "
+                f"{self.kind!r}",
+            )
+        if str(meta.get("fingerprint", "")) != self.fingerprint:
+            raise refuse(
+                "mismatch",
+                "was written by a different run configuration (seed, "
+                "draws, parameters, or policy differ)",
+            )
+        committed = int(meta.get("completed", 0))
+        if committed > self.total or int(meta.get("total", -1)) != self.total:
+            raise refuse(
+                "mismatch",
+                f"covers {committed}/{meta.get('total')} rows, expected "
+                f"{self.total}",
+            )
+        completed = min(committed, owned.replay(series))
+        # Quarantined holes sit inside the completed prefix; any range a
+        # lossy salvage pushed past `completed` is recomputed anyway.
+        quarantined = [
+            (int(start), int(stop))
+            for start, stop in meta.get("quarantined", [])
+            if int(stop) <= completed
+        ]
+        context = current_context()
+        if report.lossy or completed < committed:
+            warnings.warn(
+                f"checkpoint {self.path!r} was damaged; recovered the "
+                f"longest valid committed prefix ({salvage}); "
+                f"{committed - completed} row(s) will be recomputed",
+                RobustnessWarning,
+                stacklevel=4,
+            )
+            context.count("checkpoint.salvages")
+            context.event(
+                "checkpoint_salvage",
+                kind=self.kind,
+                path=self.path,
+                chunks_kept=report.chunks_kept,
+                chunks_quarantined=len(report.chunks_quarantined),
+                generation=report.generation,
+                completed=completed,
+                committed=committed,
+                summary=salvage,
+            )
+        context.count("checkpoint.restores")
+        context.event(
+            "checkpoint_restore",
+            kind=self.kind,
+            path=self.path,
+            completed=completed,
+            total=self.total,
+        )
+        self.open_resume(state)
+        return completed, quarantined

@@ -859,21 +859,35 @@ def _choose_hours_columns(
             & (hour_grid >= arr_k[split_idx, None])
             & (hour_grid < dl_k[split_idx, None])
         )
-        slots_s = slots_k[split_idx]
-        enough = hour_ok.sum(axis=1) >= slots_s
-        # Stable argsort over (CI, hour): equal intensities keep hour
-        # order, matching the scalar reference's sort key exactly.
-        ranked = np.argsort(
-            np.where(hour_ok, ctx.ci[split_idx], np.inf),
-            axis=1,
-            kind="stable",
+        _place_split_rows(
+            ctx, split_idx, hour_ok, slots_k, chosen, feasible_row
         )
-        take = np.arange(ranked.shape[1], dtype=np.int64)[None, :]
-        selected = np.where(take < slots_s[:, None], ranked, horizon)
-        chosen[split_idx] = np.sort(selected, axis=1)[:, : ctx.max_slots]
-        feasible_row[split_idx] = enough
 
     return chosen, feasible_row
+
+
+def _place_split_rows(
+    ctx: _ColumnContext,
+    split_idx: np.ndarray,
+    hour_ok: np.ndarray,
+    slots_k: np.ndarray,
+    chosen: np.ndarray,
+    feasible_row: np.ndarray,
+) -> None:
+    """Place each preemptible ``carbon_lowest`` row of ``split_idx`` on
+    its ``slots`` lowest-intensity allowed hours (``hour_ok``, one row
+    per split row), in hour order; fills ``chosen`` and ``feasible_row``
+    in place."""
+    slots_s = slots_k[split_idx]
+    # Stable argsort over (CI, hour): equal intensities keep hour order,
+    # matching the scalar reference's sort key exactly.
+    ranked = np.argsort(
+        np.where(hour_ok, ctx.ci[split_idx], np.inf), axis=1, kind="stable"
+    )
+    take = np.arange(ranked.shape[1], dtype=np.int64)[None, :]
+    selected = np.where(take < slots_s[:, None], ranked, ctx.horizon)
+    chosen[split_idx] = np.sort(selected, axis=1)[:, : ctx.max_slots]
+    feasible_row[split_idx] = hour_ok.sum(axis=1) >= slots_s
 
 
 def _price_lowest_starts(
@@ -985,20 +999,14 @@ def _choose_hours_bitset(
             & bits.ge_table[np.minimum(arr_k[split_idx], horizon)]
             & bits.le_table[np.clip(dl_k[split_idx], 0, horizon)]
         )
-        hour_ok = _unpack_hour_bits(ok_bits, horizon)
-        slots_s = slots_k[split_idx]
-        enough = hour_ok.sum(axis=1) >= slots_s
-        # Stable argsort over (CI, hour): equal intensities keep hour
-        # order, matching the scalar reference's sort key exactly.
-        ranked = np.argsort(
-            np.where(hour_ok, ctx.ci[split_idx], np.inf),
-            axis=1,
-            kind="stable",
+        _place_split_rows(
+            ctx,
+            split_idx,
+            _unpack_hour_bits(ok_bits, horizon),
+            slots_k,
+            chosen,
+            feasible_row,
         )
-        take = np.arange(ranked.shape[1], dtype=np.int64)[None, :]
-        selected = np.where(take < slots_s[:, None], ranked, horizon)
-        chosen[split_idx] = np.sort(selected, axis=1)[:, : ctx.max_slots]
-        feasible_row[split_idx] = enough
 
     return chosen, feasible_row
 

@@ -35,9 +35,7 @@ from repro.engine.cache import EvaluationCache
 from repro.obs.context import current_context
 from repro.scheduling.batch import (
     POLICY_IDS,
-    SCHEDULE_SERIES,
     ScheduleBatch,
-    evaluate_schedule_cached,
     verify_schedule_batch,
 )
 from repro.scheduling.fleet import FleetSpec, single_machine_fleet
@@ -404,46 +402,36 @@ def run_policy_sweep(
 ) -> PolicySweepResult:
     """Run the sweep end to end and report the policy Pareto front.
 
-    Serial by default; pass an
-    :class:`~repro.parallel.policy.ExecutionPolicy` (``workers > 1``),
-    ``chunk_rows``, or a ``checkpoint`` path to route through the chunked
-    runner in :mod:`repro.robustness.checkpoint` — results are
-    bit-identical either way.  ``verify_sample`` > 0 additionally
-    cross-checks that many evenly spaced rows against the scalar
-    reference (the guarded-engine idiom for this workload family).
+    Always runs through the chunked driver
+    (:func:`~repro.robustness.checkpoint.run_schedule_sweep_chunked`),
+    ``chunk_rows`` rows at a time (default
+    :data:`~repro.robustness.checkpoint.DEFAULT_CHUNK_ROWS`, 4,096): without
+    a ``checkpoint`` it is that driver without a store, serial unless an
+    :class:`~repro.parallel.policy.ExecutionPolicy` asks for workers.  The
+    series are bit-identical at any chunk size or worker count.
+    ``verify_sample`` > 0 additionally cross-checks that many evenly
+    spaced rows against the scalar reference (the guarded-engine idiom
+    for this workload family).
     """
+    from repro.robustness.checkpoint import (
+        DEFAULT_CHUNK_ROWS,
+        run_schedule_sweep_chunked,
+    )
+
     with current_context().span(
         "scheduling.policy_sweep",
         windows=spec.windows,
         policies=len(spec.policies),
     ):
-        chunked = (
-            checkpoint is not None
-            or chunk_rows is not None
-            or cancel is not None
-            or policy is not None
+        series = run_schedule_sweep_chunked(
+            spec,
+            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
+            checkpoint_path=checkpoint,
+            resume=resume,
+            cancel=cancel,
+            policy=policy,
+            cache=cache,
         )
-        if chunked:
-            from repro.robustness.checkpoint import (
-                DEFAULT_CHUNK_ROWS,
-                run_schedule_sweep_chunked,
-            )
-
-            series = run_schedule_sweep_chunked(
-                spec,
-                chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-                checkpoint_path=checkpoint,
-                resume=resume,
-                cancel=cancel,
-                policy=policy,
-                cache=cache,
-            )
-        else:
-            batch = build_schedule_batch(spec)
-            result = evaluate_schedule_cached(batch, cache)
-            series = {
-                name: getattr(result, name).copy() for name in SCHEDULE_SERIES
-            }
         if verify_sample > 0:
             rows = np.unique(
                 np.linspace(

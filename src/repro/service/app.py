@@ -34,6 +34,7 @@ than surfacing as a 500.
 from __future__ import annotations
 
 import json
+import math
 import time
 from typing import Mapping, Sequence
 
@@ -166,6 +167,18 @@ def _number(value: object, what: str) -> float:
         return float(value)
     except OverflowError:
         raise beyond_float_range(what) from None
+
+
+def _integer(value: object, what: str, minimum: int) -> int:
+    """A JSON number holding a whole value of at least ``minimum``: a
+    non-finite, fractional or smaller one is a 422."""
+    number = _number(value, what)
+    whole = math.isfinite(number) and number.is_integer()
+    if not (whole and number >= minimum):
+        raise ParameterError(
+            f"{what} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value if isinstance(value, int) else int(number)
 
 
 def parse_body(raw: bytes) -> dict:
@@ -443,7 +456,7 @@ class CarbonQueryService:
         if raw is None:
             return self.config.default_deadline_s
         deadline = _number(raw, "deadline_ms") / 1e3
-        if deadline <= 0:
+        if not deadline > 0:  # NaN included
             raise ParameterError(
                 f"deadline_ms must be > 0, got {raw!r}"
             )
@@ -660,12 +673,12 @@ class CarbonQueryService:
         )
 
         scenario = parse_scenario(request.get("params"))
-        draws = int(_number(request.get("draws", 10_000), "draws"))
-        if not 0 < draws <= self.config.max_draws:
+        draws = _integer(request.get("draws", 10_000), "draws", 1)
+        if draws > self.config.max_draws:
             raise ParameterError(
                 f"draws must be in [1, {self.config.max_draws}], got {draws}"
             )
-        seed = int(_number(request.get("seed", 2022), "seed"))
+        seed = _integer(request.get("seed", 2022), "seed", 0)
         distribution = str(request.get("distribution", "triangular"))
         parameters = request.get("parameters")
         if parameters is not None and (
@@ -685,11 +698,7 @@ class CarbonQueryService:
         policy = None
         workers_raw = request.get("workers")
         if workers_raw is not None:
-            workers = int(_number(workers_raw, "workers"))
-            if workers < 1:
-                raise ParameterError(
-                    f"workers must be >= 1, got {workers}"
-                )
+            workers = _integer(workers_raw, "workers", 1)
             from repro.parallel.policy import ExecutionPolicy
 
             # Retry-on-failure so a dying worker degrades latency, not

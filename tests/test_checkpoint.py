@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import ActScenario, run_monte_carlo
-from repro.core.errors import CheckpointError, RunInterrupted, ValidationError
+from repro.core.errors import (
+    CheckpointError,
+    DivergenceError,
+    RunInterrupted,
+    ValidationError,
+)
 from repro.core.intensity import solar_diurnal_trace
 from repro.dse import sweep_grid_batched
 from repro.engine.cache import EvaluationCache
@@ -16,15 +21,22 @@ from repro.robustness import (
     CancelToken,
     CountingCancelToken,
     GuardedEngine,
+    RobustnessWarning,
     load_store_state,
     run_monte_carlo_chunked,
     sweep_grid_batched_chunked,
 )
+from repro.robustness import durability
 from repro.robustness.checkpoint import run_schedule_sweep_chunked
 from repro.scheduling.sweep import ScheduleSweepSpec
 
 BASE = ActScenario()
 GRIDS = {"fab_yield": [0.6, 0.75, 0.875, 1.0], "energy_kwh": list(range(1, 9))}
+# 1,600 points: enough for the sweep planner.
+PLANNED_GRIDS = {
+    "fab_yield": list(np.linspace(0.5, 1.0, 40)),
+    "energy_kwh": list(np.linspace(1.0, 40.0, 40)),
+}
 
 
 class TestCancelToken:
@@ -250,6 +262,23 @@ class TestSweepChunked:
             )
         assert excinfo.value.reason == "mismatch"
 
+    def test_planned_rows_are_cross_checked(self, monkeypatch):
+        # A planner fault must not pass silently: the chunked sweep
+        # spot-checks its gathered rows against the dense kernel, as the
+        # one-shot sweep does.
+        from repro.engine.plan import SweepPlan
+
+        exact = SweepPlan.partial_series
+
+        def skewed(plan):
+            tables = exact(plan)
+            tables["total_g"] = tables["total_g"] * (1 + 1e-6)
+            return tables
+
+        monkeypatch.setattr(SweepPlan, "partial_series", skewed)
+        with pytest.raises(DivergenceError):
+            sweep_grid_batched_chunked(BASE, PLANNED_GRIDS, chunk_rows=512)
+
     def test_completed_run_leaves_loadable_checkpoint(self, tmp_path):
         path = tmp_path / "sweep.npz"
         result = sweep_grid_batched_chunked(
@@ -296,3 +325,69 @@ class TestFingerprintPins:
             policy=workers,
         )
         assert load_store_state(path).meta["fingerprint"] == self.SCHEDULE
+
+
+def _run_mc(**kwargs):
+    result = run_monte_carlo_chunked(
+        BASE, draws=1000, seed=5, chunk_rows=128, **kwargs
+    )
+    return {"samples": result.samples}
+
+
+def _run_sweep(**kwargs):
+    result = sweep_grid_batched_chunked(
+        BASE, PLANNED_GRIDS, chunk_rows=256, **kwargs
+    ).result
+    return {
+        name: getattr(result, name) for name in BatchResult.__dataclass_fields__
+    }
+
+
+def _run_schedule(checkpoint=None, **kwargs):
+    spec = ScheduleSweepSpec(
+        trace=solar_diurnal_trace(500.0, solar_share_at_noon=0.7),
+        windows=60,
+        seed=7,
+    )
+    return run_schedule_sweep_chunked(
+        spec, chunk_rows=32, checkpoint_path=checkpoint, **kwargs
+    )
+
+
+class TestResumedMatchesUninterrupted:
+    """Resumed vs uninterrupted, for every chunked kind: a run interrupted
+    at a chunk boundary, whose log tail is then torn, resumes to the
+    uninterrupted result byte for byte and reads its log once."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [_run_mc, _run_sweep, _run_schedule],
+        ids=["mc", "sweep", "schedule"],
+    )
+    def test_torn_resume_is_byte_identical(self, tmp_path, monkeypatch, run):
+        path = tmp_path / "run.ckpt"
+        uninterrupted = run()
+        with pytest.raises(RunInterrupted):
+            run(
+                checkpoint=path,
+                cancel=CountingCancelToken(stop_after_checks=3),
+            )
+        # Tear the last committed record's CRC trailer.
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 3)
+
+        reads = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if mode == "rb" and os.fspath(file) == os.fspath(path):
+                reads.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(durability, "open", counting_open, raising=False)
+        with pytest.warns(RobustnessWarning, match="damaged"):
+            resumed = run(checkpoint=path, resume=True)
+        assert len(reads) == 1
+        assert resumed.keys() == uninterrupted.keys()
+        for name, values in uninterrupted.items():
+            assert resumed[name].tobytes() == values.tobytes(), name
+

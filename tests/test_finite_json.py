@@ -71,7 +71,7 @@ class TestArtifacts:
         with pytest.raises(NonFiniteError, match="checkpoint manifest"):
             store.commit({"completed": math.nan})
         with pytest.raises(NonFiniteError, match="chunk record header"):
-            durability._encode_record(
+            durability._record_parts(
                 index=0,
                 start=0,
                 stop=math.inf,
@@ -86,7 +86,7 @@ class TestArtifacts:
         path = tmp_path / "manifest"
         body = {"format": durability.STORE_FORMAT, "meta": {"x": math.nan}}
         path.write_text(json.dumps(dict(body, crc=0)))
-        assert durability._read_manifest(str(path)) == (None, True)
+        assert durability._read_manifest(str(path)) is None
 
     def test_experiment_json_exits_with_an_error(self, monkeypatch, capsys):
         class Result:

@@ -55,12 +55,15 @@ from repro.parallel import (
 )
 from repro.parallel.policy import shard_plan
 from repro.robustness.checkpoint import (
-    CHECKPOINT_VERSION,
     CancelToken,
     CountingCancelToken,
     run_monte_carlo_chunked,
 )
-from repro.robustness.durability import DurableChunkStore, load_store_state
+from repro.robustness.durability import (
+    CHECKPOINT_VERSION,
+    DurableChunkStore,
+    load_store_state,
+)
 from repro.robustness.faultinject import ProcessFault, ProcessFaultPlan
 from repro.robustness import guard as guard_module
 from repro.robustness.guard import GuardedEngine, RobustnessWarning

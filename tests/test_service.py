@@ -93,6 +93,29 @@ class TestValidation:
         response = post(service, "/v1/footprint", {"deadline_ms": -5})
         assert response.status == 422
 
+    def test_nan_deadline_is_422(self, service):
+        body = b'{"deadline_ms": NaN}'
+        response = service.handle("POST", "/v1/footprint", body)
+        assert response.status == 422
+        assert response.payload["error"] == "parameter"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # JSON numbers beyond float range parse as inf.
+            b'{"draws": 1e400}',
+            b'{"seed": 1e400}',
+            b'{"workers": 1e400}',
+            b'{"draws": NaN}',
+            b'{"seed": 2.7}',
+            b'{"seed": -1}',
+        ],
+    )
+    def test_montecarlo_counts_must_be_integers(self, service, body):
+        response = service.handle("POST", "/v1/montecarlo", body)
+        assert response.status == 422
+        assert response.payload["error"] == "parameter"
+
 
 class TestFootprint:
     def test_result_is_bit_identical_to_direct_engine_call(self, service):
