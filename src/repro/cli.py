@@ -452,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2.0,
         metavar="MS",
         help="longest a query waits for co-travelers before its batch "
-        "fires anyway",
+        "fires anyway; a query waits only while another request is in "
+        "flight",
     )
     serve.add_argument(
         "--queue-limit",

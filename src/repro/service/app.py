@@ -334,6 +334,7 @@ class CarbonQueryService:
             self.cache,
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_s,
+            admission=self.queue,
             on_success=self.breaker.record_success,
             on_failure=self._backend_failure,
         )

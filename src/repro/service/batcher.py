@@ -10,6 +10,14 @@ event; a single batcher thread gathers waiting queries into a
 ``max_wait_s``, whichever first), runs **one** Eq. 1-8 pass, and hands
 each thread its row.
 
+A tick waits for co-travellers only while one can exist.  Given the
+service's :class:`~repro.service.admission.AdmissionQueue`, the gather
+loop waits only while more requests are admitted than the tick already
+holds; when every admitted request is in the tick it fires at once, so
+a lone query pays no wait at all.  The admitted count runs high, never
+low (cache hits, other endpoints and answered-but-not-yet-left requests
+all count), so the rule only skips waits that could gather nothing.
+
 Per-row results are also written back into the shared
 :class:`~repro.engine.cache.EvaluationCache` under their single-row
 content key, and every tick peeks that cache first — so hot queries are
@@ -20,8 +28,10 @@ Failure semantics:
 
 * A query whose deadline expires while queued is dropped before
   evaluation and resolves to
-  :class:`~repro.service.admission.DeadlineExceeded` (the waiter may
-  also time out on its own; both paths agree).
+  :class:`~repro.service.admission.DeadlineExceeded` with stage
+  ``"queued"`` (the waiter may also time out on its own; both paths
+  agree).  Once a tick has taken the query, an expiry answers stage
+  ``"batched"``.
 * A kernel failure fails exactly the queries in that tick — each with
   its own copy of the original exception, chained to it — and is
   reported to the ``on_failure`` hook (the circuit breaker) before any
@@ -47,7 +57,11 @@ from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import EvaluationCache, scenario_key
 from repro.engine.kernels import BatchResult, evaluate_batch
 from repro.obs.context import current_context
-from repro.service.admission import DeadlineExceeded, ServiceUnavailable
+from repro.service.admission import (
+    AdmissionQueue,
+    DeadlineExceeded,
+    ServiceUnavailable,
+)
 
 
 def single_row_batch(scenario: ActScenario) -> ScenarioBatch:
@@ -122,6 +136,7 @@ class PendingQuery:
         "error",
         "served_from",
         "batch_rows",
+        "taken",
         "cancelled",
     )
 
@@ -138,6 +153,7 @@ class PendingQuery:
         self.error: BaseException | None = None
         self.served_from = ""
         self.batch_rows = 0
+        self.taken = False
         self.cancelled = False
 
     @property
@@ -161,7 +177,8 @@ class PendingQuery:
         Raises the query's failure, or :class:`DeadlineExceeded` on
         timeout — in which case the query is also cooperatively
         cancelled, so a still-queued entry is dropped without ever
-        being evaluated.
+        being evaluated.  The exception's stage is ``"batched"`` once a
+        tick has taken the query, ``"queued"`` before.
         """
         remaining = self.deadline - time.monotonic()
         if not self._latch.acquire(timeout=max(0.0, remaining)):
@@ -171,9 +188,9 @@ class PendingQuery:
             if not self.resolved:
                 raise DeadlineExceeded(
                     "deadline expired while the query was "
-                    + ("being evaluated" if self.batch_rows else "queued"),
+                    + ("in its batch" if self.taken else "queued"),
                     deadline_s=self.deadline - self.enqueued_at,
-                    stage="batched" if self.batch_rows else "queued",
+                    stage="batched" if self.taken else "queued",
                 )
         if self.error is not None:
             raise self.error
@@ -186,6 +203,7 @@ class BatcherStats:
     """Point-in-time counters of one batcher (all monotone)."""
 
     ticks: int = 0
+    gathered: int = 0
     queries: int = 0
     coalesced: int = 0
     cache_served: int = 0
@@ -196,6 +214,7 @@ class BatcherStats:
     def as_dict(self) -> dict[str, int]:
         return {
             "ticks": self.ticks,
+            "gathered": self.gathered,
             "queries": self.queries,
             "coalesced": self.coalesced,
             "cache_served": self.cache_served,
@@ -214,6 +233,10 @@ class MicroBatcher:
         max_batch: Most queries evaluated in one kernel call.
         max_wait_s: Longest the first query of a tick waits for
             co-travelers.
+        admission: The service's count of admitted, unanswered
+            requests.  When given, a tick waits only while that count
+            exceeds its rows, so a lone query is dispatched at once;
+            without it, every tick gathers.
         on_success / on_failure: Hooks reporting each kernel call's
             outcome — the circuit breaker's sensors.
     """
@@ -224,12 +247,14 @@ class MicroBatcher:
         *,
         max_batch: int = 256,
         max_wait_s: float = 0.002,
+        admission: AdmissionQueue | None = None,
         on_success: Callable[[], None] | None = None,
         on_failure: Callable[[BaseException], None] | None = None,
     ) -> None:
         self.cache = cache
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
+        self.admission = admission
         self.on_success = on_success
         self.on_failure = on_failure
         self.stats = BatcherStats()
@@ -301,8 +326,13 @@ class MicroBatcher:
                     )
                 )
                 continue
+            query.taken = True
             taken.append(query)
         return taken
+
+    def _company_possible(self, rows: int) -> bool:
+        """Whether a request outside this tick's ``rows`` is admitted."""
+        return self.admission is None or self.admission.depth > rows
 
     def _loop(self) -> None:
         while True:
@@ -312,33 +342,43 @@ class MicroBatcher:
                 if not self._queue and self._closing:
                     return
                 items = self._take_locked(self.max_batch)
-                if not self._closing and self.max_wait_s > 0:
-                    # Gather co-travelers for at most max_wait_s, but stop
-                    # as soon as arrivals go quiet for one idle gap: the
-                    # queries this tick would still be waiting for are
-                    # usually blocked on this very tick, so dead waiting
-                    # only adds latency without growing the batch.
-                    idle_gap = max(self.max_wait_s / 8, 50e-6)
-                    gather_until = time.monotonic() + self.max_wait_s
-                    while len(items) < self.max_batch:
-                        remaining = gather_until - time.monotonic()
-                        if remaining <= 0 or self._closing:
-                            break
-                        notified = self._cond.wait(min(remaining, idle_gap))
-                        fresh = self._take_locked(self.max_batch - len(items))
-                        if not fresh and not notified:
-                            break
-                        items.extend(fresh)
+                started = time.perf_counter()
+                # Gather co-travelers for at most max_wait_s, but only
+                # while an admitted request is outside this tick, and stop
+                # as soon as arrivals go quiet for one idle gap: the
+                # queries this tick would still be waiting for are
+                # usually blocked on this very tick, so dead waiting
+                # only adds latency without growing the batch.
+                idle_gap = max(self.max_wait_s / 8, 50e-6)
+                gather_until = started + self.max_wait_s
+                waited = False
+                while len(items) < self.max_batch and self._company_possible(
+                    len(items)
+                ):
+                    remaining = gather_until - time.perf_counter()
+                    if remaining <= 0 or self._closing:
+                        break
+                    waited = True
+                    notified = self._cond.wait(min(remaining, idle_gap))
+                    fresh = self._take_locked(self.max_batch - len(items))
+                    if not fresh and not notified:
+                        break
+                    items.extend(fresh)
             if items:
-                self._evaluate(items)
+                self._evaluate(items, waited, time.perf_counter() - started)
 
-    def _evaluate(self, items: list[PendingQuery]) -> None:
+    def _evaluate(
+        self, items: list[PendingQuery], waited: bool, gather_s: float
+    ) -> None:
         context = current_context()
         rows = len(items)
         with self._cond:
             self.stats.ticks += 1
+            self.stats.gathered += waited
             self.stats.coalesced += rows
             self.stats.max_batch_rows = max(self.stats.max_batch_rows, rows)
+        if context.enabled:
+            context.observe("service.batcher.gather_seconds", gather_s)
         started = time.perf_counter()
         try:
             coalesced = ScenarioBatch.from_scenarios(

@@ -28,8 +28,9 @@ class ServiceConfig:
             ``1`` disables cross-request batching (the benchmark's
             baseline configuration).
         max_wait_s: Longest a query waits for co-travelers before the
-            tick fires anyway.  The latency cost of batching is bounded
-            by this number.
+            tick fires anyway.  A tick waits only while another admitted
+            request is in flight, so a lone query pays no batching wait;
+            under concurrency the wait is bounded by this number.
         queue_limit: Bound on queries admitted but not yet answered.
             Above it the service sheds load with 429 + ``Retry-After``
             instead of building an unbounded backlog.

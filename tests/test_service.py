@@ -22,6 +22,7 @@ from repro.core.errors import (
 )
 from repro.engine.cache import EvaluationCache
 from repro.engine.kernels import evaluate_batch
+from repro.obs import RunContext, use_context
 from repro.service import (
     AdmissionQueue,
     CarbonQueryService,
@@ -173,6 +174,76 @@ class TestFootprint:
             assert svc.batcher.stats.ticks < len(hours)
         finally:
             svc.drain(5.0)
+
+
+class TestGatherRule:
+    """A tick waits for co-travellers only while one can be admitted."""
+
+    def test_lone_query_is_dispatched_at_once(self):
+        # max_wait_s=5.0 means a 625 ms idle gap for a tick that gathers.
+        svc = CarbonQueryService(ServiceConfig(max_wait_s=5.0))
+        try:
+            started = time.perf_counter()
+            response = post(
+                svc, "/v1/footprint", {"params": {"energy_kwh": 5.55}}
+            )
+            elapsed = time.perf_counter() - started
+            assert response.status == 200
+            assert response.payload["batch_rows"] == 1
+            assert elapsed < 0.3
+            batcher = svc.handle("GET", "/statz").payload["batcher"]
+            assert batcher["ticks"] == 1
+            assert batcher["gathered"] == 0
+        finally:
+            svc.drain(5.0)
+
+    def test_query_waits_while_another_request_is_admitted(self):
+        svc = CarbonQueryService(ServiceConfig(max_wait_s=5.0))
+        # The slot the second query stands for: admitted, not yet
+        # submitted, so the first query's tick must wait for it.
+        assert svc.queue.try_enter()
+        first = []
+        thread = threading.Thread(
+            target=lambda: first.append(
+                post(svc, "/v1/footprint", {"params": {"energy_kwh": 6.0}})
+            )
+        )
+        try:
+            thread.start()
+            give_up = time.monotonic() + 5.0
+            while svc.batcher.stats.queries < 1 or svc.batcher._queue:
+                assert time.monotonic() < give_up
+                time.sleep(0.001)
+            second = svc.batcher.submit(
+                BASE.replace(energy_kwh=7.0), timeout_s=5.0
+            )
+            result = second.wait()
+            thread.join(5.0)
+            assert first[0].status == 200
+            assert first[0].payload["batch_rows"] == 2
+            assert second.batch_rows == 2
+            assert result.total_g[0] == evaluate_batch(
+                single_row_batch(BASE.replace(energy_kwh=7.0))
+            ).total_g[0]
+            assert svc.batcher.stats.ticks == 1
+            assert svc.batcher.stats.gathered == 1
+        finally:
+            svc.queue.leave()
+            thread.join(5.0)
+            svc.drain(5.0)
+
+    def test_gather_time_is_observed_per_tick(self):
+        context = RunContext.create(describe_git=False)
+        svc = CarbonQueryService(ServiceConfig(max_wait_s=0.001))
+        try:
+            with use_context(context):
+                post(svc, "/v1/footprint", {"params": {"energy_kwh": 8.0}})
+                post(svc, "/v1/footprint", {"params": {"energy_kwh": 9.0}})
+        finally:
+            svc.drain(5.0)
+        timers = context.metrics.snapshot()["timers"]
+        assert timers["service.batcher.gather_seconds"]["count"] == 2
+        assert timers["service.batcher.tick_seconds"]["count"] == 2
 
 
 class TestMetricEndpoint:
@@ -412,15 +483,42 @@ class TestNonFiniteResults:
             strict_json(response.body())
 
 
+def hold_first_tick(monkeypatch):
+    """Hold the batcher's first kernel call until ``release`` is set;
+    returns ``(holding, release)``, ``holding`` set once that call has
+    started."""
+    import repro.service.batcher as batcher_module
+
+    holding = threading.Event()
+    release = threading.Event()
+
+    def held(batch, backend=None):
+        if not holding.is_set():
+            holding.set()
+            release.wait(5.0)
+        return evaluate_batch(batch)
+
+    monkeypatch.setattr(batcher_module, "evaluate_batch", held)
+    return holding, release
+
+
 class TestDeadlines:
-    def test_deadline_expired_while_queued_is_504(self):
-        # A batcher that waits far longer than the request's deadline:
-        # the query times out queued, resolves to DeadlineExceeded, and
-        # the tick that eventually fires drops the cancelled entry.
-        svc = CarbonQueryService(
-            ServiceConfig(max_wait_s=0.5, default_deadline_s=2.0)
+    def test_deadline_expired_while_queued_is_504(self, monkeypatch):
+        # A first tick stuck in the kernel keeps the batcher thread busy:
+        # the second query times out queued, resolves to
+        # DeadlineExceeded, and the tick after the release drops the
+        # cancelled entry.
+        holding, release = hold_first_tick(monkeypatch)
+        svc = CarbonQueryService(ServiceConfig(default_deadline_s=5.0))
+        decoy = []
+        thread = threading.Thread(
+            target=lambda: decoy.append(
+                post(svc, "/v1/footprint", {"params": {"energy_kwh": 1.0}})
+            )
         )
         try:
+            thread.start()
+            assert holding.wait(5.0)
             response = post(
                 svc,
                 "/v1/footprint",
@@ -428,7 +526,30 @@ class TestDeadlines:
             )
             assert response.status == 504
             assert response.payload["error"] == "deadline_exceeded"
+            assert response.payload["stage"] == "queued"
         finally:
+            release.set()
+            thread.join(5.0)
+            svc.drain(5.0)
+        assert decoy[0].status == 200
+
+    def test_deadline_expired_mid_tick_is_504_batched(self, monkeypatch):
+        # The query's own tick is held inside the kernel past its
+        # deadline: it was taken, so the 504 names the batched stage.
+        holding, release = hold_first_tick(monkeypatch)
+        svc = CarbonQueryService(ServiceConfig(default_deadline_s=5.0))
+        try:
+            response = post(
+                svc,
+                "/v1/footprint",
+                {"params": {"energy_kwh": 4.44}, "deadline_ms": 50},
+            )
+            assert holding.is_set()
+            assert response.status == 504
+            assert response.payload["error"] == "deadline_exceeded"
+            assert response.payload["stage"] == "batched"
+        finally:
+            release.set()
             svc.drain(5.0)
 
     def test_deadline_is_capped_at_config_max(self, service):
