@@ -38,11 +38,8 @@ from repro.scheduling.fleet import (
 from repro.scheduling.policies import (
     DEFAULT_THRESHOLD_QUANTILE,
     POLICY_NAMES,
-    SCHEDULING_POLICIES,
     FleetPlacement,
     FleetSchedule,
-    SchedulingPolicy,
-    get_policy,
     simulate_fleet,
 )
 from repro.scheduling.batch import (
@@ -79,18 +76,15 @@ __all__ = [
     "PolicyPoint",
     "PolicySweepResult",
     "SCHEDULE_SERIES",
-    "SCHEDULING_POLICIES",
     "ScheduleBatch",
     "ScheduleBatchResult",
     "ScheduleScenario",
     "ScheduleSweepSpec",
-    "SchedulingPolicy",
     "THROTTLE_LADDER_STEPS",
     "build_schedule_batch",
     "evaluate_schedule_batch",
     "evaluate_schedule_cached",
     "from_simulator_job",
-    "get_policy",
     "nightly_batch_workload",
     "run_policy_sweep",
     "schedule_batch_key",

@@ -27,7 +27,6 @@ cross-checking.
 from __future__ import annotations
 
 import hashlib
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -485,9 +484,10 @@ def _simulate_columns(batch: ScheduleBatch) -> ScheduleBatchResult:
     )
     ci_lowest_pad[:, :horizon] = ci[lowest_idx]
     ci_lowest_pad[:, horizon:] = ci_lowest_pad[:, horizon - 1 : horizon]
-    bits = _make_bitset_context(
-        pool, rows, horizon, max_slots, ci_waiting, threshold_waiting
+    free_pad = _scratch(
+        pool, "free_pad", (rows, horizon + max_slots - 1), bool
     )
+    free_pad[:, horizon:] = True
     ctx = _ColumnContext(
         horizon=horizon,
         max_slots=max_slots,
@@ -499,16 +499,9 @@ def _simulate_columns(batch: ScheduleBatch) -> ScheduleBatchResult:
         threshold_waiting=threshold_waiting,
         lowest_idx=lowest_idx,
         ci_lowest_pad=ci_lowest_pad,
-        free_pad=(
-            None if bits is not None
-            else _make_free_pad(pool, rows, horizon, max_slots)
-        ),
-        feasible_buf=(
-            None if bits is not None
-            else _scratch(pool, "feasible_buf", (rows, horizon), bool)
-        ),
+        free_pad=free_pad,
+        feasible_buf=_scratch(pool, "feasible_buf", (rows, horizon), bool),
         cost_buf=_scratch(pool, "cost_buf", (n_lowest, horizon), np.float64),
-        bits=bits,
     )
 
     alive = np.ones(rows, dtype=bool)
@@ -651,10 +644,9 @@ class _ColumnContext:
     threshold_waiting: np.ndarray
     lowest_idx: np.ndarray
     ci_lowest_pad: np.ndarray
-    free_pad: "np.ndarray | None"
-    feasible_buf: "np.ndarray | None"
+    free_pad: np.ndarray
+    feasible_buf: np.ndarray
     cost_buf: np.ndarray
-    bits: "_BitsetContext | None" = None
 
 
 _SCRATCH = threading.local()
@@ -686,112 +678,6 @@ def _scratch(
     return arr
 
 
-def _make_free_pad(
-    pool: dict, rows: int, horizon: int, max_slots: int
-) -> np.ndarray:
-    pad = _scratch(pool, "free_pad", (rows, horizon + max_slots - 1), bool)
-    pad[:, horizon:] = True
-    return pad
-
-
-_U64_ONE = np.uint64(1)
-_U64_MASK = (1 << 64) - 1
-
-
-@dataclass
-class _BitsetContext:
-    """Single-word hour bitsets for horizons that fit one uint64.
-
-    Bit ``h`` of a row's word is hour ``h``; hours at or past the
-    horizon stay set in ``bool_buf`` so a window running off the end
-    matches the scalar reference's clip-at-horizon semantics.  The
-    window-AND, arrival/deadline masks, and first/last/green-hour
-    searches all become O(rows) integer ops instead of
-    O(rows × horizon) boolean matrices — the general matrix path below
-    remains the implementation for wider horizons.
-    """
-
-    bool_buf: np.ndarray  # (rows, 64) scratch; [:, horizon:] stays True
-    ge_table: np.ndarray  # ge_table[t] = bits t..63 set
-    le_table: np.ndarray  # le_table[t] = bits 0..t-1 set
-    green_bits: np.ndarray  # per-waiting-row hours with CI <= threshold
-    snap_buf: np.ndarray  # (rows,) uint64 scratch
-
-
-def _pack_hour_bits(mask: np.ndarray) -> np.ndarray:
-    """Pack a (rows, 64) boolean matrix into one uint64 per row."""
-    return np.packbits(mask, axis=1, bitorder="little").view(np.uint64)[:, 0]
-
-
-def _unpack_hour_bits(bits: np.ndarray, horizon: int) -> np.ndarray:
-    """Unpack (rows,) uint64 words back to (rows, horizon) booleans."""
-    as_bytes = np.ascontiguousarray(bits).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(
-        as_bytes, axis=1, bitorder="little", count=horizon
-    ).view(np.bool_)
-
-
-def _lowbit_index(bits: np.ndarray) -> np.ndarray:
-    """Index of each word's lowest set bit (0 for empty words).
-
-    Isolating the bit yields a power of two <= 2**63, which float64
-    represents exactly, so ``log2`` recovers the index without error.
-    Empty words map to index 0; callers mask those rows out via the
-    accompanying ``!= 0`` feasibility check.
-    """
-    low = bits & (~bits + _U64_ONE)
-    low = np.where(low == 0, _U64_ONE, low)
-    return np.log2(low.astype(np.float64)).astype(np.int64)
-
-
-def _highbit_index(bits: np.ndarray) -> np.ndarray:
-    """Index of each word's highest set bit (0 for empty words)."""
-    smear = bits.copy()
-    for shift in (1, 2, 4, 8, 16, 32):
-        smear |= smear >> np.uint64(shift)
-    high = smear ^ (smear >> _U64_ONE)
-    high = np.where(high == 0, _U64_ONE, high)
-    return np.log2(high.astype(np.float64)).astype(np.int64)
-
-
-def _make_bitset_context(
-    pool: dict,
-    rows: int,
-    horizon: int,
-    max_slots: int,
-    ci_waiting: np.ndarray,
-    threshold_waiting: np.ndarray,
-) -> "_BitsetContext | None":
-    """Bitset tables when every window fits one little-endian word."""
-    if horizon + max_slots - 1 > 64 or sys.byteorder != "little":
-        return None
-    bool_buf = _scratch(pool, "bool_buf", (rows, 64), bool)
-    bool_buf[:, horizon:] = True
-    ge_table = np.array(
-        [(~0 << t) & _U64_MASK for t in range(horizon + 1)],
-        dtype=np.uint64,
-    )
-    le_table = np.array(
-        [(1 << t) - 1 for t in range(horizon + 1)], dtype=np.uint64
-    )
-    if threshold_waiting.size:
-        green_buf = _scratch(
-            pool, "green_buf", (ci_waiting.shape[0], 64), bool
-        )
-        green_buf[:, horizon:] = False
-        green_buf[:, :horizon] = ci_waiting <= threshold_waiting[:, None]
-        green_bits = _pack_hour_bits(green_buf)
-    else:
-        green_bits = np.empty(0, dtype=np.uint64)
-    return _BitsetContext(
-        bool_buf=bool_buf,
-        ge_table=ge_table,
-        le_table=le_table,
-        green_bits=green_bits,
-        snap_buf=_scratch(pool, "snap_buf", (rows,), np.uint64),
-    )
-
-
 def _choose_hours_columns(
     ctx: _ColumnContext,
     split: np.ndarray,
@@ -804,10 +690,6 @@ def _choose_hours_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(chosen hours (rows, max_slots), feasible (rows,))`` for the
     current priority step's job on every row."""
-    if ctx.bits is not None:
-        return _choose_hours_bitset(
-            ctx, split, occupancy, arr_k, dl_k, slots_k, frac_k, weight_k
-        )
     horizon = ctx.horizon
     hour_grid = ctx.hour_grid
     slot_grid = np.arange(ctx.max_slots, dtype=np.int64)[None, :]
@@ -929,88 +811,6 @@ def _price_lowest_starts(
     return np.argmin(cost, axis=1)
 
 
-def _choose_hours_bitset(
-    ctx: _ColumnContext,
-    split: np.ndarray,
-    occupancy: np.ndarray,
-    arr_k: np.ndarray,
-    dl_k: np.ndarray,
-    slots_k: np.ndarray,
-    frac_k: np.ndarray,
-    weight_k: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The single-word bitset variant of :func:`_choose_hours_columns`.
-
-    Selects the same start hours as the matrix path: bit ``h`` of the
-    folded word says the window ``[h, h + s)`` is free, the table
-    gathers apply the arrival/deadline bounds, and lowest/highest set
-    bits replace the first/last-feasible argmax scans.  Start values
-    for rows whose word is empty are meaningless by construction; the
-    caller masks those rows via the returned feasibility flags.
-    """
-    bits = ctx.bits
-    horizon = ctx.horizon
-    np.less(occupancy, ctx.capacity[:, None], out=bits.bool_buf[:, :horizon])
-    free_bits = _pack_hour_bits(bits.bool_buf)
-
-    # Running window-AND: after folding shift s-1, a set bit h means
-    # hours [h, h + s) are all free; each row snapshots the fold at its
-    # own slot count.  Arrival bounds ride along from the start, the
-    # slot-count-dependent deadline bound is applied to the snapshot.
-    window = free_bits & bits.ge_table[np.minimum(arr_k, horizon)]
-    snap = bits.snap_buf
-    for s in range(1, ctx.max_slots + 1):
-        if s > 1:
-            window &= free_bits >> np.uint64(s - 1)
-        np.copyto(snap, window, where=slots_k == s)
-    feasible_bits = snap & bits.le_table[
-        np.clip(dl_k - slots_k + 1, 0, horizon)
-    ]
-
-    any_feasible = feasible_bits != 0
-    start = _lowbit_index(feasible_bits)
-
-    if ctx.waiting_idx.size:
-        idx = ctx.waiting_idx
-        bits_w = feasible_bits[idx]
-        green = bits_w & bits.green_bits
-        start[idx] = np.where(
-            green != 0, _lowbit_index(green), _highbit_index(bits_w)
-        )
-
-    if ctx.lowest_idx.size:
-        start[ctx.lowest_idx] = _price_lowest_starts(
-            ctx,
-            slots_k,
-            weight_k,
-            frac_k,
-            _unpack_hour_bits(feasible_bits[ctx.lowest_idx], horizon),
-        )
-
-    chosen = start[:, None] + np.arange(ctx.max_slots, dtype=np.int64)[
-        None, :
-    ]
-    feasible_row = any_feasible
-
-    split_idx = np.flatnonzero(split)
-    if split_idx.size:
-        ok_bits = (
-            free_bits[split_idx]
-            & bits.ge_table[np.minimum(arr_k[split_idx], horizon)]
-            & bits.le_table[np.clip(dl_k[split_idx], 0, horizon)]
-        )
-        _place_split_rows(
-            ctx,
-            split_idx,
-            _unpack_hour_bits(ok_bits, horizon),
-            slots_k,
-            chosen,
-            feasible_row,
-        )
-
-    return chosen, feasible_row
-
-
 def evaluate_schedule_cached(
     batch: ScheduleBatch, cache: "EvaluationCache | None" = None
 ) -> ScheduleBatchResult:
@@ -1032,6 +832,17 @@ def evaluate_schedule_cached(
     return result
 
 
+#: Each series :func:`verify_schedule_batch` compares, with the
+#: :class:`~repro.scheduling.policies.FleetSchedule` total it must equal.
+_REFERENCE_TOTALS: tuple[tuple[str, str], ...] = (
+    ("emissions_g", "total_emissions_g"),
+    ("energy_kwh", "total_energy_kwh"),
+    ("mean_wait_hours", "mean_waiting_hours"),
+    ("max_wait_hours", "max_waiting_hours"),
+    ("preemptions", "total_preemptions"),
+)
+
+
 def verify_schedule_batch(
     batch: ScheduleBatch,
     result: ScheduleBatchResult | None = None,
@@ -1042,10 +853,14 @@ def verify_schedule_batch(
 
     The scheduling twin of the engine's guarded cross-check: evenly
     sampled rows are re-simulated with
-    :func:`~repro.scheduling.policies.simulate_fleet` and compared within
-    a 1e-9 relative tolerance.
+    :func:`~repro.scheduling.policies.simulate_fleet`; feasibility must
+    agree and, on feasible rows, every series must equal the
+    :class:`~repro.scheduling.policies.FleetSchedule` total exactly
+    (``==``, no tolerance — the vectorized path is bit-exact by
+    contract).
     Returns the number of rows checked; raises
-    :class:`~repro.core.errors.ValidationError` on any disagreement.
+    :class:`~repro.core.errors.ValidationError` on any disagreement,
+    naming each diverging series.
     """
     if sample < 1:
         raise ParameterError(f"sample must be >= 1, got {sample}")
@@ -1055,7 +870,6 @@ def verify_schedule_batch(
         raise ParameterError(
             f"result has {len(result)} rows for a {len(batch)}-row batch"
         )
-    tolerance = 1e-9
     trace = CarbonIntensityTrace("verify", batch.trace_g_per_kwh)
     checked = np.unique(
         np.linspace(0, len(batch) - 1, min(sample, len(batch))).astype(int)
@@ -1086,14 +900,17 @@ def verify_schedule_batch(
                 f"reference placed every job"
             )
             continue
-        expected = reference.total_emissions_g
-        got = float(result.emissions_g[row])
-        scale = max(1.0, abs(expected))
-        if abs(got - expected) > tolerance * scale:
+        diverged = []
+        for series, total in _REFERENCE_TOTALS:
+            got = float(getattr(result, series)[row])
+            expected = float(getattr(reference, total))
+            if got != expected:
+                diverged.append(
+                    f"{series} {got!r} vs scalar reference {expected!r}"
+                )
+        if diverged:
             mismatches.append(
-                f"row {row} ({scenario.policy}): emissions {got!r} vs "
-                f"scalar reference {expected!r} "
-                f"(tolerance {tolerance:g} relative)"
+                f"row {row} ({scenario.policy}): " + "; ".join(diverged)
             )
     if mismatches:
         raise ValidationError(

@@ -42,7 +42,6 @@ instead flags the scenario infeasible and NaNs its outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -163,24 +162,6 @@ class FleetSchedule:
         raise ConstraintError(f"no placement for job {job_name!r}")
 
 
-@runtime_checkable
-class SchedulingPolicy(Protocol):
-    """A named strategy that turns a job set into a fleet schedule."""
-
-    name: str
-
-    def __call__(
-        self,
-        jobs: tuple[FleetJob, ...],
-        fleet: FleetSpec,
-        trace: CarbonIntensityTrace,
-        *,
-        horizon_hours: int | None = None,
-        window_offset: int = 0,
-        threshold_quantile: float = DEFAULT_THRESHOLD_QUANTILE,
-    ) -> FleetSchedule: ...
-
-
 def _window_ci(
     trace: CarbonIntensityTrace, window_offset: int, horizon_hours: int
 ) -> list[float]:
@@ -198,16 +179,15 @@ def _job_order(jobs: tuple[FleetJob, ...], policy: str) -> list[int]:
             indices,
             key=lambda i: (jobs[i].deadline_hour, jobs[i].arrival_hour, i),
         )
-    if policy == "carbon_lowest":
-        return sorted(
-            indices,
-            key=lambda i: (
-                jobs[i].latest_start - jobs[i].arrival_hour,
-                jobs[i].arrival_hour,
-                i,
-            ),
-        )
-    raise UnknownEntryError("scheduling policy", policy, POLICY_NAMES)
+    # carbon_lowest: tightest slack first.
+    return sorted(
+        indices,
+        key=lambda i: (
+            jobs[i].latest_start - jobs[i].arrival_hour,
+            jobs[i].arrival_hour,
+            i,
+        ),
+    )
 
 
 def _contiguous_candidates(
@@ -400,46 +380,3 @@ def _choose_hours(
                 best_start, best_cost = start, cost
         start = best_start
     return list(range(start, start + job.slots))
-
-
-@dataclass(frozen=True)
-class _Policy:
-    """A :class:`SchedulingPolicy` bound to one policy name."""
-
-    name: str
-
-    def __call__(
-        self,
-        jobs: tuple[FleetJob, ...],
-        fleet: FleetSpec,
-        trace: CarbonIntensityTrace,
-        *,
-        horizon_hours: int | None = None,
-        window_offset: int = 0,
-        threshold_quantile: float = DEFAULT_THRESHOLD_QUANTILE,
-    ) -> FleetSchedule:
-        return simulate_fleet(
-            jobs,
-            fleet,
-            trace,
-            self.name,
-            horizon_hours=horizon_hours,
-            window_offset=window_offset,
-            threshold_quantile=threshold_quantile,
-        )
-
-
-#: Registry of the built-in policies, in canonical order.
-SCHEDULING_POLICIES: dict[str, SchedulingPolicy] = {
-    name: _Policy(name) for name in POLICY_NAMES
-}
-
-
-def get_policy(name: str) -> SchedulingPolicy:
-    """Look up a policy by name (with suggestions on a miss)."""
-    try:
-        return SCHEDULING_POLICIES[name]
-    except KeyError:
-        raise UnknownEntryError(
-            "scheduling policy", name, POLICY_NAMES
-        ) from None

@@ -12,12 +12,14 @@ from repro.scheduling.fleet import (
     Machine,
     single_machine_fleet,
 )
+from repro.scheduling.batch import verify_schedule_batch
 from repro.scheduling.policies import POLICY_NAMES, simulate_fleet
 from repro.scheduling.simulator import (
     Job,
     schedule_carbon_aware,
     schedule_fifo,
 )
+from repro.scheduling.sweep import ScheduleSweepSpec, build_schedule_batch
 
 # Non-overlapping arrival windows with generous slack keep both policies
 # feasible, so the properties test optimality rather than admission control.
@@ -229,3 +231,59 @@ class TestFleetPolicyProperties:
                 expected += (weight * fraction) * ci
                 previous = hour
             assert placement.emissions_g == pytest.approx(expected)
+
+
+@st.composite
+def sweep_specs(draw):
+    """Small sweeps whose horizons fall on both sides of 64 hours.
+
+    Trace values come from a short ladder so exact CI ties are common,
+    and the widest slack puts the latest deadlines on the horizon.
+    """
+    horizon = draw(st.integers(min_value=24, max_value=96))
+    duration_max = draw(st.integers(min_value=1, max_value=6))
+    arrival_span = draw(st.integers(min_value=1, max_value=12))
+    trace = CarbonIntensityTrace(
+        "ladder",
+        tuple(
+            draw(
+                st.lists(
+                    st.sampled_from((41.0, 120.0, 250.0, 400.0, 750.0)),
+                    min_size=1,
+                    max_size=48,
+                )
+            )
+        ),
+    )
+    fleet = FleetSpec(
+        (
+            Machine(
+                "m0",
+                capacity=draw(st.integers(min_value=1, max_value=3)),
+                idle_power_w=draw(st.sampled_from((0.0, 150.0))),
+                active_power_w=draw(st.sampled_from((0.0, 80.0))),
+            ),
+        )
+    )
+    return ScheduleSweepSpec(
+        trace=trace,
+        fleet=fleet,
+        windows=draw(st.integers(min_value=1, max_value=6)),
+        jobs_per_window=draw(st.integers(min_value=1, max_value=9)),
+        horizon_hours=horizon,
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        arrival_span_hours=arrival_span,
+        duration_hours_max=duration_max,
+        slack_hours_min=1,
+        slack_hours_max=horizon - (arrival_span - 1) - (duration_max + 1),
+        preemptible_fraction=draw(st.floats(min_value=0.0, max_value=1.0)),
+        threshold_quantile=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+
+
+class TestVectorizedMatchesScalar:
+    @given(spec=sweep_specs())
+    @settings(max_examples=60)
+    def test_every_row_matches_scalar_reference(self, spec):
+        batch = build_schedule_batch(spec)
+        assert verify_schedule_batch(batch, sample=len(batch)) == len(batch)

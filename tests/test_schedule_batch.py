@@ -1,5 +1,7 @@
 """Vectorized schedule evaluation: exactness, caching, validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.errors import (
     ParameterError,
     ValidationError,
 )
-from repro.core.intensity import CarbonIntensityTrace
+from repro.core.intensity import CarbonIntensityTrace, solar_diurnal_trace
 from repro.engine.cache import EvaluationCache
 from repro.scheduling.batch import (
     POLICY_IDS,
@@ -269,6 +271,22 @@ class TestExactEquivalence:
                 batch, ScheduleBatchResult(**series), sample=len(batch)
             )
 
+    @pytest.mark.parametrize("name", SCHEDULE_SERIES[:-1])
+    def test_verify_detects_one_ulp_in_any_series(self, batch, name):
+        honest = evaluate_schedule_batch(batch)
+        series = {
+            key: np.array(getattr(honest, key)) for key in SCHEDULE_SERIES
+        }
+        series[name][0] = np.nextafter(series[name][0], np.inf)
+        with pytest.raises(ValidationError) as caught:
+            verify_schedule_batch(
+                batch, ScheduleBatchResult(**series), sample=len(batch)
+            )
+        assert caught.value.diagnostics == (
+            f"row 0 (fifo): {name} {float(series[name][0])!r} vs scalar "
+            f"reference {float(getattr(honest, name)[0])!r}",
+        )
+
     def test_verify_detects_false_feasibility(self, batch):
         honest = evaluate_schedule_batch(batch)
         series = {
@@ -387,36 +405,61 @@ class TestPolicySweep:
         assert [POLICY_IDS[name] for name in POLICY_NAMES] == [0, 1, 2, 3]
 
 
-class TestFeasibilityPaths:
-    """Bitset fast path vs boolean-matrix path selection and parity."""
+def _series_digest(result):
+    """SHA-256 over the ``float.hex`` of every series, in storage order."""
+    digest = hashlib.sha256()
+    for name in SCHEDULE_SERIES:
+        digest.update(name.encode("ascii"))
+        for value in getattr(result, name):
+            digest.update(float(value).hex().encode("ascii"))
+            digest.update(b",")
+    return digest.hexdigest()
 
-    def test_single_word_condition_is_exact(self):
-        from repro.scheduling.batch import _make_bitset_context
 
-        no_waiting = (np.empty((0, 1)), np.empty(0))
-        # horizon 60 with 5-slot jobs needs bits 0..63: exactly one word.
-        assert _make_bitset_context({}, 2, 60, 5, *no_waiting) is not None
-        # One hour wider and a shifted window would run off the word.
-        assert _make_bitset_context({}, 2, 61, 5, *no_waiting) is None
+#: Spec overrides of the pinned sweeps (500 windows on the CLI's default
+#: solar grid), and the series digests recorded for them when the
+#: evaluator still carried a single-word bitset hour search.
+PINNED_CONFIGS = {
+    "default": {},
+    "preemptible": {"preemptible_fraction": 0.5},
+    "nine_jobs": {"jobs_per_window": 9},
+}
+PINNED_DIGESTS = [
+    ("default", 1, "f2f61ef16fbc9a77f4d6c242680a1cfb94312782005b7797719032df1d4eb2b4"),
+    ("default", 2, "66cad3a9915a9bb6789b432b4de49191360aaaff9891c04db65a73e880445329"),
+    ("default", 3, "c9395891f1bd35fed2910105a4c3645c25c02ddada73b14c4886d16733492059"),
+    ("default", 4, "9b8c3feaffcafce01695d1532088fb0f56c1f505acd0f53d514b02b0902fea40"),
+    ("default", 5, "9b568e8b1e9a2d9241709087d3035116219b5c03cd169c78c7abbf02a7cfb08d"),
+    ("preemptible", 1, "2334a3099b93297ae76ae6013ac0ae9afb13fd075a1cc7dd7f1a4a1327af5744"),
+    ("preemptible", 2, "8f17a9afee6919ef66b913c923ce838258b4ef0fa8bd0aea0cb9ca401abc94be"),
+    ("preemptible", 3, "e6f79c96a6a2d478338640cb4202147e01614df562bad0b73819e1db3c03cb97"),
+    ("preemptible", 4, "48385807d475b0333c6fce7f61b5cdc02acd22f550c61116fd1e070f558eb8f4"),
+    ("preemptible", 5, "028c093874f188e1ea5b1471b183e36bd6dce60cb23ba4d9b3401cf7f9f9d5c7"),
+    ("nine_jobs", 1, "86e7aa3cd15e3e26a0cb446b6e57f7a303676b8e412765b3617da7412c424686"),
+    ("nine_jobs", 2, "4778ee8deb1c9fed86a6425e215cb27a010bf54eff07dd83e511afa47139bf93"),
+    ("nine_jobs", 3, "a90d7f6e58dbd57d209fd7f000a88caa6ee4eb3a14cdf92899f3ae90c6c419df"),
+    ("nine_jobs", 4, "9605342ee0a7580411cf72dd67839f9aabe5f0ff7bf9608cce45dbc492e7c56f"),
+    ("nine_jobs", 5, "d7b15dcdbc3135d5b151283d16ad7bba1b122a25dda9adf7c08b082745ddf9ef"),
+]
 
-    def test_paths_bitwise_identical(self, monkeypatch):
-        import repro.scheduling.batch as batch_mod
 
-        spec = ScheduleSweepSpec(trace=INT_TRACE, windows=8, seed=3)
-        batch = build_schedule_batch(spec)
-        fast = evaluate_schedule_batch(batch)
-        monkeypatch.setattr(
-            batch_mod, "_make_bitset_context", lambda *args: None
+class TestPinnedSeries:
+    @pytest.mark.parametrize("config,seed,expected", PINNED_DIGESTS)
+    def test_series_match_pinned_digest(self, config, seed, expected):
+        spec = ScheduleSweepSpec(
+            trace=solar_diurnal_trace(400.0),
+            windows=500,
+            seed=seed,
+            **PINNED_CONFIGS[config],
         )
-        slow = evaluate_schedule_batch(batch)
-        for name in SCHEDULE_SERIES:
-            np.testing.assert_array_equal(
-                getattr(fast, name), getattr(slow, name), err_msg=name
-            )
+        result = evaluate_schedule_batch(build_schedule_batch(spec))
+        assert _series_digest(result) == expected
 
+
+class TestFeasibilityPaths:
     def test_wide_horizon_matches_scalar_reference(self):
-        # horizon 96 exceeds one word, so this sweep runs (and keeps
-        # covered) the boolean-matrix path end to end.
+        # A 96-hour window plus a 5-slot job spans more than 64 hours:
+        # horizons past one machine word stay exact end to end.
         spec = ScheduleSweepSpec(
             trace=INT_TRACE, windows=6, horizon_hours=96, seed=11
         )

@@ -22,11 +22,7 @@ from repro.scheduling.fleet import (
     from_simulator_job,
     single_machine_fleet,
 )
-from repro.scheduling.policies import (
-    POLICY_NAMES,
-    get_policy,
-    simulate_fleet,
-)
+from repro.scheduling.policies import simulate_fleet
 from repro.scheduling.simulator import (
     EMISSIONS_FLOOR_G,
     Job,
@@ -293,20 +289,6 @@ class TestSimulateFleet:
     def test_unknown_policy_rejected(self, solar):
         with pytest.raises(UnknownEntryError):
             simulate_fleet((), single_machine_fleet(), solar, "greedy")
-
-    def test_get_policy_unknown_name(self):
-        with pytest.raises(UnknownEntryError):
-            get_policy("nope")
-
-    def test_policy_registry_is_callable(self, solar):
-        jobs = (FleetJob("j", 0, 1.0, 1.0, 4),)
-        schedule = get_policy("fifo")(jobs, single_machine_fleet(), solar)
-        assert schedule.policy == "fifo"
-        assert schedule.placements[0].start_hour == 0
-
-    def test_every_policy_name_is_registered(self):
-        for name in POLICY_NAMES:
-            assert get_policy(name).name == name
 
     def test_capacity_allows_parallel_jobs(self, solar):
         fleet = FleetSpec((Machine("m", capacity=2),))
