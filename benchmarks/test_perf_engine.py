@@ -668,9 +668,6 @@ PLANNER_MIXED_GRIDS = {
     "ci_use_g_per_kwh": tuple(50.0 + 20.0 * k for k in range(30)),
     "dram_gb": tuple(4.0 + 2.4 * k for k in range(5)),
 }
-#: Optimizer-loop length for the incremental-DSE comparison.
-PLANNER_DSE_ITERATIONS = 60
-PLANNER_DSE_CANDIDATES = 256
 
 
 def test_perf_planner():
@@ -679,11 +676,8 @@ def test_perf_planner():
     Times the planned sweep (``plan_product`` + ``evaluate_plan_cached``
     + ``verify_plan``) against the dense one (``evaluate_cached`` over
     ``ScenarioBatch.from_product``) on a separable 4-axis 10k-point grid and a
-    mixed-fan-out grid (fresh caches per call, best-of-N), asserts the
-    planned result is bit-identical to the dense one, and benchmarks an
-    incremental :class:`~repro.dse.optimizer.ExplorationSession` against
-    per-iteration ``explore_batched`` over a 60-iteration local-search
-    trajectory with identical results required at every step.  Merges a
+    mixed-fan-out grid (fresh caches per call, best-of-N) and asserts the
+    planned result is bit-identical to the dense one.  Merges a
     ``planner`` section into ``BENCH_engine.json``; the speedup gates
     (>= 5x separable, >= 2x mixed) only apply when ``gated`` is true —
     the grids are large enough for the planner's fixed costs to
@@ -691,7 +685,6 @@ def test_perf_planner():
     """
     import numpy as np
 
-    from repro.dse.optimizer import DesignPoint, ExplorationSession, explore_batched
     from repro.engine.plan import AUTO_MIN_ROWS, SERIES_NAMES
 
     base = ActScenario()
@@ -735,59 +728,6 @@ def test_perf_planner():
     separable_speedup = separable["off"] / separable["on"]
     mixed_speedup = mixed["off"] / mixed["on"]
 
-    # Incremental DSE: a local-search loop perturbing a few delays per
-    # iteration.  The session and the full re-evaluation must agree at
-    # every step; the speedup comes from per-metric and Pareto reuse.
-    rng = np.random.default_rng(2022)
-    n = PLANNER_DSE_CANDIDATES
-    carbon = rng.uniform(10.0, 100.0, n)
-    energy = rng.uniform(1.0, 9.0, n)
-    delays = [rng.uniform(0.1, 2.0, n)]
-    for _ in range(PLANNER_DSE_ITERATIONS - 1):
-        moved = rng.integers(0, n, 4)
-        step = delays[-1].copy()
-        step[moved] *= 1.0 + rng.uniform(-0.05, 0.05, moved.size)
-        delays.append(step)
-    areas = rng.uniform(50.0, 500.0, n)
-
-    def _candidates(delay: np.ndarray) -> list[DesignPoint]:
-        return [
-            DesignPoint(
-                name=f"cand{i}",
-                embodied_carbon_g=float(carbon[i]),
-                energy_kwh=float(energy[i]),
-                delay_s=float(delay[i]),
-                area_mm2=float(areas[i]),
-            )
-            for i in range(n)
-        ]
-
-    trajectories = [_candidates(delay) for delay in delays]
-    session_check = ExplorationSession()  # identity over the trajectory
-    for iteration, points in enumerate(trajectories):
-        full = explore_batched(points)
-        incremental = session_check.explore(points)
-        assert incremental.scores == full.scores, iteration
-        assert incremental.winners == full.winners, iteration
-        assert incremental.pareto == full.pareto, iteration
-
-    def _full_loop() -> None:
-        for points in trajectories:
-            explore_batched(points)
-
-    def _session_loop() -> None:
-        session = ExplorationSession()
-        for points in trajectories:
-            session.explore(points)
-
-    full_seconds = session_seconds = float("inf")
-    for _ in range(3):
-        full_seconds = min(full_seconds, _best_seconds(_full_loop, repeats=1))
-        session_seconds = min(
-            session_seconds, _best_seconds(_session_loop, repeats=1)
-        )
-    incremental_speedup = full_seconds / session_seconds
-
     # "gated" records whether the speedup assertions below actually ran:
     # the planner is a serial optimization (no core requirement), so the
     # only way a host under-delivers is a grid too small for the fixed
@@ -816,13 +756,6 @@ def test_perf_planner():
             "planned_points_per_sec": mixed_points / mixed["on"],
             "speedup": mixed_speedup,
         },
-        "incremental_dse": {
-            "iterations": PLANNER_DSE_ITERATIONS,
-            "candidates": PLANNER_DSE_CANDIDATES,
-            "full_seconds": full_seconds,
-            "session_seconds": session_seconds,
-            "speedup": incremental_speedup,
-        },
     }
 
     payload = {}
@@ -839,8 +772,7 @@ def test_perf_planner():
     print(
         f"summary: separable {separable_speedup:.1f}x "
         f"({separable_points:,} pts), mixed {mixed_speedup:.1f}x "
-        f"({mixed_points:,} pts), incremental DSE "
-        f"{incremental_speedup:.1f}x over {PLANNER_DSE_ITERATIONS} iters"
+        f"({mixed_points:,} pts)"
     )
 
     if gated:

@@ -106,6 +106,9 @@ def _sample_parameter(
     if distribution == UNIFORM:
         return rng.uniform(low, high, count)
     if distribution == TRIANGULAR:
+        if low == high:
+            # numpy refuses a zero-width triangle; its only value is low.
+            return np.full(count, float(low))
         mode = min(max(mode, low), high)
         return rng.triangular(low, mode, high, count)
     raise ParameterError(

@@ -72,12 +72,17 @@ def cep(point: DesignPoint) -> float:
 
 def c2ep(point: DesignPoint) -> float:
     """Carbon²-energy product (``C²·E``) — embodied-dominated designs."""
-    return point.embodied_carbon_g**2 * point.energy_kwh
+    # Squares are written as products: ``x**2`` goes through libm pow(),
+    # which can round differently from numpy's array square, and the
+    # batched kernels in repro.engine.metrics must match these exactly.
+    carbon = point.embodied_carbon_g
+    return carbon * carbon * point.energy_kwh
 
 
 def ce2p(point: DesignPoint) -> float:
     """Carbon-energy² product (``C·E²``) — operational-dominated designs."""
-    return point.embodied_carbon_g * point.energy_kwh**2
+    energy = point.energy_kwh
+    return point.embodied_carbon_g * (energy * energy)
 
 
 MetricFn = Callable[[DesignPoint], float]
@@ -99,13 +104,21 @@ CARBON_METRICS: tuple[str, ...] = ("CDP", "CEP", "C2EP", "CE2P")
 ENERGY_METRICS: tuple[str, ...] = ("EDP", "EDAP")
 
 
+def canonical_metric(name: str) -> str:
+    """Normalize a metric spelling (``"edp"``, ``"ED-P"``…) to its key.
+
+    Every score table, winner map and exploration result keys its metrics
+    by this name, whatever spelling the caller passed.
+    """
+    key = name.strip().upper().replace("-", "").replace("_", "")
+    if key not in METRICS:
+        raise UnknownEntryError("metric", name, METRICS)
+    return key
+
+
 def metric(name: str) -> MetricFn:
     """Look up a metric function by (case-insensitive) name."""
-    key = name.strip().upper().replace("-", "").replace("_", "")
-    try:
-        return METRICS[key]
-    except KeyError:
-        raise UnknownEntryError("metric", name, METRICS) from None
+    return METRICS[canonical_metric(name)]
 
 
 def evaluate(point: DesignPoint, metric_name: str) -> float:
@@ -124,18 +137,20 @@ def score_table(
             (skipping EDAP automatically when a point lacks area).
 
     Returns:
-        ``{metric: {design name: score}}`` with lower-is-better scores.
+        ``{metric: {design name: score}}`` with lower-is-better scores,
+        keyed by :func:`canonical_metric`.
     """
     names = tuple(metric_names) if metric_names is not None else tuple(METRICS)
     table: dict[str, dict[str, float]] = {}
     for name in names:
-        fn = metric(name)
+        key = canonical_metric(name)
+        fn = METRICS[key]
         row: dict[str, float] = {}
         for point in points:
-            if name.upper() == "EDAP" and point.area_mm2 is None:
+            if key == "EDAP" and point.area_mm2 is None:
                 continue
             row[point.name] = fn(point)
-        table[name.upper()] = row
+        table[key] = row
     return table
 
 
@@ -150,17 +165,19 @@ def best_design(points: Sequence[DesignPoint], metric_name: str) -> DesignPoint:
 def winners(
     points: Sequence[DesignPoint], metric_names: Iterable[str] | None = None
 ) -> dict[str, str]:
-    """The winning design name for each metric — Figure 8(d)'s punchline."""
+    """The winning design name for each metric — Figure 8(d)'s punchline.
+
+    Keyed by :func:`canonical_metric`, like :func:`score_table`.
+    """
     names = tuple(metric_names) if metric_names is not None else tuple(METRICS)
     result: dict[str, str] = {}
     for name in names:
+        key = canonical_metric(name)
         eligible = [
-            p
-            for p in points
-            if not (name.upper() == "EDAP" and p.area_mm2 is None)
+            p for p in points if not (key == "EDAP" and p.area_mm2 is None)
         ]
         if eligible:
-            result[name.upper()] = best_design(eligible, name).name
+            result[key] = best_design(eligible, key).name
     return result
 
 

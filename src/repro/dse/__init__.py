@@ -2,17 +2,13 @@
 
 from repro.dse.optimizer import (
     ExplorationResult,
-    ExplorationSession,
     explore,
-    explore_batched,
     metric_disagreement,
 )
 from repro.dse.pareto import (
-    dominance_counts,
     dominates,
     pareto_front,
     pareto_mask,
-    update_dominance_counts,
 )
 from repro.dse.qos import Constraint, at_least, at_most, constrained_minimum
 from repro.dse.sweep import (
@@ -31,7 +27,6 @@ __all__ = [
     "BatchSweepResult",
     "Constraint",
     "ExplorationResult",
-    "ExplorationSession",
     "FrozenParams",
     "PlannedSweepResult",
     "SweepRecord",
@@ -39,10 +34,8 @@ __all__ = [
     "at_least",
     "at_most",
     "constrained_minimum",
-    "dominance_counts",
     "dominates",
     "explore",
-    "explore_batched",
     "feasible",
     "metric_disagreement",
     "pareto_front",
@@ -50,5 +43,4 @@ __all__ = [
     "sweep_1d",
     "sweep_grid",
     "sweep_grid_batched",
-    "update_dominance_counts",
 ]

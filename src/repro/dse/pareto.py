@@ -56,29 +56,6 @@ def pareto_front(
     )
 
 
-def _validated_matrix(objectives: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(objectives, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ConstraintError(
-            f"objective matrix must be 2-D (candidates x objectives), "
-            f"got shape {matrix.shape}"
-        )
-    if matrix.shape[1] == 0:
-        raise ConstraintError("at least one objective is required")
-    return matrix
-
-
-def _dominates_pairs(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``(k, n)`` boolean: ``rows[c]`` Pareto-dominates ``matrix[j]``.
-
-    Self-pairs come out False by definition (a row is never strictly
-    better than itself somewhere), so callers need no diagonal fix-up.
-    """
-    no_worse = (rows[:, None, :] <= matrix[None, :, :]).all(axis=2)
-    better = (rows[:, None, :] < matrix[None, :, :]).any(axis=2)
-    return no_worse & better
-
-
 def pareto_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean non-dominated mask over an ``(n, m)`` objective matrix.
 
@@ -89,78 +66,19 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
     result columns.  Duplicate rows are all retained, matching
     :func:`dominates` semantics.
     """
-    matrix = _validated_matrix(objectives)
+    matrix = np.asarray(objectives, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ConstraintError(
+            f"objective matrix must be 2-D (candidates x objectives), "
+            f"got shape {matrix.shape}"
+        )
+    if matrix.shape[1] == 0:
+        raise ConstraintError("at least one objective is required")
     if matrix.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     # dominated[i, j]: candidate i is no worse than j everywhere and
-    # strictly better somewhere — i.e. i dominates j.
-    dominated_by_any = _dominates_pairs(matrix, matrix).any(axis=0)
-    return ~dominated_by_any
-
-
-def dominance_counts(objectives: np.ndarray) -> np.ndarray:
-    """Per-row dominator counts over an ``(n, m)`` objective matrix.
-
-    ``counts[j]`` is how many rows Pareto-dominate row ``j``, so
-    ``counts == 0`` is exactly :func:`pareto_mask`.  The counts are the
-    state :func:`update_dominance_counts` maintains incrementally for
-    optimizer sessions — integer bookkeeping, no float accumulation.
-    """
-    matrix = _validated_matrix(objectives)
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.intp)
-    return _dominates_pairs(matrix, matrix).sum(axis=0, dtype=np.intp)
-
-
-def update_dominance_counts(
-    previous: np.ndarray,
-    counts: np.ndarray,
-    objectives: np.ndarray,
-    changed_rows: np.ndarray,
-) -> np.ndarray:
-    """Dominator counts for ``objectives``, updated from a previous state.
-
-    ``previous`` and ``objectives`` are same-shape matrices that differ
-    only on ``changed_rows``, and ``counts`` is
-    ``dominance_counts(previous)``.  Each unchanged row's count is
-    adjusted by the changed rows' old and new dominance contributions,
-    and the changed rows themselves are recounted in full — O(k*n*m) for
-    k changed rows, against the full recount's O(n^2*m).  The result
-    equals ``dominance_counts(objectives)`` exactly: dominance is a pure
-    per-pair predicate, so a pair with both rows unchanged cannot change
-    its verdict, and every pair touching a changed row is re-derived.
-
-    Raises:
-        ConstraintError: Shape mismatch or out-of-range changed rows.
-    """
-    old = _validated_matrix(previous)
-    new = _validated_matrix(objectives)
-    if old.shape != new.shape:
-        raise ConstraintError(
-            f"objective matrices differ in shape: {old.shape} vs {new.shape}"
-        )
-    updated = np.array(counts, dtype=np.intp)
-    if updated.shape != (new.shape[0],):
-        raise ConstraintError(
-            f"counts must have one entry per candidate row "
-            f"({new.shape[0]}), got shape {updated.shape}"
-        )
-    # unique() also dedupes: a row listed twice must not have its old
-    # contribution subtracted (or its new one added) twice.
-    changed = np.unique(np.asarray(changed_rows, dtype=np.intp))
-    if changed.size == 0:
-        return updated
-    if changed.min() < 0 or changed.max() >= new.shape[0]:
-        raise ConstraintError(
-            f"changed rows must lie in [0, {new.shape[0]}), "
-            f"got [{int(changed.min())}, {int(changed.max())}]"
-        )
-    updated -= _dominates_pairs(old[changed], old).sum(axis=0, dtype=np.intp)
-    updated += _dominates_pairs(new[changed], new).sum(axis=0, dtype=np.intp)
-    # Changed rows saw both their own values and their dominators move;
-    # the adjustment above is only valid for unchanged rows, so recount
-    # the changed ones against the full new matrix.
-    updated[changed] = _dominates_pairs(new, new[changed]).sum(
-        axis=0, dtype=np.intp
-    )
-    return updated
+    # strictly better somewhere — i.e. i dominates j.  Self-pairs come out
+    # False (a row is never strictly better than itself somewhere).
+    no_worse = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=2)
+    better = (matrix[:, None, :] < matrix[None, :, :]).any(axis=2)
+    return ~(no_worse & better).any(axis=0)

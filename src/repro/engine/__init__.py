@@ -37,11 +37,8 @@ from repro.engine.kernels import (
     total_g,
 )
 from repro.engine.metrics import (
-    METRIC_INPUTS,
-    best_index,
     canonical_metric,
     metric_columns,
-    metric_table_entry,
     score_table_batched,
     stack_design_points,
     winners_batched,
@@ -61,18 +58,15 @@ __all__ = [
     "DEFAULT_CACHE",
     "EvaluationCache",
     "FIELD_NAMES",
-    "METRIC_INPUTS",
     "ScenarioBatch",
     "SweepPlan",
     "batch_key",
-    "best_index",
     "canonical_metric",
     "cpa_g_per_cm2",
     "evaluate_batch",
     "evaluate_cached",
     "evaluate_plan_cached",
     "metric_columns",
-    "metric_table_entry",
     "operational_g",
     "packaging_g",
     "plan_product",

@@ -16,33 +16,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import UnknownEntryError
-from repro.core.metrics import METRICS, DesignPoint
+from repro.core.metrics import METRICS, DesignPoint, canonical_metric
 
 _CANONICAL = tuple(METRICS)
-
-#: Which stacked design columns each Table 2 metric actually reads.
-#: Drives incremental re-scoring (:class:`repro.dse.optimizer.ExplorationSession`):
-#: a metric's cached table entry stays valid while none of its input
-#: columns changed between optimizer iterations.
-METRIC_INPUTS: Mapping[str, tuple[str, ...]] = {
-    "EDP": ("energy_kwh", "delay_s"),
-    "EDAP": ("energy_kwh", "delay_s", "area_mm2"),
-    "CDP": ("embodied_carbon_g", "delay_s"),
-    "CEP": ("embodied_carbon_g", "energy_kwh"),
-    "C2EP": ("embodied_carbon_g", "energy_kwh"),
-    "CE2P": ("embodied_carbon_g", "energy_kwh"),
-}
-
-
-def canonical_metric(name: str) -> str:
-    """Normalize a metric spelling (``"edp"``, ``"ED-P"``…) to its key."""
-    key = name.strip().upper().replace("-", "").replace("_", "")
-    if key not in METRICS:
-        raise UnknownEntryError("metric", name, METRICS)
-    return key
-
-
-_canonical_name = canonical_metric
 
 
 def metric_columns(
@@ -72,7 +48,7 @@ def metric_columns(
     if metric_names is None:
         names = tuple(name for name in _CANONICAL if name != "EDAP" or area is not None)
     else:
-        names = tuple(_canonical_name(name) for name in metric_names)
+        names = tuple(canonical_metric(name) for name in metric_names)
     if "EDAP" in names and area is None:
         raise UnknownEntryError("design point area (required by EDAP)", "(batch)")
     columns: dict[str, np.ndarray] = {}
@@ -86,9 +62,9 @@ def metric_columns(
         elif name == "CEP":
             columns[name] = carbon * energy
         elif name == "C2EP":
-            columns[name] = carbon**2 * energy
+            columns[name] = carbon * carbon * energy
         elif name == "CE2P":
-            columns[name] = carbon * energy**2
+            columns[name] = carbon * (energy * energy)
     return columns
 
 
@@ -127,64 +103,41 @@ def score_table_batched(
 
     Returns the same ``{metric: {design name: score}}`` mapping, computed
     from one array expression per metric instead of a per-pair Python call.
+    EDAP keeps the scalar path's skip semantics: only area-carrying
+    candidates appear in its row.
     """
     columns = stack_design_points(points)
     requested = (
-        tuple(_canonical_name(name) for name in metric_names)
+        tuple(canonical_metric(name) for name in metric_names)
         if metric_names is not None
         else _CANONICAL
     )
-    names = [point.name for point in points]
-    return {
-        metric: metric_table_entry(points, columns, names, metric)
-        for metric in requested
-    }
-
-
-def metric_table_entry(
-    points: Sequence[DesignPoint],
-    columns: Mapping[str, np.ndarray | None],
-    names: Sequence[str],
-    metric: str,
-) -> dict[str, float]:
-    """One metric's ``{design name: score}`` row of the score table.
-
-    The loop body of :func:`score_table_batched`, factored out so
-    incremental re-scoring (:class:`repro.dse.optimizer.ExplorationSession`)
-    can recompute exactly the metrics whose input columns changed and
-    still produce byte-identical table entries.  EDAP keeps the scalar
-    path's skip semantics: only area-carrying candidates appear.
-    """
-    if metric == "EDAP":
+    objectives = tuple(
+        columns[name] for name in ("embodied_carbon_g", "energy_kwh", "delay_s")
+    )
+    scored = metric_columns(
+        *objectives, metric_names=[name for name in requested if name != "EDAP"]
+    )
+    labels = dict.fromkeys(scored, [point.name for point in points])
+    if "EDAP" in requested:
         eligible = [
             index
             for index, point in enumerate(points)
             if point.area_mm2 is not None
         ]
-        if not eligible:
-            return {}
         area = np.array(
             [points[index].area_mm2 for index in eligible], dtype=np.float64
         )
-        scores = metric_columns(
-            columns["embodied_carbon_g"][eligible],
-            columns["energy_kwh"][eligible],
-            columns["delay_s"][eligible],
-            area,
-            metric_names=("EDAP",),
-        )["EDAP"]
-        return {
-            names[index]: float(score)
-            for index, score in zip(eligible, scores)
-        }
-    scores = metric_columns(
-        columns["embodied_carbon_g"],
-        columns["energy_kwh"],
-        columns["delay_s"],
-        columns["area_mm2"],
-        metric_names=(metric,),
-    )[metric]
-    return dict(zip(names, (float(s) for s in scores)))
+        scored.update(
+            metric_columns(
+                *(column[eligible] for column in objectives), area, ("EDAP",)
+            )
+        )
+        labels["EDAP"] = [points[index].name for index in eligible]
+    return {
+        metric: dict(zip(labels[metric], map(float, scored[metric])))
+        for metric in requested
+    }
 
 
 def winners_from_table(
@@ -215,14 +168,3 @@ def winners_batched(
     design, matching ``min`` over the scalar path.
     """
     return winners_from_table(score_table_batched(points, metric_names))
-
-
-def best_index(
-    scores: Mapping[str, np.ndarray] | np.ndarray, metric: str | None = None
-) -> int:
-    """Index of the minimizing design in a score column."""
-    if isinstance(scores, Mapping):
-        if metric is None:
-            raise UnknownEntryError("metric", "(none given)", scores)
-        scores = scores[_canonical_name(metric)]
-    return int(np.argmin(np.asarray(scores)))

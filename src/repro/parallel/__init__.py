@@ -1,16 +1,16 @@
 """Parallel execution of the workloads whose workers make their own inputs.
 
-Shards Monte Carlo runs (workers sample from shipped seeds), scheduling
-policy sweeps (workers rebuild rows from the spec) and the Pareto
-dominance test (one objective matrix) across a persistent worker-process
-pool with **bit-identical** results at any worker count — the shard plan
-and per-shard SeedSequence child streams depend only on
-``(rows, shard_rows, seed)``, never on ``workers``.  Grid sweeps stay
-serial: shipping their columns costs more than the kernel they spread.
+Shards Monte Carlo runs (workers sample from shipped seeds) and
+scheduling policy sweeps (workers rebuild rows from the spec) across a
+persistent worker-process pool with **bit-identical** results at any
+worker count — the shard plan and per-shard SeedSequence child streams
+depend only on ``(rows, shard_rows, seed)``, never on ``workers``.  Grid
+sweeps stay serial: shipping their columns costs more than the kernel
+they spread.
 
 The one knob is :class:`ExecutionPolicy` (worker count, shard size,
 failure policy), passed explicitly as ``policy=`` to the
-Monte Carlo, DSE and scheduling entry points.  :class:`ParallelRunner` is
+Monte Carlo and scheduling entry points.  :class:`ParallelRunner` is
 the engine underneath: it pickles small tasks to the workers and merges
 the outputs back in shard order.  Every call runs through one
 :class:`ShardSupervisor` loop, which watches worker liveness and shard

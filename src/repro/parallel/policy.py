@@ -1,6 +1,6 @@
 """Execution policies: how a scenario workload is split across processes.
 
-An :class:`ExecutionPolicy` is the one knob the Monte Carlo, DSE and
+An :class:`ExecutionPolicy` is the one knob the Monte Carlo and
 scheduling entry points expose for parallel execution: how many worker
 processes, how many rows per shard, and what happens when a shard fails.
 The policy deliberately carries no state — the runner in

@@ -210,9 +210,8 @@ class WorkerPool:
         pin_blas_threads()
         # A full Queue for tasks: its feeder thread makes put()
         # non-blocking, so submitting every task before draining results
-        # cannot deadlock on a full pipe when payloads are large (every
-        # Pareto task carries the whole objective matrix).  Results go
-        # through a plain pipe that workers write synchronously under
+        # cannot deadlock on a full pipe when payloads are large.  Results
+        # go through a plain pipe that workers write synchronously under
         # one lock (see _worker_loop); the parent is its only reader.
         self._tasks = self._context.Queue()
         self._results, self._results_writer = self._context.Pipe(duplex=False)

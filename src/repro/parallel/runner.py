@@ -2,8 +2,8 @@
 
 :class:`ParallelRunner` takes one workload whose workers can make their
 own inputs — a Monte Carlo draw stream (workers sample their shards from
-shipped seeds), a scheduling sweep spec (workers rebuild their rows), or
-a Pareto objective matrix — splits it into contiguous row shards with
+shipped seeds) or a scheduling sweep spec (workers rebuild their rows) —
+splits it into contiguous row shards with
 :func:`~repro.parallel.policy.shard_plan`, evaluates the shards on a
 persistent worker-process pool — one worker or many, always through the
 one :class:`~repro.parallel.supervisor.ShardSupervisor` loop — and merges
@@ -30,7 +30,7 @@ Transport: tasks and results are pickled between the parent and the pool.
 Tasks carry seeds and specs, not columns, and each shard returns only
 the series its task names (a Monte Carlo shard returns ``total_g``), so
 no per-row data crosses a process boundary except the results the
-caller keeps and, for Pareto shards, the objective matrix.
+caller keeps.
 
 Guarded evaluation works per shard: each worker reconstructs the
 :class:`~repro.robustness.guard.GuardedEngine` from its config and
@@ -54,10 +54,8 @@ from repro.analysis.montecarlo import ShardColumnSource, sample_shard_columns
 from repro.core.errors import (
     DivergenceError,
     ParameterError,
-    ShardFailedError,
     ValidationError,
 )
-from repro.dse.pareto import pareto_mask as _serial_pareto_mask
 from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import EvaluationCache
 from repro.engine.kernels import BatchResult, evaluate_batch
@@ -98,8 +96,7 @@ class _ShardOutcome:
     start: int
     stop: int
     seconds: float
-    series: dict[str, np.ndarray] | None  # not for pareto tasks
-    mask: np.ndarray | None  # pareto tasks only
+    series: dict[str, np.ndarray]
 
 
 def _evaluate_guarded(
@@ -166,11 +163,9 @@ def _run_shard(task: dict) -> _ShardOutcome:
     """Worker entry point: evaluate one shard of one workload.
 
     Must stay module-level (pickled by reference under both ``fork`` and
-    ``spawn``).  Handles three task kinds — ``"montecarlo"`` (sample this
-    shard from its own SeedSequence child, then evaluate), ``"schedule"``
-    (rebuild and evaluate this shard's scheduling rows), and ``"pareto"``
-    (non-dominance of this shard's rows against the full objective
-    matrix).
+    ``spawn``).  Handles two task kinds — ``"montecarlo"`` (sample this
+    shard from its own SeedSequence child, then evaluate) and
+    ``"schedule"`` (rebuild and evaluate this shard's scheduling rows).
 
     When the runner armed a chaos plan, faults fire here: at shard start
     (kill / stall) and at shard finish (result-message drop, after the
@@ -187,17 +182,7 @@ def _run_shard(task: dict) -> _ShardOutcome:
 
         apply_process_faults(fault_spec, shard, "start")
 
-    series = mask = None
-    if task["kind"] == "pareto":
-        matrix = task["objectives"]
-        block = matrix[start:stop]
-        # Same comparison semantics as repro.dse.pareto.pareto_mask,
-        # restricted to this shard's candidate rows.
-        no_worse = (matrix[:, None, :] <= block[None, :, :]).all(axis=2)
-        better = (matrix[:, None, :] < block[None, :, :]).any(axis=2)
-        mask = np.array(~((no_worse & better).any(axis=0)), dtype=bool)
-    else:
-        series = _evaluate_shard(task, stop - start)
+    series = _evaluate_shard(task, stop - start)
     if fault_spec is not None:
         apply_process_faults(fault_spec, shard, "finish")
     return _ShardOutcome(
@@ -206,7 +191,6 @@ def _run_shard(task: dict) -> _ShardOutcome:
         stop=stop,
         seconds=time.perf_counter() - started,
         series=series,
-        mask=mask,
     )
 
 
@@ -531,57 +515,6 @@ class ParallelRunner:
             {"spec": spec, "row_offset": start},
             SCHEDULE_SERIES,
         )
-
-    def pareto_mask(self, objectives: np.ndarray) -> np.ndarray:
-        """Sharded non-dominated mask over an ``(n, m)`` objective matrix.
-
-        Each shard tests its candidate rows against the *full* matrix, so
-        the merged mask equals :func:`repro.dse.pareto.pareto_mask`
-        exactly (boolean comparisons — no arithmetic to reorder).  Falls
-        back to the serial mask for workloads too small to shard.
-        """
-        matrix = np.ascontiguousarray(objectives, dtype=np.float64)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 0
-        if rows < 2:
-            return _serial_pareto_mask(matrix)
-        # Pareto shards are quadratic in work, so split finer than the
-        # row-linear kernel shards: one slice per worker, capped by the
-        # policy's shard size.
-        per_worker = -(-rows // self.policy.workers)
-        plan = shard_plan(rows, min(self.policy.shard_rows, per_worker))
-        payloads = [
-            {
-                "kind": "pareto",
-                "shard": index,
-                "start": start,
-                "stop": stop,
-                "objectives": matrix,
-            }
-            for index, (start, stop) in enumerate(plan)
-        ]
-        context = current_context()
-        with context.span(
-            "parallel.evaluate",
-            kind="pareto",
-            rows=rows,
-            shards=len(plan),
-            workers=self.policy.workers,
-        ):
-            outcomes, _ = self._execute(payloads)
-        missing = [
-            index for index, entry in enumerate(outcomes) if entry is None
-        ]
-        if missing:
-            # A non-dominance mask with holes is not a weaker answer,
-            # it is a wrong one — quarantine cannot degrade pareto.
-            raise ShardFailedError(
-                f"pareto shard(s) {missing} quarantined; a partial "
-                f"non-dominance mask would be silently wrong",
-                shard=missing[0],
-                attempts=self.policy.max_retries + 1,
-                cause="quarantined",
-            )
-        return np.concatenate([outcome.mask for _, outcome in outcomes])
 
     # --- lifecycle ------------------------------------------------------
 

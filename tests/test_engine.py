@@ -16,7 +16,7 @@ from repro.analysis.scenario import PARAMETER_RANGES, ActScenario
 from repro.analysis.sensitivity import tornado
 from repro.core.errors import ParameterError, UnknownEntryError
 from repro.core.metrics import METRICS, DesignPoint, evaluate, score_table, winners
-from repro.dse.optimizer import explore, explore_batched
+from repro.dse.optimizer import explore
 from repro.dse.pareto import pareto_front, pareto_mask
 from repro.dse.sweep import FrozenParams, SweepRecord, sweep_grid, sweep_grid_batched
 from repro.engine import (
@@ -224,6 +224,19 @@ class TestTable2Metrics:
 
     def test_winners_batched_matches_scalar(self):
         assert winners_batched(self.POINTS) == winners(self.POINTS)
+
+    @pytest.mark.parametrize("metric_name", ["C2EP", "CE2P"])
+    def test_squared_metrics_match_scalar_bit_for_bit(self, metric_name):
+        # Squaring this value with ``**`` (libm pow) lands one ulp away
+        # from numpy's array square; both paths multiply instead.
+        point = DesignPoint("d0", 303059.9605954254, 303059.9605954254, 1.0)
+        columns = metric_columns(
+            np.array([point.embodied_carbon_g]),
+            np.array([point.energy_kwh]),
+            np.array([point.delay_s]),
+            metric_names=(metric_name,),
+        )
+        assert float(columns[metric_name][0]) == evaluate(point, metric_name)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(UnknownEntryError):
@@ -433,14 +446,19 @@ class TestBatchedPareto:
         mask = pareto_mask(np.array([[1.0], [1.0], [2.0]]))
         assert mask.tolist() == [True, True, False]
 
-    def test_explore_batched_matches_explore(self):
+    def test_explore_matches_scalar_oracle(self):
         points = TestTable2Metrics.POINTS
-        scalar = explore(points)
-        batched = explore_batched(points)
-        assert batched.scores == scalar.scores
-        assert batched.winners == scalar.winners
-        assert batched.pareto == scalar.pareto
-        assert batched.distinct_winner_count == scalar.distinct_winner_count
+        result = explore(points)
+        assert result.scores == score_table(points)
+        assert result.winners == winners(points)
+        assert result.pareto == pareto_front(
+            points,
+            (
+                lambda p: p.embodied_carbon_g,
+                lambda p: p.energy_kwh,
+                lambda p: p.delay_s,
+            ),
+        )
 
 
 class TestAnalysisOnEngine:

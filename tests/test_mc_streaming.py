@@ -611,6 +611,32 @@ class TestSamplingRanges:
         assert resolved == {"fab_yield": (0.25, 1.0), "hdd_gb": (0.0, 10.0)}
 
 
+    @pytest.mark.parametrize("distribution", ["uniform", "triangular"])
+    def test_zero_width_range_samples_the_constant(self, distribution):
+        ranges = {"lifetime_hours": (30_000.0, 30_000.0)}
+        columns = sample_parameter_columns(
+            BASE,
+            ["lifetime_hours", "energy_kwh"],
+            draws=16,
+            distribution=distribution,
+            ranges=ranges,
+        )
+        assert (columns["lifetime_hours"] == 30_000.0).all()
+        assert np.unique(columns["energy_kwh"]).size > 1
+        samples = [
+            run_monte_carlo(
+                BASE,
+                ["lifetime_hours", "energy_kwh"],
+                draws=16,
+                distribution=distribution,
+                ranges=ranges,
+                policy=ExecutionPolicy(workers=workers, shard_rows=8),
+            ).samples.tobytes()
+            for workers in (1, 2)
+        ]
+        assert samples[0] == samples[1]
+
+
 class TestMemory:
     def test_sampling_footprint_is_bounded_by_the_chunk(self):
         draws = 2**18

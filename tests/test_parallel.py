@@ -28,9 +28,6 @@ from repro.core.errors import (
     WorkerError,
 )
 from repro.core.intensity import solar_diurnal_trace
-from repro.core.metrics import DesignPoint
-from repro.dse.optimizer import explore_batched
-from repro.dse.pareto import pareto_mask
 from repro.engine.batch import ScenarioBatch
 from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
@@ -320,46 +317,6 @@ class TestMonteCarloDeterminism:
         )
 
 
-class TestDseDeterminism:
-    @staticmethod
-    def _points(count=60):
-        rng = np.random.default_rng(17)
-        carbon, energy, delay = rng.uniform(1.0, 100.0, size=(3, count))
-        return tuple(
-            DesignPoint(
-                name=f"d{index}",
-                embodied_carbon_g=float(carbon[index]),
-                energy_kwh=float(energy[index]),
-                delay_s=float(delay[index]),
-            )
-            for index in range(count)
-        )
-
-    def test_pareto_mask_matches_serial(self):
-        rng = np.random.default_rng(5)
-        objectives = rng.uniform(0.0, 10.0, size=(257, 3))
-        serial = pareto_mask(objectives)
-        for policy in (
-            ExecutionPolicy(workers=2, shard_rows=50),
-            ExecutionPolicy(workers=3, shard_rows=64),
-        ):
-            with ParallelRunner(policy) as runner:
-                np.testing.assert_array_equal(
-                    serial, runner.pareto_mask(objectives)
-                )
-
-    def test_explore_winners_and_front_identical(self):
-        points = self._points()
-        serial = explore_batched(points)
-        parallel = explore_batched(
-            points, policy=ExecutionPolicy(workers=2, shard_rows=16)
-        )
-        assert serial.winners == parallel.winners
-        assert [p.name for p in serial.pareto] == [
-            p.name for p in parallel.pareto
-        ]
-
-
 class TestWorkersConformance:
     """The conformance matrix's "workers 1 vs 2" row, through public entry
     points: the in-process run and a two-worker pool agree byte for byte
@@ -425,18 +382,6 @@ class TestPoolSize:
 
         monkeypatch.setattr(runner_module, "WorkerPool", recording_pool)
         return sizes
-
-    def test_pareto_pool_is_clamped_to_its_shards(self, sizes):
-        runner = ParallelRunner(ExecutionPolicy(workers=10_000))
-        with pytest.raises(_NoPool):
-            runner.pareto_mask(np.arange(8.0).reshape(4, 2))
-        assert sizes == [4]
-
-    def test_explore_batched_pool_is_clamped_to_its_points(self, sizes):
-        points = TestDseDeterminism._points(count=4)
-        with pytest.raises(_NoPool):
-            explore_batched(points, policy=10_000)
-        assert sizes == [4]
 
     def test_a_later_call_with_more_shards_grows_the_pool(self):
         source = ShardColumnSource.create(

@@ -1,4 +1,4 @@
-"""The structure-aware sweep planner: factoring and incremental DSE.
+"""The structure-aware sweep planner.
 
 Five contracts are pinned here:
 
@@ -15,10 +15,7 @@ Five contracts are pinned here:
   columns; constant columns stay zero-stride broadcast views (the
   satellite regression for no intermediate full-grid copies).
 * **Reuse mechanics** — the plan-level content-hash cache hits on
-  re-sweeps, and :class:`~repro.dse.optimizer.ExplorationSession`
-  reproduces full
-  ``explore_batched`` trajectories while recomputing only changed
-  metrics.
+  re-sweeps.
 * **Guard + CLI integration** — ``verify_plan`` catches a corrupted
   planned result with a typed
   :class:`~repro.core.errors.DivergenceError`; no subcommand accepts a
@@ -30,18 +27,9 @@ import pytest
 
 from repro.analysis.scenario import ActScenario
 from repro.core.errors import (
-    ConstraintError,
     DivergenceError,
     ParameterError,
     UnknownEntryError,
-    ValidationError,
-)
-from repro.core.metrics import METRICS, DesignPoint
-from repro.dse.optimizer import ExplorationSession, explore_batched
-from repro.dse.pareto import (
-    dominance_counts,
-    pareto_mask,
-    update_dominance_counts,
 )
 from repro.dse.sweep import FrozenParams, sweep_grid_batched
 from repro.engine import (
@@ -395,211 +383,6 @@ class TestFrozenParams:
             {"energy_kwh": np.float64(5.0), "ic_count": np.int64(3)}
         )
         assert memo.get(key) == "hit"
-
-
-class TestExplorationSession:
-    @staticmethod
-    def _points(c, e, d, areas):
-        return [
-            DesignPoint(
-                name=f"p{i}",
-                embodied_carbon_g=float(c[i]),
-                energy_kwh=float(e[i]),
-                delay_s=float(d[i]),
-                area_mm2=None if areas[i] is None else float(areas[i]),
-            )
-            for i in range(len(c))
-        ]
-
-    def test_trajectory_identical_to_full_reevaluation(self):
-        rng = np.random.default_rng(13)
-        n = 48
-        c = rng.uniform(10, 100, n)
-        e = rng.uniform(1, 9, n)
-        d = rng.uniform(0.1, 2.0, n)
-        areas = list(rng.uniform(50, 500, n))
-        areas[5] = None  # EDAP skip semantics must survive reuse
-        session = ExplorationSession()
-        for iteration in range(50):
-            moved = rng.integers(0, n, 3)
-            d = d.copy()
-            d[moved] *= 1.0 + rng.uniform(-0.05, 0.05, moved.size)
-            if iteration % 9 == 0:
-                c = c.copy()
-                c[moved] *= 1.02
-            points = self._points(c, e, d, areas)
-            full = explore_batched(points)
-            incremental = session.explore(points)
-            assert incremental.scores == full.scores, iteration
-            assert incremental.winners == full.winners, iteration
-            assert incremental.pareto == full.pareto, iteration
-        assert session.metrics_reused > 0
-        assert session.metrics_computed < 50 * len(METRICS)
-
-    def test_unchanged_candidates_reuse_everything(self):
-        rng = np.random.default_rng(3)
-        points = self._points(
-            rng.uniform(10, 100, 16),
-            rng.uniform(1, 9, 16),
-            rng.uniform(0.1, 2.0, 16),
-            list(rng.uniform(50, 500, 16)),
-        )
-        session = ExplorationSession()
-        first = session.explore(points)
-        computed = session.metrics_computed
-        second = session.explore(points)
-        assert session.metrics_computed == computed
-        assert session.metrics_reused >= len(METRICS)
-        assert session.pareto_reused == 1
-        assert second.scores == first.scores
-        assert second.winners == first.winners
-
-    def test_caller_mutation_cannot_corrupt_reuse(self):
-        rng = np.random.default_rng(4)
-        points = self._points(
-            rng.uniform(10, 100, 8),
-            rng.uniform(1, 9, 8),
-            rng.uniform(0.1, 2.0, 8),
-            [None] * 8,
-        )
-        session = ExplorationSession()
-        result = session.explore(points)
-        next(iter(result.scores.values()))["p0"] = -1.0
-        clean = session.explore(points)
-        assert clean.scores == explore_batched(points).scores
-
-    def test_session_validates_like_explore_batched(self):
-        session = ExplorationSession()
-        with pytest.raises(ConstraintError):
-            session.explore([])
-        bad = [
-            DesignPoint(
-                name="nan",
-                embodied_carbon_g=float("nan"),
-                energy_kwh=1.0,
-                delay_s=1.0,
-            )
-        ]
-        with pytest.raises(ValidationError):
-            session.explore(bad)
-
-    def test_metric_subset_and_switching(self):
-        rng = np.random.default_rng(6)
-        points = self._points(
-            rng.uniform(10, 100, 8),
-            rng.uniform(1, 9, 8),
-            rng.uniform(0.1, 2.0, 8),
-            list(rng.uniform(50, 500, 8)),
-        )
-        session = ExplorationSession()
-        subset = session.explore(points, metric_names=("EDP", "CEP"))
-        assert set(subset.scores) == {"EDP", "CEP"}
-        everything = session.explore(points)
-        assert everything.scores == explore_batched(points).scores
-
-    def test_small_moves_take_the_incremental_pareto_path(self):
-        rng = np.random.default_rng(11)
-        n = 64
-        c = rng.uniform(10, 100, n)
-        e = rng.uniform(1, 9, n)
-        d = rng.uniform(0.1, 2.0, n)
-        areas = list(rng.uniform(50, 500, n))
-        session = ExplorationSession()
-        session.explore(self._points(c, e, d, areas))
-        assert session.pareto_incremental == 0  # first call is a full count
-        for _ in range(10):
-            d = d.copy()
-            moved = rng.integers(0, n, 3)
-            d[moved] *= 1.0 + rng.uniform(-0.05, 0.05, moved.size)
-            points = self._points(c, e, d, areas)
-            incremental = session.explore(points)
-            full = explore_batched(points)
-            assert incremental.pareto == full.pareto
-        assert session.pareto_incremental == 10
-
-    def test_bulk_moves_fall_back_to_the_full_recount(self):
-        rng = np.random.default_rng(12)
-        n = 16
-        c = rng.uniform(10, 100, n)
-        e = rng.uniform(1, 9, n)
-        d = rng.uniform(0.1, 2.0, n)
-        areas = list(rng.uniform(50, 500, n))
-        session = ExplorationSession()
-        session.explore(self._points(c, e, d, areas))
-        # Every delay moves: more than a quarter of the rows changed, so
-        # the session recounts in full (and still matches the reference).
-        d = d * 1.01
-        points = self._points(c, e, d, areas)
-        result = session.explore(points)
-        assert session.pareto_incremental == 0
-        assert result.pareto == explore_batched(points).pareto
-
-
-class TestIncrementalPareto:
-    @staticmethod
-    def _brute_counts(matrix):
-        n = matrix.shape[0]
-        counts = np.zeros(n, dtype=np.intp)
-        for j in range(n):
-            for i in range(n):
-                if i == j:
-                    continue
-                no_worse = bool((matrix[i] <= matrix[j]).all())
-                better = bool((matrix[i] < matrix[j]).any())
-                if no_worse and better:
-                    counts[j] += 1
-        return counts
-
-    def test_counts_match_brute_force_and_mask(self):
-        rng = np.random.default_rng(7)
-        matrix = rng.uniform(0.0, 10.0, (40, 3))
-        matrix[5] = matrix[9]  # duplicate rows never dominate each other
-        counts = dominance_counts(matrix)
-        np.testing.assert_array_equal(counts, self._brute_counts(matrix))
-        np.testing.assert_array_equal(counts == 0, pareto_mask(matrix))
-
-    def test_update_equals_fresh_counts(self):
-        rng = np.random.default_rng(8)
-        old = rng.uniform(0.0, 10.0, (30, 3))
-        counts = dominance_counts(old)
-        new = old.copy()
-        changed = np.array([2, 17, 29], dtype=np.intp)
-        new[changed] *= rng.uniform(0.8, 1.2, (changed.size, 3))
-        updated = update_dominance_counts(old, counts, new, changed)
-        np.testing.assert_array_equal(updated, dominance_counts(new))
-        np.testing.assert_array_equal(updated == 0, pareto_mask(new))
-
-    def test_update_dedupes_repeated_changed_rows(self):
-        rng = np.random.default_rng(9)
-        old = rng.uniform(0.0, 10.0, (12, 3))
-        counts = dominance_counts(old)
-        new = old.copy()
-        new[4] *= 0.5  # strictly better everywhere: dominates more rows
-        repeated = np.array([4, 4, 4], dtype=np.intp)
-        updated = update_dominance_counts(old, counts, new, repeated)
-        np.testing.assert_array_equal(updated, dominance_counts(new))
-
-    def test_update_with_no_changes_is_identity(self):
-        rng = np.random.default_rng(10)
-        matrix = rng.uniform(0.0, 10.0, (8, 3))
-        counts = dominance_counts(matrix)
-        updated = update_dominance_counts(
-            matrix, counts, matrix, np.array([], dtype=np.intp)
-        )
-        np.testing.assert_array_equal(updated, counts)
-
-    def test_update_validates_shapes_and_rows(self):
-        rng = np.random.default_rng(14)
-        old = rng.uniform(0.0, 10.0, (6, 3))
-        counts = dominance_counts(old)
-        with pytest.raises(ConstraintError):
-            update_dominance_counts(
-                old, counts, rng.uniform(0, 1, (7, 3)), np.array([0])
-            )
-        with pytest.raises(ConstraintError):
-            update_dominance_counts(old, counts[:-1], old, np.array([0]))
-        with pytest.raises(ConstraintError):
-            update_dominance_counts(old, counts, old, np.array([6]))
 
 
 class TestPlannerCli:

@@ -1,7 +1,5 @@
 """Property tests: the planner is bit-identical to the dense batched path.
 
-Two families of properties:
-
 * **Factored == dense** — for *random* grids (random swept-field subsets,
   random axis lengths including degenerate singletons, random finite
   values in each field's domain), the planned evaluation equals the
@@ -10,12 +8,6 @@ Two families of properties:
   the load-bearing claim behind every planner integration: broadcasting
   the Eq. 1-8 DAG over axis-shaped marginal factors performs the same
   IEEE operations on the same operand values as the row-wise pass.
-* **Incremental dominance == fresh dominance** — updating per-row
-  dominator counts from an arbitrary changed-row subset equals a fresh
-  :func:`~repro.dse.pareto.dominance_counts` over the new matrix (and
-  ``counts == 0`` equals :func:`~repro.dse.pareto.pareto_mask`), for
-  random matrices, subsets, and perturbations including exact
-  duplicates and unchanged "changed" rows.
 """
 
 import numpy as np
@@ -23,11 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.scenario import ActScenario
-from repro.dse.pareto import (
-    dominance_counts,
-    pareto_mask,
-    update_dominance_counts,
-)
 from repro.engine import ScenarioBatch, evaluate_batch
 from repro.engine.batch import FIELD_NAMES
 from repro.engine.plan import (
@@ -115,40 +102,3 @@ class TestPlannedEqualsDense:
                 rows[name], getattr(dense, name)[start:stop], err_msg=name
             )
 
-
-@st.composite
-def dominance_updates(draw):
-    """An (old, new, changed) triple with arbitrary overlap structure.
-
-    Objective values draw from a tiny pool so exact duplicates and ties
-    are common — the regime where dominance bookkeeping is easiest to
-    get wrong.  ``changed`` may repeat rows and may name rows whose
-    values did not actually move; both must be harmless.
-    """
-    n = draw(st.integers(min_value=1, max_value=12))
-    m = draw(st.integers(min_value=1, max_value=3))
-    value = st.sampled_from((0.0, 1.0, 2.0, 3.0))
-    row = st.lists(value, min_size=m, max_size=m)
-    old = np.asarray(
-        draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64
-    )
-    changed = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=n - 1), min_size=0, max_size=n
-        )
-    )
-    new = old.copy()
-    for index in set(changed):
-        new[index] = draw(row)
-    return old, new, np.asarray(changed, dtype=np.intp)
-
-
-class TestIncrementalDominance:
-    @settings(max_examples=200, deadline=None)
-    @given(spec=dominance_updates())
-    def test_update_equals_fresh_counts_and_mask(self, spec):
-        old, new, changed = spec
-        counts = dominance_counts(old)
-        updated = update_dominance_counts(old, counts, new, changed)
-        np.testing.assert_array_equal(updated, dominance_counts(new))
-        np.testing.assert_array_equal(updated == 0, pareto_mask(new))

@@ -436,21 +436,6 @@ class TestDegradeRecovery:
         assert out.supervision.respawns == 2
         assert np.isnan(out.series["total_g"][128:256]).all()
 
-    def test_pareto_refuses_to_degrade(self, tmp_path):
-        """A partial non-dominance mask is wrong, not weaker — pareto
-        raises instead of quarantining."""
-        plan = ProcessFaultPlan.create(
-            tmp_path, [ProcessFault("kill", shard=0, times=10)]
-        )
-        policy = fast_policy(
-            failure_policy=DEGRADE, max_retries=0, shard_rows=8
-        )
-        rng = np.random.default_rng(3)
-        objectives = rng.random((32, 3))
-        with ParallelRunner(policy, fault_plan=plan) as runner:
-            with pytest.raises(ShardFailedError, match="pareto"):
-                runner.pareto_mask(objectives)
-
 
 # --- one retry decision ----------------------------------------------------
 

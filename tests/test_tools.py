@@ -39,3 +39,12 @@ class TestGenerators:
             "EXPERIMENTS.md is stale — regenerate with "
             "`python tools/generate_experiments_md.py > EXPERIMENTS.md`"
         )
+
+    def test_checked_in_api_md_is_current(self):
+        """docs/API.md must match a fresh regeneration (no drift)."""
+        fresh = _run_tool("generate_api_md.py")
+        checked_in = (REPO / "docs" / "API.md").read_text()
+        assert checked_in.strip() == fresh.strip(), (
+            "docs/API.md is stale — regenerate with "
+            "`python tools/generate_api_md.py > docs/API.md`"
+        )
