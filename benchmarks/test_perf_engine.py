@@ -8,11 +8,13 @@ the observability spine's null-context budget (< ~2%: an untraced run must
 not pay for the instrumentation hooks), and writes the measurements to
 ``BENCH_engine.json`` at the repo root.
 
-A second test appends a ``parallel`` section: a million-draw Monte Carlo
-through :class:`~repro.parallel.ParallelRunner` at several worker counts,
-shard sizes, and both transports.  Every figure is best-of-N with the
-repeat count recorded alongside it; overhead fractions are stored raw
-(negative = timer noise) and clamped to zero only in the printed summary.
+A second test appends a ``parallel`` section: a million-draw Monte Carlo,
+its chunks dispatched to a persistent :class:`~repro.parallel.WorkerPool`
+through :class:`~repro.parallel.ShardSupervisor` as the chunked driver's
+parallel waves dispatch them, at several worker counts and shard sizes.
+Every figure is best-of-N with the repeat count recorded alongside it;
+overhead fractions are stored raw (negative = timer noise) and clamped
+to zero only in the printed summary.
 
 A ``backends`` section records the kernel-only throughput of the one
 float64 kernel on the same two workloads, under the ``reference`` key
@@ -362,36 +364,58 @@ def test_perf_backends():
     )
 
 
-def _sharded_monte_carlo(runner, base, draws):
-    """One whole Monte Carlo run as a single shard map over ``runner``."""
-    from repro.analysis.montecarlo import ShardColumnSource
+def _pooled_monte_carlo(pool, policy, base, draws):
+    """One whole Monte Carlo run as a single supervised wave on ``pool``:
+    every ``policy.shard_rows`` chunk a task of the one Monte Carlo chunk
+    function, as a single-wave run of the chunked driver dispatches it."""
+    from repro.analysis.montecarlo import ShardColumnSource, monte_carlo_chunk
+    from repro.parallel import ShardSupervisor, ShardTask, run_shard
 
     source = ShardColumnSource.create(
-        base, draws=draws, seed=2022, shard_rows=runner.policy.shard_rows
+        base, draws=draws, seed=2022, shard_rows=policy.shard_rows
     )
-    return runner.evaluate_source(source)
+    tasks = [
+        ShardTask(
+            monte_carlo_chunk,
+            (
+                base,
+                source.ranges,
+                source.distribution,
+                source.seeds[shard],
+                start,
+                stop,
+                source.identity_key(start, stop),
+            ),
+            shard,
+        )
+        for shard, (start, stop) in enumerate(source.plan)
+    ]
+    return ShardSupervisor(pool, policy).run(
+        run_shard, tasks, list(range(len(tasks)))
+    )
 
 
 def test_perf_parallel():
-    """Million-draw Monte Carlo through the parallel runner.
+    """Million-draw Monte Carlo through a worker pool.
 
     Measures draws/sec against worker count and shard-size sensitivity,
     then merges a ``parallel`` section into ``BENCH_engine.json``.  The >= 2x speedup gate only applies on
     machines with at least 4 usable cores — the recorded numbers stay
     honest either way (``cpu_count`` is written next to them).
     """
-    from repro.parallel import ExecutionPolicy
-    from repro.parallel.runner import ParallelRunner
+    from repro.parallel import ExecutionPolicy, WorkerPool
 
     base = ActScenario()
     cores = _available_cores()
     shard_rows = 65_536
 
     def _throughput(policy: ExecutionPolicy) -> tuple[float, float]:
-        with ParallelRunner(policy) as runner:
-            _sharded_monte_carlo(runner, base, 10_000)  # warm pool
+        with WorkerPool(policy.workers) as pool:
+            _pooled_monte_carlo(pool, policy, base, 10_000)  # warm pool
             seconds = _best_seconds(
-                lambda: _sharded_monte_carlo(runner, base, PARALLEL_DRAWS),
+                lambda: _pooled_monte_carlo(
+                    pool, policy, base, PARALLEL_DRAWS
+                ),
                 repeats=PARALLEL_REPEATS,
             )
         return seconds, PARALLEL_DRAWS / seconds
@@ -571,8 +595,7 @@ def test_perf_supervision():
     The workers=2 figure is recorded without a gate — at that scale the
     poll-loop timing is dominated by queue latency, not supervision.
     """
-    from repro.parallel import RETRY, ExecutionPolicy
-    from repro.parallel.runner import ParallelRunner
+    from repro.parallel import RETRY, ExecutionPolicy, WorkerPool
 
     base = ActScenario()
     cores = _available_cores()
@@ -586,10 +609,10 @@ def test_perf_supervision():
         retry_policy = ExecutionPolicy(
             workers=workers, shard_rows=shard_rows, failure_policy=RETRY
         )
-        with ParallelRunner(fail_fast_policy) as plain:
-            with ParallelRunner(retry_policy) as supervised:
-                _sharded_monte_carlo(plain, base, 10_000)
-                _sharded_monte_carlo(supervised, base, 10_000)
+        with WorkerPool(workers) as plain:
+            with WorkerPool(workers) as supervised:
+                _pooled_monte_carlo(plain, fail_fast_policy, base, 10_000)
+                _pooled_monte_carlo(supervised, retry_policy, base, 10_000)
                 # Interleave so clock drift and cache state hit both
                 # paths equally instead of biasing whichever ran last.
                 plain_best = supervised_best = float("inf")
@@ -597,15 +620,17 @@ def test_perf_supervision():
                     plain_best = min(
                         plain_best,
                         _best_seconds(
-                            lambda: _sharded_monte_carlo(plain, base, draws),
+                            lambda: _pooled_monte_carlo(
+                                plain, fail_fast_policy, base, draws
+                            ),
                             repeats=1,
                         ),
                     )
                     supervised_best = min(
                         supervised_best,
                         _best_seconds(
-                            lambda: _sharded_monte_carlo(
-                                supervised, base, draws
+                            lambda: _pooled_monte_carlo(
+                                supervised, retry_policy, base, draws
                             ),
                             repeats=1,
                         ),

@@ -19,6 +19,7 @@ the equivalence suite checks the engine against.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.analysis.scenario import PARAMETER_RANGES, ActScenario, parameter_range
-from repro.core.errors import ParameterError
+from repro.core.errors import DivergenceError, ParameterError, ValidationError
 from repro.core.parameters import PARAMETER_DOMAINS, require_positive
 from repro.engine.batch import FIELD_NAMES, ScenarioBatch
 from repro.engine.cache import EvaluationCache, evaluate_cached
@@ -124,7 +125,7 @@ def resolve_parameter_ranges(
 
     Resolution order per parameter: the caller's ``ranges`` override, then
     the Table 1 appendix range.  Mapping order is the sampling order, so
-    this dict fully determines a run's draw stream — the parallel runner
+    this dict fully determines a run's draw stream — the chunked driver
     resolves it once in the parent and ships it to every worker verbatim.
     A range must be finite and lie inside the parameter's hard domain
     (:data:`~repro.core.parameters.PARAMETER_DOMAINS`), so no draw can
@@ -255,9 +256,9 @@ class ShardColumnSource:
         those and the row range instead of the columns' bytes.  Prefixed
         with :data:`STREAM_KEY_PREFIX`, so it never equals a content
         digest.  Valid only where this numpy installation samples the
-        rows (its version is not part of the key): the parallel runner's
-        workers, which sample their own shards, receive it, but it is
-        never persisted.
+        rows (its version is not part of the key): a worker sampling its
+        own chunk receives it with the chunk's seed, but it is never
+        persisted.
         """
         stop = self.draws if stop is None else stop
         digest = hashlib.sha256(self._stream_identity)
@@ -309,6 +310,51 @@ class ShardColumnSource:
             name: np.concatenate([shard[name] for shard in shards])
             for name in self.ranges
         }
+
+
+def monte_carlo_chunk(
+    base: ActScenario,
+    ranges: Mapping[str, tuple[float, float]],
+    distribution: str,
+    seed: np.random.SeedSequence,
+    start: int,
+    stop: int,
+    identity_key: str | None,
+    guard: "GuardedEngine | None" = None,
+    cache: EvaluationCache | None = None,
+) -> dict[str, np.ndarray]:
+    """Sample and evaluate rows ``[start, stop)`` of a Monte Carlo run:
+    one chunk, drawn from its own ``SeedSequence`` child ``seed``.
+
+    The batch carries the draw stream's ``identity_key``
+    (:meth:`ShardColumnSource.identity_key`), so no column is hashed.
+    With a ``guard`` the draws are validated and the kernel is
+    cross-checked; a rejection names rows of the run.  The chunked driver
+    (:func:`~repro.robustness.checkpoint.run_monte_carlo_chunked`) calls
+    this in-process with the run's ``cache``, and a worker calls it
+    without one: a chunk evaluated once goes to a one-entry cache of its
+    own.  Returns the chunk's ``total_g`` as the run's ``samples``.
+    """
+    count = stop - start
+    columns = sample_shard_columns(base, ranges, count, seed, distribution)
+    if cache is None:
+        cache = EvaluationCache(capacity=1)
+    if guard is None:
+        batch = ScenarioBatch.from_columns(
+            base, count, columns, identity_key=identity_key
+        )
+        return {"samples": evaluate_cached(batch, cache).total_g}
+    if guard.cache is None:
+        guard = dataclasses.replace(guard, cache=cache)
+    try:
+        guarded = guard.evaluate_columns(
+            base, count, columns, identity_key=identity_key
+        )
+    except (ValidationError, DivergenceError) as error:
+        from repro.robustness.guard import at_run_rows
+
+        raise at_run_rows(error, start) from None
+    return {"samples": guarded.result.total_g}
 
 
 def sample_parameter_columns(

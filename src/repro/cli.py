@@ -74,11 +74,9 @@ from repro.reporting.tables import ascii_table
 
 
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shard-geometry and failure-policy flags shared by the
-    parallel-capable subcommands (``montecarlo``/``sensitivity``/
-    ``schedule``); ``--workers`` stays per-command (its help text
-    differs).  Values are validated by ``ExecutionPolicy`` so bad input
-    exits 2 exactly like an invalid ``--workers``."""
+    """The shard-geometry and failure-policy flags of the Monte Carlo
+    subcommands (``montecarlo``/``sensitivity``), whose shard size is the
+    draw stream's block size."""
     parser.add_argument(
         "--shard-rows",
         type=int,
@@ -87,6 +85,15 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         help="rows per shard (default: 65536; part of the determinism "
         "contract — changing it changes the sharded sample stream)",
     )
+    _add_failure_arguments(parser)
+
+
+def _add_failure_arguments(parser: argparse.ArgumentParser) -> None:
+    """The failure-policy flags shared by the parallel-capable
+    subcommands; ``--workers`` stays per-command (its help text
+    differs), and ``schedule`` shards by ``--chunk-rows`` alone.  Values
+    are validated by ``ExecutionPolicy`` so bad input exits 2 exactly
+    like an invalid ``--workers``."""
     parser.add_argument(
         "--failure-policy",
         choices=("fail_fast", "retry", "degrade"),
@@ -378,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="scenario rows evaluated between checkpoint writes "
-        "(default: 4096)",
+        help="scenario rows per chunk: the unit each worker evaluates "
+        "and the checkpoint cadence (default: 4096)",
     )
     schedule.add_argument(
         "--workers",
@@ -389,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes sharding the sweep rows (results are "
         "bit-identical at any worker count; default: 1)",
     )
-    _add_parallel_arguments(schedule)
+    _add_failure_arguments(schedule)
     schedule.add_argument(
         "--max-seconds",
         type=float,
@@ -640,7 +647,7 @@ def _workers_policy(args: argparse.Namespace) -> "object | None":
     overrides = {
         name: getattr(args, name)
         for name in ("shard_rows", "failure_policy", "max_retries")
-        if getattr(args, name) is not None
+        if getattr(args, name, None) is not None
     }
     policy = ExecutionPolicy(workers=args.workers, **overrides)
     return policy if (policy.parallel or overrides) else None

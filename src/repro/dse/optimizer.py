@@ -109,6 +109,7 @@ def explore(
 
     Raises:
         ConstraintError: On an empty candidate set.
+        ParameterError: On two candidates sharing a name.
         ValidationError: On candidates with non-finite objectives.
         UnknownEntryError: On an unknown metric name.
     """

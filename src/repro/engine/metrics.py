@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.errors import UnknownEntryError
+from repro.core.errors import ParameterError, UnknownEntryError
 from repro.core.metrics import METRICS, DesignPoint, canonical_metric
 
 _CANONICAL = tuple(METRICS)
@@ -105,7 +105,20 @@ def score_table_batched(
     from one array expression per metric instead of a per-pair Python call.
     EDAP keeps the scalar path's skip semantics: only area-carrying
     candidates appear in its row.
+
+    Raises:
+        ParameterError: Two candidates share a name, which would collapse
+            them into one score-table entry.
     """
+    names = [point.name for point in points]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ParameterError(
+                f"design name {name!r} is repeated: every candidate needs "
+                "its own name"
+            )
+        seen.add(name)
     columns = stack_design_points(points)
     requested = (
         tuple(canonical_metric(name) for name in metric_names)
@@ -118,7 +131,7 @@ def score_table_batched(
     scored = metric_columns(
         *objectives, metric_names=[name for name in requested if name != "EDAP"]
     )
-    labels = dict.fromkeys(scored, [point.name for point in points])
+    labels = dict.fromkeys(scored, names)
     if "EDAP" in requested:
         eligible = [
             index

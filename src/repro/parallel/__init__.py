@@ -10,9 +10,11 @@ they spread.
 
 The one knob is :class:`ExecutionPolicy` (worker count, shard size,
 failure policy), passed explicitly as ``policy=`` to the
-Monte Carlo and scheduling entry points.  :class:`ParallelRunner` is
-the engine underneath: it pickles small tasks to the workers and merges
-the outputs back in shard order.  Every call runs through one
+Monte Carlo and scheduling entry points.  Their chunked driver
+(:mod:`repro.robustness.checkpoint`) owns the :class:`WorkerPool`: it
+pickles each chunk as a small :class:`ShardTask` (seeds and specs, not
+columns) and writes every returned chunk into the run's series by its
+absolute row range.  Every wave runs through one
 :class:`ShardSupervisor` loop, which watches worker liveness and shard
 deadlines, respawns dead workers, and spends each shard's retry budget
 (none under the default ``failure_policy="fail_fast"``; retries are
@@ -38,16 +40,13 @@ from repro.parallel.pool import (
     default_start_method,
     pin_blas_threads,
 )
-from repro.parallel.runner import (
-    ParallelEvaluation,
-    ParallelRunner,
-    ShardReport,
-)
 from repro.parallel.supervisor import (
     PartialResult,
     ShardFailure,
     ShardSupervisor,
+    ShardTask,
     SupervisionReport,
+    run_shard,
 )
 
 __all__ = [
@@ -57,17 +56,16 @@ __all__ = [
     "ExecutionPolicy",
     "FAIL_FAST",
     "FAILURE_POLICIES",
-    "ParallelEvaluation",
-    "ParallelRunner",
     "PartialResult",
     "RETRY",
     "ShardFailure",
-    "ShardReport",
     "ShardSupervisor",
+    "ShardTask",
     "SupervisionReport",
     "WorkerPool",
     "default_start_method",
     "pin_blas_threads",
     "resolve_policy",
+    "run_shard",
     "shard_plan",
 ]

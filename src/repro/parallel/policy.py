@@ -3,8 +3,8 @@
 An :class:`ExecutionPolicy` is the one knob the Monte Carlo and
 scheduling entry points expose for parallel execution: how many worker
 processes, how many rows per shard, and what happens when a shard fails.
-The policy deliberately carries no state — the runner in
-:mod:`repro.parallel.runner` owns the pool.  Every entry point takes it
+The policy deliberately carries no state — the chunked driver in
+:mod:`repro.robustness.checkpoint` owns the pool.  Every entry point takes it
 explicitly as ``policy=``; ``None`` is the serial path.
 
 Shard geometry is part of the *result contract*, not just a tuning knob:

@@ -1,8 +1,8 @@
 """A small persistent worker-process pool with faithful error transport.
 
-``multiprocessing.Pool`` would almost fit, but the runner needs three
-things it does not give cleanly: a pool that survives across many
-evaluate calls without re-importing numpy (persistent daemon workers fed
+``multiprocessing.Pool`` would almost fit, but the chunked driver needs
+three things it does not give cleanly: a pool that survives across many
+waves without re-importing numpy (persistent daemon workers fed
 through queues), per-task knowledge of *which worker* ran it (so the
 parent can tag observability counters per worker), and loss-free
 exception propagation (``Pool`` re-raises whatever survives pickling and

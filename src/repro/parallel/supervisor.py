@@ -2,9 +2,13 @@
 
 :class:`ShardSupervisor` is the one loop that dispatches shards to a
 :class:`~repro.parallel.pool.WorkerPool` and reads their results — every
-:class:`~repro.parallel.runner.ParallelRunner` call runs through it, at
-any worker count and under every failure policy of
-:class:`~repro.parallel.policy.ExecutionPolicy`:
+parallel wave of the chunked driver
+(:func:`~repro.robustness.checkpoint.run_monte_carlo_chunked`,
+:func:`~repro.robustness.checkpoint.run_schedule_sweep_chunked`) runs
+through it, under every failure policy of
+:class:`~repro.parallel.policy.ExecutionPolicy`.  Each shard is a
+:class:`ShardTask` — one chunk function and its picklable arguments —
+that :func:`run_shard` runs in a worker:
 
 * **Liveness.**  The parent polls results with a timeout, watching worker
   exit codes and heartbeats between polls.  A dead worker (OOM kill,
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.errors import ReproError, ShardFailedError, WorkerError
 from repro.obs.context import current_context
@@ -63,6 +67,42 @@ LOST = "lost"
 #: (with every live worker idle) before outstanding shards are declared
 #: lost.  ``shard_deadline_seconds`` raises this when set.
 _MIN_STALL_SECONDS = 1.0
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard for a worker: ``fn(*args)``.
+
+    ``fn`` must be module-level (pickled by reference under both ``fork``
+    and ``spawn``) and ``args`` picklable.  ``shard`` is the run-wide
+    shard number a :class:`~repro.robustness.faultinject.ProcessFaultPlan`
+    targets; ``fault`` is that plan's :meth:`spec` when one is armed.
+    """
+
+    fn: Callable[..., Any]
+    args: tuple
+    shard: int
+    fault: Mapping[str, Any] | None = None
+
+
+def run_shard(task: ShardTask) -> tuple[Any, float]:
+    """Worker entry point: ``task.fn(*task.args)`` and its wall seconds.
+
+    When the task carries an armed fault plan, faults fire here: at shard
+    start (kill / stall) and at shard finish (result-message drop, after
+    the work completed).  The import is lazy and only on faulted tasks,
+    so the healthy path never touches the robustness package from a
+    worker.
+    """
+    started = time.perf_counter()
+    if task.fault is not None:
+        from repro.robustness.faultinject import apply_process_faults
+
+        apply_process_faults(task.fault, task.shard, "start")
+    out = task.fn(*task.args)
+    if task.fault is not None:
+        apply_process_faults(task.fault, task.shard, "finish")
+    return out, time.perf_counter() - started
 
 
 @dataclass(frozen=True)
@@ -112,7 +152,8 @@ class SupervisionReport:
 class PartialResult:
     """A degraded run's account of what is missing and why.
 
-    Attached to :class:`~repro.parallel.runner.ParallelEvaluation` when a
+    Attached to the result of a chunked run
+    (:attr:`~repro.analysis.montecarlo.MonteCarloResult.partial`) when a
     ``failure_policy="degrade"`` run completes with quarantined shards.
     The quarantined rows are NaN in every output series, so every
     downstream consumer that already skips NaN rows (samples,
@@ -264,11 +305,10 @@ class RetryLedger:
 class ShardSupervisor:
     """Executes one task batch on a pool under a failure policy.
 
-    One supervisor instance runs one batch (:meth:`run`); the runner
-    constructs a fresh one per evaluation.  The pool persists across
-    supervisors — respawned workers stay in it for the next batch, and
-    results of a batch abandoned by a raise are discarded by the next
-    run epoch.
+    Each :meth:`run` is one batch (one wave of a chunked run); the pool
+    persists across batches — respawned workers stay in it for the next
+    one, and results of a batch abandoned by a raise are discarded by the
+    next run epoch.
     """
 
     def __init__(self, pool: WorkerPool, policy: ExecutionPolicy):
@@ -478,6 +518,8 @@ def final_failures(
 
 
 __all__ = [
+    "ShardTask",
+    "run_shard",
     "ShardFailure",
     "SupervisionReport",
     "PartialResult",

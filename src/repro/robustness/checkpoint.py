@@ -35,6 +35,7 @@ import dataclasses
 import hashlib
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -44,6 +45,7 @@ from repro.analysis.montecarlo import (
     TRIANGULAR,
     MonteCarloResult,
     ShardColumnSource,
+    monte_carlo_chunk,
 )
 
 # perfbench's ``montecarlo_durable`` workload times this module attribute
@@ -53,12 +55,7 @@ from repro.analysis.montecarlo import (  # noqa: F401
     sample_parameter_columns as sample_parameter_columns_sharded,
 )
 from repro.analysis.scenario import PARAMETER_RANGES, ActScenario
-from repro.core.errors import (
-    CheckpointError,
-    DivergenceError,
-    RunInterrupted,
-    ValidationError,
-)
+from repro.core.errors import CheckpointError, RunInterrupted
 from repro.core.parameters import require_positive
 from repro.dse.sweep import BatchSweepResult
 from repro.engine.batch import ScenarioBatch, product_columns
@@ -66,13 +63,13 @@ from repro.engine.cache import EvaluationCache, evaluate_cached
 from repro.engine.kernels import BatchResult
 from repro.obs.context import current_context
 from repro.robustness.durability import DurableChunkStore
-from repro.robustness.guard import at_run_rows
+from repro.robustness.guard import RobustnessWarning
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.policy import ExecutionPolicy
-    from repro.parallel.runner import ParallelEvaluation, ParallelRunner
-    from repro.parallel.supervisor import ShardFailure
+    from repro.parallel.supervisor import PartialResult, SupervisionReport
     from repro.robustness.guard import GuardedEngine
+    from repro.scheduling.sweep import ScheduleSweepSpec
 
 #: Default rows evaluated between two checkpoint writes.
 DEFAULT_CHUNK_ROWS = 4096
@@ -162,21 +159,6 @@ _PLANNER_TOKEN = "planner=auto"
 # --- the chunked driver --------------------------------------------------
 
 
-def _absorb(
-    evaluation: "ParallelEvaluation",
-    start: int,
-    series: Mapping[str, np.ndarray],
-) -> list[tuple[int, int]]:
-    """Copy a wave evaluated from row ``start`` into ``series`` (keyed by
-    evaluation series name) and return the wave's quarantined shard
-    ranges, shifted to global rows."""
-    for name, values in series.items():
-        values[start : start + evaluation.rows] = evaluation.full_series(name)
-    if evaluation.partial is None:
-        return []
-    return [(start + lo, start + hi) for lo, hi in evaluation.partial.ranges]
-
-
 def _run_chunked(
     *,
     kind: str,
@@ -189,7 +171,9 @@ def _run_chunked(
     chunk_rows: int,
     fingerprint: str,
     series: Mapping[str, np.ndarray],
-    evaluate: "Callable[[ParallelRunner | None, int, int], list[tuple]]",
+    chunk: Callable[..., Mapping[str, np.ndarray]],
+    chunk_args: Callable[[int, int], tuple],
+    cache: object,
     policy: "ExecutionPolicy | None",
     checkpoint: str | os.PathLike | None,
     resume: bool,
@@ -197,16 +181,24 @@ def _run_chunked(
     partial: "Callable[[int], object] | None" = None,
     fault_plan: object = None,
     single_wave: bool = False,
-) -> list[tuple[int, int]]:
+) -> "PartialResult | None":
     """The one wave / cancel / checkpoint / quarantine loop of every
-    chunked runner; returns the row ranges still quarantined at the end.
+    chunked runner; returns the run's :class:`PartialResult` when rows
+    stay quarantined at the end (``None`` otherwise).
 
-    ``evaluate(runner, start, stop)`` fills rows ``[start, stop)`` of
-    ``series`` (through ``runner`` under a parallel policy, in-process
-    when it is ``None``) and returns the global row ranges it lost to
-    quarantined shards.  Those ranges are committed with every wave, and
-    a ``resume=True`` run re-attempts only them.  A cancelled run commits
-    what it has and raises ``RunInterrupted`` carrying
+    Rows ``[lo, hi)`` of one chunk are ``chunk(*chunk_args(lo, hi))``, a
+    mapping of ``series`` name to values.  At one worker the driver calls
+    ``chunk`` in-process with ``cache=cache``.  At more, it owns a
+    :class:`~repro.parallel.pool.WorkerPool`, hands each wave's chunks to
+    :meth:`~repro.parallel.supervisor.ShardSupervisor.run` as
+    :class:`~repro.parallel.supervisor.ShardTask` payloads (so ``chunk``
+    must be module-level and its arguments picklable), and writes each
+    returned chunk into ``series`` by its absolute row range.  Chunks a
+    ``"degrade"`` policy quarantines stay ``NaN``; their row ranges are
+    committed with every wave, a ``resume=True`` run re-attempts only
+    them, and those still lost at the end make the one
+    :class:`PartialResult` and its ``RobustnessWarning``.  A cancelled
+    run commits what it has and raises ``RunInterrupted`` carrying
     ``partial(completed)``.  ``single_wave`` dispatches every chunk of a
     parallel run in one wave, for runs that commit and poll nothing
     between waves.  The remaining names label the checkpoint, span,
@@ -240,7 +232,11 @@ def _run_chunked(
         rows = {name: values[start:stop] for name, values in series.items()}
         persist("append", start, stop, rows)
 
-    # Global (start, stop) row ranges lost to quarantined shards; persisted
+    def place(start: int, stop: int, values: Mapping[str, np.ndarray]) -> None:
+        for name, column in series.items():
+            column[start:stop] = values[name]
+
+    # Global (start, stop) row ranges lost to quarantined chunks; persisted
     # with the checkpoint so a resume knows exactly which completed rows
     # are holes to re-attempt (older checkpoints simply lack the key).
     completed, quarantined = 0, []
@@ -254,24 +250,81 @@ def _run_chunked(
         completed, quarantined = persist("resume", series)
 
     wave_rows = chunk_rows
-    runner_scope = contextlib.nullcontext()
-    # A wave never holds more chunks than the run, and a one-chunk run
-    # evaluates in-process, whatever worker count was asked for (the
-    # runner sizes its pool by each wave's chunk count).
-    workers = min(policy.workers, -(-total // chunk_rows)) if policy else 1
+    chunks = -(-total // chunk_rows)
+    # A pool never holds more workers than the run has chunks, and a
+    # one-chunk run evaluates in-process, whatever worker count was asked.
+    workers = min(policy.workers, chunks) if policy else 1
+    pool = None
+    pool_scope = contextlib.nullcontext()
+    reports: "list[SupervisionReport]" = []
     if workers > 1:
-        from repro.parallel.runner import ParallelRunner
+        from repro.parallel.pool import WorkerPool
+        from repro.parallel.supervisor import (
+            ShardSupervisor,
+            ShardTask,
+            run_shard,
+        )
 
         # One wave dispatches `workers` chunks at once; `completed` always
         # stays a whole-chunk prefix, so a checkpoint written mid-run at
         # one worker count resumes cleanly at any other.
         wave_rows = total if single_wave else chunk_rows * workers
-        runner_scope = ParallelRunner(
-            policy.replace(shard_rows=chunk_rows, workers=workers),
-            fault_plan=fault_plan,
-        )
+        pool_scope = pool = WorkerPool(workers)
+        supervisor = ShardSupervisor(pool, policy)
+        fault = fault_plan.spec() if fault_plan is not None else None
+
+    def evaluate(start: int, stop: int) -> list[tuple[int, int]]:
+        """Fill ``series`` rows [start, stop) chunk by chunk; return the
+        chunk ranges lost to quarantine."""
+        plan = [
+            (lo, min(lo + chunk_rows, stop))
+            for lo in range(start, stop, chunk_rows)
+        ]
+        if pool is None:
+            for lo, hi in plan:
+                place(lo, hi, chunk(*chunk_args(lo, hi), cache=cache))
+            return []
+        # Chunks keep their run-wide numbers in every wave, for fault
+        # plans, supervision and spans.
+        shards = [lo // chunk_rows for lo, _ in plan]
+        tasks = [
+            ShardTask(chunk, chunk_args(lo, hi), shard, fault)
+            for (lo, hi), shard in zip(plan, shards)
+        ]
+        lost = []
+        with context.span(
+            "parallel.evaluate",
+            kind=kind,
+            rows=stop - start,
+            shards=len(tasks),
+            workers=workers,
+        ):
+            outcomes, report = supervisor.run(run_shard, tasks, shards)
+            reports.append(report)
+            for (lo, hi), shard, outcome in zip(plan, shards, outcomes):
+                if outcome is None:
+                    # A quarantined row stays NaN — a flagged missing
+                    # answer, never a silent zero.
+                    lost.append((lo, hi))
+                    continue
+                worker, (values, seconds) = outcome
+                place(lo, hi, values)
+                if context.enabled:
+                    with context.span(
+                        "parallel.shard",
+                        shard=shard,
+                        worker=worker,
+                        rows=hi - lo,
+                        worker_seconds=round(seconds, 6),
+                    ):
+                        pass
+                    context.count("parallel.shards")
+                    context.count(f"parallel.worker{worker}.rows", hi - lo)
+                    context.observe("parallel.shard_seconds", seconds)
+        return lost
+
     try:
-        with runner_scope as runner, context.span(
+        with pool_scope, context.span(
             span,
             **{size_field: total},
             chunk_rows=chunk_rows,
@@ -296,7 +349,7 @@ def _run_chunked(
                         error.partial = partial(completed)
                     raise error
                 start, completed = completed, min(completed + wave_rows, total)
-                quarantined.extend(evaluate(runner, start, completed))
+                quarantined.extend(evaluate(start, completed))
                 context.count(counter)
                 context.event(
                     "chunk", kind=kind, completed=completed, total=total
@@ -312,7 +365,7 @@ def _run_chunked(
                 # change values).
                 still: list[tuple[int, int]] = []
                 for start, stop in quarantined:
-                    lost = evaluate(runner, start, stop)
+                    lost = evaluate(start, stop)
                     still.extend(lost)
                     context.count("checkpoint.quarantine_retries")
                     context.event(
@@ -330,7 +383,29 @@ def _run_chunked(
     finally:
         if store is not None:
             store.close()
-    return quarantined
+    if not quarantined:
+        return None
+    from repro.parallel.supervisor import PartialResult, final_failures
+
+    failures = {
+        failure.shard: failure
+        for report in reports
+        for failure in final_failures(report)
+    }
+    shards = tuple(int(start) // chunk_rows for start, _ in quarantined)
+    degraded = PartialResult(
+        quarantined=shards,
+        ranges=tuple((int(start), int(stop)) for start, stop in quarantined),
+        failures=tuple(failures[s] for s in shards if s in failures),
+        retries=sum(report.retries for report in reports),
+        respawns=sum(report.respawns for report in reports),
+    )
+    warnings.warn(
+        f"degraded run ({chunks} shard(s) planned): {degraded.summary()}",
+        RobustnessWarning,
+        stacklevel=3,
+    )
+    return degraded
 
 
 # --- Monte Carlo ---------------------------------------------------------
@@ -402,7 +477,7 @@ def run_monte_carlo_chunked(
             at one worker count resumes at any other.
         fault_plan: An armed
             :class:`~repro.robustness.faultinject.ProcessFaultPlan`
-            threaded into the parallel runner (chaos testing only).
+            carried by every chunk sent to a worker (chaos testing only).
 
     Raises:
         CheckpointError: ``resume`` without a usable, matching checkpoint.
@@ -455,44 +530,18 @@ def run_monte_carlo_chunked(
     if guard is not None and guard.cache is None:
         guard = dataclasses.replace(guard, cache=cache)
     samples = np.full(draws, np.nan)
-    # The last failure of each quarantined chunk, and the retries and
-    # respawns of every parallel wave.
-    failures: "dict[int, ShardFailure]" = {}
-    supervision = {"retries": 0, "respawns": 0}
 
-    def evaluate(
-        runner: "ParallelRunner | None", start: int, stop: int
-    ) -> list[tuple[int, int]]:
-        """Fill ``samples[start:stop]``; return the rows lost to quarantine."""
-        if runner is not None:
-            # Workers sample their own chunks from the shipped seeds.
-            evaluation = runner.evaluate_source(
-                source, start, stop, guard=guard
-            )
-            for name in supervision:
-                supervision[name] += getattr(evaluation.supervision, name)
-            if evaluation.partial is not None:
-                failures.update(
-                    (failure.shard, failure)
-                    for failure in evaluation.partial.failures
-                )
-            return _absorb(evaluation, start, {"total_g": samples})
-        chunk = source.columns(start, stop)
-        key = source.identity_key(start, stop)
-        if guard is None:
-            batch = ScenarioBatch.from_columns(
-                base, stop - start, chunk, identity_key=key
-            )
-            samples[start:stop] = evaluate_cached(batch, cache).total_g
-            return []
-        try:
-            guarded = guard.evaluate_columns(
-                base, stop - start, chunk, identity_key=key
-            )
-        except (ValidationError, DivergenceError) as error:
-            raise at_run_rows(error, start) from None
-        samples[start:stop] = guarded.result.total_g
-        return []
+    def chunk_args(start: int, stop: int) -> tuple:
+        return (
+            base,
+            source.ranges,
+            distribution,
+            source.seeds[start // chunk_rows],
+            start,
+            stop,
+            source.identity_key(start, stop),
+            guard,
+        )
 
     context = current_context()
     with context.span(
@@ -505,7 +554,7 @@ def run_monte_carlo_chunked(
     ):
         if context.enabled:
             context.count("analysis.montecarlo.draws", draws)
-        quarantined_ranges = _run_chunked(
+        degraded = _run_chunked(
             kind="montecarlo",
             span="analysis.montecarlo_chunked",
             size_field="draws",
@@ -516,7 +565,9 @@ def run_monte_carlo_chunked(
             chunk_rows=chunk_rows,
             fingerprint=fingerprint,
             series={"samples": samples},
-            evaluate=evaluate,
+            chunk=monte_carlo_chunk,
+            chunk_args=chunk_args,
+            cache=cache,
             partial=lambda completed: samples[:completed][
                 np.isfinite(samples[:completed])
             ],
@@ -528,28 +579,15 @@ def run_monte_carlo_chunked(
             single_wave=checkpoint is None and cancel is None,
         )
 
-    partial = None
-    if quarantined_ranges:
-        from repro.parallel.supervisor import PartialResult
-
-        lost = tuple(quarantined_ranges)
-        quarantined = tuple(start // chunk_rows for start, _ in lost)
-        partial = PartialResult(
-            quarantined=quarantined,
-            ranges=lost,
-            failures=tuple(failures[c] for c in quarantined if c in failures),
-            **supervision,
-        )
     # Quarantined shards leave NaN rows; drop them.  ``samples`` is this
     # call's own array, so it is returned as is when nothing was dropped:
     # copying it would hold a second draws-long array at the run's memory
     # peak.
-    finite = np.isfinite(samples) if partial else None
-    finished = samples if finite is None or finite.all() else samples[finite]
+    finished = samples if degraded is None else samples[np.isfinite(samples)]
     return MonteCarloResult(
         samples=finished,
         base_response=base.total_g(),
-        partial=partial,
+        partial=degraded,
     )
 
 
@@ -612,24 +650,20 @@ def sweep_grid_batched_chunked(
         plan = plan_product(base, grids)
         factor_tables = plan.partial_series()
 
-    def evaluate(_: None, start: int, stop: int) -> list[tuple[int, int]]:
-        """Fill ``series`` rows [start, stop); in-process, no row is lost."""
+    def sweep_chunk(
+        start: int, stop: int, cache: EvaluationCache | None
+    ) -> Mapping[str, np.ndarray]:
+        """Rows [start, stop) of the sweep (always in-process)."""
         if factor_tables is not None:
-            chunk_series = plan.gather_rows(factor_tables, start, stop)
-        else:
-            chunk_batch = ScenarioBatch(
-                **{
-                    name: np.ascontiguousarray(column[start:stop])
-                    for name, column in columns.items()
-                }
-            )
-            chunk_result = evaluate_cached(chunk_batch, cache)
-            chunk_series = {
-                name: getattr(chunk_result, name) for name in series_names
+            return plan.gather_rows(factor_tables, start, stop)
+        chunk_batch = ScenarioBatch(
+            **{
+                name: np.ascontiguousarray(column[start:stop])
+                for name, column in columns.items()
             }
-        for name in series:
-            series[name][start:stop] = chunk_series[name]
-        return []
+        )
+        chunk_result = evaluate_cached(chunk_batch, cache)
+        return {name: getattr(chunk_result, name) for name in series_names}
 
     _run_chunked(
         kind="sweep",
@@ -642,7 +676,9 @@ def sweep_grid_batched_chunked(
         chunk_rows=chunk_rows,
         fingerprint=fingerprint,
         series=series,
-        evaluate=evaluate,
+        chunk=sweep_chunk,
+        chunk_args=lambda start, stop: (start, stop),
+        cache=cache,
         partial=lambda completed: BatchResult(
             **{name: series[name][:completed].copy() for name in series_names}
         ),
@@ -660,6 +696,37 @@ def sweep_grid_batched_chunked(
 
 
 # --- scheduling policy sweeps --------------------------------------------
+
+
+def schedule_chunk(
+    spec: "ScheduleSweepSpec",
+    start: int,
+    stop: int,
+    cache: EvaluationCache | None = None,
+) -> dict[str, np.ndarray]:
+    """Rebuild and evaluate rows ``[start, stop)`` of a scheduling sweep.
+
+    :func:`~repro.scheduling.sweep.build_schedule_batch` is a pure
+    function of ``(spec, row)``, so a chunk is the same in any process.
+    The chunked driver calls this in-process with the run's ``cache``; a
+    worker calls it without one and evaluates uncached.  Returns the
+    chunk's :data:`~repro.scheduling.batch.SCHEDULE_SERIES`.
+    """
+    # Lazy imports: repro.scheduling.sweep reaches back into this module
+    # for its chunked path.
+    from repro.scheduling.batch import (
+        SCHEDULE_SERIES,
+        evaluate_schedule_batch,
+        evaluate_schedule_cached,
+    )
+    from repro.scheduling.sweep import build_schedule_batch
+
+    batch = build_schedule_batch(spec, start, stop)
+    if cache is None:
+        result = evaluate_schedule_batch(batch)
+    else:
+        result = evaluate_schedule_cached(batch, cache)
+    return {name: getattr(result, name) for name in SCHEDULE_SERIES}
 
 
 def run_schedule_sweep_chunked(
@@ -697,10 +764,9 @@ def run_schedule_sweep_chunked(
         cancel: Cooperative cancellation token polled at chunk boundaries.
         policy: An :class:`~repro.parallel.ExecutionPolicy`, a bare worker
             count, or ``None`` for the serial path; a parallel policy
-            dispatches ``workers`` chunks per wave through
-            :meth:`ParallelRunner.evaluate_schedule`.
-        cache: Schedule-batch evaluation cache (serial path only — worker
-            processes keep their own).
+            dispatches ``workers`` chunks per wave to a worker pool.
+        cache: Schedule-batch evaluation cache for in-process chunks
+            (default: the process-wide one); workers evaluate uncached.
 
     Raises:
         CheckpointError: ``resume`` without a usable, matching checkpoint.
@@ -709,12 +775,10 @@ def run_schedule_sweep_chunked(
             name → array mapping.
     """
     require_positive("chunk_rows", chunk_rows)
+    from repro.engine.cache import DEFAULT_CACHE
     from repro.parallel.policy import resolve_policy
-    from repro.scheduling.batch import (
-        SCHEDULE_SERIES,
-        evaluate_schedule_cached,
-    )
-    from repro.scheduling.sweep import ScheduleSweepSpec, build_schedule_batch
+    from repro.scheduling.batch import SCHEDULE_SERIES
+    from repro.scheduling.sweep import ScheduleSweepSpec
 
     if not isinstance(spec, ScheduleSweepSpec):
         raise CheckpointError(
@@ -734,24 +798,6 @@ def run_schedule_sweep_chunked(
         + (_BACKEND_TOKEN,),
     )
     series = {name: np.full(rows, np.nan) for name in SCHEDULE_SERIES}
-
-    def evaluate(
-        runner: "ParallelRunner | None", start: int, stop: int
-    ) -> list[tuple[int, int]]:
-        """Fill ``series`` rows [start, stop); return the rows lost."""
-        if runner is not None:
-            return _absorb(
-                runner.evaluate_schedule(spec, start=start, stop=stop),
-                start,
-                series,
-            )
-        chunk_result = evaluate_schedule_cached(
-            build_schedule_batch(spec, start, stop), cache
-        )
-        for name in SCHEDULE_SERIES:
-            series[name][start:stop] = getattr(chunk_result, name)
-        return []
-
     _run_chunked(
         kind="schedule",
         span="scheduling.sweep_chunked",
@@ -763,7 +809,9 @@ def run_schedule_sweep_chunked(
         chunk_rows=chunk_rows,
         fingerprint=fingerprint,
         series=series,
-        evaluate=evaluate,
+        chunk=schedule_chunk,
+        chunk_args=lambda start, stop: (spec, start, stop),
+        cache=DEFAULT_CACHE if cache is None else cache,
         partial=lambda completed: {
             name: np.array(series[name][:completed], copy=True)
             for name in SCHEDULE_SERIES

@@ -312,6 +312,12 @@ class GuardedEngine:
                 f"{STRICT!r} only"
             )
 
+    def __getstate__(self) -> dict:
+        # A cache holds a lock and this process's entries, so it never
+        # crosses a process boundary: a worker's copy of the guard
+        # evaluates through a cache of its own.
+        return {**self.__dict__, "cache": None}
+
     def evaluate_columns(
         self,
         base: "ActScenario",

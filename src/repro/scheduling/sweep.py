@@ -9,9 +9,9 @@ policy comparisons are paired.  Rows are laid out window-major::
 
 and :func:`build_schedule_batch` is a *pure* function of
 ``(spec, start, stop)`` — any row range rebuilds bit-identically, which
-is what lets :class:`~repro.parallel.runner.ParallelRunner` shard a sweep
-across workers and :func:`repro.robustness.checkpoint.run_schedule_sweep_chunked`
-resume it with bit-for-bit convergence at any worker count.
+is what lets :func:`repro.robustness.checkpoint.run_schedule_sweep_chunked`
+evaluate its chunks in any worker process and resume a sweep with
+bit-for-bit convergence at any worker count.
 
 :func:`run_policy_sweep` aggregates the evaluated rows into per-policy
 emissions/waiting points and extracts the emissions-vs-mean-waiting
@@ -425,7 +425,9 @@ def run_policy_sweep(
     ):
         series = run_schedule_sweep_chunked(
             spec,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
+            chunk_rows=(
+                DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows
+            ),
             checkpoint_path=checkpoint,
             resume=resume,
             cancel=cancel,

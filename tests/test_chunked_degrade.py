@@ -10,10 +10,12 @@ result.  The consumers of rows a run lost (``argmin``,
 sweeps run in-process and never lose a row; ``argmin`` still skips
 ``NaN`` rows of a result handed to it.
 
-The fault is armed by wrapping :class:`~repro.parallel.runner.ParallelRunner`
-construction, since the schedule driver takes no fault plan of its own.
+The fault is armed by wrapping the one dispatch point,
+:meth:`~repro.parallel.supervisor.ShardSupervisor.run`, since the
+schedule driver takes no fault plan of its own.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,8 +27,7 @@ from repro.core.intensity import solar_diurnal_trace
 from repro.dse.sweep import BatchSweepResult
 from repro.engine.kernels import BatchResult
 from repro.obs.context import RunContext, use_context
-from repro.parallel import DEGRADE, ExecutionPolicy
-from repro.parallel.runner import ParallelRunner
+from repro.parallel import DEGRADE, ExecutionPolicy, ShardSupervisor
 from repro.robustness.checkpoint import (
     run_schedule_sweep_chunked,
     sweep_grid_batched_chunked,
@@ -74,14 +75,17 @@ def with_shard_one_killed(monkeypatch, tmp_path, run, *args, **kwargs):
     plan = ProcessFaultPlan.create(
         tmp_path / "faults", [ProcessFault("kill", shard=1, times=1)]
     )
-    real_init = ParallelRunner.__init__
+    real_run = ShardSupervisor.run
 
-    def faulted_init(self, policy=None, *, fault_plan=None):
-        real_init(self, policy, fault_plan=plan)
+    def faulted_run(self, fn, payloads, labels):
+        armed = [
+            dataclasses.replace(task, fault=plan.spec()) for task in payloads
+        ]
+        return real_run(self, fn, armed, labels)
 
     with monkeypatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore", RobustnessWarning)
-        patch.setattr(ParallelRunner, "__init__", faulted_init)
+        patch.setattr(ShardSupervisor, "run", faulted_run)
         out = run(*args, **kwargs)
     assert plan.remaining() == 0
     return out

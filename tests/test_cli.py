@@ -481,16 +481,33 @@ class TestSchedule:
     def test_workers_match_serial_output(self, capsys):
         _, serial, _ = run_cli(
             capsys, "schedule", "--windows", "30", "--seed", "4",
+            "--verify-sample", "4",
         )
         code, parallel, _ = run_cli(
             capsys, "schedule", "--windows", "30", "--seed", "4",
-            "--workers", "2", "--shard-rows", "32", "--verify-sample", "4",
+            "--workers", "2", "--chunk-rows", "32", "--verify-sample", "4",
         )
         assert code == 0
+        # Everything but the timing line: the policy table and the front.
         table = lambda text: [  # noqa: E731
-            line for line in text.splitlines() if line.startswith("|")
+            line for line in text.splitlines()
+            if not line.startswith("throughput")
         ]
+        assert len(table(serial)) > 4
         assert table(parallel) == table(serial)
+
+    @pytest.mark.parametrize("command", ["schedule", "montecarlo"])
+    def test_zero_chunk_rows_exits_2(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--chunk-rows", "0")
+        assert code == 2
+        assert "chunk_rows" in err
+
+    def test_shard_rows_is_not_a_schedule_flag(self, capsys):
+        # The schedule pool shards by --chunk-rows; a shard size it would
+        # ignore is refused like any unknown flag.
+        with pytest.raises(SystemExit) as info:
+            run_cli(capsys, "schedule", "--windows", "30", "--shard-rows", "7")
+        assert info.value.code == 2
 
     def test_interrupted_run_exits_3_with_resume_hint(self, capsys, tmp_path):
         path = tmp_path / "schedule.npz"

@@ -461,6 +461,19 @@ class TestBatchedPareto:
         )
 
 
+    @pytest.mark.parametrize("entry", [explore, score_table_batched])
+    def test_repeated_design_name_is_refused(self, entry):
+        # Scores are keyed by name: a repeated one would collapse two
+        # candidates into one entry and change the winner.
+        points = [
+            DesignPoint("a", 1.0, 1.0, 1.0),
+            DesignPoint("b", 2.0, 2.0, 2.0),
+            DesignPoint("a", 3.0, 3.0, 3.0),
+        ]
+        with pytest.raises(ParameterError, match="'a' is repeated"):
+            entry(points, ("EDP",))
+
+
 class TestAnalysisOnEngine:
     def test_monte_carlo_batched_equals_scalar_response(self):
         base = ActScenario()

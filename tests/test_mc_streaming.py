@@ -47,12 +47,7 @@ from repro.engine.batch import ScenarioBatch
 from repro.engine.cache import DEFAULT_CACHE, EvaluationCache
 from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
-from repro.parallel import (
-    DEFAULT_SHARD_ROWS,
-    DEGRADE,
-    ExecutionPolicy,
-    ParallelRunner,
-)
+from repro.parallel import DEFAULT_SHARD_ROWS, DEGRADE, ExecutionPolicy
 from repro.parallel.policy import shard_plan
 from repro.robustness.checkpoint import (
     CancelToken,
@@ -724,16 +719,16 @@ class TestIdentityKey:
 
         def run():
             log.write_text("")
-            policy = ExecutionPolicy(workers=1, shard_rows=65536)
-            source = ShardColumnSource.create(
-                BASE, draws=2**18, seed=2022, shard_rows=65536
+            result = run_monte_carlo_chunked(
+                BASE,
+                draws=2**18,
+                seed=2022,
+                chunk_rows=65536,
+                guard=GuardedEngine(),
+                policy=2,
             )
-            with ParallelRunner(policy) as runner:
-                evaluation = runner.evaluate_source(
-                    source, guard=GuardedEngine()
-                )
             hashed = [int(line) for line in log.read_text().split()]
-            return evaluation.full_series("total_g"), hashed
+            return result.samples, hashed
 
         monkeypatch.setattr(cache_module, "batch_key", counting)
         keyed, hashed = run()

@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.montecarlo import (
     ShardColumnSource,
+    monte_carlo_chunk,
     resolve_parameter_ranges,
     run_monte_carlo,
     sample_parameter_columns,
@@ -31,15 +32,18 @@ from repro.core.intensity import solar_diurnal_trace
 from repro.engine.batch import ScenarioBatch
 from repro.engine.kernels import evaluate_batch
 from repro.obs.context import RunContext, use_context
-from repro.parallel import runner as runner_module
+from repro.parallel import pool as pool_module
 from repro.parallel import (
     DEFAULT_SHARD_ROWS,
     DEGRADE,
     FAIL_FAST,
     RETRY,
     ExecutionPolicy,
-    ParallelRunner,
+    ShardSupervisor,
+    ShardTask,
+    WorkerPool,
     resolve_policy,
+    run_shard,
     shard_plan,
 )
 from repro.robustness.checkpoint import (
@@ -137,100 +141,90 @@ class TestShardPlan:
             shard_plan(10, 0)
 
 
-#: A base scenario marking the shards the failing evaluator below fails.
-FAILING_BASE = ActScenario(energy_kwh=13.0)
-
-
 class _Unpicklable(Exception):
     def __init__(self, message):
         super().__init__(message)
         self.handle = lambda: None  # lambdas cannot pickle
 
 
-def _failing_evaluator(real, error_type):
-    """``_evaluate_shard`` failing shard 1 of any run over FAILING_BASE."""
-
-    def evaluate(task, count):
-        if task["base"] == FAILING_BASE and task["shard"] == 1:
-            raise error_type(f"boom in shard {task['shard']}")
-        return real(task, count)
-
-    return evaluate
+def _fail_shard_one(shard, error_type):
+    """A shard function (module-level: pickled by reference) returning its
+    shard number, or raising ``error_type`` on shard 1 when one is given."""
+    if error_type is not None and shard == 1:
+        raise error_type(f"boom in shard {shard}")
+    return shard
 
 
-class TestRunnerTransport:
-    """What the workers hand back, through the one supervised loop.
+def _supervise(pool, policy, error_type=None):
+    """Three tasks of :func:`_fail_shard_one` as one batch on ``pool``."""
+    tasks = [
+        ShardTask(_fail_shard_one, (shard, error_type), shard)
+        for shard in range(3)
+    ]
+    return ShardSupervisor(pool, policy).run(run_shard, tasks, [0, 1, 2])
 
-    The failing evaluator is patched into the runner module before the
-    pool forks, so the workers run it.
-    """
 
-    SOURCE = ShardColumnSource.create(BASE, draws=300, seed=5, shard_rows=100)
-
-    @staticmethod
-    def _fail(monkeypatch, error_type, policy=None):
-        monkeypatch.setattr(
-            runner_module,
-            "_evaluate_shard",
-            _failing_evaluator(runner_module._evaluate_shard, error_type),
+def _chunk_tasks(source, guard=None):
+    """Every chunk of ``source`` as a worker task of the Monte Carlo chunk
+    function, as the driver's parallel waves build them."""
+    return [
+        ShardTask(
+            monte_carlo_chunk,
+            (
+                BASE,
+                source.ranges,
+                source.distribution,
+                source.seeds[shard],
+                start,
+                stop,
+                source.identity_key(start, stop),
+                guard,
+            ),
+            shard,
         )
-        runner = ParallelRunner(
-            policy or ExecutionPolicy(workers=2, shard_rows=100)
-        )
-        source = ShardColumnSource.create(
-            FAILING_BASE, draws=300, seed=5, shard_rows=100
-        )
-        return runner, source
+        for shard, (start, stop) in enumerate(source.plan)
+    ]
 
-    def test_shards_merge_in_shard_order(self):
-        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100)) as runner:
-            evaluation = runner.evaluate_source(self.SOURCE)
-        assert [report.shard for report in evaluation.shards] == [0, 1, 2]
-        assert [(r.start, r.stop) for r in evaluation.shards] == [
-            (0, 100),
-            (100, 200),
-            (200, 300),
-        ]
+
+class TestShardTransport:
+    """What the workers hand back, through the one supervised loop."""
+
+    def test_outcomes_align_with_payloads(self):
+        with WorkerPool(2) as pool:
+            outcomes, report = _supervise(pool, ExecutionPolicy(workers=2))
+        assert [values for _, (values, _) in outcomes] == [0, 1, 2]
+        assert all(seconds >= 0.0 for _, (_, seconds) in outcomes)
+        assert report.retries == report.respawns == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_picklable_exception_is_the_cause(self, monkeypatch, workers):
+    def test_picklable_exception_is_the_cause(self, workers):
         # fail_fast is a zero retry budget: the first infrastructure
         # failure raises ShardFailedError, chained to the worker's error.
-        runner, source = self._fail(
-            monkeypatch,
-            ValueError,
-            ExecutionPolicy(workers=workers, shard_rows=100),
-        )
-        with runner, pytest.raises(ShardFailedError) as info:
-            runner.evaluate_source(source)
+        with WorkerPool(workers) as pool, pytest.raises(
+            ShardFailedError
+        ) as info:
+            _supervise(pool, ExecutionPolicy(workers=workers), ValueError)
         assert isinstance(info.value, WorkerError)
         assert (info.value.shard, info.value.attempts) == (1, 1)
         assert info.value.cause == "error"
         assert type(info.value.__cause__) is ValueError
         assert "boom in shard 1" in str(info.value.__cause__)
 
-    def test_unpicklable_exception_arrives_as_worker_error(self, monkeypatch):
-        runner, source = self._fail(monkeypatch, _Unpicklable)
-        with runner, pytest.raises(ShardFailedError) as info:
-            runner.evaluate_source(source)
+    def test_unpicklable_exception_arrives_as_worker_error(self):
+        with WorkerPool(2) as pool, pytest.raises(ShardFailedError) as info:
+            _supervise(pool, ExecutionPolicy(workers=2), _Unpicklable)
         cause = info.value.__cause__
         assert type(cause) is WorkerError
         assert "_Unpicklable" in str(cause) and "boom" in str(cause)
         assert "Traceback" in cause.original
 
-    def test_runner_survives_a_failed_call(self, monkeypatch):
-        runner, source = self._fail(monkeypatch, ValueError)
-        with runner:
+    def test_pool_survives_a_failed_batch(self):
+        policy = ExecutionPolicy(workers=2)
+        with WorkerPool(2) as pool:
             with pytest.raises(ShardFailedError):
-                runner.evaluate_source(source)
-            evaluation = runner.evaluate_source(self.SOURCE)
-        reference = evaluate_batch(
-            ScenarioBatch.from_columns(BASE, 300, self.SOURCE.columns())
-        )
-        assert (
-            evaluation.full_series("total_g").tobytes()
-            == reference.total_g.tobytes()
-        )
+                _supervise(pool, policy, ValueError)
+            outcomes, _ = _supervise(pool, policy)
+        assert [values for _, (values, _) in outcomes] == [0, 1, 2]
 
 
 class TestShardedSampling:
@@ -300,21 +294,25 @@ class TestMonteCarloDeterminism:
         )
 
     def test_shards_return_total_g_only(self):
-        """The driver keeps one series, so workers ship back only that
-        one, not all ten Eq. 1-8 series."""
+        """The driver keeps one series, so a worker's chunk ships back only
+        that one, not all ten Eq. 1-8 series."""
         source = ShardColumnSource.create(
             BASE, draws=300, seed=5, shard_rows=100
         )
-        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100)) as runner:
-            evaluation = runner.evaluate_source(source)
-        assert tuple(evaluation.series) == ("total_g",)
+        with WorkerPool(2) as pool:
+            outcomes, _ = ShardSupervisor(pool, ExecutionPolicy()).run(
+                run_shard, _chunk_tasks(source), [0, 1, 2]
+            )
+        assert [tuple(values) for _, (values, _) in outcomes] == [
+            ("samples",)
+        ] * 3
         reference = evaluate_batch(
             ScenarioBatch.from_columns(BASE, 300, source.columns())
         )
-        assert (
-            evaluation.full_series("total_g").tobytes()
-            == reference.total_g.tobytes()
+        merged = np.concatenate(
+            [values["samples"] for _, (values, _) in outcomes]
         )
+        assert merged.tobytes() == reference.total_g.tobytes()
 
 
 class TestWorkersConformance:
@@ -370,7 +368,8 @@ class _NoPool(Exception):
 
 
 class TestPoolSize:
-    """A pool never outgrows the shards of the call that starts it."""
+    """A pool never outgrows the run's chunks, and a one-chunk run starts
+    none."""
 
     @pytest.fixture
     def sizes(self, monkeypatch):
@@ -380,22 +379,29 @@ class TestPoolSize:
             sizes.append(workers)
             raise _NoPool
 
-        monkeypatch.setattr(runner_module, "WorkerPool", recording_pool)
+        monkeypatch.setattr(pool_module, "WorkerPool", recording_pool)
         return sizes
 
-    def test_a_later_call_with_more_shards_grows_the_pool(self):
-        source = ShardColumnSource.create(
-            BASE, draws=300, seed=5, shard_rows=100
+    def test_pool_is_sized_by_the_run_chunks(self, sizes):
+        with pytest.raises(_NoPool):
+            run_monte_carlo(
+                BASE,
+                draws=300,
+                seed=5,
+                policy=ExecutionPolicy(workers=8, shard_rows=100),
+            )
+        assert sizes == [3]
+
+    def test_one_chunk_run_starts_no_pool(self, sizes):
+        one_chunk = run_monte_carlo(
+            BASE,
+            draws=100,
+            seed=5,
+            policy=ExecutionPolicy(workers=4, shard_rows=100),
         )
-        policy = ExecutionPolicy(workers=3, shard_rows=100)
-        with ParallelRunner(policy) as runner:
-            first = runner.evaluate_source(source, 0, 100)
-            assert runner._pool.workers == 1
-            whole = runner.evaluate_source(source)
-            assert runner._pool.workers == 3
-        assert first.full_series("total_g").tobytes() == (
-            whole.full_series("total_g")[:100].tobytes()
-        )
+        assert sizes == []
+        serial = run_monte_carlo(BASE, draws=100, seed=5, policy=1)
+        assert one_chunk.samples.tobytes() == serial.samples.tobytes()
 
 
 def _dirty_run(guard, workers):
@@ -418,12 +424,16 @@ class TestGuardedParallel:
         )
         with pytest.raises(ValidationError) as serial:
             guard.evaluate_columns(BASE, DIRTY_DRAWS, source.columns())
-        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=40)) as runner:
-            with pytest.raises(ValidationError) as parallel:
-                runner.evaluate_source(source, 80, DIRTY_DRAWS, guard=guard)
-        # The parallel run stops at one rejected shard of rows [80, 200);
-        # its findings are that shard's slice of the serial findings, by
-        # row of the run.
+        # The chunks of rows [80, 200), each evaluated under the guard
+        # in a worker, as a parallel wave of the run evaluates them.
+        tasks = _chunk_tasks(source, guard)[2:]
+        with WorkerPool(2) as pool, pytest.raises(ValidationError) as parallel:
+            ShardSupervisor(pool, ExecutionPolicy(workers=2)).run(
+                run_shard, tasks, [task.shard for task in tasks]
+            )
+        # The wave stops at one rejected shard of rows [80, 200); its
+        # findings are that shard's slice of the serial findings, by row
+        # of the run.
         serial_rows = {
             (d.column, d.reason): dict(zip(d.indices, d.values))
             for d in serial.value.diagnostics
@@ -550,19 +560,3 @@ class TestObservabilityMerging:
             )
         rendered = context.metrics.render()
         assert "parallel.worker" in rendered
-
-
-class TestRunnerLifecycle:
-    def test_runner_reusable_after_close(self):
-        source = ShardColumnSource.create(
-            BASE, draws=300, seed=6, shard_rows=100
-        )
-        runner = ParallelRunner(ExecutionPolicy(workers=2, shard_rows=100))
-        first = runner.evaluate_source(source)
-        runner.close()
-        second = runner.evaluate_source(source)
-        runner.close()
-        assert (
-            first.full_series("total_g").tobytes()
-            == second.full_series("total_g").tobytes()
-        )

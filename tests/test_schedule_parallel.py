@@ -1,4 +1,5 @@
-"""Scheduling sweeps through the parallel runner and checkpoint layer.
+"""Scheduling sweeps through the chunked driver, its worker pool and
+checkpoint layer.
 
 The contract mirrors the Monte Carlo workload: `build_schedule_batch` is
 a pure function of ``(spec, row)``, so the worker count, shard size, and
@@ -12,10 +13,11 @@ import pytest
 
 from repro.core.errors import CheckpointError, ParameterError, RunInterrupted
 from repro.core.intensity import CarbonIntensityTrace, solar_diurnal_trace
-from repro.parallel import ExecutionPolicy, ParallelRunner
+from repro.parallel import ExecutionPolicy
 from repro.robustness.checkpoint import (
     CountingCancelToken,
     run_schedule_sweep_chunked,
+    schedule_chunk,
 )
 from repro.scheduling.batch import SCHEDULE_SERIES, evaluate_schedule_batch
 from repro.scheduling.sweep import (
@@ -36,38 +38,30 @@ def one_shot_series():
     return {name: getattr(result, name) for name in SCHEDULE_SERIES}
 
 
-class TestEvaluateSchedule:
+class TestScheduleChunks:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_bit_identical_to_one_shot(self, workers):
         reference = one_shot_series()
-        with ParallelRunner(
-            ExecutionPolicy(workers=workers, shard_rows=32)
-        ) as runner:
-            evaluation = runner.evaluate_schedule(SPEC)
-            for name in SCHEDULE_SERIES:
-                np.testing.assert_array_equal(
-                    evaluation.full_series(name), reference[name],
-                    err_msg=name,
-                )
+        series = run_schedule_sweep_chunked(
+            SPEC, chunk_rows=32, policy=ExecutionPolicy(workers=workers)
+        )
+        for name in SCHEDULE_SERIES:
+            np.testing.assert_array_equal(
+                series[name], reference[name], err_msg=name
+            )
 
     def test_row_range_selects_absolute_rows(self):
         reference = one_shot_series()
-        with ParallelRunner(ExecutionPolicy(workers=2, shard_rows=16)) as runner:
-            evaluation = runner.evaluate_schedule(SPEC, start=40, stop=100)
+        chunk = schedule_chunk(SPEC, 40, 100)
+        assert sorted(chunk) == sorted(SCHEDULE_SERIES)
+        for name in SCHEDULE_SERIES:
             np.testing.assert_array_equal(
-                evaluation.full_series("emissions_g"),
-                reference["emissions_g"][40:100],
+                chunk[name], reference[name][40:100], err_msg=name
             )
 
-    def test_rejects_non_spec_input(self):
-        with ParallelRunner(ExecutionPolicy(workers=1)) as runner:
-            with pytest.raises(ParameterError, match="ScheduleSweepSpec"):
-                runner.evaluate_schedule("not-a-spec")
-
     def test_rejects_bad_row_range(self):
-        with ParallelRunner(ExecutionPolicy(workers=1)) as runner:
-            with pytest.raises(ParameterError, match="row range"):
-                runner.evaluate_schedule(SPEC, start=10, stop=5)
+        with pytest.raises(ParameterError, match="row range"):
+            schedule_chunk(SPEC, 10, 5)
 
 
 class TestScheduleSweepChunked:

@@ -283,6 +283,13 @@ class TestMetricEndpoint:
         assert response.status == 422
 
 
+    def test_repeated_design_name_is_422(self, service):
+        designs = self.DESIGNS + [dict(self.DESIGNS[1], name="a")]
+        response = post(service, "/v1/metric", {"designs": designs})
+        assert response.status == 422
+        assert "'a' is repeated" in response.payload["message"]
+
+
 class TestSweepEndpoint:
     def test_grid_sweep_matches_direct_evaluation(self, service):
         response = post(
@@ -374,7 +381,7 @@ class TestMonteCarloEndpoint:
         # A client-chosen worker count must not size the pool: a run of
         # two chunks has work for two workers at most.  The stub records
         # each requested pool size and fails before spawning anything.
-        from repro.parallel import runner as runner_module
+        from repro.parallel import pool as pool_module
 
         sizes = []
 
@@ -383,7 +390,7 @@ class TestMonteCarloEndpoint:
                 sizes.append(workers)
                 raise RuntimeError("stub pool starts no processes")
 
-        monkeypatch.setattr(runner_module, "WorkerPool", RecordingPool)
+        monkeypatch.setattr(pool_module, "WorkerPool", RecordingPool)
         svc = CarbonQueryService(ServiceConfig(mc_chunk_rows=64))
         try:
             for draws in (64, 128):

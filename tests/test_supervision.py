@@ -20,7 +20,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import ShardColumnSource, run_monte_carlo
+from repro.analysis.montecarlo import (
+    ShardColumnSource,
+    monte_carlo_chunk,
+    run_monte_carlo,
+)
 from repro.analysis.scenario import ActScenario
 from repro.core.errors import (
     ParameterError,
@@ -36,9 +40,11 @@ from repro.parallel import (
     FAIL_FAST,
     RETRY,
     ExecutionPolicy,
-    ParallelRunner,
     PartialResult,
+    ShardSupervisor,
+    ShardTask,
     WorkerPool,
+    run_shard,
 )
 from repro.parallel.supervisor import RetryLedger
 from repro.robustness.checkpoint import run_monte_carlo_chunked
@@ -81,6 +87,52 @@ def reference_samples(draws=600, seed=7, shard_rows=128):
     ).total_g
 
 
+def chunked(policy, plan=None, **options):
+    """The run of :func:`mc_source` through the public chunked driver."""
+    return run_monte_carlo_chunked(
+        BASE,
+        draws=600,
+        seed=7,
+        chunk_rows=128,
+        policy=policy,
+        fault_plan=plan,
+        **options,
+    )
+
+
+def supervised(pool, policy, plan=None):
+    """The chunks of :func:`mc_source` as one supervised batch on ``pool``,
+    as a parallel wave of the driver dispatches them: the merged
+    ``total_g`` (NaN on quarantined chunks) and the supervision report."""
+    source = mc_source()
+    fault = plan.spec() if plan is not None else None
+    tasks = [
+        ShardTask(
+            monte_carlo_chunk,
+            (
+                BASE,
+                source.ranges,
+                source.distribution,
+                source.seeds[shard],
+                start,
+                stop,
+                source.identity_key(start, stop),
+            ),
+            shard,
+            fault,
+        )
+        for shard, (start, stop) in enumerate(source.plan)
+    ]
+    outcomes, report = ShardSupervisor(pool, policy).run(
+        run_shard, tasks, list(range(len(tasks)))
+    )
+    samples = np.full(source.draws, np.nan)
+    for (start, stop), outcome in zip(source.plan, outcomes):
+        if outcome is not None:
+            samples[start:stop] = outcome[1][0]["samples"]
+    return samples, report
+
+
 # --- module-level worker functions (pickled by reference) -----------------
 
 
@@ -111,9 +163,9 @@ class TestPoolLiveness:
         )
         policy = ExecutionPolicy(workers=workers, shard_rows=128)
         started = time.monotonic()
-        with ParallelRunner(policy, fault_plan=plan) as runner:
+        with WorkerPool(workers) as pool:
             with pytest.raises(WorkerError, match="died") as info:
-                runner.evaluate_source(mc_source())
+                supervised(pool, policy, plan)
         assert time.monotonic() - started < 10.0
         assert isinstance(info.value, ShardFailedError)
         assert (info.value.shard, info.value.cause) == (0, "worker-death")
@@ -147,14 +199,12 @@ class TestPoolLiveness:
             tmp_path, [ProcessFault("kill", shard=1, times=1)]
         )
         policy = ExecutionPolicy(workers=2, shard_rows=128)
-        with ParallelRunner(policy, fault_plan=plan) as runner:
+        with WorkerPool(2) as pool:
             with pytest.raises(WorkerError):
-                runner.evaluate_source(mc_source())
-            out = runner.evaluate_source(mc_source())
-            assert runner._pool.respawns >= 1
-        np.testing.assert_array_equal(
-            reference_samples(), out.series["total_g"]
-        )
+                supervised(pool, policy, plan)
+            out, _ = supervised(pool, policy, plan)
+            assert pool.respawns >= 1
+        np.testing.assert_array_equal(reference_samples(), out)
 
     @pytest.mark.parametrize("times", [1, 3])
     def test_fail_fast_dropped_result_ends_within_the_stall_window(
@@ -170,34 +220,29 @@ class TestPoolLiveness:
             import signal, sys, time
             signal.signal(signal.SIGALRM, lambda *_: sys.exit("hung"))
             signal.alarm(30)
-            from repro.analysis.montecarlo import ShardColumnSource
             from repro.analysis.scenario import ActScenario
             from repro.core.errors import ShardFailedError
-            from repro.engine.batch import ScenarioBatch
-            from repro.engine.kernels import evaluate_batch
-            from repro.parallel import ExecutionPolicy, ParallelRunner
+            from repro.parallel import ExecutionPolicy
+            from repro.robustness.checkpoint import run_monte_carlo_chunked
             from repro.robustness.faultinject import (
                 ProcessFault, ProcessFaultPlan,
-            )
-            source = ShardColumnSource.create(
-                ActScenario(), draws=600, seed=7, shard_rows=128
             )
             plan = ProcessFaultPlan.create(
                 {str(tmp_path)!r},
                 [ProcessFault("drop_result", shard=1, times={times})],
             )
             policy = ExecutionPolicy(workers=2, shard_rows=128)
+            run = dict(draws=600, seed=7, chunk_rows=128)
             started = time.monotonic()
             try:
-                with ParallelRunner(policy, fault_plan=plan) as runner:
-                    out = runner.evaluate_source(source)
+                out = run_monte_carlo_chunked(
+                    ActScenario(), policy=policy, fault_plan=plan, **run
+                )
             except ShardFailedError as error:
                 outcome = f"raised {{error.cause}} {{error.shard}}"
             else:
-                reference = evaluate_batch(ScenarioBatch.from_columns(
-                    ActScenario(), 600, source.columns()
-                )).total_g
-                same = (out.series["total_g"] == reference).all()
+                reference = run_monte_carlo_chunked(ActScenario(), **run)
+                same = out.samples.tobytes() == reference.samples.tobytes()
                 outcome = f"returned {{same}} {{out.partial}}"
             print(outcome, round(time.monotonic() - started))
             """
@@ -297,16 +342,17 @@ class TestRetryRecovery:
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("kill", shard=1, times=1)]
         )
-        with ParallelRunner(fast_policy(), fault_plan=plan) as runner:
-            out = runner.evaluate_source(mc_source())
+        context = RunContext.create(describe_git=False)
+        with use_context(context):
+            out = chunked(fast_policy(), plan)
         assert plan.remaining(0) == 0, "the kill must actually have fired"
-        np.testing.assert_array_equal(
-            reference, out.series["total_g"]
-        )
+        np.testing.assert_array_equal(reference, out.samples)
         assert out.partial is None
-        assert out.supervision.retries >= 1
-        assert out.supervision.respawns >= 1
-        causes = {failure.cause for failure in out.supervision.failures}
+        assert context.metrics.counter("parallel.retries") >= 1
+        assert context.metrics.counter("parallel.respawns") >= 1
+        causes = {
+            event["cause"] for event in context.sink.of_type("shard_retry")
+        }
         assert "worker-death" in causes
 
     def test_stalled_shard_hits_deadline_and_recovers(self, tmp_path):
@@ -315,27 +361,24 @@ class TestRetryRecovery:
             tmp_path,
             [ProcessFault("stall", shard=1, times=1, stall_seconds=30.0)],
         )
-        policy = fast_policy(shard_deadline_seconds=0.4)
-        with ParallelRunner(policy, fault_plan=plan) as runner:
-            out = runner.evaluate_source(mc_source())
-        np.testing.assert_array_equal(
-            reference, out.series["total_g"]
-        )
-        causes = {failure.cause for failure in out.supervision.failures}
+        context = RunContext.create(describe_git=False)
+        with use_context(context):
+            out = chunked(fast_policy(shard_deadline_seconds=0.4), plan)
+        np.testing.assert_array_equal(reference, out.samples)
+        causes = {
+            event["cause"] for event in context.sink.of_type("shard_retry")
+        }
         assert "deadline" in causes
-        assert out.supervision.respawns >= 1
+        assert context.metrics.counter("parallel.respawns") >= 1
 
     def test_dropped_result_is_resubmitted(self, tmp_path):
         reference = reference_samples()
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("drop_result", shard=1, times=1)]
         )
-        with ParallelRunner(fast_policy(), fault_plan=plan) as runner:
-            out = runner.evaluate_source(mc_source())
+        out = chunked(fast_policy(), plan)
         assert plan.remaining(0) == 0
-        np.testing.assert_array_equal(
-            reference, out.series["total_g"]
-        )
+        np.testing.assert_array_equal(reference, out.samples)
         assert out.partial is None
 
     def test_model_errors_are_never_retried(self, tmp_path):
@@ -343,30 +386,23 @@ class TestRetryRecovery:
         must re-raise it immediately instead of burning the retry budget
         re-failing identically."""
         context = RunContext.create(describe_git=False)
-        guard = GuardedEngine(policy="strict")
         # Energies past Table 1's 40 kWh fail strict validation in every
         # shard (a negative range is refused before any draw).
-        source = ShardColumnSource.create(
-            BASE,
-            draws=600,
-            seed=7,
-            shard_rows=128,
-            ranges={"energy_kwh": (50.0, 60.0)},
-        )
         with use_context(context):
-            with ParallelRunner(fast_policy()) as runner:
-                with pytest.raises(ValidationError):
-                    runner.evaluate_source(source, guard=guard)
+            with pytest.raises(ValidationError):
+                chunked(
+                    fast_policy(),
+                    guard=GuardedEngine(policy="strict"),
+                    ranges={"energy_kwh": (50.0, 60.0)},
+                )
         assert context.sink.of_type("shard_retry") == []
 
     def test_exhausted_budget_raises_shard_failed(self, tmp_path):
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("kill", shard=1, times=10)]
         )
-        policy = fast_policy(max_retries=1)
-        with ParallelRunner(policy, fault_plan=plan) as runner:
-            with pytest.raises(ShardFailedError) as info:
-                runner.evaluate_source(mc_source())
+        with pytest.raises(ShardFailedError) as info:
+            chunked(fast_policy(max_retries=1), plan)
         assert info.value.shard == 1
         assert info.value.attempts == 2  # first try + max_retries
         assert info.value.cause == "worker-death"
@@ -384,36 +420,34 @@ class TestDegradeRecovery:
         policy = fast_policy(
             failure_policy=DEGRADE, max_retries=2, shard_deadline_seconds=600.0
         )
-        with pytest.warns(RobustnessWarning, match="quarantined"):
-            with ParallelRunner(policy, fault_plan=plan) as runner:
-                out = runner.evaluate_source(mc_source())
+        with pytest.warns(RobustnessWarning, match="quarantined") as caught:
+            out = chunked(policy, plan)
+        # One warning for the run, carrying the partial result's summary.
+        assert len(caught) == 1
+        assert out.partial.summary() in str(caught[0].message)
         assert isinstance(out.partial, PartialResult)
         assert out.partial.quarantined == (2,)
         assert out.partial.ranges == ((256, 384),)
         assert out.partial.causes() == {2: "worker-death"}
-        # Quarantined rows are flagged NaN, never silently zero or stale,
-        # and they are the only NaN rows.
-        lost = np.isnan(out.series["total_g"])
-        assert np.flatnonzero(lost).tolist() == list(range(256, 384))
+        assert out.partial.retries == 2
         assert out.partial.rows == 128
-        # Every surviving row is bit-identical to the unfaulted run.
+        # The quarantined rows are dropped, never silently zero or stale;
+        # every surviving row is bit-identical to the unfaulted run.
         np.testing.assert_array_equal(
-            reference[~lost], out.series["total_g"][~lost]
+            np.delete(reference, np.s_[256:384]), out.samples
         )
 
     def test_degraded_monte_carlo_result_carries_partial(self, tmp_path):
         plan = ProcessFaultPlan.create(
             tmp_path, [ProcessFault("kill", shard=0, times=5)]
         )
-        # run_monte_carlo builds its own runner; arm chaos via a manual
-        # runner to keep the public API surface unchanged.
         policy = fast_policy(failure_policy=DEGRADE, max_retries=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RobustnessWarning)
-            with ParallelRunner(policy, fault_plan=plan) as runner:
-                evaluation = runner.evaluate_source(mc_source())
-        assert evaluation.partial.rows == 128
-        assert evaluation.supervision.quarantined == (0,)
+            result = chunked(policy, plan)
+        assert result.partial.rows == 128
+        assert result.partial.quarantined == (0,)
+        assert len(result.samples) == 600 - 128
 
     def test_workers_1_degrade_quarantines_on_a_one_worker_pool(
         self, tmp_path
@@ -427,14 +461,12 @@ class TestDegradeRecovery:
         policy = fast_policy(
             workers=1, failure_policy=DEGRADE, max_retries=1
         )
-        with pytest.warns(RobustnessWarning, match="quarantined"):
-            with ParallelRunner(policy, fault_plan=plan) as runner:
-                out = runner.evaluate_source(mc_source())
+        with WorkerPool(1) as pool:
+            out, report = supervised(pool, policy, plan)
         assert plan.remaining() == 0
-        assert out.partial.quarantined == (1,)
-        assert out.partial.ranges == ((128, 256),)
-        assert out.supervision.respawns == 2
-        assert np.isnan(out.series["total_g"][128:256]).all()
+        assert report.quarantined == (1,)
+        assert report.respawns == 2
+        assert np.flatnonzero(np.isnan(out)).tolist() == list(range(128, 256))
 
 
 # --- one retry decision ----------------------------------------------------
@@ -489,9 +521,9 @@ class TestRetryLedger:
             tmp_path, [ProcessFault("kill", shard=1, times=3)]
         )
         policy = fast_policy(workers=1, max_retries=1)
-        with ParallelRunner(policy, fault_plan=plan) as runner:
+        with WorkerPool(1) as pool:
             with pytest.raises(ShardFailedError) as info:
-                runner.evaluate_source(mc_source())
+                supervised(pool, policy, plan)
         assert info.value.shard == 1
         assert info.value.attempts == 2
         assert info.value.cause == "worker-death"
@@ -514,8 +546,7 @@ class TestSupervisionObservability:
         with use_context(context):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RobustnessWarning)
-                with ParallelRunner(policy, fault_plan=plan) as runner:
-                    runner.evaluate_source(mc_source())
+                chunked(policy, plan)
         retries = context.sink.of_type("shard_retry")
         respawns = context.sink.of_type("worker_respawn")
         quarantines = context.sink.of_type("shard_quarantined")
